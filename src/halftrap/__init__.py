@@ -71,7 +71,6 @@ from .moments import (
 )
 from .orbitals import (
     OscillatorParams,
-    OverlapConvergenceError,
     OverlapTable,
     build_overlap_table,
     eval_orbital,
@@ -96,7 +95,6 @@ __all__ = [
     "__version__",
     # orbitals
     "OscillatorParams",
-    "OverlapConvergenceError",
     "OverlapTable",
     "build_overlap_table",
     "eval_orbital",

@@ -17,7 +17,7 @@ from math import sqrt
 import numpy as np
 
 from .. import entanglement, evolution, fock, measurement, moments, states
-from ..orbitals import OscillatorParams, OverlapTable, build_overlap_table
+from ..orbitals import OverlapTable, build_overlap_table
 from .config import ExperimentConfig
 from .sweep import LOCALITY_LADDER, resolve_pulse, run_sweep, write_sweep_csv
 
@@ -31,11 +31,9 @@ _THERMAL_GRID = (0.5, 1.0, 4.0)
 _ROUNDOFF = 1e-12
 
 
-def _get_table(tables: dict, K: int, cfg: ExperimentConfig) -> OverlapTable:
+def _get_table(tables: dict, K: int) -> OverlapTable:
     if K not in tables:
-        tables[K] = build_overlap_table(
-            K, OscillatorParams(), quad_tol=cfg.quad_tol, cache_dir=cfg.cache_dir
-        )
+        tables[K] = build_overlap_table(K)
     return tables[K]
 
 
@@ -50,7 +48,7 @@ def _pipeline_mu(cfg: ExperimentConfig, state, table: OverlapTable) -> float:
 
 def check_coherent_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     """Coherent-state negativity against its closed form over a mean-number grid."""
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     worst = 0.0
     values = []
     for a in _ALPHA_GRID:
@@ -70,7 +68,7 @@ def check_coherent_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool
 
 def check_number_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     """Number-state negativity; the single-particle value must be compatible with zero."""
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     worst = 0.0
     mu_one = None
     for N in _NUMBER_GRID:
@@ -91,7 +89,7 @@ def check_number_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, 
 
 def check_fidelity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     """Remnant-overlap fidelity against 1/sqrt(1 + 2/<n>), rising with <n>."""
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     worst = 0.0
     values = []
     for a in _FIDELITY_GRID:
@@ -128,7 +126,7 @@ def _oracle_states(seed: int) -> list:
 
 def check_oracle(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     """Closed-form moments vs explicit occupation-basis expectations, entry by entry."""
-    table = _get_table(tables, 6, cfg)
+    table = _get_table(tables, 6)
     batch = _oracle_states(cfg.seed)
     worst = 0.0
     for state in batch:
@@ -149,7 +147,7 @@ def check_oracle(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
 
 def perturbation_evidence(cfg: ExperimentConfig, tables: dict) -> dict:
     """Residual ladder and leakage for the first-order model on a small instance."""
-    table = _get_table(tables, 4, cfg)
+    table = _get_table(tables, 4)
     basis = fock.FockBasis(4, 3)
     probe = evolution.ProbeParams(levels=4)
     phi = states.to_fock_vector(states.number_state(2).components[0], basis)
@@ -196,7 +194,7 @@ def check_commutator(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     modes m >= K, and on a fixed 8x8 block it must decrease strictly at every
     step of the validation ladder.
     """
-    ladder = [_get_table(tables, K, cfg) for K in LOCALITY_LADDER]
+    ladder = [_get_table(tables, K) for K in LOCALITY_LADDER]
     resid = [fock.single_particle_commutator_residual(t) for t in ladder]
     prods = [fock.locality_product_residual(t, block=8) for t in ladder]
     commute = all(r <= _ROUNDOFF for r in resid)
@@ -224,7 +222,7 @@ def check_structural(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
         )
         mu_pt = entanglement.negativity(entanglement.probe_block_density(block))
         worst = max(worst, abs(mu_pt - abs(rho[0, 1])))
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     for state in (
         states.coherent_state(alpha_sq=2.0),
         states.number_state(3),
@@ -256,7 +254,7 @@ def check_mixtures(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
         mu_c = abs(mom_c.mLR) / (mom_c.mLL + mom_c.mRR)
         mu_p = abs(mom_p.mLR) / (mom_p.mLL + mom_p.mRR)
         dephase_worst = max(dephase_worst, abs(mu_c - mu_p))
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     thermal_worst = 0.0
     for nbar in _THERMAL_GRID:
         mu = _pipeline_mu(cfg, states.thermal_state(nbar, tail_tol=cfg.tail_tol), table)
@@ -276,7 +274,7 @@ def check_mixtures(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
 
 def check_determinism(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     """Same config, same bytes: sweep CSV and seeded sampling are reproducible."""
-    table = _get_table(tables, cfg.K, cfg)
+    table = _get_table(tables, cfg.K)
     scan = replace(
         cfg,
         state="coherent",
@@ -302,7 +300,7 @@ def check_determinism(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     ok = csv_ok and sample_ok
     return ok, (
         f"sweep CSV bytes identical across two runs: {csv_ok} "
-        f"({len(payloads[0])} bytes, {cfg.workers} workers); "
+        f"({len(payloads[0])} bytes); "
         f"seeded outcome counts identical: {sample_ok}"
     )
 

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from ..measurement import sample_outcomes
-from ..orbitals import OscillatorParams, build_overlap_table, write_table_csv
+from ..orbitals import build_overlap_table, write_table_csv
 from ..states import TailToleranceError
 from . import accept as accept_mod
 from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config_text
@@ -46,17 +46,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_lambda(args) -> int:
-    table = build_overlap_table(
-        args.K,
-        OscillatorParams(),
-        quad_tol=args.quad_tol,
-        cache_dir=args.cache_dir,
-    )
+    table = build_overlap_table(args.K)
     write_table_csv(table, args.out)
-    print(
-        f"wrote {args.out}: K={table.K}, "
-        f"quadrature error {float(table.quadrature_error.max()):.3e}"
-    )
+    print(f"wrote {args.out}: K={table.K}")
     return 0
 
 
@@ -87,9 +79,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
-    table = build_overlap_table(
-        cfg.K, OscillatorParams(), quad_tol=cfg.quad_tol, cache_dir=cfg.cache_dir
-    )
+    table = build_overlap_table(cfg.K)
     block = single_block(cfg, table)
     seed = args.seed if args.seed is not None else cfg.seed
     counts = sample_outcomes(block, args.shots, seed)
@@ -114,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="build an overlap table and write it as CSV")
     p.add_argument("--K", type=int, required=True, help="number of trap modes")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--quad-tol", type=float, default=1e-10)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_lambda)
 
     p = sub.add_parser("sweep", help="run the configured parameter sweep")

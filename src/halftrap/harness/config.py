@@ -13,6 +13,7 @@ CLI `--set key=value` pairs override file entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -66,9 +67,12 @@ def _parse_float(entries: dict, key: str, default: float) -> float:
     if key not in entries:
         return default
     try:
-        return float(entries[key])
+        value = float(entries[key])
     except ValueError:
         raise ConfigError(key, f"not a number: {entries[key]!r}") from None
+    if not isfinite(value):
+        raise ConfigError(key, f"must be finite, got {entries[key]!r}")
+    return value
 
 
 def _parse_int(entries: dict, key: str, default: int) -> int:
@@ -105,9 +109,12 @@ def _parse_float_list(entries: dict, key: str) -> list[float] | None:
     if not items:
         raise ConfigError(key, "list must be non-empty")
     try:
-        return [float(s) for s in items]
+        values = [float(s) for s in items]
     except ValueError:
         raise ConfigError(key, f"not a comma-separated number list: {entries[key]!r}") from None
+    if not all(isfinite(v) for v in values):
+        raise ConfigError(key, f"every entry must be finite, got {entries[key]!r}")
+    return values
 
 
 def _parse_complex_list(entries: dict, key: str) -> list[complex] | None:
@@ -117,9 +124,12 @@ def _parse_complex_list(entries: dict, key: str) -> list[complex] | None:
     if not items:
         raise ConfigError(key, "list must be non-empty")
     try:
-        return [complex(s) for s in items]
+        values = [complex(s) for s in items]
     except ValueError:
         raise ConfigError(key, f"not a comma-separated complex list: {entries[key]!r}") from None
+    if not all(isfinite(v.real) and isfinite(v.imag) for v in values):
+        raise ConfigError(key, f"every entry must be finite, got {entries[key]!r}")
+    return values
 
 
 @dataclass
@@ -137,8 +147,6 @@ class ExperimentConfig:
 
     # overlap table
     K: int = 512
-    quad_tol: float = 1e-10
-    cache_dir: str | None = None
 
     # computational path
     path: str = "moments"
@@ -164,7 +172,6 @@ class ExperimentConfig:
 
     # misc
     seed: int = 12345
-    workers: int = 4
     timing: bool = False
 
     # acceptance tolerances
@@ -189,8 +196,6 @@ class ExperimentConfig:
             n_cut=_parse_int(entries, "n_cut", 0) if "n_cut" in entries else None,
             tail_tol=_parse_float(entries, "tail_tol", 1e-12),
             K=_parse_int(entries, "table.K", 512),
-            quad_tol=_parse_float(entries, "table.quad_tol", 1e-10),
-            cache_dir=entries.get("table.cache_dir"),
             path=_parse_str(entries, "path", "moments", _PATHS),
             extrapolate=_parse_bool(entries, "moments.extrapolate", True),
             n_max=_parse_int(entries, "fock.n_max", 4),
@@ -210,7 +215,6 @@ class ExperimentConfig:
             sweep_param=entries.get("sweep.param"),
             sweep_values=_parse_float_list(entries, "sweep.values") or [],
             seed=_parse_int(entries, "seed", 12345),
-            workers=_parse_int(entries, "workers", 4),
             timing=_parse_bool(entries, "timing", False),
             mu_tol=_parse_float(entries, "accept.mu_tol", 1e-3),
             f_tol=_parse_float(entries, "accept.f_tol", 1e-3),
@@ -228,7 +232,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         positive = [
             ("tail_tol", self.tail_tol),
-            ("table.quad_tol", self.quad_tol),
             ("pulse.T", self.pulse_T),
             ("probe.M", self.probe_M),
             ("probe.Omega", self.probe_Omega),
@@ -251,8 +254,6 @@ class ExperimentConfig:
             raise ConfigError("probe.levels", f"must be >= 2, got {self.probe_levels}")
         if self.exact_dim_cap < 1:
             raise ConfigError("exact.dim_cap", f"must be >= 1, got {self.exact_dim_cap}")
-        if self.workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {self.workers}")
         if not self.ratio_lo < self.ratio_hi:
             raise ConfigError("accept.ratio_lo", "lower ratio bound must be below upper")
         if self.sweep_param is not None and not self.sweep_values:

@@ -4,15 +4,14 @@ A sweep walks one state parameter over a value grid, pushes each state
 through the configured computational path (closed-form moments, explicit
 occupation-basis expectation, or full pulse evolution), post-selects, and
 records the probe-pair negativity next to its closed form where one exists.
-Points run on a thread pool; results are gathered in grid order so output
-bytes never depend on scheduling.
+Points run one after another in grid order, so output bytes never depend on
+scheduling.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import isnan, nan, sqrt
 
@@ -20,7 +19,7 @@ import numpy as np
 import scipy.stats
 
 from .. import entanglement, evolution, fock, measurement, moments, states
-from ..orbitals import OscillatorParams, OverlapTable, build_overlap_table
+from ..orbitals import OverlapTable, build_overlap_table
 from .config import ConfigError, ExperimentConfig
 
 __all__ = [
@@ -207,15 +206,8 @@ def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[
     if not cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep requested but value list is empty")
     if table is None:
-        table = build_overlap_table(
-            cfg.K,
-            OscillatorParams(),
-            quad_tol=cfg.quad_tol,
-            cache_dir=cfg.cache_dir,
-        )
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(lambda v: evaluate_point(cfg, table, v), cfg.sweep_values))
-    return results
+        table = build_overlap_table(cfg.K)
+    return [evaluate_point(cfg, table, v) for v in cfg.sweep_values]
 
 
 def _fmt(value: float | None) -> str:
@@ -299,7 +291,7 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _perturbative_section(cfg: ExperimentConfig, lines: list[str]) -> None:
     """First-order model vs full evolution on a small instance, pulse-length ladder."""
-    table = build_overlap_table(4, OscillatorParams(), quad_tol=cfg.quad_tol, cache_dir=cfg.cache_dir)
+    table = build_overlap_table(4)
     basis = fock.FockBasis(4, 3)
     probe = evolution.ProbeParams(levels=4)
     state = states.number_state(2)
@@ -362,7 +354,7 @@ def _commutator_section(lines: list[str]) -> None:
     lines.append("single-particle commutator residual vs truncation")
     lines.append("     K   max|[L,R]|   corner-product")
     for K in LOCALITY_LADDER:
-        table = build_overlap_table(K, OscillatorParams())
+        table = build_overlap_table(K)
         resid = fock.single_particle_commutator_residual(table)
         prod = fock.locality_product_residual(table, block=8)
         lines.append(f"  {K:4d}  {resid:11.4e}  {prod:13.6e}")
@@ -404,9 +396,7 @@ def _superposition_section(table: OverlapTable, lines: list[str]) -> None:
 def run_validation(cfg: ExperimentConfig) -> str:
     """Assemble the numbered evidence report; informational, no assertions."""
     lines: list[str] = ["validation report", "=" * 17, ""]
-    table = build_overlap_table(
-        cfg.K, OscillatorParams(), quad_tol=cfg.quad_tol, cache_dir=cfg.cache_dir
-    )
+    table = build_overlap_table(cfg.K)
     _perturbative_section(cfg, lines)
     _scaling_section(cfg, table, lines)
     _commutator_section(lines)
@@ -414,6 +404,6 @@ def run_validation(cfg: ExperimentConfig) -> str:
     sums = moments.truncation_sums(table)
     lines.append(
         f"table diagnostics at K={table.K}: T_LL+T_RR = {sums.T_LL + sums.T_RR:.10f}, "
-        f"T_LR = {sums.T_LR:.6e}, quadrature error = {float(table.quadrature_error.max()):.3e}"
+        f"T_LR = {sums.T_LR:.6e}"
     )
     return "\n".join(lines) + "\n"

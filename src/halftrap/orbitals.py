@@ -2,31 +2,24 @@
 
 The overlap table lambdaR[k, l] = integral of phi_k * phi_l over [0, inf)
 (and lambdaL over (-inf, 0]) is the single numerical input every
-second-quantized half-space operator is built from.
+second-quantized half-space operator is built from. It is evaluated exactly
+from the Wronskian identity: each entry is a ratio of the orbitals' values
+and slopes at the origin, so no integral is computed at runtime.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "OscillatorParams",
     "OverlapTable",
-    "OverlapConvergenceError",
     "eval_orbital",
     "build_overlap_table",
     "write_table_csv",
 ]
-
-# Quadrature setup: fixed-order Gauss-Legendre panels, refined by doubling the
-# panel count until the entrywise change drops below tolerance.
-_GL_ORDER = 16
-_MAX_PANELS = 65536
 
 # Beyond this squared dimensionless coordinate the ground-state Gaussian
 # underflows double precision; all orbitals are returned as exact zeros there.
@@ -47,19 +40,6 @@ class OscillatorParams:
             raise ValueError(f"frequency must be positive, got {self.omega}")
 
 
-class OverlapConvergenceError(RuntimeError):
-    """Quadrature failed to reach tolerance; reports the worst entry."""
-
-    def __init__(self, k: int, l: int, estimate: float, tol: float):
-        self.k = k
-        self.l = l
-        self.estimate = estimate
-        super().__init__(
-            f"overlap quadrature did not converge for entry (k={k}, l={l}): "
-            f"error estimate {estimate:.3e} exceeds tolerance {tol:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class OverlapTable:
     """Half-line overlap matrices for the lowest K orbitals.
@@ -68,21 +48,20 @@ class OverlapTable:
       - parity rule: phi_k phi_l has parity (-1)^(k+l), so the half-line
         integrals obey lambdaL_kl = (-1)^(k+l) lambdaR_kl. Entries with k + l
         even are exactly delta_{kl}/2; entries with k + l odd carry the
-        quadrature value, with lambdaL = -lambdaR.
+        Wronskian value W_kl(0) / (2 (k - l)), with lambdaL = -lambdaR.
       - hence lambdaL + lambdaR == identity, entrywise exact; lambdaL is
         stored as that complement, which equals the (-inf, 0] integral.
-      - both matrices symmetric.
+      - both matrices exactly symmetric: the k + l odd block is computed
+        once and stored with its transpose.
     """
 
     K: int
     lambdaL: np.ndarray
     lambdaR: np.ndarray
-    quadrature_error: np.ndarray
     params: OscillatorParams = field(default_factory=OscillatorParams)
-    quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("lambdaL", "lambdaR", "quadrature_error"):
+        for name in ("lambdaL", "lambdaR"):
             arr = getattr(self, name)
             if arr.shape != (self.K, self.K):
                 raise ValueError(f"{name} must be {self.K}x{self.K}, got {arr.shape}")
@@ -127,124 +106,40 @@ def eval_orbital(k: int, x, params: OscillatorParams = OscillatorParams()):
     return vals.reshape(np.shape(x))
 
 
-def _panel_nodes(n_panels: int, xmax: float) -> tuple[np.ndarray, np.ndarray]:
-    xg, wg = leggauss(_GL_ORDER)
-    edges = np.linspace(0.0, xmax, n_panels + 1)
-    h = edges[1] - edges[0]
-    nodes = (edges[:-1, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * h * wg, n_panels)
-    return nodes, weights
+def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -> OverlapTable:
+    """Build the half-line overlap table for K modes from the Wronskian identity.
 
+    psi_k'' = (xi^2 - 2k - 1) psi_k, so the Wronskian
+    W_kl = psi_k' psi_l - psi_k psi_l' has derivative 2 (l - k) psi_k psi_l.
+    It vanishes at infinity, hence for k != l
 
-def _half_line_integrals(K: int, n_panels: int, xmax: float) -> np.ndarray:
-    """All K x K integrals of psi_k psi_l over [0, xmax] on one panel grid."""
-    nodes, weights = _panel_nodes(n_panels, xmax)
-    phi = _hermite_functions(K, nodes)
-    lam = (phi * weights[None, :]) @ phi.T
-    return 0.5 * (lam + lam.T)
+        lambdaR[k, l] = W_kl(0) / (2 (k - l)).
 
+    For k + l odd exactly one of the two terms of W_kl(0) survives, since
+    psi_k(0) = 0 for odd k and psi_k'(0) = 0 for even k; for k + l even the
+    entry is delta_{kl}/2 exactly. lambdaL is the complement delta - lambdaR.
 
-def _parity_masked(raw: np.ndarray, K: int) -> np.ndarray:
-    """Apply the exact parity rule: k+l even entries are delta_{kl}/2."""
-    k = np.arange(K)
-    even = ((k[:, None] + k[None, :]) % 2) == 0
-    out = np.where(even, 0.0, raw)
-    np.fill_diagonal(out, 0.5)
-    return out
-
-
-def _cache_path(cache_dir: str, K: int, params: OscillatorParams, tol: float) -> str:
-    name = "overlap-K%d-m%.17g-w%.17g-tol%.17g.npz" % (K, params.m, params.omega, tol)
-    return os.path.join(cache_dir, name)
-
-
-def _default_cache_dir() -> str | None:
-    env = os.environ.get("HALFTRAP_CACHE_DIR")
-    if env:
-        return env
-    home = os.path.expanduser("~")
-    if home and home != "~":
-        return os.path.join(home, ".cache", "halftrap")
-    return None
-
-
-def build_overlap_table(
-    K: int,
-    params: OscillatorParams = OscillatorParams(),
-    quad_tol: float = 1e-10,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-) -> OverlapTable:
-    """Build (or load from cache) the half-line overlap table for K modes.
-
-    lambdaR[k, l] is computed by panel quadrature for k + l odd and set to
-    delta_{kl}/2 exactly for k + l even; lambdaL is the entrywise complement
-    delta - lambdaR. The per-entry error estimate is the change under the
-    final panel-count doubling; exceeding `quad_tol` after the refinement
-    cap is a hard error naming the offending entry.
-
-    The integrals are evaluated in the dimensionless coordinate, so the
-    table is independent of (m, omega); both are still part of the cache key.
+    The table is evaluated in the dimensionless coordinate, so it is
+    independent of (m, omega); `params` is recorded on the result.
     """
     if K < 1:
         raise ValueError(f"mode count must be >= 1, got {K}")
-    if not quad_tol > 0:
-        raise ValueError(f"quadrature tolerance must be positive, got {quad_tol}")
-
-    directory = cache_dir if cache_dir is not None else _default_cache_dir()
-    path = _cache_path(directory, K, params, quad_tol) if directory else None
-    if use_cache and path and os.path.exists(path):
-        with np.load(path) as data:
-            return OverlapTable(
-                K=K,
-                lambdaL=data["lambdaL"].copy(),
-                lambdaR=data["lambdaR"].copy(),
-                quadrature_error=data["quadrature_error"].copy(),
-                params=params,
-                quad_tol=quad_tol,
-            )
-
-    # Integration window: past the turning point of the highest mode.
-    xmax = np.sqrt(2.0 * (2.0 * K + 1.0)) + 10.0
-    panels = max(32, K // 2)
-    coarse = _half_line_integrals(K, panels, xmax)
-    while True:
-        fine = _half_line_integrals(K, 2 * panels, xmax)
-        err = np.abs(fine - coarse)
-        # Even-parity entries never come from quadrature; their estimate is 0.
-        kk = np.arange(K)
-        err[((kk[:, None] + kk[None, :]) % 2) == 0] = 0.0
-        if err.max() <= quad_tol:
-            break
-        if 2 * panels >= _MAX_PANELS:
-            k, l = np.unravel_index(int(np.argmax(err)), err.shape)
-            raise OverlapConvergenceError(int(k), int(l), float(err[k, l]), quad_tol)
-        panels *= 2
-        coarse = fine
-
-    lambdaR = _parity_masked(fine, K)
+    even = np.arange(0, K, 2)
+    odd = np.arange(1, K, 2)
+    # psi_k(0) for even k, from psi_k(0) = -sqrt((k-1)/k) psi_{k-2}(0)
+    steps = -np.sqrt((even[1:] - 1.0) / even[1:])
+    value = np.pi**-0.25 * np.cumprod(np.concatenate(([1.0], steps)))
+    # psi_k'(0) = sqrt(2k) psi_{k-1}(0) for odd k: the ladder identity
+    # psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1} at the origin
+    slope = np.sqrt(2.0 * odd) * value[: odd.size]
+    lambdaR = np.zeros((K, K))
+    # rows of odd k, columns of even l: W_kl(0) = psi_k'(0) psi_l(0)
+    block = slope[:, None] * value[None, :] / (2.0 * (odd[:, None] - even[None, :]))
+    lambdaR[1::2, 0::2] = block
+    lambdaR[0::2, 1::2] = block.T
+    np.fill_diagonal(lambdaR, 0.5)
     lambdaL = np.eye(K) - lambdaR
-    table = OverlapTable(
-        K=K,
-        lambdaL=lambdaL,
-        lambdaR=lambdaR,
-        quadrature_error=err,
-        params=params,
-        quad_tol=quad_tol,
-    )
-
-    if use_cache and path:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, lambdaL=lambdaL, lambdaR=lambdaR, quadrature_error=err)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    return table
+    return OverlapTable(K=K, lambdaL=lambdaL, lambdaR=lambdaR, params=params)
 
 
 def write_table_csv(table: OverlapTable, path: str) -> None:

@@ -1,4 +1,4 @@
-"""Shared fixtures: session-scoped overlap tables behind one temp cache."""
+"""Shared fixtures: session-scoped overlap tables, built once per run."""
 
 from __future__ import annotations
 
@@ -11,33 +11,28 @@ from halftrap.orbitals import build_overlap_table
 
 
 @pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory) -> str:
-    return str(tmp_path_factory.mktemp("table-cache"))
+def table6():
+    return build_overlap_table(6)
 
 
 @pytest.fixture(scope="session")
-def table6(cache_dir):
-    return build_overlap_table(6, cache_dir=cache_dir)
+def table8():
+    return build_overlap_table(8)
 
 
 @pytest.fixture(scope="session")
-def table8(cache_dir):
-    return build_overlap_table(8, cache_dir=cache_dir)
+def table64():
+    return build_overlap_table(64)
 
 
 @pytest.fixture(scope="session")
-def table64(cache_dir):
-    return build_overlap_table(64, cache_dir=cache_dir)
+def table512():
+    return build_overlap_table(512)
 
 
 @pytest.fixture(scope="session")
-def table512(cache_dir):
-    return build_overlap_table(512, cache_dir=cache_dir)
-
-
-@pytest.fixture(scope="session")
-def accept_cfg(cache_dir) -> ExperimentConfig:
-    return ExperimentConfig.from_entries({"table.cache_dir": cache_dir})
+def accept_cfg() -> ExperimentConfig:
+    return ExperimentConfig.from_entries({})
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +42,5 @@ def accept_tables(table512) -> dict:
 
 
 @pytest.fixture(scope="session")
-def cli_env(cache_dir) -> dict:
-    env = dict(os.environ)
-    env["HALFTRAP_CACHE_DIR"] = cache_dir
-    return env
+def cli_env() -> dict:
+    return dict(os.environ)

@@ -73,7 +73,7 @@ def test_deterministic_outputs(accept_cfg, accept_tables, tmp_path, cli_env):
     ok, detail = _run("determinism", accept_cfg, accept_tables)
     assert ok, detail
 
-    # same check across process boundaries: two fresh interpreters, one cache
+    # same check across process boundaries: two fresh interpreters
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in outs:
         proc = subprocess.run(

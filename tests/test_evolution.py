@@ -21,8 +21,8 @@ from halftrap.states import number_state, superposition_state, to_fock_vector
 
 
 @pytest.fixture(scope="module")
-def table4(cache_dir):
-    return build_overlap_table(4, cache_dir=cache_dir)
+def table4():
+    return build_overlap_table(4)
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +141,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
         K=table.K,
         lambdaL=table.lambdaR.copy(),
         lambdaR=table.lambdaL.copy(),
-        quadrature_error=table.quadrature_error.copy(),
         params=table.params,
-        quad_tol=table.quad_tol,
     )
     phi = to_fock_vector(number_state(2).components[0], basis)
     pulse = Pulse.square(T=0.02, g0=1.0)

@@ -84,7 +84,7 @@ def test_lambda_smallest_instance():
     # one mode, one particle: the only matrix elements are the (0,0) overlaps
     from halftrap.orbitals import build_overlap_table
 
-    table = build_overlap_table(1, use_cache=False)
+    table = build_overlap_table(1)
     basis = FockBasis(1, 1)
     lamL = build_lambda_operator("L", table, basis)
     dense = lamL.matrix.toarray()
@@ -134,14 +134,14 @@ def test_apply_and_inner(table8):
     assert inner(w, v) == pytest.approx(np.conj(inner(v, w)), abs=1e-14)
 
 
-def test_single_particle_commutator_residual_vanishes(cache_dir):
+def test_single_particle_commutator_residual_vanishes():
     # measured, never assumed: phi_k phi_l has parity (-1)^(k+l), so the
     # left integral is (-1)^(k+l) times the right one, which equals
     # delta_kl minus it; the two coupling matrices commute at any truncation
     from halftrap.orbitals import build_overlap_table
 
     for K in (8, 64):
-        table = build_overlap_table(K, cache_dir=cache_dir)
+        table = build_overlap_table(K)
         assert single_particle_commutator_residual(table) <= 1e-12
 
 

@@ -102,6 +102,11 @@ def test_from_entries_defaults_and_types():
         ({"probe.levels": "1"}, "probe.levels"),
         ({"moments.extrapolate": "maybe"}, "moments.extrapolate"),
         ({"number_n": "-2"}, "number_n"),
+        ({"alpha_sq": "nan"}, "alpha_sq"),
+        ({"pulse.T": "inf"}, "pulse.T"),
+        ({"tail_tol": "inf"}, "tail_tol"),
+        ({"sweep.param": "alpha_sq", "sweep.values": "1, nan"}, "sweep.values"),
+        ({"state": "superposition", "coeffs": "nan, 1"}, "coeffs"),
     ],
 )
 def test_validation_names_the_field(entries, field):
@@ -127,13 +132,12 @@ def test_run_sweep_requires_sweep_param():
     assert err.value.fieldname == "sweep.param"
 
 
-def test_number_sweep_matches_closed_form(table512, cache_dir):
+def test_number_sweep_matches_closed_form(table512):
     cfg = ExperimentConfig.from_entries(
         {
             "state": "number",
             "sweep.param": "number_n",
             "sweep.values": "2, 3, 5",
-            "table.cache_dir": cache_dir,
         }
     )
     results = run_sweep(cfg, table=table512)
@@ -147,7 +151,7 @@ def test_number_sweep_matches_closed_form(table512, cache_dir):
         assert 0.0 < r.p_succ < 1.0
 
 
-def test_sweep_point_error_is_reported_not_raised(table512, cache_dir):
+def test_sweep_point_error_is_reported_not_raised(table512):
     # the inverse-quartic preset needs a coherent amplitude; a number state
     # cannot supply one, so the row carries the failure instead of the run
     cfg = ExperimentConfig.from_entries(
@@ -156,7 +160,6 @@ def test_sweep_point_error_is_reported_not_raised(table512, cache_dir):
             "pulse.preset": "inverse-quartic",
             "sweep.param": "number_n",
             "sweep.values": "2",
-            "table.cache_dir": cache_dir,
         }
     )
     (row,) = run_sweep(cfg, table=table512)
@@ -164,12 +167,11 @@ def test_sweep_point_error_is_reported_not_raised(table512, cache_dir):
     assert row.mu != row.mu  # NaN
 
 
-def test_csv_bytes_are_stable(table512, cache_dir):
+def test_csv_bytes_are_stable(table512):
     cfg = ExperimentConfig.from_entries(
         {
             "sweep.param": "alpha_sq",
             "sweep.values": "1, 2",
-            "table.cache_dir": cache_dir,
         }
     )
     results = run_sweep(cfg, table=table512)
@@ -186,13 +188,12 @@ def test_csv_bytes_are_stable(table512, cache_dir):
     assert float(row[2]) == results[0].mu
 
 
-def test_wall_time_column_only_on_request(table512, cache_dir):
+def test_wall_time_column_only_on_request(table512):
     cfg = ExperimentConfig.from_entries(
         {
             "sweep.param": "alpha_sq",
             "sweep.values": "2",
             "timing": "true",
-            "table.cache_dir": cache_dir,
         }
     )
     results = run_sweep(cfg, table=table512)
@@ -206,12 +207,11 @@ def test_wall_time_column_only_on_request(table512, cache_dir):
     assert t_row[-2] != ""
 
 
-def test_plot_data_rows(table512, cache_dir):
+def test_plot_data_rows(table512):
     cfg = ExperimentConfig.from_entries(
         {
             "sweep.param": "alpha_sq",
             "sweep.values": "1, 4",
-            "table.cache_dir": cache_dir,
         }
     )
     results = run_sweep(cfg, table=table512)
@@ -226,7 +226,7 @@ def test_plot_data_rows(table512, cache_dir):
     assert series.count("fidelity") == 2
 
 
-def test_fock_path_agrees_with_series_route(table6, cache_dir):
+def test_fock_path_agrees_with_series_route(table6):
     cfg = ExperimentConfig.from_entries(
         {
             "state": "number",
@@ -234,7 +234,6 @@ def test_fock_path_agrees_with_series_route(table6, cache_dir):
             "path": "fock",
             "table.K": "6",
             "fock.n_max": "4",
-            "table.cache_dir": cache_dir,
         }
     )
     row = evaluate_point(cfg, table6)
@@ -257,7 +256,7 @@ def test_cli_lambda_writes_table(tmp_path, cli_env):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,l,lambdaL,lambdaR"
     assert len(lines) == 1 + 6 * 6
-    assert "quadrature error" in proc.stdout
+    assert proc.stdout.strip() == f"wrote {out}: K=6"
 
 
 def test_cli_sweep_with_config_file(tmp_path, cli_env):
@@ -285,6 +284,22 @@ def test_cli_validate_report(cli_env):
     assert proc.returncode == 0, proc.stderr
     assert "fitted exponent" in proc.stdout
     assert "identically at every K" in proc.stdout
+
+
+def test_cli_writes_no_table_to_disk(tmp_path, cli_env):
+    # tables are built in memory; no verb leaves a file behind in the
+    # places a per-user cache would go
+    home = tmp_path / "home"
+    home.mkdir()
+    env = dict(cli_env, HOME=str(home), XDG_CACHE_HOME=str(home / ".cache"))
+    env.pop("HALFTRAP_CACHE_DIR", None)
+    for args in (
+        ["validate", "--set", "table.K=64"],
+        ["sample", "--set", "pulse.area=1.0", "--shots", "100"],
+    ):
+        proc = _cli(args, env)
+        assert proc.returncode == 0, proc.stderr
+    assert list(home.iterdir()) == []
 
 
 def test_cli_sample_deterministic(cli_env):

@@ -18,8 +18,8 @@ from halftrap.states import number_state, superposition_state, to_fock_vector
 
 
 @pytest.fixture(scope="module")
-def small(cache_dir):
-    table = build_overlap_table(4, cache_dir=cache_dir)
+def small():
+    table = build_overlap_table(4)
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
     return table, basis, probe

@@ -90,14 +90,14 @@ def test_moments_match_fock_expectations(table6):
         assert abs(closed.mLR - explicit.mLR) < 1e-12
 
 
-def test_finite_truncation_error_decays(cache_dir):
+def test_finite_truncation_error_decays():
     from halftrap.orbitals import build_overlap_table
 
     state = coherent_state(alpha_sq=4.0)
     target = 0.5 * 4.0 / (2.0 + 4.0)
     errors = []
     for K in (8, 32, 128, 512):
-        table = build_overlap_table(K, cache_dir=cache_dir)
+        table = build_overlap_table(K)
         mom = moments_from_state(state, table)
         errors.append(abs(abs(mom.mLR) / mom.S - target))
     assert errors == sorted(errors, reverse=True)

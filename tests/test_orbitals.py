@@ -9,10 +9,10 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from halftrap.orbitals import (
     OscillatorParams,
-    OverlapConvergenceError,
     build_overlap_table,
     eval_orbital,
     write_table_csv,
@@ -23,6 +23,28 @@ ONE_OVER_SQRT_2PI = 0.3989422804014327
 
 def norm_constant(k: int) -> float:
     return 1.0 / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
+
+
+def quadrature_table(K: int) -> np.ndarray:
+    """Oracle: all K x K integrals of psi_k psi_l over [0, x_max].
+
+    Fixed-panel Gauss-Legendre (order 16, K panels, at least 32) past the
+    turning point of the highest mode, with its own Hermite recurrence, so it
+    shares nothing with the closed-form table but the definition.
+    """
+    xmax = math.sqrt(2.0 * (2.0 * K + 1.0)) + 10.0
+    panels = max(32, K)
+    xg, wg = leggauss(16)
+    h = xmax / panels
+    nodes = (h * np.arange(panels)[:, None] + 0.5 * h * (xg + 1.0)).ravel()
+    weights = np.tile(0.5 * h * wg, panels)
+    psi = np.zeros((K, nodes.size))
+    psi[0] = math.pi**-0.25 * np.exp(-0.5 * nodes * nodes)
+    if K > 1:
+        psi[1] = math.sqrt(2.0) * nodes * psi[0]
+    for k in range(2, K):
+        psi[k] = math.sqrt(2.0 / k) * nodes * psi[k - 1] - math.sqrt((k - 1) / k) * psi[k - 2]
+    return (psi * weights) @ psi.T
 
 
 def test_ground_orbital_at_origin():
@@ -89,7 +111,7 @@ def test_left_right_tables_sum_to_identity(table8):
 
 
 def test_odd_entries_against_quadrature_oracle(table8):
-    # recompute a few quadrature-sourced entries with an adaptive integrator,
+    # recompute a few closed-form entries with an adaptive integrator,
     # on both half-lines: the left table is stored as the complement of the
     # right one, so this pins it to the (-inf, 0] integrals themselves
     for k, l in ((0, 1), (1, 2), (2, 5), (3, 4)):
@@ -117,47 +139,33 @@ def test_bessel_bound_and_weight_capture(table512):
     assert diag[0] > 0.49
 
 
-def test_projection_defect_shrinks_with_truncation(cache_dir):
+def test_projection_defect_shrinks_with_truncation():
     # fixed upper-left block of lambda^2 - lambda, compared across table sizes
     defects = {}
     for K in (16, 128):
-        t = build_overlap_table(K, cache_dir=cache_dir)
+        t = build_overlap_table(K)
         d = t.lambdaR @ t.lambdaR - t.lambdaR
         defects[K] = float(np.abs(d[:8, :8]).max())
     assert defects[128] < defects[16]
 
 
-def test_quadrature_error_is_small_and_odd_only(table64):
-    K = table64.K
+@pytest.mark.parametrize("K", [8, 64, 512])
+def test_closed_form_matches_quadrature_oracle(K):
+    table = build_overlap_table(K)
+    assert np.abs(table.lambdaR - quadrature_table(K)).max() <= 1e-13
+
+
+def test_large_table_builds():
+    K = 2048
+    table = build_overlap_table(K)
+    R = table.lambdaR
+    assert np.array_equal(R, R.T)
     kk = np.arange(K)
     even = ((kk[:, None] + kk[None, :]) % 2) == 0
-    assert float(table64.quadrature_error.max()) <= table64.quad_tol
-    assert np.all(table64.quadrature_error[even] == 0.0)
-
-
-def test_cache_roundtrip_is_bitwise(tmp_path):
-    d = str(tmp_path)
-    fresh = build_overlap_table(10, cache_dir=d)
-    cached = build_overlap_table(10, cache_dir=d)
-    assert np.array_equal(fresh.lambdaR, cached.lambdaR)
-    assert np.array_equal(fresh.lambdaL, cached.lambdaL)
-    assert np.array_equal(fresh.quadrature_error, cached.quadrature_error)
-
-
-def test_cache_key_separates_params(tmp_path):
-    d = str(tmp_path)
-    build_overlap_table(4, cache_dir=d)
-    build_overlap_table(4, OscillatorParams(m=2.0), cache_dir=d)
-    files = list(tmp_path.glob("*.npz"))
-    assert len(files) == 2
-
-
-def test_convergence_failure_names_entry():
-    with pytest.raises(OverlapConvergenceError) as exc:
-        build_overlap_table(4, quad_tol=1e-30, use_cache=False)
-    err = exc.value
-    assert err.estimate > 1e-30
-    assert f"({err.k}, {err.l})" in str(err) or str(err.k) in str(err)
+    assert np.array_equal(R[even], (0.5 * np.eye(K))[even])
+    assert R[0, 1] == pytest.approx(ONE_OVER_SQRT_2PI, abs=1e-15)
+    # diag(R^2) is the row sum of squares, since R is symmetric
+    assert np.all(np.einsum("ij,ij->i", R, R) <= 0.5)
 
 
 def test_csv_export_roundtrips(table8, tmp_path):
@@ -181,7 +189,5 @@ def test_tables_are_read_only(table8):
 def test_invalid_arguments_rejected():
     with pytest.raises(ValueError):
         build_overlap_table(0)
-    with pytest.raises(ValueError):
-        build_overlap_table(4, quad_tol=-1.0)
     with pytest.raises(ValueError):
         OscillatorParams(m=-1.0)
