@@ -14,7 +14,6 @@ import numpy as np
 
 from . import moments as moments_mod
 from .measurement import ProbeBlock
-from .orbitals import OverlapTable
 from .states import TrapState
 
 __all__ = [
@@ -85,29 +84,21 @@ def negativity_closed_form(kind: str, value: float) -> float:
 
 
 def disturbance_fidelity(
-    state: TrapState,
-    table: OverlapTable | None = None,
-    extrapolate: bool = False,
+    state: TrapState, mom: moments_mod.ProbeBlockMoments | None = None
 ) -> float:
     """Overlap between the initial coherent state and its post-extraction remnant.
 
-    F = |<phi|Lambda_L|phi>| / (|phi| * |Lambda_L phi|). With no table the
-    infinite-truncation limit is used, which reduces to 1/sqrt(1 + 2/<n>)
-    for a coherent state. The matrix element <Lambda_L> equals
-    lambda_00 E[n]; the denominator reuses the block-moment machinery.
+    F = |<phi|Lambda_L|phi>| / (|phi| * |Lambda_L phi|). The matrix element
+    <Lambda_L> equals lambda_00 E[n], and lambda_00 = 1/2 exactly at every
+    truncation; the denominator is sqrt(mLL) of `mom`, the block moments of
+    `state` on the route in use. With no moments the infinite-truncation
+    limit is used, which reduces to 1/sqrt(1 + 2/<n>) for a coherent state.
     """
     if state.kind != "coherent":
         raise ValueError(f"disturbance fidelity is defined for coherent input, got {state.kind!r}")
-    n1, _ = state.factorial_moments()
-    if table is None:
+    if mom is None:
         mom = moments_mod.analytic_limit_moments(state)
-        lam00 = 0.5
-    elif extrapolate:
-        mom = moments_mod.extrapolated_moments(state, table)
-        lam00 = float(table.lambdaL[0, 0])
-    else:
-        mom = moments_mod.moments_from_state(state, table)
-        lam00 = float(table.lambdaL[0, 0])
     if mom.mLL <= 0.0:
         raise ValueError("zero-norm disturbed state: fidelity undefined for vacuum input")
-    return lam00 * n1 / (sqrt(state.norm_sq()) * sqrt(mom.mLL))
+    n1, _ = state.factorial_moments()
+    return 0.5 * n1 / (sqrt(state.norm_sq()) * sqrt(mom.mLL))

@@ -127,9 +127,6 @@ class JointState:
     def flat(self) -> np.ndarray:
         return self.tensor.reshape(-1)
 
-    def copy(self) -> "JointState":
-        return JointState(self.basis, self.tensor.copy())
-
 
 def probe_lowering(levels: int) -> np.ndarray:
     """Truncated oscillator lowering operator b on `levels` levels."""
@@ -155,12 +152,23 @@ def embed_product(phi: FockVector, probe: ProbeParams) -> JointState:
 
 @dataclass(frozen=True)
 class JointHamiltonian:
-    """Sparse H_0 and coupling operator V = Lambda_L P_L + Lambda_R P_R."""
+    """Sparse H_0 and coupling operator V = Lambda_L P_L + Lambda_R P_R.
+
+    `lamL` and `lamR` are the trap-space Lambda operators V is built from.
+    """
 
     basis: FockBasis
     probe: ProbeParams
     H0: sp.csr_matrix
     V: sp.csr_matrix
+    lamL: sp.csr_matrix
+    lamR: sp.csr_matrix
+
+    def coupling_weight(self, phi: FockVector) -> float:
+        """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites."""
+        vL = self.lamL @ phi.amplitudes
+        vR = self.lamR @ phi.amplitudes
+        return float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
 
 
 def _trap_energies(basis: FockBasis, omega: float) -> np.ndarray:
@@ -200,7 +208,7 @@ def build_joint_hamiltonian(
     V = (
         sp.kron(sp.kron(lamL, P), eye_p) + sp.kron(sp.kron(lamR, eye_p), P)
     ).tocsr()
-    return JointHamiltonian(basis=basis, probe=probe, H0=H0, V=V)
+    return JointHamiltonian(basis=basis, probe=probe, H0=H0, V=V, lamL=lamL, lamR=lamR)
 
 
 def perturbative_state(

@@ -8,7 +8,7 @@ closed-form moment path on small instances and to run exact time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,10 +69,6 @@ class FockBasis:
     def dimension(self) -> int:
         return len(self.states)
 
-    def expected_dimension(self) -> int:
-        # stars and bars over all totals 0..n_max
-        return comb(self.n_max + self.K, self.K)
-
 
 @dataclass
 class FockVector:
@@ -94,12 +90,6 @@ class FockVector:
     @classmethod
     def zero(cls, basis: FockBasis) -> "FockVector":
         return cls(basis, np.zeros(basis.dimension, dtype=np.complex128))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "FockVector":
-        return FockVector(self.basis, self.amplitudes.copy())
 
 
 @dataclass

@@ -5,6 +5,7 @@ from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config
 from .sweep import (
     PointResult,
     evaluate_point,
+    extract,
     resolve_pulse,
     run_sweep,
     run_validation,
@@ -20,6 +21,7 @@ __all__ = [
     "TARGETS",
     "apply_overrides",
     "evaluate_point",
+    "extract",
     "parse_config_text",
     "resolve_pulse",
     "run_accept",

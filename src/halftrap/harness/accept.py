@@ -16,10 +16,10 @@ from math import sqrt
 
 import numpy as np
 
-from .. import entanglement, evolution, fock, measurement, moments, states
+from .. import entanglement, fock, measurement, moments, states
 from ..orbitals import OverlapTable, build_overlap_table
 from .config import ExperimentConfig
-from .sweep import LOCALITY_LADDER, resolve_pulse, run_sweep, write_sweep_csv
+from .sweep import LOCALITY_LADDER, extract, perturbation_evidence, run_sweep, write_sweep_csv
 
 __all__ = ["TARGETS", "run_accept"]
 
@@ -31,24 +31,22 @@ _THERMAL_GRID = (0.5, 1.0, 4.0)
 _ROUNDOFF = 1e-12
 
 
-def _get_table(tables: dict, K: int) -> OverlapTable:
-    if K not in tables:
-        tables[K] = build_overlap_table(K)
-    return tables[K]
+def _moment_route(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The configuration pinned to extrapolated moments and the amplitude preset."""
+    return replace(
+        cfg, path="moments", extrapolate=True, pulse_preset="amplitude10", pulse_area=None
+    )
 
 
 def _pipeline_mu(cfg: ExperimentConfig, state, table: OverlapTable) -> float:
     """State -> extrapolated moments -> post-selected block -> partial transpose."""
-    mom = moments.extrapolated_moments(state, table)
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-    pulse = resolve_pulse(replace(cfg, pulse_preset="amplitude10", pulse_area=None), mom.S)
-    block = measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
+    _, block = extract(_moment_route(cfg), state, table)
     return entanglement.negativity(entanglement.probe_block_density(block))
 
 
-def check_coherent_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_coherent_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Coherent-state negativity against its closed form over a mean-number grid."""
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     worst = 0.0
     values = []
     for a in _ALPHA_GRID:
@@ -66,9 +64,9 @@ def check_coherent_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool
     )
 
 
-def check_number_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_number_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Number-state negativity; the single-particle value must be compatible with zero."""
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     worst = 0.0
     mu_one = None
     for N in _NUMBER_GRID:
@@ -87,14 +85,16 @@ def check_number_negativity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, 
     )
 
 
-def check_fidelity(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_fidelity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Remnant-overlap fidelity against 1/sqrt(1 + 2/<n>), rising with <n>."""
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     worst = 0.0
     values = []
     for a in _FIDELITY_GRID:
         state = states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol)
-        f = entanglement.disturbance_fidelity(state, table, extrapolate=True)
+        f = entanglement.disturbance_fidelity(
+            state, moments.extrapolated_moments(state, table)
+        )
         values.append(f)
         worst = max(worst, abs(f - 1.0 / sqrt(1.0 + 2.0 / a)))
     rising = all(lo < hi for lo, hi in zip(values, values[1:]))
@@ -124,9 +124,9 @@ def _oracle_states(seed: int) -> list:
     return out
 
 
-def check_oracle(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Closed-form moments vs explicit occupation-basis expectations, entry by entry."""
-    table = _get_table(tables, 6)
+    table = build_overlap_table(6)
     batch = _oracle_states(cfg.seed)
     worst = 0.0
     for state in batch:
@@ -145,33 +145,9 @@ def check_oracle(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     )
 
 
-def perturbation_evidence(cfg: ExperimentConfig, tables: dict) -> dict:
-    """Residual ladder and leakage for the first-order model on a small instance."""
-    table = _get_table(tables, 4)
-    basis = fock.FockBasis(4, 3)
-    probe = evolution.ProbeParams(levels=4)
-    phi = states.to_fock_vector(states.number_state(2).components[0], basis)
-    mom = moments.moments_from_fock(states.number_state(2), table, 3)
-    T0 = 0.02
-    g0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * mom.S) / T0
-    ham = evolution.build_joint_hamiltonian(table, basis, probe)
-    residuals = []
-    leak_fracs = []
-    for T in (T0, T0 / 2, T0 / 4):
-        pulse = evolution.Pulse.square(T=T, g0=g0)
-        final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
-        model = evolution.perturbative_state(phi, table, pulse, probe, include_H0=True)
-        diff = final.flat() - model.flat()
-        residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
-        block = measurement.postselect(final)
-        leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)
-    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    return {"residuals": residuals, "ratios": ratios, "leak_fracs": leak_fracs}
-
-
-def check_perturbation(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_perturbation(cfg: ExperimentConfig) -> tuple[bool, str]:
     """First-order residual must shrink quadratically and leakage stay marginal."""
-    ev = perturbation_evidence(cfg, tables)
+    ev = perturbation_evidence(cfg)
     ratios_ok = all(cfg.ratio_lo <= r <= cfg.ratio_hi for r in ev["ratios"])
     leak_ok = all(f < cfg.leakage_fraction for f in ev["leak_fracs"])
     return ratios_ok and leak_ok, (
@@ -183,7 +159,7 @@ def check_perturbation(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     )
 
 
-def check_commutator(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_commutator(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Truncated coupling operators converge to half-space locality.
 
     phi_k phi_l has parity (-1)^(k+l), so the half-line integrals obey
@@ -194,7 +170,7 @@ def check_commutator(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     modes m >= K, and on a fixed 8x8 block it must decrease strictly at every
     step of the validation ladder.
     """
-    ladder = [_get_table(tables, K) for K in LOCALITY_LADDER]
+    ladder = [build_overlap_table(K) for K in LOCALITY_LADDER]
     resid = [fock.single_particle_commutator_residual(t) for t in ladder]
     prods = [fock.locality_product_residual(t, block=8) for t in ladder]
     commute = all(r <= _ROUNDOFF for r in resid)
@@ -209,7 +185,7 @@ def check_commutator(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     )
 
 
-def check_structural(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_structural(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Partial-transpose negativity equals the off-diagonal fraction |rho_01|."""
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -222,7 +198,7 @@ def check_structural(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
         )
         mu_pt = entanglement.negativity(entanglement.probe_block_density(block))
         worst = max(worst, abs(mu_pt - abs(rho[0, 1])))
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     for state in (
         states.coherent_state(alpha_sq=2.0),
         states.number_state(3),
@@ -239,7 +215,7 @@ def check_structural(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     )
 
 
-def check_mixtures(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_mixtures(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Dephased and thermal mixtures against oracles built from factorial moments."""
     dephase_worst = 0.0
     for a in (1.0, 2.0, 4.0):
@@ -254,7 +230,7 @@ def check_mixtures(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
         mu_c = abs(mom_c.mLR) / (mom_c.mLL + mom_c.mRR)
         mu_p = abs(mom_p.mLR) / (mom_p.mLL + mom_p.mRR)
         dephase_worst = max(dephase_worst, abs(mu_c - mu_p))
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     thermal_worst = 0.0
     for nbar in _THERMAL_GRID:
         mu = _pipeline_mu(cfg, states.thermal_state(nbar, tail_tol=cfg.tail_tol), table)
@@ -272,9 +248,9 @@ def check_mixtures(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
     )
 
 
-def check_determinism(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
+def check_determinism(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Same config, same bytes: sweep CSV and seeded sampling are reproducible."""
-    table = _get_table(tables, cfg.K)
+    table = build_overlap_table(cfg.K)
     scan = replace(
         cfg,
         state="coherent",
@@ -291,10 +267,7 @@ def check_determinism(cfg: ExperimentConfig, tables: dict) -> tuple[bool, str]:
         write_sweep_csv(run_sweep(scan, table), buf)
         payloads.append(buf.getvalue())
     csv_ok = payloads[0] == payloads[1]
-    mom = moments.extrapolated_moments(states.coherent_state(alpha_sq=2.0), table)
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-    pulse = resolve_pulse(replace(cfg, pulse_preset="amplitude10", pulse_area=None), mom.S)
-    block = measurement.block_from_moments(mom, pulse, probe)
+    _, block = extract(_moment_route(cfg), states.coherent_state(alpha_sq=2.0), table)
     draws = [measurement.sample_outcomes(block, 10_000, cfg.seed) for _ in range(2)]
     sample_ok = draws[0] == draws[1]
     ok = csv_ok and sample_ok
@@ -325,10 +298,9 @@ def run_accept(cfg: ExperimentConfig, names: list[str], stream) -> int:
     unknown = [n for n in names if n not in TARGETS]
     if unknown:
         raise ValueError(f"unknown acceptance target(s): {', '.join(unknown)}")
-    tables: dict[int, OverlapTable] = {}
     failures = 0
     for name in names:
-        ok, detail = TARGETS[name](cfg, tables)
+        ok, detail = TARGETS[name](cfg)
         verdict = "PASS" if ok else "FAIL"
         stream.write(f"[{verdict}] {name}: {detail}\n")
         if not ok:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 
-import numpy as np
-
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "apply_overrides"]
 
 _PATHS = ("moments", "fock", "exact")
@@ -163,7 +161,6 @@ class ExperimentConfig:
     probe_M: float = 1.0
     probe_Omega: float = 1.0
     probe_levels: int = 4
-    include_H0: bool = False
     exact_dim_cap: int = 20_000
 
     # sweep
@@ -210,7 +207,6 @@ class ExperimentConfig:
             probe_M=_parse_float(entries, "probe.M", 1.0),
             probe_Omega=_parse_float(entries, "probe.Omega", 1.0),
             probe_levels=_parse_int(entries, "probe.levels", 4),
-            include_H0=_parse_bool(entries, "include_H0", False),
             exact_dim_cap=_parse_int(entries, "exact.dim_cap", 20_000),
             sweep_param=entries.get("sweep.param"),
             sweep_values=_parse_float_list(entries, "sweep.values") or [],
@@ -279,6 +275,3 @@ class ExperimentConfig:
         if self.state == "thermal":
             return {"nbar": self.nbar}
         return {"alpha_sq": self.alpha_sq}
-
-    def seeded_generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)

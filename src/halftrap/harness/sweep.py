@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from math import isnan, nan, sqrt
 
 import numpy as np
-import scipy.stats
 
 from .. import entanglement, evolution, fock, measurement, moments, states
 from ..orbitals import OverlapTable, build_overlap_table
@@ -26,6 +25,8 @@ __all__ = [
     "LOCALITY_LADDER",
     "PointResult",
     "evaluate_point",
+    "extract",
+    "perturbation_evidence",
     "resolve_pulse",
     "run_sweep",
     "single_block",
@@ -100,46 +101,54 @@ def _closed_form_for(cfg: ExperimentConfig) -> float | None:
     return None
 
 
-def _moments_for(
-    cfg: ExperimentConfig, state: states.TrapState, table: OverlapTable
-) -> moments.ProbeBlockMoments:
-    if cfg.path == "fock":
-        return moments.moments_from_fock(state, table, cfg.n_max)
-    if cfg.extrapolate and table.K >= 32 and table.K % 4 == 0:
-        return moments.extrapolated_moments(state, table)
-    return moments.moments_from_state(state, table)
-
-
 def _exact_block(
-    cfg: ExperimentConfig, state: states.TrapState, table: OverlapTable
+    cfg: ExperimentConfig,
+    state: states.TrapState,
+    table: OverlapTable,
+    probe: evolution.ProbeParams,
+    alpha_sq: float | None,
 ) -> measurement.ProbeBlock:
     if not state.is_pure:
         raise ValueError(
             "path 'exact' evolves a single vector; use path 'moments' for mixtures"
         )
     basis = fock.FockBasis(table.K, cfg.n_max)
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     phi = states.to_fock_vector(state.components[0], basis)
-    mom = moments.moments_from_fock(state, table, cfg.n_max)
-    pulse = resolve_pulse(cfg, mom.S, cfg.alpha_sq if cfg.state == "coherent" else None)
     ham = evolution.build_joint_hamiltonian(table, basis, probe, cfg.exact_dim_cap)
+    pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
     final = evolution.exact_state(
         evolution.embed_product(phi, probe), ham, pulse, cfg.exact_dim_cap
     )
     return measurement.postselect(final)
 
 
+def extract(
+    cfg: ExperimentConfig, state: states.TrapState, table: OverlapTable
+) -> tuple[moments.ProbeBlockMoments | None, measurement.ProbeBlock]:
+    """The point pipeline: block moments by route, pulse, post-selected block.
+
+    The moment route uses the extrapolated or the finite-K closed form, as
+    `moments.extrapolate` says; the fock route the occupation-basis
+    expectations. The exact route evolves the joint state instead and
+    returns None for the moments.
+    """
+    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+    alpha_sq = cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
+    if cfg.path == "exact":
+        return None, _exact_block(cfg, state, table, probe, alpha_sq)
+    if cfg.path == "fock":
+        mom = moments.moments_from_fock(state, table, cfg.n_max)
+    elif cfg.extrapolate:
+        mom = moments.extrapolated_moments(state, table)
+    else:
+        mom = moments.moments_from_state(state, table)
+    pulse = resolve_pulse(cfg, mom.S, alpha_sq)
+    return mom, measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
+
+
 def single_block(cfg: ExperimentConfig, table: OverlapTable) -> measurement.ProbeBlock:
     """Post-selected block for the configured state, via the configured path."""
-    state = _build_state(cfg)
-    if cfg.path == "exact":
-        return _exact_block(cfg, state, table)
-    mom = _moments_for(cfg, state, table)
-    pulse = resolve_pulse(
-        cfg, mom.S, cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
-    )
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-    return measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
+    return extract(cfg, _build_state(cfg), table)[1]
 
 
 def evaluate_point(
@@ -163,18 +172,10 @@ def evaluate_point(
                 cfg = replace(cfg, **{_SWEEPABLE[param]: float(value)})
 
         state = _build_state(cfg)
-        if cfg.path == "exact":
-            block = _exact_block(cfg, state, table)
+        mom, block = extract(cfg, state, table)
+        if mom is None:
             out.provenance = block.source
         else:
-            mom = _moments_for(cfg, state, table)
-            pulse = resolve_pulse(
-                cfg,
-                mom.S,
-                cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None,
-            )
-            probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-            block = measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
             out.provenance = mom.provenance
             out.S = mom.S
             out.mLL = mom.mLL
@@ -186,12 +187,9 @@ def evaluate_point(
         out.leakage = block.leakage
         out.mu_closed_form = _closed_form_for(cfg)
         if cfg.state == "coherent":
-            if cfg.path == "moments":
-                out.fidelity = entanglement.disturbance_fidelity(
-                    state, table, extrapolate=cfg.extrapolate
-                )
-            else:
-                out.fidelity = entanglement.disturbance_fidelity(state, table)
+            if cfg.path != "moments":  # fock and exact rows: finite-K closed form
+                mom = moments.moments_from_state(state, table)
+            out.fidelity = entanglement.disturbance_fidelity(state, mom)
     except Exception as exc:  # noqa: BLE001 - one bad point must not kill the grid
         out.error = f"{type(exc).__name__}: {exc}"
     if cfg.timing:
@@ -284,42 +282,52 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     dof = n - 2
     if dof <= 0:
         return float(slope), float("inf")
+    import scipy.stats  # only validate fits, so other verbs start without it
+
     se = sqrt(float(resid @ resid) / dof / float(((lx - lx.mean()) ** 2).sum()))
     half = float(scipy.stats.t.ppf(0.975, dof)) * se
     return float(slope), half
 
 
-def _perturbative_section(cfg: ExperimentConfig, lines: list[str]) -> None:
-    """First-order model vs full evolution on a small instance, pulse-length ladder."""
+def perturbation_evidence(cfg: ExperimentConfig) -> dict:
+    """First-order model vs full evolution on a small instance, pulse-length ladder.
+
+    Two particles in four modes, four probe levels. The amplitude rule pins
+    the excited-branch weight at T0; the ladder then halves T at fixed
+    coupling, so the first-order residual shrinks as T^2.
+    """
     table = build_overlap_table(4)
     basis = fock.FockBasis(4, 3)
     probe = evolution.ProbeParams(levels=4)
-    state = states.number_state(2)
-    phi = states.to_fock_vector(state.components[0], basis)
-    mom = moments.moments_from_fock(state, table, 3)
-    # amplitude rule pins the excited-branch weight at T0; the ladder then
-    # halves T at fixed coupling, so the first-order residual shrinks as T^2
-    T0 = 0.02
-    area0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * mom.S)
-    g0 = area0 / T0
+    phi = states.to_fock_vector(states.number_state(2).components[0], basis)
     ham = evolution.build_joint_hamiltonian(table, basis, probe)
-    lines.append("perturbative regime (two particles, four modes, pulse-length ladder)")
-    lines.append("      T      residual      leakage_frac")
+    T0 = 0.02
+    S = ham.coupling_weight(phi)
+    g0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * S) / T0
+    lengths = (T0, T0 / 2, T0 / 4)
     residuals = []
-    for T in (T0, T0 / 2, T0 / 4):
+    leak_fracs = []
+    for T in lengths:
         pulse = evolution.Pulse.square(T=T, g0=g0)
         final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
         model = evolution.perturbative_state(phi, table, pulse, probe, include_H0=True)
         diff = final.flat() - model.flat()
-        residual = float(np.sqrt(np.vdot(diff, diff).real))
+        residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final)
-        frac = block.leakage / block.p_succ if block.p_succ > 0 else 0.0
-        residuals.append(residual)
-        lines.append(f"  {T:7.4g}  {residual:12.6g}  {frac:12.6g}")
+        leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+    return {"T": lengths, "residuals": residuals, "ratios": ratios, "leak_fracs": leak_fracs}
+
+
+def _perturbative_section(cfg: ExperimentConfig, lines: list[str]) -> None:
+    ev = perturbation_evidence(cfg)
+    lines.append("perturbative regime (two particles, four modes, pulse-length ladder)")
+    lines.append("      T      residual      leakage_frac")
+    for T, residual, frac in zip(ev["T"], ev["residuals"], ev["leak_fracs"]):
+        lines.append(f"  {T:7.4g}  {residual:12.6g}  {frac:12.6g}")
     lines.append(
         "  halving ratios "
-        + ", ".join(f"{r:.3f}" for r in ratios)
+        + ", ".join(f"{r:.3f}" for r in ev["ratios"])
         + " (second-order residual doubles them toward 4)"
     )
     lines.append("")
@@ -329,14 +337,18 @@ def _scaling_section(cfg: ExperimentConfig, table: OverlapTable, lines: list[str
     """Success probability vs mean particle number under inverse-quartic areas."""
     grid = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     probs = []
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-    scan = replace(cfg, pulse_preset="inverse-quartic", pulse_area=None)
     for a in grid:
+        scan = replace(
+            cfg,
+            state="coherent",
+            alpha_sq=float(a),
+            path="moments",
+            extrapolate=True,
+            pulse_preset="inverse-quartic",
+            pulse_area=None,
+        )
         state = states.coherent_state(alpha_sq=float(a), tail_tol=cfg.tail_tol)
-        mom = moments.extrapolated_moments(state, table)
-        pulse = resolve_pulse(scan, mom.S, float(a))
-        block = measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
-        probs.append(block.p_succ)
+        probs.append(extract(scan, state, table)[1].p_succ)
     slope, half = _fit_loglog(grid, np.array(probs))
     lines.append("success probability under inverse-quartic pulse areas")
     lines.append("  alpha_sq    p_succ")

@@ -55,7 +55,7 @@ class ProbeBlock:
             raise ValueError(f"post-selected block not PSD: min eig {eigs.min():.3e}")
 
 
-def postselect(joint: JointState, p_floor: float = _P_SUCC_FLOOR) -> ProbeBlock:
+def postselect(joint: JointState) -> ProbeBlock:
     """Project out |00>, trace the trap, compress to the {10, 01} block."""
     norm_sq = float(np.vdot(joint.flat(), joint.flat()).real)
     if norm_sq <= 0.0:
@@ -71,7 +71,7 @@ def postselect(joint: JointState, p_floor: float = _P_SUCC_FLOOR) -> ProbeBlock:
     selected = norm_sq - w00
     leakage = max(selected - w10 - w01, 0.0)
     p_succ = selected / norm_sq
-    if p_succ <= p_floor:
+    if p_succ <= _P_SUCC_FLOOR:
         raise NoExtractionError("no extraction event possible: p_succ below floor")
     block_weight = w10 + w01
     if block_weight <= 0.0:

@@ -124,6 +124,9 @@ def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -
     """
     if K < 1:
         raise ValueError(f"mode count must be >= 1, got {K}")
+    # the K x K allocation comes first, so a K too large for memory fails
+    # before any other work
+    lambdaR = np.zeros((K, K))
     even = np.arange(0, K, 2)
     odd = np.arange(1, K, 2)
     # psi_k(0) for even k, from psi_k(0) = -sqrt((k-1)/k) psi_{k-2}(0)
@@ -132,7 +135,6 @@ def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -
     # psi_k'(0) = sqrt(2k) psi_{k-1}(0) for odd k: the ladder identity
     # psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1} at the origin
     slope = np.sqrt(2.0 * odd) * value[: odd.size]
-    lambdaR = np.zeros((K, K))
     # rows of odd k, columns of even l: W_kl(0) = psi_k'(0) psi_l(0)
     block = slope[:, None] * value[None, :] / (2.0 * (odd[:, None] - even[None, :]))
     lambdaR[1::2, 0::2] = block

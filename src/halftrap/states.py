@@ -135,9 +135,6 @@ class TrapState:
             n2 += float(w) * m2
         return n1, n2
 
-    def mean_number(self) -> float:
-        return self.factorial_moments()[0]
-
 
 def _coherent_coeffs(alpha: complex, n_cut: int) -> np.ndarray:
     c = np.zeros(n_cut + 1, dtype=np.complex128)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -36,11 +37,9 @@ def accept_cfg() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def accept_tables(table512) -> dict:
-    # one shared pool so the battery reuses the big table across targets
-    return {512: table512}
-
-
-@pytest.fixture(scope="session")
 def cli_env() -> dict:
-    return dict(os.environ)
+    # CLI subprocesses import this checkout's package, installed or not
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -17,60 +17,60 @@ from halftrap.moments import extrapolated_moments
 from halftrap.states import coherent_state
 
 
-def _run(name, cfg, tables):
-    ok, detail = TARGETS[name](cfg, tables)
+def _run(name, cfg):
+    ok, detail = TARGETS[name](cfg)
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok, detail
 
 
-def test_coherent_negativity_closed_form(accept_cfg, accept_tables):
+def test_coherent_negativity_closed_form(accept_cfg):
     start = time.monotonic()
-    ok, detail = _run("coherent-negativity", accept_cfg, accept_tables)
+    ok, detail = _run("coherent-negativity", accept_cfg)
     elapsed = time.monotonic() - start
     assert ok, detail
     assert elapsed < 60.0
 
 
-def test_number_negativity_closed_form(accept_cfg, accept_tables):
-    ok, detail = _run("number-negativity", accept_cfg, accept_tables)
+def test_number_negativity_closed_form(accept_cfg):
+    ok, detail = _run("number-negativity", accept_cfg)
     assert ok, detail
 
 
-def test_disturbance_fidelity(accept_cfg, accept_tables):
-    ok, detail = _run("fidelity", accept_cfg, accept_tables)
+def test_disturbance_fidelity(accept_cfg):
+    ok, detail = _run("fidelity", accept_cfg)
     assert ok, detail
 
 
-def test_moment_fock_oracle_equivalence(accept_cfg, accept_tables):
+def test_moment_fock_oracle_equivalence(accept_cfg):
     start = time.monotonic()
-    ok, detail = _run("oracle", accept_cfg, accept_tables)
+    ok, detail = _run("oracle", accept_cfg)
     elapsed = time.monotonic() - start
     assert ok, detail
     assert elapsed < 60.0
 
 
-def test_perturbative_regime(accept_cfg, accept_tables):
-    ok, detail = _run("perturbation", accept_cfg, accept_tables)
+def test_perturbative_regime(accept_cfg):
+    ok, detail = _run("perturbation", accept_cfg)
     assert ok, detail
 
 
-def test_commutator_convergence(accept_cfg, accept_tables):
-    ok, detail = _run("commutator", accept_cfg, accept_tables)
+def test_commutator_convergence(accept_cfg):
+    ok, detail = _run("commutator", accept_cfg)
     assert ok, detail
 
 
-def test_structural_negativity_identity(accept_cfg, accept_tables):
-    ok, detail = _run("structural", accept_cfg, accept_tables)
+def test_structural_negativity_identity(accept_cfg):
+    ok, detail = _run("structural", accept_cfg)
     assert ok, detail
 
 
-def test_mixture_negativities(accept_cfg, accept_tables):
-    ok, detail = _run("mixtures", accept_cfg, accept_tables)
+def test_mixture_negativities(accept_cfg):
+    ok, detail = _run("mixtures", accept_cfg)
     assert ok, detail
 
 
-def test_deterministic_outputs(accept_cfg, accept_tables, tmp_path, cli_env):
-    ok, detail = _run("determinism", accept_cfg, accept_tables)
+def test_deterministic_outputs(accept_cfg, table512, tmp_path, cli_env):
+    ok, detail = _run("determinism", accept_cfg)
     assert ok, detail
 
     # same check across process boundaries: two fresh interpreters
@@ -102,9 +102,8 @@ def test_deterministic_outputs(accept_cfg, accept_tables, tmp_path, cli_env):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
     # and seeded sampling reproduces exactly inside one process
-    table = accept_tables[512]
     block = block_from_moments(
-        extrapolated_moments(coherent_state(alpha_sq=2.0), table),
+        extrapolated_moments(coherent_state(alpha_sq=2.0), table512),
         pulse=Pulse.square(T=1.0, g0=0.05),
         probe=ProbeParams(),
     )

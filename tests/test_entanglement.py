@@ -81,7 +81,7 @@ def test_fidelity_closed_form_limits():
 
 def test_fidelity_from_table_matches_closed_form(table512):
     state = coherent_state(alpha_sq=2.0)
-    f = disturbance_fidelity(state, table512, extrapolate=True)
+    f = disturbance_fidelity(state, extrapolated_moments(state, table512))
     assert f == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
 
 
@@ -98,7 +98,7 @@ def test_extraction_and_disturbance_grow_together(table512):
         mom = extrapolated_moments(state, table512)
         block = block_from_moments(mom)
         mus.append(negativity(probe_block_density(block)))
-        fids.append(disturbance_fidelity(state, table512, extrapolate=True))
+        fids.append(disturbance_fidelity(state, mom))
     assert mus == sorted(mus)
     assert fids == sorted(fids)
     assert all(m < 0.5 for m in mus)

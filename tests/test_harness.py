@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from halftrap import fock
 from halftrap.harness.config import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from halftrap.harness.sweep import (
     write_sweep_csv,
 )
 from halftrap.moments import moments_from_state
+from halftrap.orbitals import build_overlap_table
 from halftrap.states import number_state
 
 
@@ -113,13 +115,6 @@ def test_validation_names_the_field(entries, field):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_entries(entries)
     assert err.value.fieldname == field
-
-
-def test_seeded_generator_is_reproducible():
-    cfg = ExperimentConfig.from_entries({"seed": "42"})
-    a = cfg.seeded_generator().random(5)
-    b = cfg.seeded_generator().random(5)
-    assert (a == b).all()
 
 
 # ---------------------------------------------------------------- sweep
@@ -246,7 +241,88 @@ def test_fock_path_agrees_with_series_route(table6):
     )
 
 
+@pytest.mark.parametrize("state", ["coherent", "number"])
+@pytest.mark.parametrize("extrapolate", ["true", "false"])
+def test_extrapolate_key_is_honoured_or_refused(state, extrapolate):
+    # K = 30 has no default extrapolation ladder: with the key on, every
+    # moment-route point reports that instead of running finite-K silently
+    param = "alpha_sq" if state == "coherent" else "number_n"
+    cfg = ExperimentConfig.from_entries(
+        {
+            "state": state,
+            "table.K": "30",
+            "moments.extrapolate": extrapolate,
+            "sweep.param": param,
+            "sweep.values": "2",
+        }
+    )
+    (row,) = run_sweep(cfg, table=build_overlap_table(30))
+    if extrapolate == "true":
+        assert "default ladder needs K divisible by 4 and >= 32" in row.error
+        assert row.mu != row.mu  # NaN
+    else:
+        assert row.error == ""
+        assert row.provenance == "finite-K"
+        assert (row.fidelity is not None) == (state == "coherent")
+
+
+def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
+    original = fock.build_lambda_operator
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("halftrap") and getattr(module, "build_lambda_operator", None) is original:
+            monkeypatch.setattr(module, "build_lambda_operator", counting)
+    cfg = ExperimentConfig.from_entries(
+        {
+            "state": "number",
+            "number_n": "2",
+            "path": "exact",
+            "table.K": "6",
+            "fock.n_max": "4",
+            "probe.levels": "4",
+            "pulse.T": "0.05",
+        }
+    )
+    row = evaluate_point(cfg, table6)
+    assert row.error == ""
+    assert sorted(calls) == ["L", "R"]
+
+
 # ---------------------------------------------------------------- CLI
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(cli_env):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, halftrap.harness.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):
+    # a 10^8 x 10^8 float64 matrix (71 PiB) exceeds any address space, and
+    # build_overlap_table allocates it before anything else
+    for args in (
+        ["sample", "--shots", "10", "--set", "table.K=100000000"],
+        ["lambda", "--K", "100000000", "--out", str(tmp_path / "t.csv")],
+    ):
+        proc = _cli(args, cli_env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_lambda_writes_table(tmp_path, cli_env):
