@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockBasis, FockVector, build_lambda_operator
@@ -54,40 +53,20 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Coupling pulse g(t) on [0, T]; first-order physics sees only the area."""
+    """Square coupling pulse g(t) = g0 on [0, T]; first-order physics sees only the area."""
 
-    shape: str
     T: float
     g0: float = 0.0
-    times: np.ndarray | None = None
-    samples: np.ndarray | None = None
 
     @classmethod
     def square(cls, T: float, g0: float) -> "Pulse":
         if not T > 0:
             raise ValueError(f"pulse duration must be positive, got {T}")
-        return cls(shape="square", T=float(T), g0=float(g0))
-
-    @classmethod
-    def sampled(cls, times, samples) -> "Pulse":
-        t = np.asarray(times, dtype=float)
-        g = np.asarray(samples, dtype=float)
-        if t.ndim != 1 or t.shape != g.shape or len(t) < 2:
-            raise ValueError("need matching 1-d arrays of at least two samples")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must start at 0 and increase strictly")
-        return cls(shape="sampled", T=float(t[-1]), times=t, samples=g)
+        return cls(T=float(T), g0=float(g0))
 
     @property
     def area(self) -> float:
-        if self.shape == "square":
-            return self.g0 * self.T
-        return float(np.trapezoid(self.samples, self.times))
-
-    def value(self, t: float) -> float:
-        if self.shape == "square":
-            return self.g0 if 0.0 <= t <= self.T else 0.0
-        return float(np.interp(t, self.times, self.samples))
+        return self.g0 * self.T
 
 
 class DimensionCapError(RuntimeError):
@@ -213,35 +192,27 @@ def build_joint_hamiltonian(
 
 def perturbative_state(
     phi: FockVector,
-    table: OverlapTable,
+    ham: JointHamiltonian,
     pulse: Pulse,
-    probe: ProbeParams,
     include_H0: bool = True,
 ) -> JointState:
-    """First-order joint state, unnormalized.
+    """First-order joint state, unnormalized, from the operators `ham` holds.
 
     The zero-excitation branch is (1 - i T H_0)|phi>|00>; each single
     excitation branch carries area * sqrt(M Omega / 2) * Lambda|phi>. With
     include_H0 off the free-evolution term is dropped; it lives entirely in
     the branch that post-selection discards.
     """
-    if probe.levels < 2:
-        raise ValueError("probe cutoff must be >= 2")
-    basis = phi.basis
-    lamL = build_lambda_operator("L", table, basis).matrix
-    lamR = build_lambda_operator("R", table, basis).matrix
-
-    d = probe.levels
-    tensor = np.zeros((basis.dimension, d, d), dtype=np.complex128)
-    tensor[:, 0, 0] = phi.amplitudes
+    probe = ham.probe
+    state = embed_product(phi, probe)
     if include_H0:
-        h_trap = _trap_energies(basis, table.params.omega)
-        zero_point = probe.Omega  # both probes in their ground level
-        tensor[:, 0, 0] -= 1j * pulse.T * (h_trap + zero_point) * phi.amplitudes
+        # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
+        h00 = ham.H0.diagonal().reshape(state.tensor.shape)[:, 0, 0]
+        state.tensor[:, 0, 0] -= 1j * pulse.T * h00 * phi.amplitudes
     amp = pulse.area * np.sqrt(probe.M * probe.Omega / 2.0)
-    tensor[:, 1, 0] = amp * (lamL @ phi.amplitudes)
-    tensor[:, 0, 1] = amp * (lamR @ phi.amplitudes)
-    return JointState(basis, tensor)
+    state.tensor[:, 1, 0] = amp * (ham.lamL @ phi.amplitudes)
+    state.tensor[:, 0, 1] = amp * (ham.lamR @ phi.amplitudes)
+    return state
 
 
 def exact_state(
@@ -253,8 +224,8 @@ def exact_state(
 ) -> JointState:
     """Propagate the joint state through the pulse with the full Hamiltonian.
 
-    Square pulses use the sparse matrix exponential; sampled pulses use a
-    high-order explicit integrator whose norm drift is checked against
+    The square pulse makes the Hamiltonian constant, so the sparse matrix
+    exponential propagates in one step; its norm drift is checked against
     `norm_tol` and reported as a hard error when exceeded.
     """
     if initial.dimension > dim_cap:
@@ -266,29 +237,8 @@ def exact_state(
     psi0 = initial.flat()
     norm0 = np.linalg.norm(psi0)
 
-    if pulse.shape == "square":
-        A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * ham.V)
-        psiT = expm_multiply(A.tocsc(), psi0)
-    else:
-        H0 = ham.H0.tocsr()
-        V = ham.V.tocsr()
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return -1j * (H0 @ y + pulse.value(t) * (V @ y))
-
-        sol = solve_ivp(
-            rhs,
-            (0.0, pulse.T),
-            psi0,
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise IntegratorDriftError(f"propagation failed: {sol.message}")
-        psiT = sol.y[:, -1]
-
+    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * ham.V)
+    psiT = expm_multiply(A.tocsc(), psi0)
     drift = abs(np.linalg.norm(psiT) - norm0)
     if drift > norm_tol:
         raise IntegratorDriftError(

@@ -310,7 +310,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     for T in lengths:
         pulse = evolution.Pulse.square(T=T, g0=g0)
         final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
-        model = evolution.perturbative_state(phi, table, pulse, probe, include_H0=True)
+        model = evolution.perturbative_state(phi, ham, pulse, include_H0=True)
         diff = final.flat() - model.flat()
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final)

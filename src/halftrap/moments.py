@@ -87,9 +87,9 @@ def truncation_sums(table: OverlapTable, K: int | None = None) -> TruncationSums
         raise ValueError(f"prefix length {kmax} outside 1..{table.K}")
     colL = table.lambdaL[:kmax, 0]
     colR = table.lambdaR[:kmax, 0]
-    t_ll = fsum(float(v) for v in colL * colL)
-    t_lr = fsum(float(v) for v in colL * colR)
-    t_rr = fsum(float(v) for v in colR * colR)
+    t_ll = fsum(colL * colL)
+    t_lr = fsum(colL * colR)
+    t_rr = fsum(colR * colR)
     return TruncationSums(t_ll, t_lr, t_rr)
 
 
@@ -180,36 +180,23 @@ def _richardson(values: np.ndarray, ladder: tuple[int, ...]) -> float:
     return float(coeffs[0])
 
 
-def extrapolated_moments(
-    state: TrapState,
-    table: OverlapTable,
-    ladder: tuple[int, int, int] | None = None,
-) -> ProbeBlockMoments:
+def extrapolated_moments(state: TrapState, table: OverlapTable) -> ProbeBlockMoments:
     """Block moments with the K^(-1/2) truncation tail extrapolated away.
 
-    The three prefix sums are evaluated at `ladder` (default K/4, K/2, K)
-    and fitted to a + b K^(-1/2) + c K^(-3/2); the constant term is the
-    extrapolated sum. Entry (0,0) is exact at any truncation and is used
-    as is.
+    The three prefix sums are evaluated at K/4, K/2 and K and fitted to
+    a + b K^(-1/2) + c K^(-3/2); the constant term is the extrapolated sum.
+    Entry (0,0) is exact at any truncation and is used as is.
     """
-    if ladder is None:
-        if table.K % 4 != 0 or table.K < 32:
-            raise ValueError(
-                f"default ladder needs K divisible by 4 and >= 32, got K={table.K}; "
-                "pass an explicit ladder"
-            )
-        ladder = (table.K // 4, table.K // 2, table.K)
-    if len(ladder) != len(_EXTRAPOLATION_EXPONENTS):
-        raise ValueError(f"ladder must have {len(_EXTRAPOLATION_EXPONENTS)} rungs")
-    if len(set(ladder)) != len(ladder) or any(
-        not 1 <= k <= table.K for k in ladder
-    ):
-        raise ValueError(f"ladder rungs must be distinct and within 1..{table.K}")
-
+    if table.K % 4 != 0 or table.K < 32:
+        raise ValueError(
+            f"default ladder needs K divisible by 4 and >= 32, got K={table.K}; "
+            "set moments.extrapolate = false, or a table.K >= 32 divisible by 4"
+        )
+    ladder = (table.K // 4, table.K // 2, table.K)
     per_rung = [truncation_sums(table, k) for k in ladder]
     sums = TruncationSums(
         *(
-            _richardson(np.array([s[i] for s in per_rung]), tuple(ladder))
+            _richardson(np.array([s[i] for s in per_rung]), ladder)
             for i in range(3)
         )
     )
@@ -222,7 +209,7 @@ def extrapolated_moments(
         provenance="extrapolated-K",
         K=table.K,
         diagnostics={
-            "ladder": tuple(ladder),
+            "ladder": ladder,
             "T_LR_raw": raw.T_LR,
             "T_LR_extrapolated": sums.T_LR,
         },

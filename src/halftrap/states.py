@@ -14,7 +14,7 @@ and corrupts convergence studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, fsum, sqrt
+from math import ceil, fsum, log, sqrt
 
 import numpy as np
 
@@ -35,8 +35,8 @@ __all__ = [
 
 _KINDS = ("coherent", "number", "superposition", "thermal", "phase_averaged")
 
-# Hard ceiling on automatic cutoff search; reaching it means the requested
-# tail tolerance is not achievable in double precision bookkeeping.
+# Largest cutoff chosen automatically; a state whose tail stays above the
+# tolerance there raises TailToleranceError instead.
 _N_CUT_CEILING = 100_000
 
 
@@ -59,7 +59,6 @@ class PureComponent:
     """One pure component: amplitudes c_n over lowest-orbital number states."""
 
     coeffs: np.ndarray
-    tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -71,25 +70,30 @@ class PureComponent:
         return len(self.coeffs) - 1
 
     def norm_sq(self) -> float:
-        return fsum(float(a) for a in np.abs(self.coeffs) ** 2)
+        return fsum(np.abs(self.coeffs) ** 2)
 
     def factorial_moments(self) -> tuple[float, float]:
         """(E[n], E[n(n-1)]) over |c_n|^2, compensated summation."""
         p = np.abs(self.coeffs) ** 2
         n = np.arange(len(p))
-        n1 = fsum(float(v) for v in n * p)
-        n2 = fsum(float(v) for v in n * (n - 1) * p)
+        n1 = fsum(n * p)
+        n2 = fsum(n * (n - 1) * p)
         return n1, n2
 
 
 @dataclass(frozen=True)
 class TrapState:
-    """Canonical form: weights p_j over pure components."""
+    """Canonical form: weights p_j over pure components.
+
+    `tail_mass` is the probability mass the cutoff discarded, summed when
+    the state was built.
+    """
 
     kind: str
     weights: np.ndarray
     components: tuple
     params: dict = field(default_factory=dict)
+    tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -110,15 +114,6 @@ class TrapState:
     def n_cut(self) -> int:
         return max(c.n_cut for c in self.components)
 
-    @property
-    def tail_mass(self) -> float:
-        """Probability mass discarded by the cutoff (weights + amplitudes)."""
-        weight_tail = 1.0 - fsum(float(x) for x in self.weights)
-        comp_tail = fsum(
-            float(w) * c.tail_mass for w, c in zip(self.weights, self.components)
-        )
-        return weight_tail + comp_tail
-
     def norm_sq(self) -> float:
         """Weighted squared norm of the truncated canonical form."""
         return fsum(
@@ -136,71 +131,74 @@ class TrapState:
         return n1, n2
 
 
-def _coherent_coeffs(alpha: complex, n_cut: int) -> np.ndarray:
-    c = np.zeros(n_cut + 1, dtype=np.complex128)
-    c[0] = exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, n_cut + 1):
-        c[n] = c[n - 1] * alpha / sqrt(n)
-    return c
+def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson pmf p_n and its tails sum_{m>n} p_m, summed directly, for n = 0..edge.
+
+    The ratios p_{n+1}/p_n = mean/(n+1) are multiplied out from the mode in
+    both directions, so no entry underflows where the pmf is representable
+    and the array is normalised by its own sum. The edge sits 40 (sqrt(mean)
+    + 1) past the mode, where the pmf is below e^-260 of its peak, or at
+    `n_cut` if that is further out.
+    """
+    width = 40.0 * (sqrt(mean) + 1.0)
+    reach = max(n_cut or 0, _N_CUT_CEILING)
+    if mean - width > reach:
+        # all the mass lies past any cutoff allowed here: do not allocate it
+        return np.zeros(reach + 1), np.ones(reach + 1)
+    mode = int(mean)
+    edge = max(mode + int(width), n_cut or 0)
+    right = np.cumprod(mean / np.arange(mode + 1, edge + 1))
+    left = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    q = np.concatenate((left, [1.0], right))
+    p = q / q.sum()
+    return p, np.append(np.cumsum(p[:0:-1])[::-1], 0.0)
 
 
-def _poisson_weights(mean: float, n_cut: int) -> np.ndarray:
-    p = np.zeros(n_cut + 1)
-    p[0] = exp(-mean)
-    for n in range(1, n_cut + 1):
-        p[n] = p[n - 1] * mean / n
-    return p
+def _geometric_weights(
+    nbar: float, n_cut: int | None, tail_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric pmf r^n / (1 + nbar) and its exact tails r^(n+1), r = nbar/(1 + nbar).
 
-
-def _geometric_weights(nbar: float, n_cut: int) -> np.ndarray:
-    p = np.zeros(n_cut + 1)
-    p[0] = 1.0 / (1.0 + nbar)
+    The array runs one entry past the smallest n with r^(n+1) < tail_tol,
+    and at least to `n_cut`.
+    """
     r = nbar / (1.0 + nbar)
-    for n in range(1, n_cut + 1):
-        p[n] = p[n - 1] * r
-    return p
+    reach = _N_CUT_CEILING + 1
+    if r == 0.0 or not tail_tol > 0:  # _truncate refuses the latter
+        reach = 0
+    elif r < 1.0:
+        reach = min(reach, max(0, ceil(log(tail_tol) / log(r))))
+    powers = r ** np.arange(max(reach, n_cut or 0) + 2)
+    return powers[:-1] / (1.0 + nbar), powers[1:]
 
 
-def _resolve_cutoff(weight_fn, n_cut: int | None, tail_tol: float) -> tuple[int, np.ndarray, float]:
-    """Find (or validate) a cutoff whose discarded mass is below tolerance."""
-    if n_cut is not None:
-        w = weight_fn(n_cut)
-        tail = 1.0 - fsum(float(x) for x in w)
-        if tail >= tail_tol:
-            required = _required_cutoff(weight_fn, tail_tol)
-            raise TailToleranceError(n_cut, required, tail, tail_tol)
-        return n_cut, w, tail
-    cut = _required_cutoff(weight_fn, tail_tol)
-    w = weight_fn(cut)
-    return cut, w, 1.0 - fsum(float(x) for x in w)
+def _truncate(
+    weights: np.ndarray, tails: np.ndarray, n_cut: int | None, tail_tol: float
+) -> tuple[np.ndarray, float]:
+    """Keep weights 0..n_cut, or up to the minimal cutoff whose tail is below tolerance.
+
+    `tails[n]` is the mass beyond n and never increases, so the minimal
+    cutoff is the number of entries at or above the tolerance.
+    """
+    if not tail_tol > 0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    required = int(np.count_nonzero(tails >= tail_tol))
+    cut = min(required, _N_CUT_CEILING) if n_cut is None else n_cut
+    tail = float(tails[cut])
+    if tail >= tail_tol:
+        raise TailToleranceError(cut, required, tail, tail_tol)
+    return weights[: cut + 1], tail
 
 
-def _required_cutoff(weight_fn, tail_tol: float) -> int:
-    cut = 8
-    while cut <= _N_CUT_CEILING:
-        w = weight_fn(cut)
-        if 1.0 - fsum(float(x) for x in w) < tail_tol:
-            # shrink back to the smallest sufficient cutoff
-            lo, hi = cut // 2, cut
-            while lo < hi:
-                mid = (lo + hi) // 2
-                wm = weight_fn(mid)
-                if 1.0 - fsum(float(x) for x in wm) < tail_tol:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return hi
-        cut *= 2
-    raise TailToleranceError(_N_CUT_CEILING, _N_CUT_CEILING, float("nan"), tail_tol)
-
-
-def _number_mixture(kind: str, weights: np.ndarray, params: dict) -> TrapState:
-    comps = []
-    for n in range(len(weights)):
-        one_hot = np.zeros(n + 1, dtype=np.complex128)
-        one_hot[n] = 1.0
-        comps.append(PureComponent(one_hot))
-    return TrapState(kind, np.asarray(weights, dtype=float), tuple(comps), params)
+def _number_mixture(
+    kind: str, weights: np.ndarray, tail: float, params: dict
+) -> TrapState:
+    # the one-hot |n> is the last n + 1 entries of (0, ..., 0, 1): every
+    # component is a view of one buffer, not an array of its own
+    last = np.zeros(len(weights), dtype=np.complex128)
+    last[-1] = 1.0
+    comps = tuple(PureComponent(last[-n - 1 :]) for n in range(len(weights)))
+    return TrapState(kind, weights, comps, params, tail)
 
 
 def coherent_state(
@@ -217,14 +215,15 @@ def coherent_state(
             raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
         alpha = sqrt(alpha_sq)
     mean = abs(alpha) ** 2
-    cut, _, _ = _resolve_cutoff(lambda m: _poisson_weights(mean, m), n_cut, tail_tol)
-    coeffs = _coherent_coeffs(alpha, cut)
-    tail = 1.0 - fsum(float(v) for v in np.abs(coeffs) ** 2)
+    p, tail = _truncate(*_poisson_weights(mean, n_cut), n_cut, tail_tol)
+    phase = alpha / abs(alpha) if alpha else 1.0
+    coeffs = np.sqrt(p) * phase ** np.arange(len(p))
     return TrapState(
         "coherent",
         np.array([1.0]),
-        (PureComponent(coeffs, tail),),
+        (PureComponent(coeffs),),
         {"alpha": complex(alpha), "alpha_sq": mean},
+        tail,
     )
 
 
@@ -242,7 +241,7 @@ def superposition_state(coeffs) -> TrapState:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or len(c) == 0:
         raise ValueError("coefficient list must be a non-empty 1-d sequence")
-    norm_sq = fsum(float(v) for v in np.abs(c) ** 2)
+    norm_sq = fsum(np.abs(c) ** 2)
     if abs(norm_sq - 1.0) > 1e-12:
         raise ValueError(
             f"superposition coefficients must be normalized; got |c|^2 = {norm_sq!r}"
@@ -258,10 +257,8 @@ def thermal_state(
     """Thermal (geometric) mixture p_n = nbar^n / (1 + nbar)^{n+1}."""
     if nbar < 0:
         raise ValueError(f"mean occupancy must be >= 0, got {nbar}")
-    cut, weights, tail = _resolve_cutoff(
-        lambda m: _geometric_weights(nbar, m), n_cut, tail_tol
-    )
-    return _number_mixture("thermal", weights, {"nbar": nbar})
+    weights, tail = _truncate(*_geometric_weights(nbar, n_cut, tail_tol), n_cut, tail_tol)
+    return _number_mixture("thermal", weights, tail, {"nbar": nbar})
 
 
 def phase_averaged_state(
@@ -270,10 +267,8 @@ def phase_averaged_state(
     """Coherent state averaged over its phase: Poisson mixture of number states."""
     if alpha_sq < 0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    cut, weights, tail = _resolve_cutoff(
-        lambda m: _poisson_weights(alpha_sq, m), n_cut, tail_tol
-    )
-    return _number_mixture("phase_averaged", weights, {"alpha_sq": alpha_sq})
+    weights, tail = _truncate(*_poisson_weights(alpha_sq, n_cut), n_cut, tail_tol)
+    return _number_mixture("phase_averaged", weights, tail, {"alpha_sq": alpha_sq})
 
 
 def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:

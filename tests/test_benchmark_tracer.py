@@ -1,0 +1,76 @@
+"""The benchmark's span tracer still sees the names it reads from halftrap.
+
+`benchmarks/tracer.py` wraps the package from outside and its observers read
+`TrapState.components[*].coeffs`, `FockBasis.states`, `JointHamiltonian.H0`
+and `vars(OverlapTable)`. A rename of any of them breaks the traced run that
+produces every per-layer metric without failing anything else.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from halftrap.harness import sweep
+from halftrap.harness.config import ExperimentConfig
+from halftrap.orbitals import build_overlap_table
+
+_TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("halftrap_bench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _csv(cfg: ExperimentConfig, table) -> str:
+    # looked up on the module at call time, so the tracer's wrappers apply
+    buf = io.StringIO()
+    sweep.write_sweep_csv(sweep.run_sweep(cfg, table), buf)
+    return buf.getvalue()
+
+
+def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
+    runs = [
+        (
+            ExperimentConfig.from_entries(
+                {"table.K": "64", "sweep.param": "alpha_sq", "sweep.values": "1, 4"}
+            ),
+            build_overlap_table(64),
+        ),
+        (
+            ExperimentConfig.from_entries(
+                {
+                    "state": "number",
+                    "path": "exact",
+                    "table.K": "4",
+                    "fock.n_max": "3",
+                    "probe.levels": "4",
+                    "pulse.T": "0.05",
+                    "sweep.param": "number_n",
+                    "sweep.values": "2, 3",
+                }
+            ),
+            build_overlap_table(4),
+        ),
+    ]
+    plain = [_csv(cfg, table) for cfg, table in runs]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = [_csv(cfg, table) for cfg, table in runs]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    # the error column is last: every point completed
+    assert all(row.endswith(",") for text in plain for row in text.splitlines()[1:])
+    summary = tracing.summarize(tracer.spans)
+    assert summary["n_cut_sum"] > 0
+    assert summary["basis_dim"] > 0
+    assert summary["joint_dim"] > 0

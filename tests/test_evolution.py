@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from halftrap.evolution import (
     DimensionCapError,
@@ -36,23 +37,6 @@ def setup4(table4):
 def test_square_pulse_area():
     p = Pulse.square(T=0.5, g0=0.3)
     assert p.area == pytest.approx(0.15, rel=1e-15)
-    assert p.value(0.25) == 0.3
-    assert p.value(0.75) == 0.0
-
-
-def test_sampled_pulse_area_matches_trapezoid():
-    t = np.linspace(0.0, 1.0, 101)
-    g = 0.2 * np.sin(np.pi * t) ** 2
-    p = Pulse.sampled(t, g)
-    assert p.area == pytest.approx(np.trapezoid(g, t), rel=1e-15)
-    assert p.value(0.5) == pytest.approx(0.2, rel=1e-10)
-
-
-def test_sampled_pulse_validation():
-    with pytest.raises(ValueError):
-        Pulse.sampled(np.array([0.5, 1.0]), np.array([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        Pulse.sampled(np.array([0.0, 0.0, 1.0]), np.array([0.1, 0.1, 0.1]))
 
 
 def test_probe_momentum_matrix():
@@ -68,7 +52,7 @@ def test_probe_momentum_matrix():
 def test_vacuum_gains_no_excitation(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(0).components[0], basis)
-    out = perturbative_state(phi, table, Pulse.square(T=0.1, g0=0.5), probe)
+    out = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     assert np.all(out.tensor[:, 1, 0] == 0.0)
     assert np.all(out.tensor[:, 0, 1] == 0.0)
 
@@ -79,7 +63,7 @@ def test_branch_weight_matches_moments(setup4):
     state = number_state(2)
     phi = to_fock_vector(state.components[0], basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
-    out = perturbative_state(phi, table, pulse, probe, include_H0=False)
+    out = perturbative_state(phi, ham, pulse, include_H0=False)
     mom = moments_from_fock(state, table, basis.n_max)
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
     w10 = float(np.vdot(out.tensor[:, 1, 0], out.tensor[:, 1, 0]).real)
@@ -92,8 +76,8 @@ def test_free_term_only_touches_ground_branch(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(2).components[0], basis)
     pulse = Pulse.square(T=0.05, g0=0.4)
-    with_h0 = perturbative_state(phi, table, pulse, probe, include_H0=True)
-    without = perturbative_state(phi, table, pulse, probe, include_H0=False)
+    with_h0 = perturbative_state(phi, ham, pulse, include_H0=True)
+    without = perturbative_state(phi, ham, pulse, include_H0=False)
     assert np.array_equal(with_h0.tensor[:, 1, 0], without.tensor[:, 1, 0])
     assert np.array_equal(with_h0.tensor[:, 0, 1], without.tensor[:, 0, 1])
     assert not np.array_equal(with_h0.tensor[:, 0, 0], without.tensor[:, 0, 0])
@@ -128,7 +112,7 @@ def test_first_order_residual_scales_quadratically(setup4):
     for T in (0.02, 0.01, 0.005):
         pulse = Pulse.square(T=T, g0=2.0)
         final = exact_state(embed_product(phi, probe), ham, pulse)
-        model = perturbative_state(phi, table, pulse, probe, include_H0=True)
+        model = perturbative_state(phi, ham, pulse, include_H0=True)
         diff = final.flat() - model.flat()
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
     for i in range(2):
@@ -154,15 +138,22 @@ def test_left_right_swap_mirrors_the_block(setup4):
 
 
 def test_sampled_pulse_agrees_with_square(setup4):
+    # oracle for expm_multiply: integrate the same square pulse step by step
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(1).components[0], basis)
     T, g0 = 0.05, 1.0
-    square = Pulse.square(T=T, g0=g0)
-    t = np.linspace(0.0, T, 41)
-    flat = Pulse.sampled(t, np.full_like(t, g0))
-    a = exact_state(embed_product(phi, probe), ham, square)
-    b = exact_state(embed_product(phi, probe), ham, flat)
-    overlap = abs(np.vdot(a.flat(), b.flat()))
+    a = exact_state(embed_product(phi, probe), ham, Pulse.square(T=T, g0=g0))
+    H = (ham.H0 + g0 * ham.V).tocsr()
+    sol = solve_ivp(
+        lambda t, y: -1j * (H @ y),
+        (0.0, T),
+        embed_product(phi, probe).flat(),
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-13,
+    )
+    assert sol.success
+    overlap = abs(np.vdot(a.flat(), sol.y[:, -1]))
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 

@@ -3,10 +3,13 @@
 import io
 import subprocess
 import sys
+from math import sqrt
 
 import pytest
 
 from halftrap import fock
+from halftrap.entanglement import negativity_closed_form
+from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
     ConfigError,
     ExperimentConfig,
@@ -266,7 +269,19 @@ def test_extrapolate_key_is_honoured_or_refused(state, extrapolate):
         assert (row.fidelity is not None) == (state == "coherent")
 
 
-def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
+def test_large_amplitude_coherent_sweep_completes(table512):
+    # alpha_sq past ~708, where exp(-alpha_sq) is subnormal
+    cfg = ExperimentConfig.from_entries(
+        {"table.K": "512", "sweep.param": "alpha_sq", "sweep.values": "722.4, 745, 1024"}
+    )
+    for row in run_sweep(cfg, table=table512):
+        assert row.error == ""
+        assert abs(row.mu - negativity_closed_form("coherent", row.value)) <= cfg.mu_tol
+        assert abs(row.fidelity - 1.0 / sqrt(1.0 + 2.0 / row.value)) <= cfg.f_tol
+
+
+def _count_lambda_builds(monkeypatch) -> list:
+    """Patch every module binding of build_lambda_operator to log its side."""
     original = fock.build_lambda_operator
     calls = []
 
@@ -277,6 +292,11 @@ def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("halftrap") and getattr(module, "build_lambda_operator", None) is original:
             monkeypatch.setattr(module, "build_lambda_operator", counting)
+    return calls
+
+
+def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
+    calls = _count_lambda_builds(monkeypatch)
     cfg = ExperimentConfig.from_entries(
         {
             "state": "number",
@@ -293,15 +313,25 @@ def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
     assert sorted(calls) == ["L", "R"]
 
 
+def test_perturbation_target_builds_each_lambda_operator_once(accept_cfg, monkeypatch):
+    # the first-order model reuses the operators of the Hamiltonian it is checked against
+    calls = _count_lambda_builds(monkeypatch)
+    ok, detail = TARGETS["perturbation"](accept_cfg)
+    assert ok, detail
+    assert sorted(calls) == ["L", "R"]
+
+
 # ---------------------------------------------------------------- CLI
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(cli_env):
+    # scipy.stats (validate's fit) and scipy.integrate (used by no verb)
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, halftrap.harness.cli; print('scipy.stats' in sys.modules)",
+            "import sys, halftrap.harness.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])",
         ],
         capture_output=True,
         text=True,
@@ -309,7 +339,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(cli_env):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from halftrap.evolution import ProbeParams, Pulse, embed_product, perturbative_state
+from halftrap.evolution import (
+    ProbeParams,
+    Pulse,
+    build_joint_hamiltonian,
+    embed_product,
+    perturbative_state,
+)
 from halftrap.fock import FockBasis
 from halftrap.measurement import (
     NoExtractionError,
@@ -22,15 +28,15 @@ def small():
     table = build_overlap_table(4)
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    return table, basis, probe
+    return table, basis, probe, build_joint_hamiltonian(table, basis, probe)
 
 
 def test_block_from_joint_matches_block_from_moments(small):
-    table, basis, probe = small
+    table, basis, probe, ham = small
     state = number_state(2)
     phi = to_fock_vector(state.components[0], basis)
     pulse = Pulse.square(T=0.1, g0=0.3)
-    joint = perturbative_state(phi, table, pulse, probe, include_H0=False)
+    joint = perturbative_state(phi, ham, pulse, include_H0=False)
     from_joint = postselect(joint)
     mom = moments_from_fock(state, table, basis.n_max)
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
@@ -42,18 +48,18 @@ def test_block_from_joint_matches_block_from_moments(small):
 def test_free_evolution_leaves_block_unchanged(small):
     # the free term only rotates the discarded ground branch; the selected
     # block is unaffected while the success probability shifts slightly
-    table, basis, probe = small
+    table, basis, probe, ham = small
     phi = to_fock_vector(number_state(2).components[0], basis)
     pulse = Pulse.square(T=0.05, g0=0.3)
-    with_h0 = postselect(perturbative_state(phi, table, pulse, probe, include_H0=True))
-    without = postselect(perturbative_state(phi, table, pulse, probe, include_H0=False))
+    with_h0 = postselect(perturbative_state(phi, ham, pulse, include_H0=True))
+    without = postselect(perturbative_state(phi, ham, pulse, include_H0=False))
     assert np.allclose(with_h0.matrix, without.matrix, atol=1e-12)
 
 
 def test_vacuum_cannot_be_selected(small):
-    table, basis, probe = small
+    table, basis, probe, ham = small
     phi = to_fock_vector(number_state(0).components[0], basis)
-    joint = perturbative_state(phi, table, Pulse.square(T=0.1, g0=0.3), probe)
+    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(NoExtractionError):
         postselect(joint)
     with pytest.raises(NoExtractionError):
@@ -68,10 +74,10 @@ def test_single_particle_block_is_maximally_mixed():
 
 
 def test_block_is_unit_trace_density(small):
-    table, basis, probe = small
+    table, basis, probe, ham = small
     state = superposition_state(np.array([0.0, 0.6, 0.0, 0.8]))
     phi = to_fock_vector(state.components[0], basis)
-    joint = perturbative_state(phi, table, Pulse.square(T=0.1, g0=0.5), probe)
+    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     block = postselect(joint)
     assert np.trace(block.matrix).real == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(block.matrix)

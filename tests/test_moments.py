@@ -124,13 +124,13 @@ def test_extrapolation_diagnostics(table512):
     assert abs(fit.diagnostics["T_LR_extrapolated"]) < 1e-6
 
 
-def test_extrapolation_ladder_validation(table8, table512):
-    with pytest.raises(ValueError):
-        extrapolated_moments(number_state(1), table8)  # default ladder needs K >= 32
-    with pytest.raises(ValueError):
-        extrapolated_moments(number_state(1), table512, ladder=(128, 128, 512))
-    with pytest.raises(ValueError):
-        extrapolated_moments(number_state(1), table512, ladder=(128, 256, 1024))
+def test_extrapolation_ladder_validation(table8):
+    # the ladder K/4, K/2, K needs K >= 32; the error names both fixes
+    with pytest.raises(ValueError) as err:
+        extrapolated_moments(number_state(1), table8)
+    assert "default ladder needs K divisible by 4 and >= 32, got K=8" in str(err.value)
+    assert "moments.extrapolate = false" in str(err.value)
+    assert "table.K >= 32 divisible by 4" in str(err.value)
 
 
 def test_phase_averaged_equals_coherent(table512):

@@ -1,11 +1,13 @@
 """Initial gas states: coefficient recurrences, cutoffs, factorial moments."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from halftrap.fock import FockBasis
 from halftrap.states import (
@@ -76,6 +78,42 @@ def test_auto_cutoff_meets_tolerance():
     state = coherent_state(alpha_sq=6.0)
     assert state.tail_mass <= 1e-12
     assert 1.0 - state.norm_sq() <= 1.1e-12
+
+
+def assert_minimal_cutoff(state, sf, tail_tol):
+    # sf(n) is the exact mass beyond n: the tail is it, and one less cutoff fails
+    n = state.n_cut
+    assert 0.0 <= state.tail_mass < tail_tol, (state.params, n, state.tail_mass)
+    assert state.tail_mass == pytest.approx(sf(n), rel=1e-9, abs=1e-300), (state.params, n)
+    assert n == 0 or sf(n - 1) >= tail_tol, (state.params, n)
+
+
+def test_large_amplitude_cutoffs_are_minimal_and_exact():
+    # exp(-alpha_sq) is subnormal past alpha_sq ~ 708, where the amplitudes
+    # of the paper's large-amplitude regime live
+    for a in [*range(700, 761), 1024, 5000]:
+        sf = partial(poisson.sf, mu=a)
+        assert_minimal_cutoff(coherent_state(alpha_sq=a), sf, 1e-12)
+        assert_minimal_cutoff(phase_averaged_state(a), sf, 1e-12)
+
+
+def test_thermal_cutoff_is_minimal_and_exact():
+    for nbar in (0.0, 0.5, 1.0, 20.0, 60.0, 745.0, 1024.0):
+        r = nbar / (1.0 + nbar)
+        assert_minimal_cutoff(thermal_state(nbar), lambda n: r ** (n + 1), 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mean=st.floats(min_value=0.0, max_value=3000.0, allow_subnormal=False),
+    tail_tol=st.floats(min_value=1e-14, max_value=1e-2),
+)
+def test_cutoff_properties(mean, tail_tol):
+    sf = partial(poisson.sf, mu=mean)
+    assert_minimal_cutoff(coherent_state(alpha_sq=mean, tail_tol=tail_tol), sf, tail_tol)
+    r = mean / (1.0 + mean)
+    thermal = thermal_state(mean, tail_tol=tail_tol)
+    assert_minimal_cutoff(thermal, lambda n: r ** (n + 1), tail_tol)
 
 
 def test_number_state_is_one_hot():
