@@ -113,7 +113,7 @@ def _exact_block(
             "path 'exact' evolves a single vector; use path 'moments' for mixtures"
         )
     basis = fock.FockBasis(table.K, cfg.n_max)
-    phi = states.to_fock_vector(state.components[0], basis)
+    phi = states.to_fock_vector(state.amplitudes, basis)
     ham = evolution.build_joint_hamiltonian(table, basis, probe, cfg.exact_dim_cap)
     pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
     final = evolution.exact_state(
@@ -299,7 +299,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     table = build_overlap_table(4)
     basis = fock.FockBasis(4, 3)
     probe = evolution.ProbeParams(levels=4)
-    phi = states.to_fock_vector(states.number_state(2).components[0], basis)
+    phi = states.to_fock_vector(states.number_state(2).amplitudes, basis)
     ham = evolution.build_joint_hamiltonian(table, basis, probe)
     T0 = 0.02
     S = ham.coupling_weight(phi)

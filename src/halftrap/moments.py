@@ -5,11 +5,12 @@ For a pure lowest-orbital component sum_n c_n |n>, ladder algebra gives
     m_IJ = E[n] * T_IJ + E[n(n-1)] * lambda^I_00 lambda^J_00,
     T_IJ = sum_{k<K} lambda^I_k0 lambda^J_k0,
 
-with both expectations taken over |c_n|^2; cross terms between different n
-vanish because the two operators conserve total particle number. Mixtures
-enter as convex combinations. This path scales to large K and large mean
-particle number without ever building a Fock space; the explicit Fock path
-(module fock) cross-validates it on small instances.
+with both expectations taken over the populations p_n = |c_n|^2; cross terms
+between different n vanish because the two operators conserve total particle
+number, and a mixture of number states enters through its populations the
+same way. This path scales to large K and large mean particle number without
+ever building a Fock space; the explicit Fock path (module fock)
+cross-validates it on small instances.
 
 The overlap column decays as k^(-3/4), so the truncated sums T_IJ converge
 only like K^(-1/2). `extrapolated_moments` removes that tail by Richardson
@@ -87,9 +88,9 @@ def truncation_sums(table: OverlapTable, K: int | None = None) -> TruncationSums
         raise ValueError(f"prefix length {kmax} outside 1..{table.K}")
     colL = table.lambdaL[:kmax, 0]
     colR = table.lambdaR[:kmax, 0]
-    t_ll = fsum(colL * colL)
-    t_lr = fsum(colL * colR)
-    t_rr = fsum(colR * colR)
+    t_ll = fsum((colL * colL).tolist())
+    t_lr = fsum((colL * colR).tolist())
+    t_rr = fsum((colR * colR).tolist())
     return TruncationSums(t_ll, t_lr, t_rr)
 
 
@@ -136,20 +137,26 @@ def moments_from_fock(state: TrapState, table: OverlapTable, n_max: int) -> Prob
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
     Independent of the factorial-moment route: the state is embedded in an
-    occupation basis and the operators applied as sparse matrices. Cost grows
-    combinatorially with (K, n_max), so this is a cross-check for small
-    truncations, not a production path.
+    occupation basis and the operators applied as sparse matrices. A pure
+    state is embedded whole, so the vanishing of the cross terms between
+    different n is checked rather than assumed; a mixture contributes one
+    number state per n. Cost grows combinatorially with (K, n_max), so this
+    is a cross-check for small truncations, not a production path.
     """
     from . import fock
 
     basis = fock.FockBasis(table.K, n_max)
     lamL = fock.build_lambda_operator("L", table, basis)
     lamR = fock.build_lambda_operator("R", table, basis)
+    if state.is_pure:
+        terms = [(1.0, state.amplitudes)]
+    else:
+        terms = [(p, np.eye(1, n + 1, n)[0]) for n, p in enumerate(state.populations)]
     mLL = 0.0
     mRR = 0.0
     mLR = 0.0 + 0.0j
-    for weight, comp in zip(state.weights, state.components):
-        v = to_fock_vector(comp, basis)
+    for weight, coeffs in terms:
+        v = to_fock_vector(coeffs, basis)
         vL = fock.apply(lamL, v)
         vR = fock.apply(lamR, v)
         mLL += weight * fock.inner(vL, vL).real

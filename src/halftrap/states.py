@@ -2,9 +2,11 @@
 
 Every supported state (coherent, number, arbitrary superposition of
 lowest-orbital number states, thermal, phase-averaged coherent) is stored
-as a weighted set of pure components, each a coefficient list c_n over
-number states of the lowest orbital. Mixed states never materialize a
-density matrix: all downstream block moments are convex in the components.
+as its number populations p_n over the lowest orbital, n = 0..n_cut. A
+pure state also keeps its amplitudes c_n, with p_n = |c_n|^2; a thermal or
+phase-averaged mixture is diagonal in n and is its populations alone, so no
+density matrix is ever built. The block moments depend on the state only
+through p_n, because the extraction operators conserve particle number.
 
 Truncated states are NOT renormalized; the discarded tail mass is carried
 as a diagnostic instead, because renormalization silently shifts moments
@@ -14,7 +16,9 @@ and corrupts convergence studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, fsum, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,81 +58,80 @@ class TailToleranceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class PureComponent:
+class PureComponent(NamedTuple):
     """One pure component: amplitudes c_n over lowest-orbital number states."""
 
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
-
-    @property
-    def n_cut(self) -> int:
-        return len(self.coeffs) - 1
-
-    def norm_sq(self) -> float:
-        return fsum(np.abs(self.coeffs) ** 2)
-
-    def factorial_moments(self) -> tuple[float, float]:
-        """(E[n], E[n(n-1)]) over |c_n|^2, compensated summation."""
-        p = np.abs(self.coeffs) ** 2
-        n = np.arange(len(p))
-        n1 = fsum(n * p)
-        n2 = fsum(n * (n - 1) * p)
-        return n1, n2
-
 
 @dataclass(frozen=True)
 class TrapState:
-    """Canonical form: weights p_j over pure components.
+    """Canonical form: populations p_n, n = 0..n_cut, and a pure state's amplitudes.
 
-    `tail_mass` is the probability mass the cutoff discarded, summed when
-    the state was built.
+    `amplitudes` is None for a mixture of number states. The squared norm
+    sum p_n and the factorial moments E[n], E[n(n-1)] are summed once, with
+    compensated summation, when the state is built. `tail_mass` is the
+    probability mass the cutoff discarded, summed when the state was built.
     """
 
     kind: str
-    weights: np.ndarray
-    components: tuple
+    populations: np.ndarray
+    amplitudes: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        w.setflags(write=False)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if len(w) != len(self.components):
-            raise ValueError("one weight per component required")
-        if np.any(w < 0):
-            raise ValueError("component weights must be non-negative")
+        p = np.asarray(self.populations, dtype=float)
+        object.__setattr__(self, "populations", p)
+        p.setflags(write=False)
+        if np.any(p < 0):
+            raise ValueError("populations must be non-negative")
+        if self.amplitudes is not None:
+            c = np.asarray(self.amplitudes, dtype=np.complex128)
+            object.__setattr__(self, "amplitudes", c)
+            c.setflags(write=False)
+            if c.shape != p.shape:
+                raise ValueError("one population per amplitude required")
+        n = np.arange(len(p))
+        sums = (fsum(p.tolist()), fsum((n * p).tolist()), fsum((n * (n - 1) * p).tolist()))
+        object.__setattr__(self, "_sums", sums)
 
     @property
     def is_pure(self) -> bool:
-        return len(self.components) == 1
+        return self.amplitudes is not None
 
     @property
     def n_cut(self) -> int:
-        return max(c.n_cut for c in self.components)
+        return len(self.populations) - 1
 
     def norm_sq(self) -> float:
-        """Weighted squared norm of the truncated canonical form."""
-        return fsum(
-            float(w) * c.norm_sq() for w, c in zip(self.weights, self.components)
-        )
+        """Squared norm sum p_n of the truncated canonical form."""
+        return self._sums[0]
 
     def factorial_moments(self) -> tuple[float, float]:
-        """Convex combination of the per-component factorial moments."""
-        n1 = 0.0
-        n2 = 0.0
-        for w, comp in zip(self.weights, self.components):
-            m1, m2 = comp.factorial_moments()
-            n1 += float(w) * m1
-            n2 += float(w) * m2
-        return n1, n2
+        """(E[n], E[n(n-1)]) over the populations."""
+        return self._sums[1:]
+
+    @cached_property
+    def components(self) -> tuple:
+        """The state as pure components: itself, or one |n> per population.
+
+        Built on first access only; nothing on the moment route reads it.
+        """
+        if self.amplitudes is not None:
+            return (PureComponent(self.amplitudes),)
+        # |n> is the last n + 1 entries of (0, ..., 0, 1): every component is
+        # a view of one buffer, not an array of its own
+        last = np.zeros(len(self.populations), dtype=np.complex128)
+        last[-1] = 1.0
+        last.setflags(write=False)
+        return tuple(PureComponent(last[-n - 1 :]) for n in range(len(last)))
+
+
+def _pure(kind: str, coeffs: np.ndarray, params: dict, tail: float = 0.0) -> TrapState:
+    return TrapState(kind, np.abs(coeffs) ** 2, coeffs, params, tail)
 
 
 def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +193,6 @@ def _truncate(
     return weights[: cut + 1], tail
 
 
-def _number_mixture(
-    kind: str, weights: np.ndarray, tail: float, params: dict
-) -> TrapState:
-    # the one-hot |n> is the last n + 1 entries of (0, ..., 0, 1): every
-    # component is a view of one buffer, not an array of its own
-    last = np.zeros(len(weights), dtype=np.complex128)
-    last[-1] = 1.0
-    comps = tuple(PureComponent(last[-n - 1 :]) for n in range(len(weights)))
-    return TrapState(kind, weights, comps, params, tail)
-
-
 def coherent_state(
     alpha: complex | None = None,
     alpha_sq: float | None = None,
@@ -218,13 +210,7 @@ def coherent_state(
     p, tail = _truncate(*_poisson_weights(mean, n_cut), n_cut, tail_tol)
     phase = alpha / abs(alpha) if alpha else 1.0
     coeffs = np.sqrt(p) * phase ** np.arange(len(p))
-    return TrapState(
-        "coherent",
-        np.array([1.0]),
-        (PureComponent(coeffs),),
-        {"alpha": complex(alpha), "alpha_sq": mean},
-        tail,
-    )
+    return _pure("coherent", coeffs, {"alpha": complex(alpha), "alpha_sq": mean}, tail)
 
 
 def number_state(N: int) -> TrapState:
@@ -233,7 +219,7 @@ def number_state(N: int) -> TrapState:
         raise ValueError(f"particle number must be >= 0, got {N}")
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     coeffs[N] = 1.0
-    return TrapState("number", np.array([1.0]), (PureComponent(coeffs),), {"N": N})
+    return _pure("number", coeffs, {"N": N})
 
 
 def superposition_state(coeffs) -> TrapState:
@@ -241,14 +227,12 @@ def superposition_state(coeffs) -> TrapState:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or len(c) == 0:
         raise ValueError("coefficient list must be a non-empty 1-d sequence")
-    norm_sq = fsum(np.abs(c) ** 2)
-    if abs(norm_sq - 1.0) > 1e-12:
+    state = _pure("superposition", c, {"n_terms": len(c)})
+    if abs(state.norm_sq() - 1.0) > 1e-12:
         raise ValueError(
-            f"superposition coefficients must be normalized; got |c|^2 = {norm_sq!r}"
+            f"superposition coefficients must be normalized; got |c|^2 = {state.norm_sq()!r}"
         )
-    return TrapState(
-        "superposition", np.array([1.0]), (PureComponent(c),), {"n_terms": len(c)}
-    )
+    return state
 
 
 def thermal_state(
@@ -258,7 +242,7 @@ def thermal_state(
     if nbar < 0:
         raise ValueError(f"mean occupancy must be >= 0, got {nbar}")
     weights, tail = _truncate(*_geometric_weights(nbar, n_cut, tail_tol), n_cut, tail_tol)
-    return _number_mixture("thermal", weights, tail, {"nbar": nbar})
+    return TrapState("thermal", weights, None, {"nbar": nbar}, tail)
 
 
 def phase_averaged_state(
@@ -268,7 +252,7 @@ def phase_averaged_state(
     if alpha_sq < 0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     weights, tail = _truncate(*_poisson_weights(alpha_sq, n_cut), n_cut, tail_tol)
-    return _number_mixture("phase_averaged", weights, tail, {"alpha_sq": alpha_sq})
+    return TrapState("phase_averaged", weights, None, {"alpha_sq": alpha_sq}, tail)
 
 
 def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
@@ -291,14 +275,14 @@ def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: floa
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-def to_fock_vector(component: PureComponent, basis: FockBasis) -> FockVector:
-    """Embed a lowest-orbital component into a multimode basis."""
-    if component.n_cut > basis.n_max:
+def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> FockVector:
+    """Embed lowest-orbital amplitudes c_n, n = 0..n_cut, into a multimode basis."""
+    if len(coeffs) - 1 > basis.n_max:
         raise ValueError(
-            f"component cutoff {component.n_cut} exceeds basis capacity {basis.n_max}"
+            f"component cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
         )
     v = FockVector.zero(basis)
     rest = (0,) * (basis.K - 1)
-    for n, c in enumerate(component.coeffs):
+    for n, c in enumerate(coeffs):
         v.amplitudes[basis.index[(n,) + rest]] = c
     return v

@@ -17,6 +17,7 @@ import pytest
 from halftrap.harness import sweep
 from halftrap.harness.config import ExperimentConfig
 from halftrap.orbitals import build_overlap_table
+from halftrap.states import coherent_state, thermal_state
 
 _TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -41,6 +42,18 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
         (
             ExperimentConfig.from_entries(
                 {"table.K": "64", "sweep.param": "alpha_sq", "sweep.values": "1, 4"}
+            ),
+            build_overlap_table(64),
+        ),
+        (
+            # a mixture: its one-hot components exist only when read
+            ExperimentConfig.from_entries(
+                {
+                    "state": "thermal",
+                    "table.K": "64",
+                    "sweep.param": "nbar",
+                    "sweep.values": "0.5, 3",
+                }
             ),
             build_overlap_table(64),
         ),
@@ -71,6 +84,9 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
     # the error column is last: every point completed
     assert all(row.endswith(",") for text in plain for row in text.splitlines()[1:])
     summary = tracing.summarize(tracer.spans)
-    assert summary["n_cut_sum"] > 0
+    # one state per point: coherent 1, 4; thermal 0.5, 3; number 2, 3
+    cutoffs = [coherent_state(alpha_sq=a).n_cut for a in (1.0, 4.0)]
+    cutoffs += [thermal_state(nbar).n_cut for nbar in (0.5, 3.0)]
+    assert summary["n_cut_sum"] == sum(cutoffs) + 2 + 3
     assert summary["basis_dim"] > 0
     assert summary["joint_dim"] > 0

@@ -51,7 +51,7 @@ def test_probe_momentum_matrix():
 
 def test_vacuum_gains_no_excitation(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(0).components[0], basis)
+    phi = to_fock_vector(number_state(0).amplitudes, basis)
     out = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     assert np.all(out.tensor[:, 1, 0] == 0.0)
     assert np.all(out.tensor[:, 0, 1] == 0.0)
@@ -61,7 +61,7 @@ def test_branch_weight_matches_moments(setup4):
     # |branch|^2 = area^2 (M Omega / 2) m_II with the same truncation
     table, basis, probe, ham = setup4
     state = number_state(2)
-    phi = to_fock_vector(state.components[0], basis)
+    phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
     out = perturbative_state(phi, ham, pulse, include_H0=False)
     mom = moments_from_fock(state, table, basis.n_max)
@@ -74,7 +74,7 @@ def test_branch_weight_matches_moments(setup4):
 
 def test_free_term_only_touches_ground_branch(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).components[0], basis)
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.05, g0=0.4)
     with_h0 = perturbative_state(phi, ham, pulse, include_H0=True)
     without = perturbative_state(phi, ham, pulse, include_H0=False)
@@ -86,7 +86,7 @@ def test_free_term_only_touches_ground_branch(setup4):
 def test_zero_coupling_is_free_evolution(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(
-        superposition_state(np.array([0.6, 0.0, 0.8])).components[0], basis
+        superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
     )
     initial = embed_product(phi, probe)
     final = exact_state(initial, ham, Pulse.square(T=0.3, g0=0.0))
@@ -100,14 +100,14 @@ def test_zero_coupling_is_free_evolution(setup4):
 
 def test_exact_evolution_is_unitary(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).components[0], basis)
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
     final = exact_state(embed_product(phi, probe), ham, Pulse.square(T=0.2, g0=0.8))
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_order_residual_scales_quadratically(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).components[0], basis)
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
     residuals = []
     for T in (0.02, 0.01, 0.005):
         pulse = Pulse.square(T=T, g0=2.0)
@@ -127,7 +127,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
         lambdaR=table.lambdaL.copy(),
         params=table.params,
     )
-    phi = to_fock_vector(number_state(2).components[0], basis)
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
     a = exact_state(embed_product(phi, probe), ham, pulse)
@@ -140,7 +140,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
 def test_sampled_pulse_agrees_with_square(setup4):
     # oracle for expm_multiply: integrate the same square pulse step by step
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(1).components[0], basis)
+    phi = to_fock_vector(number_state(1).amplitudes, basis)
     T, g0 = 0.05, 1.0
     a = exact_state(embed_product(phi, probe), ham, Pulse.square(T=T, g0=g0))
     H = (ham.H0 + g0 * ham.V).tocsr()

@@ -280,6 +280,16 @@ def test_large_amplitude_coherent_sweep_completes(table512):
         assert abs(row.fidelity - 1.0 / sqrt(1.0 + 2.0 / row.value)) <= cfg.f_tol
 
 
+def test_large_phase_averaged_point_matches_coherent_closed_form(table512):
+    # phase averaging leaves every block moment unchanged; n_cut = 10711 here
+    cfg = ExperimentConfig.from_entries(
+        {"state": "phase_averaged", "table.K": "512", "sweep.param": "alpha_sq", "sweep.values": "10000"}
+    )
+    (row,) = run_sweep(cfg, table=table512)
+    assert row.error == ""
+    assert abs(row.mu - negativity_closed_form("coherent", 1e4)) <= cfg.mu_tol
+
+
 def _count_lambda_builds(monkeypatch) -> list:
     """Patch every module binding of build_lambda_operator to log its side."""
     original = fock.build_lambda_operator

@@ -34,7 +34,7 @@ def small():
 def test_block_from_joint_matches_block_from_moments(small):
     table, basis, probe, ham = small
     state = number_state(2)
-    phi = to_fock_vector(state.components[0], basis)
+    phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.3)
     joint = perturbative_state(phi, ham, pulse, include_H0=False)
     from_joint = postselect(joint)
@@ -49,7 +49,7 @@ def test_free_evolution_leaves_block_unchanged(small):
     # the free term only rotates the discarded ground branch; the selected
     # block is unaffected while the success probability shifts slightly
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).components[0], basis)
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.05, g0=0.3)
     with_h0 = postselect(perturbative_state(phi, ham, pulse, include_H0=True))
     without = postselect(perturbative_state(phi, ham, pulse, include_H0=False))
@@ -58,7 +58,7 @@ def test_free_evolution_leaves_block_unchanged(small):
 
 def test_vacuum_cannot_be_selected(small):
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(0).components[0], basis)
+    phi = to_fock_vector(number_state(0).amplitudes, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(NoExtractionError):
         postselect(joint)
@@ -76,7 +76,7 @@ def test_single_particle_block_is_maximally_mixed():
 def test_block_is_unit_trace_density(small):
     table, basis, probe, ham = small
     state = superposition_state(np.array([0.0, 0.6, 0.0, 0.8]))
-    phi = to_fock_vector(state.components[0], basis)
+    phi = to_fock_vector(state.amplitudes, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     block = postselect(joint)
     assert np.trace(block.matrix).real == pytest.approx(1.0, abs=1e-12)

@@ -90,6 +90,16 @@ def test_moments_match_fock_expectations(table6):
         assert abs(closed.mLR - explicit.mLR) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "state",
+    [number_state(5), thermal_state(0.5, n_cut=5, tail_tol=1.0)],
+    ids=["pure", "mixture"],
+)
+def test_fock_route_refuses_states_past_its_basis(state, table6):
+    with pytest.raises(ValueError, match="cutoff 5 exceeds basis capacity 4"):
+        moments_from_fock(state, table6, n_max=4)
+
+
 def test_finite_truncation_error_decays():
     from halftrap.orbitals import build_overlap_table
 

@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
@@ -28,22 +29,22 @@ def poisson_pmf(mean: float, n: int) -> float:
 
 def test_coherent_pmf_matches_direct_formula():
     state = coherent_state(alpha=math.sqrt(2.0))
-    comp = state.components[0]
+    c = state.amplitudes
     # |c_2|^2 = e^-2 * 2^2 / 2!
-    assert abs(comp.coeffs[2]) ** 2 == pytest.approx(poisson_pmf(2.0, 2), rel=1e-13)
-    for n in range(comp.n_cut + 1):
-        assert abs(comp.coeffs[n]) ** 2 == pytest.approx(poisson_pmf(2.0, n), rel=1e-12)
+    assert abs(c[2]) ** 2 == pytest.approx(poisson_pmf(2.0, 2), rel=1e-13)
+    for n in range(state.n_cut + 1):
+        assert abs(c[n]) ** 2 == pytest.approx(poisson_pmf(2.0, n), rel=1e-12)
 
 
 def test_coherent_alpha_and_alpha_sq_agree():
     a = coherent_state(alpha=1.5)
     b = coherent_state(alpha_sq=2.25)
-    assert np.allclose(a.components[0].coeffs, b.components[0].coeffs, atol=1e-15)
+    assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-15)
 
 
 def test_coherent_phase_enters_coefficients():
     state = coherent_state(alpha=1.0j)
-    c = state.components[0].coeffs
+    c = state.amplitudes
     assert c[1].real == pytest.approx(0.0, abs=1e-15)
     assert c[1].imag > 0.0
 
@@ -118,9 +119,8 @@ def test_cutoff_properties(mean, tail_tol):
 
 def test_number_state_is_one_hot():
     state = number_state(3)
-    comp = state.components[0]
-    assert comp.coeffs[3] == 1.0
-    assert np.count_nonzero(comp.coeffs) == 1
+    assert state.amplitudes[3] == 1.0
+    assert np.count_nonzero(state.amplitudes) == 1
     assert state.factorial_moments() == (3.0, 6.0)
 
 
@@ -132,9 +132,9 @@ def test_number_state_moments_low_edge():
 def test_thermal_weights_geometric():
     state = thermal_state(1.0)
     # nbar = 1: p_n = (1/2)^(n+1)
-    assert state.weights[0] == 0.5
-    assert state.weights[1] == 0.25
-    assert state.weights[2] == 0.125
+    assert state.populations[0] == 0.5
+    assert state.populations[1] == 0.25
+    assert state.populations[2] == 0.125
     n1, n2 = state.factorial_moments()
     assert n1 == pytest.approx(1.0, rel=1e-10)
     assert n2 == pytest.approx(2.0, rel=1e-9)
@@ -151,8 +151,8 @@ def test_phase_averaged_matches_coherent_weights():
     a = 2.0
     mixed = phase_averaged_state(a)
     pure = coherent_state(alpha_sq=a)
-    probs = np.abs(pure.components[0].coeffs) ** 2
-    for n, w in enumerate(mixed.weights[: len(probs)]):
+    probs = np.abs(pure.amplitudes) ** 2
+    for n, w in enumerate(mixed.populations[: len(probs)]):
         assert w == pytest.approx(probs[n], rel=1e-12)
     m1 = mixed.factorial_moments()
     m2 = pure.factorial_moments()
@@ -165,6 +165,111 @@ def test_phase_averaged_components_are_number_states():
     for n, comp in enumerate(mixed.components):
         assert abs(comp.coeffs[n]) == 1.0
         assert np.count_nonzero(comp.coeffs) == 1
+
+
+def component_sums(state) -> tuple[float, float, float]:
+    """Norm and factorial moments summed per pure component, then weighted.
+
+    The populations route replaces this O(n_cut^2) loop over the one-hot
+    components of a mixture; it stays here as the oracle.
+    """
+    weights = [1.0] if state.is_pure else state.populations
+    norm = n1 = n2 = 0.0
+    for w, comp in zip(weights, state.components):
+        p = np.abs(comp.coeffs) ** 2
+        n = np.arange(len(p))
+        norm += float(w) * math.fsum(p)
+        n1 += float(w) * math.fsum(n * p)
+        n2 += float(w) * math.fsum(n * (n - 1) * p)
+    return norm, n1, n2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["thermal", "phase_averaged"]),
+    mean=st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
+    tail_tol=st.floats(min_value=1e-12, max_value=1e-2),
+)
+def test_mixture_sums_match_component_oracle(kind, mean, tail_tol):
+    # phase-averaged means run to 190, thermal ones to 10: n_cut <= 300 both
+    param = "alpha_sq" if kind == "phase_averaged" else "nbar"
+    scale = 19.0 if kind == "phase_averaged" else 1.0
+    state = make_state(kind, {param: mean * scale}, tail_tol=tail_tol)
+    assert state.n_cut <= 300
+    norm, n1, n2 = component_sums(state)
+    assert state.norm_sq() == pytest.approx(norm, rel=1e-14, abs=0.0)
+    assert state.factorial_moments()[0] == pytest.approx(n1, rel=1e-14, abs=0.0)
+    assert state.factorial_moments()[1] == pytest.approx(n2, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        coherent_state(alpha_sq=0.0),
+        coherent_state(alpha=1.0 + 2.0j),
+        coherent_state(alpha_sq=1000.0),
+        coherent_state(alpha_sq=6.0, n_cut=4, tail_tol=1.0),
+        number_state(0),
+        number_state(7),
+        superposition_state([0.6, 0.0, 0.8j]),
+        superposition_state(np.full(9, 1.0 / 3.0)),
+    ],
+    ids=lambda s: s.kind,
+)
+def test_pure_state_sums_are_the_amplitude_sums(state):
+    # exact equality: a pure state's moments keep their bytes
+    p = np.abs(state.amplitudes) ** 2
+    n = np.arange(len(p))
+    assert np.array_equal(state.populations, p)
+    assert state.norm_sq() == math.fsum(p)
+    assert state.factorial_moments() == (math.fsum(n * p), math.fsum(n * (n - 1) * p))
+    assert component_sums(state) == (state.norm_sq(), *state.factorial_moments())
+
+
+def test_large_thermal_moments_match_truncated_geometric_sums():
+    # G(x) = sum_{n <= N} x^n = (1 - x^(N+1)) / (1 - x), so with p_n = (1 - r) r^n
+    # the truncated sums are (1 - r) times G(r), r G'(r) and r^2 G''(r)
+    nbar = 60
+    state = thermal_state(nbar)
+    N = state.n_cut
+    with mpmath.workdps(40):
+        r = mpmath.mpf(nbar) / (1 + nbar)
+
+        def G(x):
+            return (1 - x ** (N + 1)) / (1 - x)
+
+        exact = [
+            (1 - r) * G(r),
+            (1 - r) * r * mpmath.diff(G, r, 1),
+            (1 - r) * r**2 * mpmath.diff(G, r, 2),
+        ]
+    got = [state.norm_sq(), *state.factorial_moments()]
+    for value, oracle in zip(got, exact):
+        assert value == pytest.approx(float(oracle), rel=1e-13, abs=0.0)
+
+
+def test_large_phase_averaged_moments_match_high_precision_sum():
+    mean = 1e4
+    state = phase_averaged_state(mean)
+    with mpmath.workdps(30):
+        p = mpmath.exp(-mpmath.mpf(mean))
+        norm = n1 = n2 = mpmath.mpf(0)
+        for n in range(state.n_cut + 1):
+            norm += p
+            n1 += n * p
+            n2 += n * (n - 1) * p
+            p *= mean / (n + 1)
+    got = [state.norm_sq(), *state.factorial_moments()]
+    for value, oracle in zip(got, (norm, n1, n2)):
+        assert value == pytest.approx(float(oracle), rel=1e-13, abs=0.0)
+
+
+def test_mixture_components_are_built_on_demand():
+    state = thermal_state(3.0)
+    assert "components" not in vars(state)
+    comps = state.components
+    assert state.components is comps
+    assert max(len(c.coeffs) - 1 for c in comps) == state.n_cut
 
 
 def test_superposition_requires_normalization():
@@ -219,9 +324,9 @@ def test_make_state_dispatch():
 def test_to_fock_vector_embeds_lowest_mode():
     basis = FockBasis(3, 4)
     state = coherent_state(alpha_sq=1.0, n_cut=4, tail_tol=1.0)
-    v = to_fock_vector(state.components[0], basis)
+    v = to_fock_vector(state.amplitudes, basis)
     for n in range(5):
-        assert v.amplitudes[basis.index[(n, 0, 0)]] == state.components[0].coeffs[n]
+        assert v.amplitudes[basis.index[(n, 0, 0)]] == state.amplitudes[n]
     assert np.count_nonzero(v.amplitudes) == 5
 
 
@@ -229,7 +334,7 @@ def test_to_fock_vector_rejects_overflow():
     basis = FockBasis(2, 2)
     state = number_state(3)
     with pytest.raises(ValueError):
-        to_fock_vector(state.components[0], basis)
+        to_fock_vector(state.amplitudes, basis)
 
 
 def test_negative_inputs_rejected():
