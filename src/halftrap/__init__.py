@@ -11,8 +11,8 @@ closed forms.
 
 Layout: `orbitals` builds half-line overlap tables of oscillator
 eigenfunctions, `fock` the truncated many-body operators, `states` the
-initial gas states, `moments` the probe-block moments including the
-truncation extrapolation, `evolution` the pulse dynamics, `measurement`
+initial gas states, `moments` the probe-block moments at finite truncation
+and in the infinite-mode limit, `evolution` the pulse dynamics, `measurement`
 the post-selection, `entanglement` the negativity and fidelity measures,
 and `harness` the config/sweep/acceptance tooling behind the `halftrap`
 command.
@@ -62,18 +62,14 @@ from .measurement import (
 )
 from .moments import (
     ProbeBlockMoments,
-    TruncationSums,
     analytic_limit_moments,
-    extrapolated_moments,
     moments_from_fock,
     moments_from_state,
-    truncation_sums,
 )
 from .orbitals import (
     OscillatorParams,
     OverlapTable,
     build_overlap_table,
-    eval_orbital,
     write_table_csv,
 )
 from .states import (
@@ -97,7 +93,6 @@ __all__ = [
     "OscillatorParams",
     "OverlapTable",
     "build_overlap_table",
-    "eval_orbital",
     "write_table_csv",
     # fock
     "FockBasis",
@@ -124,12 +119,9 @@ __all__ = [
     "to_fock_vector",
     # moments
     "ProbeBlockMoments",
-    "TruncationSums",
     "analytic_limit_moments",
-    "extrapolated_moments",
     "moments_from_fock",
     "moments_from_state",
-    "truncation_sums",
     # evolution
     "DEFAULT_DIM_CAP",
     "DimensionCapError",

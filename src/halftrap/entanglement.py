@@ -53,7 +53,8 @@ def negativity(rho: BipartiteDensity) -> float:
     four = rho.matrix.reshape(rho.d_A, rho.d_B, rho.d_A, rho.d_B)
     pt = four.transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
     eigs = np.linalg.eigvalsh(pt)
-    return float(-eigs[eigs < 0.0].sum())
+    # abs, not negation: with no negative eigenvalue the sum is 0.0, never -0.0
+    return float(abs(eigs[eigs < 0.0].sum()))
 
 
 def probe_block_density(block: ProbeBlock) -> BipartiteDensity:

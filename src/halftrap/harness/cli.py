@@ -79,8 +79,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
-    table = build_overlap_table(cfg.K)
-    block = single_block(cfg, table)
+    block = single_block(cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     counts = sample_outcomes(block, args.shots, seed)
     print(f"p_succ = {block.p_succ:.17g}")

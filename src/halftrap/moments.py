@@ -12,18 +12,28 @@ same way. This path scales to large K and large mean particle number without
 ever building a Fock space; the explicit Fock path (module fock)
 cross-validates it on small instances.
 
-The overlap column decays as k^(-3/4), so the truncated sums T_IJ converge
-only like K^(-1/2). `extrapolated_moments` removes that tail by Richardson
-extrapolation in K over a ladder of prefix sums of one table, which is exact
-here because the moments are affine in the tails; the residual drops to
-O(K^(-5/2)), far below every tolerance used downstream.
+The moments read only column 0 of the overlap table, and that column
+collapses to one series. By parity lambda^L_00 = lambda^R_00 = 1/2, the
+even entries below them vanish, and the odd ones obey
+lambda^L_k0 = -lambda^R_k0; the Wronskian value of an odd entry
+k = 2m + 1 is
+
+    (lambda^R_k0)^2 = C(2m, m) / (4^m 2 pi (2m + 1)).
+
+Hence T_LL = T_RR = 1/4 + s(K) and T_LR = 1/4 - s(K), with
+
+    s(K) = (1/2pi) sum_{m < floor(K/2)} C(2m, m) / (4^m (2m + 1)),
+
+the Taylor series of arcsin(x) / 2pi at x = 1. Its limit arcsin(1) / 2pi
+= 1/4 is the completeness limit T_LL = T_RR = 1/2, T_LR = 0, which
+`analytic_limit_moments` evaluates exactly; the partial sum converges only
+like K^(-1/2), so a finite K leaves that tail in T_LR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
-from typing import NamedTuple
+from math import fsum, pi
 
 import numpy as np
 
@@ -32,21 +42,13 @@ from .states import TrapState, to_fock_vector
 
 __all__ = [
     "ProbeBlockMoments",
-    "TruncationSums",
-    "truncation_sums",
     "moments_from_state",
     "moments_from_fock",
     "analytic_limit_moments",
-    "extrapolated_moments",
 ]
 
-_EXTRAPOLATION_EXPONENTS = (0.0, 0.5, 1.5)
-
-
-class TruncationSums(NamedTuple):
-    T_LL: float
-    T_LR: float
-    T_RR: float
+# series terms per block: memory stays bounded at any K
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,60 +79,43 @@ class ProbeBlockMoments:
         return self.mLL + self.mRR
 
 
-def truncation_sums(table: OverlapTable, K: int | None = None) -> TruncationSums:
-    """Compensated prefix sums T_IJ = sum_{k<K} lambda^I_k0 lambda^J_k0.
-
-    The L/R cross sum loses all but K^(-1/2) of itself to cancellation, so
-    every sum is accumulated error-free via fsum.
-    """
-    kmax = table.K if K is None else K
-    if not 1 <= kmax <= table.K:
-        raise ValueError(f"prefix length {kmax} outside 1..{table.K}")
-    colL = table.lambdaL[:kmax, 0]
-    colR = table.lambdaR[:kmax, 0]
-    t_ll = fsum((colL * colL).tolist())
-    t_lr = fsum((colL * colR).tolist())
-    t_rr = fsum((colR * colR).tolist())
-    return TruncationSums(t_ll, t_lr, t_rr)
+def _arcsin_terms(M: int):
+    """C(2m, m) / (4^m (2m + 1)) for m < M, block by block."""
+    central = 1.0  # C(2m, m) / 4^m at the first m of the block
+    for lo in range(0, M, _BLOCK):
+        m = np.arange(lo, min(lo + _BLOCK, M), dtype=float)
+        # C(2m+2, m+1) / 4^(m+1) = C(2m, m) / 4^m * (2m+1) / (2m+2); the
+        # running product carries over to the next block in its last entry
+        run = np.cumprod(np.concatenate(([central], (2.0 * m + 1.0) / (2.0 * m + 2.0))))
+        central = run[-1]
+        yield from (run[:-1] / (2.0 * m + 1.0)).tolist()
 
 
 def _assemble(
-    state: TrapState,
-    sums: TruncationSums,
-    lam00_L: float,
-    lam00_R: float,
-    provenance: str,
-    K: int | None,
-    diagnostics: dict,
+    state: TrapState, s: float, provenance: str, K: int | None
 ) -> ProbeBlockMoments:
+    """m_IJ from T_LL = T_RR = 1/4 + s, T_LR = 1/4 - s and lambda_00 = 1/2."""
     n1, n2 = state.factorial_moments()
-    mLL = sums.T_LL * n1 + lam00_L * lam00_L * n2
-    mRR = sums.T_RR * n1 + lam00_R * lam00_R * n2
-    mLR = sums.T_LR * n1 + lam00_L * lam00_R * n2
-    diagnostics = dict(diagnostics)
-    diagnostics.setdefault("tail_mass", state.tail_mass)
+    diag = (0.25 + s) * n1 + 0.25 * n2
     return ProbeBlockMoments(
-        mLL=mLL,
-        mRR=mRR,
-        mLR=complex(mLR),
+        mLL=diag,
+        mRR=diag,
+        mLR=complex((0.25 - s) * n1 + 0.25 * n2),
         provenance=provenance,
         K=K,
-        diagnostics=diagnostics,
+        diagnostics={"tail_mass": state.tail_mass},
     )
 
 
-def moments_from_state(state: TrapState, table: OverlapTable) -> ProbeBlockMoments:
-    """Finite-K block moments, same truncation as the table."""
-    sums = truncation_sums(table)
-    return _assemble(
-        state,
-        sums,
-        float(table.lambdaL[0, 0]),
-        float(table.lambdaR[0, 0]),
-        provenance="finite-K",
-        K=table.K,
-        diagnostics={"T_LR_raw": sums.T_LR},
-    )
+def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
+    """Block moments truncated to the lowest K trap modes.
+
+    s(K) is summed exactly rounded (fsum), in O(K) time and bounded memory.
+    """
+    if K < 1:
+        raise ValueError(f"mode count must be >= 1, got {K}")
+    s = fsum(_arcsin_terms(K // 2)) / (2.0 * pi)
+    return _assemble(state, s, provenance="finite-K", K=K)
 
 
 def moments_from_fock(state: TrapState, table: OverlapTable, n_max: int) -> ProbeBlockMoments:
@@ -173,51 +158,5 @@ def moments_from_fock(state: TrapState, table: OverlapTable, n_max: int) -> Prob
 
 
 def analytic_limit_moments(state: TrapState) -> ProbeBlockMoments:
-    """Block moments in the infinite-mode limit: T_LL = T_RR = 1/2, T_LR = 0."""
-    sums = TruncationSums(0.5, 0.0, 0.5)
-    return _assemble(
-        state, sums, 0.5, 0.5, provenance="analytic-limit", K=None, diagnostics={}
-    )
-
-
-def _richardson(values: np.ndarray, ladder: tuple[int, ...]) -> float:
-    """Leading coefficient of a fit in powers K^(-e) over the ladder."""
-    A = np.array([[k ** -e for e in _EXTRAPOLATION_EXPONENTS] for k in ladder])
-    coeffs = np.linalg.solve(A, values)
-    return float(coeffs[0])
-
-
-def extrapolated_moments(state: TrapState, table: OverlapTable) -> ProbeBlockMoments:
-    """Block moments with the K^(-1/2) truncation tail extrapolated away.
-
-    The three prefix sums are evaluated at K/4, K/2 and K and fitted to
-    a + b K^(-1/2) + c K^(-3/2); the constant term is the extrapolated sum.
-    Entry (0,0) is exact at any truncation and is used as is.
-    """
-    if table.K % 4 != 0 or table.K < 32:
-        raise ValueError(
-            f"default ladder needs K divisible by 4 and >= 32, got K={table.K}; "
-            "set moments.extrapolate = false, or a table.K >= 32 divisible by 4"
-        )
-    ladder = (table.K // 4, table.K // 2, table.K)
-    per_rung = [truncation_sums(table, k) for k in ladder]
-    sums = TruncationSums(
-        *(
-            _richardson(np.array([s[i] for s in per_rung]), ladder)
-            for i in range(3)
-        )
-    )
-    raw = per_rung[-1]
-    return _assemble(
-        state,
-        sums,
-        float(table.lambdaL[0, 0]),
-        float(table.lambdaR[0, 0]),
-        provenance="extrapolated-K",
-        K=table.K,
-        diagnostics={
-            "ladder": ladder,
-            "T_LR_raw": raw.T_LR,
-            "T_LR_extrapolated": sums.T_LR,
-        },
-    )
+    """Block moments in the infinite-mode limit s = 1/4: T_LL = T_RR = 1/2, T_LR = 0."""
+    return _assemble(state, 0.25, provenance="analytic-limit", K=None)

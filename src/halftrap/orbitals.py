@@ -16,14 +16,9 @@ import numpy as np
 __all__ = [
     "OscillatorParams",
     "OverlapTable",
-    "eval_orbital",
     "build_overlap_table",
     "write_table_csv",
 ]
-
-# Beyond this squared dimensionless coordinate the ground-state Gaussian
-# underflows double precision; all orbitals are returned as exact zeros there.
-_UNDERFLOW_XI_SQ = 1500.0
 
 
 @dataclass(frozen=True)
@@ -66,44 +61,6 @@ class OverlapTable:
             if arr.shape != (self.K, self.K):
                 raise ValueError(f"{name} must be {self.K}x{self.K}, got {arr.shape}")
             arr.setflags(write=False)
-
-
-def _hermite_functions(kmax: int, xi: np.ndarray) -> np.ndarray:
-    """Normalized Hermite functions psi_0..psi_{kmax-1} on dimensionless xi.
-
-    Upward recurrence psi_{k+1} = sqrt(2/(k+1)) xi psi_k - sqrt(k/(k+1)) psi_{k-1},
-    stable for the oscillatory region covered here. Points beyond the underflow
-    radius are forced to exact zero so no overflow or NaN can be produced.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    dead = ~(np.abs(xi) < np.sqrt(_UNDERFLOW_XI_SQ))  # catches inf and nan too
-    safe = np.where(dead, 0.0, xi)
-    out = np.zeros((kmax, xi.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * safe * safe)
-    if kmax > 1:
-        out[1] = np.sqrt(2.0) * safe * out[0]
-    for k in range(2, kmax):
-        out[k] = np.sqrt(2.0 / k) * safe * out[k - 1] - np.sqrt((k - 1) / k) * out[k - 2]
-    if dead.any():
-        out[:, dead] = 0.0
-    return out
-
-
-def eval_orbital(k: int, x, params: OscillatorParams = OscillatorParams()):
-    """Evaluate the k-th trap orbital phi_k at position(s) x.
-
-    Normalized so the squared orbital integrates to one. Far outside the
-    classical turning point the value underflows; exact zero is returned
-    there instead of propagating non-finite intermediates.
-    """
-    if k < 0:
-        raise ValueError(f"mode index must be non-negative, got {k}")
-    scale = params.m * params.omega
-    xi = np.sqrt(scale) * np.asarray(x, dtype=float)
-    vals = scale ** 0.25 * _hermite_functions(k + 1, xi.ravel())[k]
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals.reshape(np.shape(x))
 
 
 def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -> OverlapTable:

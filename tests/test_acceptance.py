@@ -13,7 +13,7 @@ import time
 from halftrap.evolution import ProbeParams, Pulse
 from halftrap.harness.accept import TARGETS
 from halftrap.measurement import block_from_moments, sample_outcomes
-from halftrap.moments import extrapolated_moments
+from halftrap.moments import analytic_limit_moments
 from halftrap.states import coherent_state
 
 
@@ -69,7 +69,7 @@ def test_mixture_negativities(accept_cfg):
     assert ok, detail
 
 
-def test_deterministic_outputs(accept_cfg, table512, tmp_path, cli_env):
+def test_deterministic_outputs(accept_cfg, tmp_path, cli_env):
     ok, detail = _run("determinism", accept_cfg)
     assert ok, detail
 
@@ -103,7 +103,7 @@ def test_deterministic_outputs(accept_cfg, table512, tmp_path, cli_env):
 
     # and seeded sampling reproduces exactly inside one process
     block = block_from_moments(
-        extrapolated_moments(coherent_state(alpha_sq=2.0), table512),
+        analytic_limit_moments(coherent_state(alpha_sq=2.0)),
         pulse=Pulse.square(T=1.0, g0=0.05),
         probe=ProbeParams(),
     )

@@ -11,7 +11,7 @@ from halftrap.entanglement import (
     probe_block_density,
 )
 from halftrap.measurement import ProbeBlock, block_from_moments
-from halftrap.moments import extrapolated_moments
+from halftrap.moments import analytic_limit_moments
 from halftrap.states import coherent_state, number_state
 
 
@@ -79,9 +79,9 @@ def test_fidelity_closed_form_limits():
     assert f_small == pytest.approx(1.0 / np.sqrt(201.0), abs=1e-9)
 
 
-def test_fidelity_from_table_matches_closed_form(table512):
+def test_fidelity_from_table_matches_closed_form():
     state = coherent_state(alpha_sq=2.0)
-    f = disturbance_fidelity(state, extrapolated_moments(state, table512))
+    f = disturbance_fidelity(state, analytic_limit_moments(state))
     assert f == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
 
 
@@ -90,12 +90,12 @@ def test_fidelity_requires_coherent_input():
         disturbance_fidelity(number_state(2))
 
 
-def test_extraction_and_disturbance_grow_together(table512):
+def test_extraction_and_disturbance_grow_together():
     # duality: a stronger gas yields more negativity and a less disturbed trap
     mus, fids = [], []
     for a in (1.0, 2.0, 4.0, 8.0, 16.0):
         state = coherent_state(alpha_sq=a)
-        mom = extrapolated_moments(state, table512)
+        mom = analytic_limit_moments(state)
         block = block_from_moments(mom)
         mus.append(negativity(probe_block_density(block)))
         fids.append(disturbance_fidelity(state, mom))

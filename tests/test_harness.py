@@ -7,7 +7,7 @@ from math import sqrt
 
 import pytest
 
-from halftrap import fock
+from halftrap import fock, orbitals
 from halftrap.entanglement import negativity_closed_form
 from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
@@ -19,11 +19,11 @@ from halftrap.harness.config import (
 from halftrap.harness.sweep import (
     evaluate_point,
     run_sweep,
+    single_block,
     write_plot_data,
     write_sweep_csv,
 )
 from halftrap.moments import moments_from_state
-from halftrap.orbitals import build_overlap_table
 from halftrap.states import number_state
 
 
@@ -145,7 +145,7 @@ def test_number_sweep_matches_closed_form(table512):
         assert r.mu == pytest.approx(expected, abs=1e-6)
         assert r.mu_closed_form == pytest.approx(expected, rel=1e-15)
         assert r.fidelity is None
-        assert r.provenance == "extrapolated-K"
+        assert r.provenance == "analytic-limit"
         assert 0.0 < r.p_succ < 1.0
 
 
@@ -237,7 +237,7 @@ def test_fock_path_agrees_with_series_route(table6):
     row = evaluate_point(cfg, table6)
     assert row.error == ""
     assert row.provenance == "fock-K"
-    reference = moments_from_state(number_state(2), table6)
+    reference = moments_from_state(number_state(2), table6.K)
     assert row.mLL == pytest.approx(reference.mLL, rel=1e-12)
     assert row.mu == pytest.approx(
         abs(reference.mLR) / (reference.mLL + reference.mRR), rel=1e-12
@@ -247,8 +247,7 @@ def test_fock_path_agrees_with_series_route(table6):
 @pytest.mark.parametrize("state", ["coherent", "number"])
 @pytest.mark.parametrize("extrapolate", ["true", "false"])
 def test_extrapolate_key_is_honoured_or_refused(state, extrapolate):
-    # K = 30 has no default extrapolation ladder: with the key on, every
-    # moment-route point reports that instead of running finite-K silently
+    # honoured at any K, here one that is not a multiple of 4
     param = "alpha_sq" if state == "coherent" else "number_n"
     cfg = ExperimentConfig.from_entries(
         {
@@ -259,14 +258,10 @@ def test_extrapolate_key_is_honoured_or_refused(state, extrapolate):
             "sweep.values": "2",
         }
     )
-    (row,) = run_sweep(cfg, table=build_overlap_table(30))
-    if extrapolate == "true":
-        assert "default ladder needs K divisible by 4 and >= 32" in row.error
-        assert row.mu != row.mu  # NaN
-    else:
-        assert row.error == ""
-        assert row.provenance == "finite-K"
-        assert (row.fidelity is not None) == (state == "coherent")
+    (row,) = run_sweep(cfg)
+    assert row.error == ""
+    assert row.provenance == ("analytic-limit" if extrapolate == "true" else "finite-K")
+    assert (row.fidelity is not None) == (state == "coherent")
 
 
 def test_large_amplitude_coherent_sweep_completes(table512):
@@ -290,9 +285,9 @@ def test_large_phase_averaged_point_matches_coherent_closed_form(table512):
     assert abs(row.mu - negativity_closed_form("coherent", 1e4)) <= cfg.mu_tol
 
 
-def _count_lambda_builds(monkeypatch) -> list:
-    """Patch every module binding of build_lambda_operator to log its side."""
-    original = fock.build_lambda_operator
+def _count_calls(monkeypatch, owner, attr: str) -> list:
+    """Patch every module binding of owner.attr to log its first argument."""
+    original = getattr(owner, attr)
     calls = []
 
     def counting(*args, **kwargs):
@@ -300,13 +295,13 @@ def _count_lambda_builds(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("halftrap") and getattr(module, "build_lambda_operator", None) is original:
-            monkeypatch.setattr(module, "build_lambda_operator", counting)
+        if name.startswith("halftrap") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counting)
     return calls
 
 
 def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
-    calls = _count_lambda_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
     cfg = ExperimentConfig.from_entries(
         {
             "state": "number",
@@ -325,10 +320,32 @@ def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
 
 def test_perturbation_target_builds_each_lambda_operator_once(accept_cfg, monkeypatch):
     # the first-order model reuses the operators of the Hamiltonian it is checked against
-    calls = _count_lambda_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
     ok, detail = TARGETS["perturbation"](accept_cfg)
     assert ok, detail
     assert sorted(calls) == ["L", "R"]
+
+
+@pytest.mark.parametrize("path, builds", [("moments", 0), ("fock", 1), ("exact", 1)])
+def test_only_the_fock_and_exact_routes_build_a_table(path, builds, monkeypatch):
+    calls = _count_calls(monkeypatch, orbitals, "build_overlap_table")
+    cfg = ExperimentConfig.from_entries(
+        {
+            "state": "number",
+            "number_n": "2",
+            "path": path,
+            "table.K": "4",
+            "fock.n_max": "3",
+            "probe.levels": "4",
+            "pulse.T": "0.05",
+            "sweep.param": "number_n",
+            "sweep.values": "2, 3",
+        }
+    )
+    assert [row.error for row in run_sweep(cfg)] == ["", ""]
+    assert calls == [4] * builds
+    single_block(cfg)
+    assert calls == [4] * (2 * builds)
 
 
 # ---------------------------------------------------------------- CLI
@@ -354,15 +371,35 @@ def test_cli_import_leaves_scipy_stats_unloaded(cli_env):
 
 def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):
     # a 10^8 x 10^8 float64 matrix (71 PiB) exceeds any address space, and
-    # build_overlap_table allocates it before anything else
+    # build_overlap_table allocates it before anything else; of the sample
+    # routes only fock and exact read the table
     for args in (
-        ["sample", "--shots", "10", "--set", "table.K=100000000"],
+        ["sample", "--shots", "10", "--set", "path=fock", "--set", "table.K=100000000"],
         ["lambda", "--K", "100000000", "--out", str(tmp_path / "t.csv")],
     ):
         proc = _cli(args, cli_env)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("extrapolate", ["true", "false"])
+def test_cli_moment_route_samples_at_a_million_modes(extrapolate, cli_env):
+    # the moment route reads no K x K table: finite K costs O(K) time only
+    proc = _cli(
+        [
+            "sample",
+            "--set",
+            "table.K=1000000",
+            "--set",
+            f"moments.extrapolate={extrapolate}",
+            "--shots",
+            "100",
+        ],
+        cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("p_succ = ")
 
 
 def test_cli_lambda_writes_table(tmp_path, cli_env):

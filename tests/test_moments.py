@@ -1,5 +1,8 @@
-"""Probe-block moments: closed form, explicit cross-check, extrapolation."""
+"""Probe-block moments: closed form, explicit cross-check, infinite-K limit."""
 
+from math import fsum
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,10 @@ from hypothesis import strategies as st
 from halftrap.moments import (
     ProbeBlockMoments,
     analytic_limit_moments,
-    extrapolated_moments,
     moments_from_fock,
     moments_from_state,
-    truncation_sums,
 )
+from halftrap.orbitals import build_overlap_table
 from halftrap.states import (
     coherent_state,
     number_state,
@@ -22,8 +24,8 @@ from halftrap.states import (
 )
 
 
-def test_vacuum_has_no_moments(table64):
-    mom = moments_from_state(number_state(0), table64)
+def test_vacuum_has_no_moments():
+    mom = moments_from_state(number_state(0), 64)
     assert mom.mLL == 0.0
     assert mom.mRR == 0.0
     assert mom.mLR == 0.0
@@ -48,9 +50,9 @@ def test_coherent_analytic_values():
     assert mom.S == pytest.approx(4.0, abs=1e-9)
 
 
-def test_coherent_phase_drops_out(table64):
-    plain = moments_from_state(coherent_state(alpha=np.sqrt(2.0)), table64)
-    rotated = moments_from_state(coherent_state(alpha=np.sqrt(2.0) * 1.0j), table64)
+def test_coherent_phase_drops_out():
+    plain = moments_from_state(coherent_state(alpha=np.sqrt(2.0)), 64)
+    rotated = moments_from_state(coherent_state(alpha=np.sqrt(2.0) * 1.0j), 64)
     assert rotated.mLR.imag == pytest.approx(0.0, abs=1e-14)
     assert rotated.mLR.real == pytest.approx(plain.mLR.real, rel=1e-12)
     assert rotated.mLL == pytest.approx(plain.mLL, rel=1e-12)
@@ -64,14 +66,41 @@ def test_thermal_moment_structure():
     assert mom.S == pytest.approx(nbar + nbar**2, rel=1e-8)
 
 
-def test_truncation_sums_prefix_validation(table64):
-    sums = truncation_sums(table64)
-    assert sums.T_LL == sums.T_RR
-    assert 0.9 < sums.T_LL + sums.T_RR < 1.0
-    with pytest.raises(ValueError):
-        truncation_sums(table64, K=0)
-    with pytest.raises(ValueError):
-        truncation_sums(table64, K=65)
+# one particle: E[n] = 1 and E[n(n-1)] = 0, so the moments are the sums T_IJ(K)
+_SERIES_KS = (1, 2, 7, 8, 64, 512, 4096)
+
+
+@pytest.mark.parametrize("K", _SERIES_KS)
+def test_truncation_sums_match_table_columns(K):
+    # oracle: the compensated sums over column 0 of the Wronskian table
+    table = build_overlap_table(K)
+    colL = table.lambdaL[:, 0]
+    colR = table.lambdaR[:, 0]
+    mom = moments_from_state(number_state(1), K)
+    assert mom.provenance == "finite-K"
+    assert mom.K == K
+    assert abs(mom.mLL - fsum((colL * colL).tolist())) <= 1e-15
+    assert abs(mom.mRR - fsum((colR * colR).tolist())) <= 1e-15
+    assert abs(mom.mLR.real - fsum((colL * colR).tolist())) <= 1e-15
+    assert mom.mLR.imag == 0.0
+
+
+@pytest.mark.parametrize("K", [64, 512, 4096])
+def test_cross_sum_matches_high_precision_series(K):
+    # oracle: T_LR = 1/4 - (1/2pi) sum_{m < K/2} C(2m, m) / (4^m (2m + 1)) in 40 digits
+    with mpmath.workdps(40):
+        s = mpmath.fsum(
+            mpmath.binomial(2 * m, m) / (mpmath.mpf(4) ** m * (2 * m + 1))
+            for m in range(K // 2)
+        ) / (2 * mpmath.pi)
+        exact = mpmath.mpf(1) / 4 - s
+        rel = abs((moments_from_state(number_state(1), K).mLR.real - exact) / exact)
+    assert rel <= 1e-13
+
+
+def test_mode_count_validation():
+    with pytest.raises(ValueError, match="mode count must be >= 1"):
+        moments_from_state(number_state(1), 0)
 
 
 def test_moments_match_fock_expectations(table6):
@@ -83,7 +112,7 @@ def test_moments_match_fock_expectations(table6):
         superposition_state(np.array([0.6, 0.0, 0.8])),
     ]
     for state in batch:
-        closed = moments_from_state(state, table6)
+        closed = moments_from_state(state, table6.K)
         explicit = moments_from_fock(state, table6, n_max=4)
         assert closed.mLL == pytest.approx(explicit.mLL, abs=1e-12)
         assert closed.mRR == pytest.approx(explicit.mRR, abs=1e-12)
@@ -101,59 +130,38 @@ def test_fock_route_refuses_states_past_its_basis(state, table6):
 
 
 def test_finite_truncation_error_decays():
-    from halftrap.orbitals import build_overlap_table
-
     state = coherent_state(alpha_sq=4.0)
     target = 0.5 * 4.0 / (2.0 + 4.0)
     errors = []
     for K in (8, 32, 128, 512):
-        table = build_overlap_table(K)
-        mom = moments_from_state(state, table)
+        mom = moments_from_state(state, K)
         errors.append(abs(abs(mom.mLR) / mom.S - target))
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < errors[0] / 5
 
 
-def test_extrapolation_removes_truncation_tail(table512):
+def test_extrapolation_removes_truncation_tail():
     state = coherent_state(alpha_sq=4.0)
     target = 0.5 * 4.0 / (2.0 + 4.0)
-    raw = moments_from_state(state, table512)
-    fit = extrapolated_moments(state, table512)
+    raw = moments_from_state(state, 512)
+    fit = analytic_limit_moments(state)
     raw_err = abs(abs(raw.mLR) / raw.S - target)
     fit_err = abs(abs(fit.mLR) / fit.S - target)
     assert fit_err < 1e-6
     assert fit_err < raw_err / 100
 
 
-def test_extrapolation_diagnostics(table512):
-    fit = extrapolated_moments(number_state(1), table512)
-    assert fit.provenance == "extrapolated-K"
-    assert fit.diagnostics["ladder"] == (128, 256, 512)
-    # the raw cross sum is visibly nonzero, the extrapolated one is not
-    assert abs(fit.diagnostics["T_LR_raw"]) > 1e-3
-    assert abs(fit.diagnostics["T_LR_extrapolated"]) < 1e-6
-
-
-def test_extrapolation_ladder_validation(table8):
-    # the ladder K/4, K/2, K needs K >= 32; the error names both fixes
-    with pytest.raises(ValueError) as err:
-        extrapolated_moments(number_state(1), table8)
-    assert "default ladder needs K divisible by 4 and >= 32, got K=8" in str(err.value)
-    assert "moments.extrapolate = false" in str(err.value)
-    assert "table.K >= 32 divisible by 4" in str(err.value)
-
-
-def test_phase_averaged_equals_coherent(table512):
+def test_phase_averaged_equals_coherent():
     a = 2.0
-    mixed = extrapolated_moments(phase_averaged_state(a), table512)
-    pure = extrapolated_moments(coherent_state(alpha_sq=a), table512)
+    mixed = analytic_limit_moments(phase_averaged_state(a))
+    pure = analytic_limit_moments(coherent_state(alpha_sq=a))
     assert abs(mixed.mLR - pure.mLR) < 1e-12
     assert mixed.mLL == pytest.approx(pure.mLL, abs=1e-12)
     assert mixed.S == pytest.approx(pure.S, abs=1e-12)
 
 
-def test_left_right_symmetry(table64):
-    mom = moments_from_state(coherent_state(alpha_sq=2.0), table64)
+def test_left_right_symmetry():
+    mom = moments_from_state(coherent_state(alpha_sq=2.0), 64)
     assert mom.mLL == pytest.approx(mom.mRR, abs=1e-14)
 
 
@@ -168,12 +176,12 @@ def test_left_right_symmetry(table64):
         max_size=6,
     )
 )
-def test_moments_obey_cauchy_schwarz(raw, table64):
+def test_moments_obey_cauchy_schwarz(raw):
     c = np.array([complex(re, im) for re, im in raw])
     norm = np.linalg.norm(c)
     if norm < 1e-6:
         return
-    mom = moments_from_state(superposition_state(c / norm), table64)
+    mom = moments_from_state(superposition_state(c / norm), 64)
     assert mom.mLL >= -1e-15
     assert mom.mRR >= -1e-15
     assert abs(mom.mLR) ** 2 <= mom.mLL * mom.mRR + 1e-9
