@@ -124,6 +124,8 @@ def _exact_block(
 
 def _table_for(cfg: ExperimentConfig, table: OverlapTable | None) -> OverlapTable | None:
     """The overlap table the configured route reads: only fock and exact read one."""
+    if table is not None and table.K != cfg.K:
+        raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
     if table is None and cfg.path != "moments":
         table = build_overlap_table(cfg.K)
     return table

@@ -224,6 +224,24 @@ def test_plot_data_rows(table512):
     assert series.count("fidelity") == 2
 
 
+@pytest.mark.parametrize("path", ["moments", "fock"])
+def test_table_of_another_size_is_refused(path, table6):
+    # table.K is honoured on every route: a table built for other K is not used
+    cfg = ExperimentConfig.from_entries(
+        {
+            "state": "number",
+            "path": path,
+            "table.K": "8",
+            "sweep.param": "number_n",
+            "sweep.values": "2",
+        }
+    )
+    for call in (run_sweep, single_block):
+        with pytest.raises(ConfigError) as err:
+            call(cfg, table6)
+        assert err.value.fieldname == "table.K"
+
+
 def test_fock_path_agrees_with_series_route(table6):
     cfg = ExperimentConfig.from_entries(
         {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halftrap import moments
 from halftrap.moments import (
     ProbeBlockMoments,
     analytic_limit_moments,
@@ -66,13 +67,10 @@ def test_thermal_moment_structure():
     assert mom.S == pytest.approx(nbar + nbar**2, rel=1e-8)
 
 
-# one particle: E[n] = 1 and E[n(n-1)] = 0, so the moments are the sums T_IJ(K)
-_SERIES_KS = (1, 2, 7, 8, 64, 512, 4096)
-
-
-@pytest.mark.parametrize("K", _SERIES_KS)
+@pytest.mark.parametrize("K", [1, 2, 7, 8, 64, 512, 4096])
 def test_truncation_sums_match_table_columns(K):
-    # oracle: the compensated sums over column 0 of the Wronskian table
+    # oracle: the compensated sums over column 0 of the Wronskian table; one
+    # particle has E[n] = 1 and E[n(n-1)] = 0, so its moments are the sums T_IJ
     table = build_overlap_table(K)
     colL = table.lambdaL[:, 0]
     colR = table.lambdaR[:, 0]
@@ -96,6 +94,14 @@ def test_cross_sum_matches_high_precision_series(K):
         exact = mpmath.mpf(1) / 4 - s
         rel = abs((moments_from_state(number_state(1), K).mLR.real - exact) / exact)
     assert rel <= 1e-13
+
+
+def test_block_size_leaves_the_sums_unchanged(monkeypatch):
+    # the running product carries over from block to block, so how the
+    # series is cut into blocks changes no digit
+    whole = moments_from_state(number_state(1), 4096)
+    monkeypatch.setattr(moments, "_BLOCK", 7)
+    assert moments_from_state(number_state(1), 4096) == whole
 
 
 def test_mode_count_validation():
