@@ -1,4 +1,4 @@
-"""Harmonic-oscillator eigenfunctions and their half-line overlap integrals.
+"""Half-line overlap integrals of the harmonic-oscillator eigenfunctions.
 
 The overlap table lambdaR[k, l] = integral of phi_k * phi_l over [0, inf)
 (and lambdaL over (-inf, 0]) is the single numerical input every
