@@ -109,10 +109,7 @@ class JointState:
 
 def probe_lowering(levels: int) -> np.ndarray:
     """Truncated oscillator lowering operator b on `levels` levels."""
-    b = np.zeros((levels, levels))
-    for n in range(1, levels):
-        b[n - 1, n] = np.sqrt(n)
-    return b
+    return np.diag(np.sqrt(np.arange(1.0, levels)), 1)
 
 
 def probe_momentum(probe: ProbeParams) -> np.ndarray:
@@ -150,19 +147,17 @@ class JointHamiltonian:
         return float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
 
 
-def _trap_energies(basis: FockBasis, omega: float) -> np.ndarray:
-    # orbital k carries energy (k + 1/2) omega per particle
-    eps = (np.arange(basis.K) + 0.5) * omega
-    return np.array([float(np.dot(occ, eps)) for occ in basis.states])
-
-
 def build_joint_hamiltonian(
     table: OverlapTable,
     basis: FockBasis,
     probe: ProbeParams,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> JointHamiltonian:
-    """Assemble H_0 and V on the flattened trap x probe x probe space."""
+    """Assemble H_0 and V on the flattened trap x probe x probe space.
+
+    Nothing here depends on the trap state or the pulse: `run_sweep` builds
+    it once per sweep, and `exact_state` propagates each point with it.
+    """
     d = probe.levels
     total_dim = basis.dimension * d * d
     if total_dim > dim_cap:
@@ -172,17 +167,14 @@ def build_joint_hamiltonian(
     lamL = build_lambda_operator("L", table, basis).matrix
     lamR = build_lambda_operator("R", table, basis).matrix
 
-    eye_trap = sp.identity(basis.dimension, format="csr")
+    # H_0 is diagonal: trap energy plus the two probe levels, (t, a, b) order;
+    # orbital k carries energy (k + 1/2) omega per particle
+    eps = (np.arange(basis.K) + 0.5) * table.params.omega
+    h_trap = np.array([float(np.dot(occ, eps)) for occ in basis.states])
+    h_probe = (np.arange(d) + 0.5) * probe.Omega
+    H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
+
     eye_p = sp.identity(d, format="csr")
-    h_probe = sp.diags((np.arange(d) + 0.5) * probe.Omega).tocsr()
-    h_trap = sp.diags(_trap_energies(basis, table.params.omega)).tocsr()
-
-    H0 = (
-        sp.kron(sp.kron(h_trap, eye_p), eye_p)
-        + sp.kron(sp.kron(eye_trap, h_probe), eye_p)
-        + sp.kron(sp.kron(eye_trap, eye_p), h_probe)
-    ).tocsr()
-
     P = sp.csr_matrix(probe_momentum(probe))
     V = (
         sp.kron(sp.kron(lamL, P), eye_p) + sp.kron(sp.kron(lamR, eye_p), P)
@@ -225,8 +217,11 @@ def exact_state(
     """Propagate the joint state through the pulse with the full Hamiltonian.
 
     The square pulse makes the Hamiltonian constant, so the sparse matrix
-    exponential propagates in one step; its norm drift is checked against
-    `norm_tol` and reported as a hard error when exceeded.
+    exponential propagates in one step. H_0 and V conserve the trap particle
+    number, so each occupied sector (a contiguous slice of the graded basis)
+    is propagated with its own block of H and the others stay zero. The norm
+    drift is checked against `norm_tol` and reported as a hard error when
+    exceeded.
     """
     if initial.dimension > dim_cap:
         raise DimensionCapError(
@@ -237,12 +232,16 @@ def exact_state(
     psi0 = initial.flat()
     norm0 = np.linalg.norm(psi0)
 
-    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * ham.V)
-    psiT = expm_multiply(A.tocsc(), psi0)
+    d = ham.probe.levels
+    psiT = np.zeros_like(psi0)
+    for sector in initial.basis.sectors():
+        s = slice(sector.start * d * d, sector.stop * d * d)
+        if psi0[s].any():
+            A = (-1j * pulse.T) * (ham.H0[s, s] + pulse.g0 * ham.V[s, s])
+            psiT[s] = expm_multiply(A.tocsc(), psi0[s])
     drift = abs(np.linalg.norm(psiT) - norm0)
     if drift > norm_tol:
         raise IntegratorDriftError(
             f"norm drift {drift:.3e} exceeds tolerance {norm_tol:.3e}"
         )
-    d = ham.probe.levels
     return JointState(initial.basis, psiT.reshape(initial.basis.dimension, d, d))

@@ -8,7 +8,7 @@ closed-form moment path on small instances and to run exact time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +68,11 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return len(self.states)
+
+    def sectors(self) -> list[slice]:
+        """Index range of each particle-number sector N = 0..n_max."""
+        edges = [comb(n + self.K - 1, self.K) for n in range(self.n_max + 2)]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass
@@ -160,28 +165,21 @@ def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> F
             f"overlap table has K={table.K} but basis has K={basis.K} modes"
         )
     lam = table.lambdaL if side == "L" else table.lambdaR
-    rows, cols, vals = [], [], []
-    for j, occ in enumerate(basis.states):
-        for l in range(basis.K):
-            n_l = occ[l]
-            if n_l == 0:
-                continue
-            lowered = occ[:l] + (n_l - 1,) + occ[l + 1 :]
-            for k in range(basis.K):
-                coeff = lam[k, l]
-                if coeff == 0.0:
-                    continue
-                if k == l:
-                    rows.append(j)
-                    cols.append(j)
-                    vals.append(coeff * n_l)
-                else:
-                    target = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1 :]
-                    rows.append(basis.index[target])
-                    cols.append(j)
-                    vals.append(coeff * sqrt(n_l * (lowered[k] + 1)))
+    occ = np.array(basis.states, dtype=np.int64).reshape(basis.dimension, basis.K)
+    # codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase along the
+    # graded basis, so searchsorted finds the target of a_k^dag a_l; Python ints past int64
+    base = basis.n_max + 1
+    dtype = np.int64 if base ** (basis.K + 1) < 2**63 else object
+    w = np.array([base**p for p in range(basis.K, -1, -1)], dtype=dtype)
+    codes = np.column_stack([occ.sum(axis=1), occ]) @ w
+    # entries by state j, then l (n_l > 0), then k (lambda_kl != 0): fixes the diagonal's sum order
+    j, l = np.nonzero(occ)
+    p, k = np.nonzero(lam[:, l].T != 0.0)
+    j, l = j[p], l[p]
+    rows = np.searchsorted(codes, codes[j] - w[1 + l] + w[1 + k])
+    vals = lam[k, l] * np.sqrt(occ[j, l] * (occ[j, k] + (k != l)))
     mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension)
+        (vals, (rows, j)), shape=(basis.dimension, basis.dimension)
     ).tocsr()
     return FockOperator(basis, mat, hermitian=True)
 

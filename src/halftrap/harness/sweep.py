@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from math import isnan, nan, sqrt
+from functools import cached_property
+from math import comb, isnan, nan, sqrt
 
 import numpy as np
 
@@ -101,52 +102,74 @@ def _closed_form_for(cfg: ExperimentConfig) -> float | None:
     return None
 
 
-def _exact_block(
-    cfg: ExperimentConfig,
-    state: states.TrapState,
-    table: OverlapTable,
-    probe: evolution.ProbeParams,
-    alpha_sq: float | None,
-) -> measurement.ProbeBlock:
-    if not state.is_pure:
-        raise ValueError(
-            "path 'exact' evolves a single vector; use path 'moments' for mixtures"
-        )
-    basis = fock.FockBasis(table.K, cfg.n_max)
-    phi = states.to_fock_vector(state.amplitudes, basis)
-    ham = evolution.build_joint_hamiltonian(table, basis, probe, cfg.exact_dim_cap)
-    pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
-    final = evolution.exact_state(
-        evolution.embed_product(phi, probe), ham, pulse, cfg.exact_dim_cap
-    )
-    return measurement.postselect(final)
+@dataclass
+class _Route:
+    """The overlap table and, built on first use, the Fock operators a route reads.
 
+    The operators depend on no swept parameter, so a sweep builds them once.
+    """
 
-def _table_for(cfg: ExperimentConfig, table: OverlapTable | None) -> OverlapTable | None:
-    """The overlap table the configured route reads: only fock and exact read one."""
-    if table is not None and table.K != cfg.K:
-        raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
-    if table is None and cfg.path != "moments":
-        table = build_overlap_table(cfg.K)
-    return table
+    cfg: ExperimentConfig
+    table: OverlapTable | None
+
+    def __post_init__(self) -> None:
+        cfg, table = self.cfg, self.table
+        if table is not None and table.K != cfg.K:
+            raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
+        if table is None and cfg.path != "moments":  # only fock and exact read a table
+            self.table = build_overlap_table(cfg.K)
+
+    @cached_property
+    def lam(self) -> tuple[fock.FockOperator, fock.FockOperator]:
+        basis = fock.FockBasis(self.cfg.K, self.cfg.n_max)
+        return tuple(fock.build_lambda_operator(side, self.table, basis) for side in "LR")
+
+    @cached_property
+    def ham(self) -> evolution.JointHamiltonian:
+        cfg = self.cfg
+        dim = comb(cfg.n_max + cfg.K, cfg.K) * cfg.probe_levels**2  # before enumerating
+        if dim > cfg.exact_dim_cap:
+            raise ConfigError(
+                "exact.dim_cap",
+                f"is {cfg.exact_dim_cap}, below the joint dimension "
+                f"C(fock.n_max + table.K, table.K) * probe.levels^2 = {dim}",
+            )
+        basis = fock.FockBasis(cfg.K, cfg.n_max)
+        probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+        return evolution.build_joint_hamiltonian(self.table, basis, probe, cfg.exact_dim_cap)
 
 
 def extract(
-    cfg: ExperimentConfig, state: states.TrapState, table: OverlapTable | None
+    cfg: ExperimentConfig,
+    state: states.TrapState,
+    table: OverlapTable | None,
+    route: _Route | None = None,
 ) -> tuple[moments.ProbeBlockMoments | None, measurement.ProbeBlock]:
     """The point pipeline: block moments by route, pulse, post-selected block.
 
     The moment route uses the infinite-K limit or the finite-K closed form,
     as `moments.extrapolate` says, and reads no table; the fock route the
     occupation-basis expectations. The exact route evolves the joint state
-    instead and returns None for the moments.
+    instead and returns None for the moments. `route` carries a sweep's
+    table and Fock operators; without it the point builds its own.
     """
     probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+    route = route or _Route(cfg, table)
     alpha_sq = cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
     if cfg.path == "exact":
-        return None, _exact_block(cfg, state, table, probe, alpha_sq)
+        if not state.is_pure:
+            raise ValueError(
+                "path 'exact' evolves a single vector; use path 'moments' for mixtures"
+            )
+        ham = route.ham
+        phi = states.to_fock_vector(state.amplitudes, ham.basis)
+        pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
+        final = evolution.exact_state(
+            evolution.embed_product(phi, probe), ham, pulse, cfg.exact_dim_cap
+        )
+        return None, measurement.postselect(final)
     if cfg.path == "fock":
-        mom = moments.moments_from_fock(state, table, cfg.n_max)
+        mom = moments.moments_from_fock(state, route.table, cfg.n_max, route.lam)
     elif cfg.extrapolate:
         mom = moments.analytic_limit_moments(state)
     else:
@@ -159,11 +182,14 @@ def single_block(
     cfg: ExperimentConfig, table: OverlapTable | None = None
 ) -> measurement.ProbeBlock:
     """Post-selected block for the configured state, via the configured path."""
-    return extract(cfg, _build_state(cfg), _table_for(cfg, table))[1]
+    return extract(cfg, _build_state(cfg), table)[1]
 
 
 def evaluate_point(
-    cfg: ExperimentConfig, table: OverlapTable | None, value: float | None = None
+    cfg: ExperimentConfig,
+    table: OverlapTable | None,
+    value: float | None = None,
+    route: _Route | None = None,
 ) -> PointResult:
     """Evaluate one configured state; never raises, errors land in `.error`."""
     param = cfg.sweep_param or "none"
@@ -183,7 +209,7 @@ def evaluate_point(
                 cfg = replace(cfg, **{_SWEEPABLE[param]: float(value)})
 
         state = _build_state(cfg)
-        mom, block = extract(cfg, state, _table_for(cfg, table))
+        mom, block = extract(cfg, state, table, route)
         if mom is None:
             out.provenance = block.source
         else:
@@ -209,13 +235,18 @@ def evaluate_point(
 
 
 def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[PointResult]:
-    """Evaluate the configured grid; results come back in grid order."""
+    """Evaluate the configured grid; results come back in grid order.
+
+    The Fock operators are built once, so a point costs its state vector and
+    the propagation of the particle-number sectors it occupies; a build that
+    fails fails again at each point, so every row carries its own error.
+    """
     if cfg.sweep_param is None:
         raise ConfigError("sweep.param", "no sweep parameter configured")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep requested but value list is empty")
-    table = _table_for(cfg, table)
-    return [evaluate_point(cfg, table, v) for v in cfg.sweep_values]
+    route = _Route(cfg, table)
+    return [evaluate_point(cfg, route.table, v, route) for v in cfg.sweep_values]
 
 
 def _fmt(value: float | None) -> str:

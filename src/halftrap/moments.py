@@ -118,7 +118,9 @@ def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
     return _assemble(state, s, provenance="finite-K", K=K)
 
 
-def moments_from_fock(state: TrapState, table: OverlapTable, n_max: int) -> ProbeBlockMoments:
+def moments_from_fock(
+    state: TrapState, table: OverlapTable, n_max: int, lam: tuple | None = None
+) -> ProbeBlockMoments:
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
     Independent of the factorial-moment route: the state is embedded in an
@@ -126,13 +128,13 @@ def moments_from_fock(state: TrapState, table: OverlapTable, n_max: int) -> Prob
     state is embedded whole, so the vanishing of the cross terms between
     different n is checked rather than assumed; a mixture contributes one
     number state per n. Cost grows combinatorially with (K, n_max), so this
-    is a cross-check for small truncations, not a production path.
+    is a cross-check for small truncations, not a production path. A sweep
+    passes its (Lambda_L, Lambda_R) pair on that basis as `lam`.
     """
     from . import fock
 
-    basis = fock.FockBasis(table.K, n_max)
-    lamL = fock.build_lambda_operator("L", table, basis)
-    lamR = fock.build_lambda_operator("R", table, basis)
+    basis = fock.FockBasis(table.K, n_max) if lam is None else lam[0].basis
+    lamL, lamR = lam or [fock.build_lambda_operator(side, table, basis) for side in "LR"]
     if state.is_pure:
         terms = [(1.0, state.amplitudes)]
     else:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from halftrap.evolution import (
     DimensionCapError,
+    IntegratorDriftError,
     ProbeParams,
     Pulse,
     build_joint_hamiltonian,
@@ -18,7 +20,12 @@ from halftrap.evolution import (
 from halftrap.fock import FockBasis
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
-from halftrap.states import number_state, superposition_state, to_fock_vector
+from halftrap.states import (
+    coherent_state,
+    number_state,
+    superposition_state,
+    to_fock_vector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +169,51 @@ def test_dimension_cap_enforced(table4):
     probe = ProbeParams(levels=4)
     with pytest.raises(DimensionCapError):
         build_joint_hamiltonian(table4, basis, probe, dim_cap=100)
+
+
+def _full_space_state(initial, ham, pulse):
+    """Oracle: one expm_multiply over the whole joint space, every sector at once."""
+    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * ham.V)
+    return expm_multiply(A.tocsc(), initial.flat())
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        number_state(0),
+        number_state(2),
+        coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3),
+        superposition_state(np.array([0.6, 0.0, 0.8])),
+        superposition_state(np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)])),
+    ],
+    ids=["vacuum", "number", "coherent", "superposition-0-2", "superposition-1-2-4"],
+)
+def test_sector_propagation_matches_full_space(state, table4):
+    basis = FockBasis(4, 4)
+    probe = ProbeParams(levels=4)
+    ham = build_joint_hamiltonian(table4, basis, probe)
+    phi = to_fock_vector(state.amplitudes, basis)
+    initial = embed_product(phi, probe)
+    for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
+        got = exact_state(initial, ham, pulse).flat()
+        expect = _full_space_state(initial, ham, pulse)
+        assert np.abs(got - expect).max() <= 1e-14
+        # sectors the state does not occupy stay exactly zero
+        d2 = probe.levels**2
+        for sector in basis.sectors():
+            s = slice(sector.start * d2, sector.stop * d2)
+            if not initial.flat()[s].any():
+                assert not got[s].any()
+
+
+def test_tiny_norm_tolerance_raises_drift_error(setup4):
+    table, basis, probe, ham = setup4
+    phi = to_fock_vector(
+        superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
+    )
+    # a long strong pulse: many Taylor steps, a drift of about 1e-13
+    pulse = Pulse.square(T=20.0, g0=3.0)
+    initial = embed_product(phi, probe)
+    assert exact_state(initial, ham, pulse).norm() == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(IntegratorDriftError):
+        exact_state(initial, ham, pulse, norm_tol=1e-15)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,42 @@ from halftrap.fock import (
     number_operator,
     single_particle_commutator_residual,
 )
+from halftrap.orbitals import build_overlap_table
+
+
+def _loop_lambda_operator(side, table, basis):
+    """Oracle: sum_{kl} lambda_kl a_k^dag a_l, one state and one (k, l) pair at a time."""
+    lam = table.lambdaL if side == "L" else table.lambdaR
+    rows, cols, vals = [], [], []
+    for j, occ in enumerate(basis.states):
+        for l in range(basis.K):
+            n_l = occ[l]
+            if n_l == 0:
+                continue
+            lowered = occ[:l] + (n_l - 1,) + occ[l + 1 :]
+            for k in range(basis.K):
+                coeff = lam[k, l]
+                if coeff == 0.0:
+                    continue
+                if k == l:
+                    rows.append(j)
+                    cols.append(j)
+                    vals.append(coeff * n_l)
+                else:
+                    target = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1 :]
+                    rows.append(basis.index[target])
+                    cols.append(j)
+                    vals.append(coeff * math.sqrt(n_l * (lowered[k] + 1)))
+    return sp.coo_matrix(
+        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension)
+    ).tocsr()
+
+
+def _assert_same_csr(got, expect):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(expect, attr)
+        assert a.dtype == b.dtype, attr
+        assert np.array_equal(a, b), attr
 
 
 def test_dimension_matches_stars_and_bars():
@@ -82,13 +119,43 @@ def test_number_operator_counts():
 
 def test_lambda_smallest_instance():
     # one mode, one particle: the only matrix elements are the (0,0) overlaps
-    from halftrap.orbitals import build_overlap_table
-
     table = build_overlap_table(1)
     basis = FockBasis(1, 1)
     lamL = build_lambda_operator("L", table, basis)
     dense = lamL.matrix.toarray()
     assert np.array_equal(dense, np.array([[0.0, 0.0], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_lambda_operator_matches_loop_oracle_bit_for_bit(K):
+    table = build_overlap_table(K)
+    for n_max in range(5):
+        basis = FockBasis(K, n_max)
+        for side in "LR":
+            got = build_lambda_operator(side, table, basis).matrix
+            _assert_same_csr(got, _loop_lambda_operator(side, table, basis))
+
+
+@pytest.mark.parametrize("K, n_max", [(64, 1), (40, 2)])
+def test_lambda_operator_matches_loop_oracle_past_int64_codes(K, n_max):
+    # (n_max + 1)^(K + 1) >= 2^63: the occupation codes are Python ints here
+    assert (n_max + 1) ** (K + 1) >= 2**63
+    table = build_overlap_table(K)
+    basis = FockBasis(K, n_max)
+    for side in "LR":
+        got = build_lambda_operator(side, table, basis).matrix
+        _assert_same_csr(got, _loop_lambda_operator(side, table, basis))
+
+
+def test_sectors_are_the_particle_number_blocks():
+    for K, n_max in ((1, 0), (1, 3), (3, 2), (6, 4)):
+        basis = FockBasis(K, n_max)
+        sectors = basis.sectors()
+        assert len(sectors) == n_max + 1
+        assert sectors[0].start == 0 and sectors[-1].stop == basis.dimension
+        assert all(a.stop == b.start for a, b in zip(sectors, sectors[1:]))
+        for n, sector in enumerate(sectors):
+            assert {sum(occ) for occ in basis.states[sector]} == {n}
 
 
 def test_lambda_operators_sum_to_number(table8):
@@ -138,8 +205,6 @@ def test_single_particle_commutator_residual_vanishes():
     # measured, never assumed: phi_k phi_l has parity (-1)^(k+l), so the
     # left integral is (-1)^(k+l) times the right one, which equals
     # delta_kl minus it; the two coupling matrices commute at any truncation
-    from halftrap.orbitals import build_overlap_table
-
     for K in (8, 64):
         table = build_overlap_table(K)
         assert single_particle_commutator_residual(table) <= 1e-12

@@ -7,7 +7,7 @@ from math import sqrt
 
 import pytest
 
-from halftrap import fock, orbitals
+from halftrap import evolution, fock, orbitals
 from halftrap.entanglement import negativity_closed_form
 from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
@@ -342,6 +342,88 @@ def test_perturbation_target_builds_each_lambda_operator_once(accept_cfg, monkey
     ok, detail = TARGETS["perturbation"](accept_cfg)
     assert ok, detail
     assert sorted(calls) == ["L", "R"]
+
+
+def _route_cfg(path: str, **entries: str) -> ExperimentConfig:
+    base = {
+        "state": "number",
+        "path": path,
+        "table.K": "6",
+        "fock.n_max": "4",
+        "probe.levels": "4",
+        "pulse.T": "0.05",
+        "sweep.param": "number_n",
+        "sweep.values": "1, 2, 3, 4",
+    }
+    return ExperimentConfig.from_entries({**base, **entries})
+
+
+@pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
+def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
+    lam_calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
+    ham_calls = _count_calls(monkeypatch, evolution, "build_joint_hamiltonian")
+    rows = run_sweep(_route_cfg(path), table6)
+    assert [row.error for row in rows] == [""] * 4
+    assert sorted(lam_calls) == ["L", "R"]
+    assert len(ham_calls) == hamiltonians
+
+
+def test_sweep_rows_match_points_evaluated_alone(table6):
+    # sharing the operators between points changes no byte of a row
+    for path in ("fock", "exact"):
+        cfg = _route_cfg(path)
+        shared = run_sweep(cfg, table6)
+        alone = [evaluate_point(cfg, table6, v) for v in cfg.sweep_values]
+        assert shared == alone
+
+
+def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
+    bases = []
+    post_init = fock.FockBasis.__post_init__
+
+    def counting(basis):
+        bases.append(basis.K)
+        post_init(basis)
+
+    monkeypatch.setattr(fock.FockBasis, "__post_init__", counting)
+    # over the cap: refused from C(n_max + K, K) before any state is enumerated
+    over = _route_cfg("exact", **{"table.K": "30", "fock.n_max": "5"})
+    rows = run_sweep(over)
+    assert all(
+        row.error.startswith("ConfigError: config field 'exact.dim_cap'") for row in rows
+    )
+    assert len(rows) == 4 and bases == []
+    # a mixture is refused before the operators are needed, over the cap or not
+    for entries in ({}, {"table.K": "30", "fock.n_max": "5"}):
+        mixture = _route_cfg("exact", state="thermal", **{"sweep.param": "nbar"}, **entries)
+        for row in run_sweep(mixture):
+            assert row.error.startswith("ValueError: path 'exact' evolves a single vector")
+    assert bases == []
+    # a point past the basis fails alone; its neighbours share the operators
+    rows = run_sweep(_route_cfg("exact", **{"sweep.values": "2, 6, 3"}), table6)
+    assert rows[0].error == rows[2].error == ""
+    assert "exceeds basis capacity 4" in rows[1].error
+    assert bases == [6]
+
+
+def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
+    proc = _cli(
+        [
+            "sample",
+            "--shots",
+            "10",
+            "--set",
+            "path=exact",
+            "--set",
+            "table.K=30",
+            "--set",
+            "fock.n_max=5",
+        ],
+        cli_env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("path, builds", [("moments", 0), ("fock", 1), ("exact", 1)])
