@@ -211,7 +211,6 @@ def exact_state(
     initial: JointState,
     ham: JointHamiltonian,
     pulse: Pulse,
-    dim_cap: int = DEFAULT_DIM_CAP,
     norm_tol: float = 1e-9,
 ) -> JointState:
     """Propagate the joint state through the pulse with the full Hamiltonian.
@@ -221,12 +220,8 @@ def exact_state(
     number, so each occupied sector (a contiguous slice of the graded basis)
     is propagated with its own block of H and the others stay zero. The norm
     drift is checked against `norm_tol` and reported as a hard error when
-    exceeded.
+    exceeded. The size cap was checked when `ham` was built.
     """
-    if initial.dimension > dim_cap:
-        raise DimensionCapError(
-            f"joint dimension {initial.dimension} exceeds cap {dim_cap}"
-        )
     if initial.probe_dims != (ham.probe.levels, ham.probe.levels):
         raise ValueError("state and Hamiltonian disagree on probe levels")
     psi0 = initial.flat()

@@ -12,8 +12,8 @@ CLI `--set key=value` pairs override file entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isfinite
+from cmath import isfinite  # takes real and complex values alike
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "apply_overrides"]
 
@@ -61,73 +61,69 @@ def apply_overrides(entries: dict[str, str], overrides: list[str]) -> dict[str, 
     return merged
 
 
-def _parse_float(entries: dict, key: str, default: float) -> float:
-    if key not in entries:
-        return default
+def _float(key: str, text: str) -> float:
     try:
-        value = float(entries[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(key, f"not a number: {entries[key]!r}") from None
+        raise ConfigError(key, f"not a number: {text!r}") from None
     if not isfinite(value):
-        raise ConfigError(key, f"must be finite, got {entries[key]!r}")
+        raise ConfigError(key, f"must be finite, got {text!r}")
     return value
 
 
-def _parse_int(entries: dict, key: str, default: int) -> int:
-    if key not in entries:
-        return default
+def _int(key: str, text: str) -> int:
     try:
-        return int(entries[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(key, f"not an integer: {entries[key]!r}") from None
+        raise ConfigError(key, f"not an integer: {text!r}") from None
 
 
-def _parse_bool(entries: dict, key: str, default: bool) -> bool:
-    if key not in entries:
-        return default
-    value = entries[key].lower()
+def _bool(key: str, text: str) -> bool:
+    value = text.lower()
     if value in ("true", "1", "yes", "on"):
         return True
     if value in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(key, f"not a boolean: {entries[key]!r}")
+    raise ConfigError(key, f"not a boolean: {text!r}")
 
 
-def _parse_str(entries: dict, key: str, default: str, allowed: tuple = ()) -> str:
-    value = entries.get(key, default)
-    if allowed and value not in allowed:
-        raise ConfigError(key, f"must be one of {allowed}, got {value!r}")
-    return value
+def _choice(*allowed: str):
+    def parse(key: str, text: str) -> str:
+        if text not in allowed:
+            raise ConfigError(key, f"must be one of {allowed}, got {text!r}")
+        return text
+
+    return parse
 
 
-def _parse_float_list(entries: dict, key: str) -> list[float] | None:
-    if key not in entries:
-        return None
-    items = [s for s in entries[key].split(",") if s.strip()]
-    if not items:
-        raise ConfigError(key, "list must be non-empty")
-    try:
-        values = [float(s) for s in items]
-    except ValueError:
-        raise ConfigError(key, f"not a comma-separated number list: {entries[key]!r}") from None
-    if not all(isfinite(v) for v in values):
-        raise ConfigError(key, f"every entry must be finite, got {entries[key]!r}")
-    return values
+def _list(convert, noun: str):
+    """Non-empty comma-separated list of finite `convert` values."""
+
+    def parse(key: str, text: str) -> list:
+        items = [s for s in text.split(",") if s.strip()]
+        if not items:
+            raise ConfigError(key, "list must be non-empty")
+        try:
+            values = [convert(s) for s in items]
+        except ValueError:
+            raise ConfigError(key, f"not a comma-separated {noun} list: {text!r}") from None
+        if not all(isfinite(v) for v in values):
+            raise ConfigError(key, f"every entry must be finite, got {text!r}")
+        return values
+
+    return parse
 
 
-def _parse_complex_list(entries: dict, key: str) -> list[complex] | None:
-    if key not in entries:
-        return None
-    items = [s for s in entries[key].split(",") if s.strip()]
-    if not items:
-        raise ConfigError(key, "list must be non-empty")
-    try:
-        values = [complex(s) for s in items]
-    except ValueError:
-        raise ConfigError(key, f"not a comma-separated complex list: {entries[key]!r}") from None
-    if not all(isfinite(v.real) and isfinite(v.imag) for v in values):
-        raise ConfigError(key, f"every entry must be finite, got {entries[key]!r}")
-    return values
+def _key(key: str, default, parse, low=None, positive: bool = False):
+    """A config field: its dotted key, parser and lower bound, declared once.
+
+    `low` is an inclusive bound; `positive` demands a value above zero.
+    A list default becomes a per-instance factory.
+    """
+    meta = {"key": key, "parse": parse, "low": low, "positive": positive}
+    if isinstance(default, list):
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
@@ -135,135 +131,82 @@ class ExperimentConfig:
     """Typed run parameters; construct via `from_entries`."""
 
     # state
-    state: str = "coherent"
-    alpha_sq: float = 2.0
-    number_n: int = 2
-    coeffs: list = field(default_factory=list)
-    nbar: float = 1.0
-    n_cut: int | None = None
-    tail_tol: float = 1e-12
+    state: str = _key("state", "coherent", _choice(*_STATE_KINDS))
+    alpha_sq: float = _key("alpha_sq", 2.0, _float, low=0)
+    number_n: int = _key("number_n", 2, _int, low=0)
+    coeffs: list = _key("coeffs", [], _list(complex, "complex"))
+    nbar: float = _key("nbar", 1.0, _float, low=0)
+    n_cut: int | None = _key("n_cut", None, _int, low=0)
+    tail_tol: float = _key("tail_tol", 1e-12, _float, positive=True)
 
     # overlap table
-    K: int = 512
+    K: int = _key("table.K", 512, _int, low=1)
 
     # computational path
-    path: str = "moments"
-    extrapolate: bool = True
-    n_max: int = 4
+    path: str = _key("path", "moments", _choice(*_PATHS))
+    extrapolate: bool = _key("moments.extrapolate", True, _bool)
+    n_max: int = _key("fock.n_max", 4, _int, low=0)
 
     # pulse and probes
-    pulse_shape: str = "square"
-    pulse_T: float = 1.0
-    pulse_area: float | None = None
-    pulse_preset: str = "amplitude10"
-    amplitude_target: float = 0.1
-    g_ref: float = 0.1
-    probe_M: float = 1.0
-    probe_Omega: float = 1.0
-    probe_levels: int = 4
-    exact_dim_cap: int = 20_000
+    pulse_shape: str = _key("pulse.shape", "square", _choice("square"))
+    pulse_T: float = _key("pulse.T", 1.0, _float, positive=True)
+    pulse_area: float | None = _key("pulse.area", None, _float)
+    pulse_preset: str = _key("pulse.preset", "amplitude10", _choice(*_PULSE_PRESETS))
+    amplitude_target: float = _key("pulse.amplitude_target", 0.1, _float)
+    g_ref: float = _key("pulse.g_ref", 0.1, _float)
+    probe_M: float = _key("probe.M", 1.0, _float, positive=True)
+    probe_Omega: float = _key("probe.Omega", 1.0, _float, positive=True)
+    probe_levels: int = _key("probe.levels", 4, _int, low=2)
+    exact_dim_cap: int = _key("exact.dim_cap", 20_000, _int, low=1)
 
     # sweep
-    sweep_param: str | None = None
-    sweep_values: list = field(default_factory=list)
+    sweep_param: str | None = _key("sweep.param", None, _choice("alpha_sq", "number_n", "nbar"))
+    sweep_values: list = _key("sweep.values", [], _list(float, "number"))
 
     # misc
-    seed: int = 12345
-    timing: bool = False
+    seed: int = _key("seed", 12345, _int)
+    timing: bool = _key("timing", False, _bool)
 
     # acceptance tolerances
-    mu_tol: float = 1e-3
-    f_tol: float = 1e-3
-    oracle_tol: float = 1e-12
-    single_particle_mu_bound: float = 1e-6
-    mixture_exact_tol: float = 1e-12
-    leakage_fraction: float = 0.01
-    ratio_lo: float = 3.0
-    ratio_hi: float = 5.0
-    structural_tol: float = 1e-12
+    mu_tol: float = _key("accept.mu_tol", 1e-3, _float, positive=True)
+    f_tol: float = _key("accept.f_tol", 1e-3, _float, positive=True)
+    oracle_tol: float = _key("accept.oracle_tol", 1e-12, _float, positive=True)
+    single_particle_mu_bound: float = _key(
+        "accept.single_particle_mu_bound", 1e-6, _float, positive=True
+    )
+    mixture_exact_tol: float = _key("accept.mixture_exact_tol", 1e-12, _float, positive=True)
+    leakage_fraction: float = _key("accept.leakage_fraction", 0.01, _float, positive=True)
+    ratio_lo: float = _key("accept.ratio_lo", 3.0, _float)
+    ratio_hi: float = _key("accept.ratio_hi", 5.0, _float)
+    structural_tol: float = _key("accept.structural_tol", 1e-12, _float, positive=True)
 
     @classmethod
     def from_entries(cls, entries: dict[str, str]) -> "ExperimentConfig":
+        """Parse every present key, then check the bounds; absent keys keep defaults."""
         cfg = cls(
-            state=_parse_str(entries, "state", "coherent", _STATE_KINDS),
-            alpha_sq=_parse_float(entries, "alpha_sq", 2.0),
-            number_n=_parse_int(entries, "number_n", 2),
-            coeffs=_parse_complex_list(entries, "coeffs") or [],
-            nbar=_parse_float(entries, "nbar", 1.0),
-            n_cut=_parse_int(entries, "n_cut", 0) if "n_cut" in entries else None,
-            tail_tol=_parse_float(entries, "tail_tol", 1e-12),
-            K=_parse_int(entries, "table.K", 512),
-            path=_parse_str(entries, "path", "moments", _PATHS),
-            extrapolate=_parse_bool(entries, "moments.extrapolate", True),
-            n_max=_parse_int(entries, "fock.n_max", 4),
-            pulse_shape=_parse_str(entries, "pulse.shape", "square", ("square",)),
-            pulse_T=_parse_float(entries, "pulse.T", 1.0),
-            pulse_area=(
-                _parse_float(entries, "pulse.area", 0.0) if "pulse.area" in entries else None
-            ),
-            pulse_preset=_parse_str(entries, "pulse.preset", "amplitude10", _PULSE_PRESETS),
-            amplitude_target=_parse_float(entries, "pulse.amplitude_target", 0.1),
-            g_ref=_parse_float(entries, "pulse.g_ref", 0.1),
-            probe_M=_parse_float(entries, "probe.M", 1.0),
-            probe_Omega=_parse_float(entries, "probe.Omega", 1.0),
-            probe_levels=_parse_int(entries, "probe.levels", 4),
-            exact_dim_cap=_parse_int(entries, "exact.dim_cap", 20_000),
-            sweep_param=entries.get("sweep.param"),
-            sweep_values=_parse_float_list(entries, "sweep.values") or [],
-            seed=_parse_int(entries, "seed", 12345),
-            timing=_parse_bool(entries, "timing", False),
-            mu_tol=_parse_float(entries, "accept.mu_tol", 1e-3),
-            f_tol=_parse_float(entries, "accept.f_tol", 1e-3),
-            oracle_tol=_parse_float(entries, "accept.oracle_tol", 1e-12),
-            single_particle_mu_bound=_parse_float(entries, "accept.single_particle_mu_bound", 1e-6),
-            mixture_exact_tol=_parse_float(entries, "accept.mixture_exact_tol", 1e-12),
-            leakage_fraction=_parse_float(entries, "accept.leakage_fraction", 0.01),
-            ratio_lo=_parse_float(entries, "accept.ratio_lo", 3.0),
-            ratio_hi=_parse_float(entries, "accept.ratio_hi", 5.0),
-            structural_tol=_parse_float(entries, "accept.structural_tol", 1e-12),
+            **{
+                f.name: f.metadata["parse"](f.metadata["key"], entries[f.metadata["key"]])
+                for f in fields(cls)
+                if f.metadata["key"] in entries
+            }
         )
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        positive = [
-            ("tail_tol", self.tail_tol),
-            ("pulse.T", self.pulse_T),
-            ("probe.M", self.probe_M),
-            ("probe.Omega", self.probe_Omega),
-            ("accept.mu_tol", self.mu_tol),
-            ("accept.f_tol", self.f_tol),
-            ("accept.oracle_tol", self.oracle_tol),
-            ("accept.single_particle_mu_bound", self.single_particle_mu_bound),
-            ("accept.mixture_exact_tol", self.mixture_exact_tol),
-            ("accept.leakage_fraction", self.leakage_fraction),
-            ("accept.structural_tol", self.structural_tol),
-        ]
-        for name, value in positive:
-            if not value > 0:
-                raise ConfigError(name, f"must be positive, got {value}")
-        if self.K < 1:
-            raise ConfigError("table.K", f"must be >= 1, got {self.K}")
-        if self.n_max < 0:
-            raise ConfigError("fock.n_max", f"must be >= 0, got {self.n_max}")
-        if self.probe_levels < 2:
-            raise ConfigError("probe.levels", f"must be >= 2, got {self.probe_levels}")
-        if self.exact_dim_cap < 1:
-            raise ConfigError("exact.dim_cap", f"must be >= 1, got {self.exact_dim_cap}")
+        """Check each field's declared bound in field order, then the cross-field rules."""
+        for f in fields(self):
+            key, low, value = f.metadata["key"], f.metadata["low"], getattr(self, f.name)
+            if f.metadata["positive"] and not value > 0:
+                raise ConfigError(key, f"must be positive, got {value}")
+            if low is not None and value is not None and value < low:
+                raise ConfigError(key, f"must be >= {low}, got {value}")
         if not self.ratio_lo < self.ratio_hi:
             raise ConfigError("accept.ratio_lo", "lower ratio bound must be below upper")
         if self.sweep_param is not None and not self.sweep_values:
             raise ConfigError("sweep.values", "sweep requested but value list is empty")
-        if self.state == "superposition" and not self.coeffs and self.sweep_param != "coeffs":
+        if self.state == "superposition" and not self.coeffs:
             raise ConfigError("coeffs", "superposition state needs a coefficient list")
-        if self.n_cut is not None and self.n_cut < 0:
-            raise ConfigError("n_cut", f"must be >= 0, got {self.n_cut}")
-        if self.alpha_sq < 0:
-            raise ConfigError("alpha_sq", f"must be >= 0, got {self.alpha_sq}")
-        if self.number_n < 0:
-            raise ConfigError("number_n", f"must be >= 0, got {self.number_n}")
-        if self.nbar < 0:
-            raise ConfigError("nbar", f"must be >= 0, got {self.nbar}")
 
     def state_params(self) -> dict:
         if self.state == "coherent":

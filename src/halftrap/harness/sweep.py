@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import comb, isnan, nan, sqrt
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,8 +36,6 @@ __all__ = [
     "write_plot_data",
     "run_validation",
 ]
-
-_SWEEPABLE = {"alpha_sq": "alpha_sq", "number_n": "number_n", "nbar": "nbar"}
 
 _FLOAT_FMT = "%.17g"
 
@@ -120,23 +119,27 @@ class _Route:
             self.table = build_overlap_table(cfg.K)
 
     @cached_property
+    def basis(self) -> fock.FockBasis:
+        """The route's occupation basis, refused over `exact.dim_cap` before enumerating."""
+        cfg = self.cfg
+        dim = comb(cfg.n_max + cfg.K, cfg.K)
+        size = "Fock dimension C(fock.n_max + table.K, table.K)"
+        if cfg.path == "exact":
+            dim *= cfg.probe_levels**2
+            size = "joint dimension C(fock.n_max + table.K, table.K) * probe.levels^2"
+        if dim > cfg.exact_dim_cap:
+            raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {size} = {dim}")
+        return fock.FockBasis(cfg.K, cfg.n_max)
+
+    @cached_property
     def lam(self) -> tuple[fock.FockOperator, fock.FockOperator]:
-        basis = fock.FockBasis(self.cfg.K, self.cfg.n_max)
-        return tuple(fock.build_lambda_operator(side, self.table, basis) for side in "LR")
+        return tuple(fock.build_lambda_operator(side, self.table, self.basis) for side in "LR")
 
     @cached_property
     def ham(self) -> evolution.JointHamiltonian:
         cfg = self.cfg
-        dim = comb(cfg.n_max + cfg.K, cfg.K) * cfg.probe_levels**2  # before enumerating
-        if dim > cfg.exact_dim_cap:
-            raise ConfigError(
-                "exact.dim_cap",
-                f"is {cfg.exact_dim_cap}, below the joint dimension "
-                f"C(fock.n_max + table.K, table.K) * probe.levels^2 = {dim}",
-            )
-        basis = fock.FockBasis(cfg.K, cfg.n_max)
         probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-        return evolution.build_joint_hamiltonian(self.table, basis, probe, cfg.exact_dim_cap)
+        return evolution.build_joint_hamiltonian(self.table, self.basis, probe, cfg.exact_dim_cap)
 
 
 def extract(
@@ -164,9 +167,7 @@ def extract(
         ham = route.ham
         phi = states.to_fock_vector(state.amplitudes, ham.basis)
         pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
-        final = evolution.exact_state(
-            evolution.embed_product(phi, probe), ham, pulse, cfg.exact_dim_cap
-        )
+        final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
         return None, measurement.postselect(final)
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.table, cfg.n_max, route.lam)
@@ -197,16 +198,12 @@ def evaluate_point(
     started = time.perf_counter()
     try:
         if value is not None:
-            if param not in _SWEEPABLE:
-                raise ConfigError(
-                    "sweep.param", f"must be one of {sorted(_SWEEPABLE)}, got {param!r}"
-                )
             if param == "number_n":
                 if value != int(value):
                     raise ConfigError("sweep.values", f"particle number {value} not an integer")
                 cfg = replace(cfg, number_n=int(value))
             else:
-                cfg = replace(cfg, **{_SWEEPABLE[param]: float(value)})
+                cfg = replace(cfg, **{param: float(value)})
 
         state = _build_state(cfg)
         mom, block = extract(cfg, state, table, route)
@@ -249,6 +246,10 @@ def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[
     return [evaluate_point(cfg, route.table, v, route) for v in cfg.sweep_values]
 
 
+def _blank(value) -> str:
+    return ""
+
+
 def _fmt(value: float | None) -> str:
     if value is None or (isinstance(value, float) and isnan(value)):
         return ""
@@ -256,47 +257,20 @@ def _fmt(value: float | None) -> str:
 
 
 def write_sweep_csv(results: list[PointResult], stream, timing: bool = False) -> None:
-    """17-significant-digit CSV; reruns with one config produce identical bytes."""
+    """17-significant-digit CSV; reruns with one config produce identical bytes.
+
+    One column per `PointResult` field, in field order; `wall_time` stays
+    blank unless `timing` is set.
+    """
+    names = [f.name for f in fields(PointResult)]
+    cell = [str if f.type == "str" else _fmt for f in fields(PointResult)]  # once per column
+    if not timing:
+        cell[names.index("wall_time")] = _blank
+    row = attrgetter(*names)
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        [
-            "param",
-            "value",
-            "mu",
-            "mu_closed_form",
-            "fidelity",
-            "p_succ",
-            "S",
-            "mLL",
-            "mRR",
-            "mLR_re",
-            "mLR_im",
-            "leakage",
-            "provenance",
-            "wall_time",
-            "error",
-        ]
-    )
+    writer.writerow(names)
     for r in results:
-        writer.writerow(
-            [
-                r.param,
-                _fmt(r.value),
-                _fmt(r.mu),
-                _fmt(r.mu_closed_form),
-                _fmt(r.fidelity),
-                _fmt(r.p_succ),
-                _fmt(r.S),
-                _fmt(r.mLL),
-                _fmt(r.mRR),
-                _fmt(r.mLR_re),
-                _fmt(r.mLR_im),
-                _fmt(r.leakage),
-                r.provenance,
-                _fmt(r.wall_time) if timing else "",
-                r.error,
-            ]
-        )
+        writer.writerow([fmt(v) for fmt, v in zip(cell, row(r))])
 
 
 def write_plot_data(results: list[PointResult], stream) -> None:

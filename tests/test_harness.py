@@ -1,9 +1,12 @@
 """Config grammar, sweep driver, CSV stability, and the command-line surface."""
 
 import io
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
@@ -112,12 +115,92 @@ def test_from_entries_defaults_and_types():
         ({"tail_tol": "inf"}, "tail_tol"),
         ({"sweep.param": "alpha_sq", "sweep.values": "1, nan"}, "sweep.values"),
         ({"state": "superposition", "coeffs": "nan, 1"}, "coeffs"),
+        ({"sweep.param": "bogus", "sweep.values": "1"}, "sweep.param"),
+        ({"nbar": "-0.5"}, "nbar"),
+        ({"n_cut": "-1"}, "n_cut"),
+        ({"fock.n_max": "-1"}, "fock.n_max"),
+        ({"exact.dim_cap": "0"}, "exact.dim_cap"),
+        ({"probe.M": "0"}, "probe.M"),
     ],
 )
 def test_validation_names_the_field(entries, field):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_entries(entries)
     assert err.value.fieldname == field
+
+
+# one non-default entry per schema key, and the value its field must take
+_NON_DEFAULT = {
+    "state": ("number", "number"),
+    "alpha_sq": ("0.5", 0.5),
+    "number_n": ("7", 7),
+    "coeffs": ("1, 0.5j", [1, 0.5j]),
+    "nbar": ("3.5", 3.5),
+    "n_cut": ("9", 9),
+    "tail_tol": ("1e-6", 1e-6),
+    "table.K": ("64", 64),
+    "path": ("exact", "exact"),
+    "moments.extrapolate": ("off", False),
+    "fock.n_max": ("2", 2),
+    "pulse.shape": ("square", "square"),  # its only allowed value
+    "pulse.T": ("0.25", 0.25),
+    "pulse.area": ("0.125", 0.125),
+    "pulse.preset": ("none", "none"),
+    "pulse.amplitude_target": ("0.2", 0.2),
+    "pulse.g_ref": ("0.3", 0.3),
+    "probe.M": ("2", 2.0),
+    "probe.Omega": ("3", 3.0),
+    "probe.levels": ("2", 2),
+    "exact.dim_cap": ("100", 100),
+    "sweep.param": ("nbar", "nbar"),
+    "sweep.values": ("1, 2.5", [1.0, 2.5]),
+    "seed": ("7", 7),
+    "timing": ("yes", True),
+    "accept.mu_tol": ("0.01", 0.01),
+    "accept.f_tol": ("0.02", 0.02),
+    "accept.oracle_tol": ("1e-9", 1e-9),
+    "accept.single_particle_mu_bound": ("1e-5", 1e-5),
+    "accept.mixture_exact_tol": ("1e-10", 1e-10),
+    "accept.leakage_fraction": ("0.05", 0.05),
+    "accept.ratio_lo": ("2", 2.0),
+    "accept.ratio_hi": ("6", 6.0),
+    "accept.structural_tol": ("1e-11", 1e-11),
+}
+
+
+def test_schema_defaults_and_keys():
+    assert ExperimentConfig.from_entries({}) == ExperimentConfig()
+    assert [f.metadata["key"] for f in fields(ExperimentConfig)] == list(_NON_DEFAULT)
+
+
+@pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.metadata["key"])
+def test_each_key_sets_its_own_field(f):
+    key = f.metadata["key"]
+    text, value = _NON_DEFAULT[key]
+    # a sweep needs a value list; every other key stands alone
+    extra = {"sweep.values": "0.5"} if key == "sweep.param" else {}
+    cfg = ExperimentConfig.from_entries({key: text, **extra})
+    want = replace(ExperimentConfig(), **{f.name: value})
+    if extra:
+        want.sweep_values = [0.5]
+    assert cfg == want
+    assert value != getattr(ExperimentConfig(), f.name) or key == "pulse.shape"
+
+
+def test_readme_names_only_declared_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    declared = [f.metadata["key"] for f in fields(ExperimentConfig)]
+    named = []
+    for row in table.splitlines()[2:]:
+        first = re.sub(r"\([^)]*\)", "", row.split("|")[1])  # drop the defaults
+        named += re.findall(r"`([^`]+)`", first)
+    assert len(named) > 20
+    for name in named:
+        if name.endswith(".*"):
+            assert any(key.startswith(name[:-1]) for key in declared), name
+        else:
+            assert name in declared, name
 
 
 # ---------------------------------------------------------------- sweep
@@ -180,7 +263,10 @@ def test_csv_bytes_are_stable(table512):
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
     header = bufs[0].splitlines()[0]
-    assert header.startswith("param,value,mu,mu_closed_form,fidelity,p_succ")
+    assert header == (
+        "param,value,mu,mu_closed_form,fidelity,p_succ,S,mLL,mRR,mLR_re,mLR_im,"
+        "leakage,provenance,wall_time,error"
+    )
     # 17 significant digits survive a text round trip
     row = bufs[0].splitlines()[1].split(",")
     assert float(row[2]) == results[0].mu
@@ -387,12 +473,13 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
 
     monkeypatch.setattr(fock.FockBasis, "__post_init__", counting)
     # over the cap: refused from C(n_max + K, K) before any state is enumerated
-    over = _route_cfg("exact", **{"table.K": "30", "fock.n_max": "5"})
-    rows = run_sweep(over)
-    assert all(
-        row.error.startswith("ConfigError: config field 'exact.dim_cap'") for row in rows
-    )
-    assert len(rows) == 4 and bases == []
+    for path in ("exact", "fock"):
+        over = _route_cfg(path, **{"table.K": "30", "fock.n_max": "5"})
+        rows = run_sweep(over)
+        assert all(
+            row.error.startswith("ConfigError: config field 'exact.dim_cap'") for row in rows
+        )
+        assert len(rows) == 4 and bases == []
     # a mixture is refused before the operators are needed, over the cap or not
     for entries in ({}, {"table.K": "30", "fock.n_max": "5"}):
         mixture = _route_cfg("exact", state="thermal", **{"sweep.param": "nbar"}, **entries)
@@ -407,23 +494,15 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
 
 
 def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
-    proc = _cli(
-        [
-            "sample",
-            "--shots",
-            "10",
-            "--set",
-            "path=exact",
-            "--set",
-            "table.K=30",
-            "--set",
-            "fock.n_max=5",
-        ],
-        cli_env,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
-    assert len(proc.stderr.splitlines()) == 1
+    # the fock route at default settings would enumerate C(516, 4) ~ 2.9e9 states
+    for sets in (["path=exact", "table.K=30", "fock.n_max=5"], ["path=fock"]):
+        args = ["sample", "--shots", "10"]
+        for item in sets:
+            args += ["--set", item]
+        proc = _cli(args, cli_env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("path, builds", [("moments", 0), ("fock", 1), ("exact", 1)])
