@@ -42,16 +42,11 @@ from .evolution import (
 )
 from .fock import (
     FockBasis,
-    FockOperator,
-    FockVector,
-    annihilate,
-    apply,
     build_lambda_operator,
-    create,
-    inner,
     locality_product_residual,
     number_operator,
     single_particle_commutator_residual,
+    to_fock_vector,
 )
 from .measurement import (
     NoExtractionError,
@@ -82,7 +77,6 @@ from .states import (
     phase_averaged_state,
     superposition_state,
     thermal_state,
-    to_fock_vector,
 )
 
 __version__ = "0.1.0"
@@ -96,16 +90,11 @@ __all__ = [
     "write_table_csv",
     # fock
     "FockBasis",
-    "FockOperator",
-    "FockVector",
-    "annihilate",
-    "apply",
     "build_lambda_operator",
-    "create",
-    "inner",
     "locality_product_residual",
     "number_operator",
     "single_particle_commutator_residual",
+    "to_fock_vector",
     # states
     "PureComponent",
     "TailToleranceError",
@@ -116,7 +105,6 @@ __all__ = [
     "phase_averaged_state",
     "superposition_state",
     "thermal_state",
-    "to_fock_vector",
     # moments
     "ProbeBlockMoments",
     "analytic_limit_moments",

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import FockBasis, FockVector, build_lambda_operator
+from .fock import FockBasis, build_lambda_operator
 from .orbitals import OverlapTable
 
 __all__ = [
@@ -81,24 +81,12 @@ class IntegratorDriftError(RuntimeError):
 class JointState:
     """Amplitudes over (trap Fock basis) x (probe L levels) x (probe R levels)."""
 
-    basis: FockBasis
     tensor: np.ndarray
 
     def __post_init__(self) -> None:
         self.tensor = np.asarray(self.tensor, dtype=np.complex128)
-        if self.tensor.ndim != 3 or self.tensor.shape[0] != self.basis.dimension:
-            raise ValueError(
-                f"tensor shape {self.tensor.shape} incompatible with basis "
-                f"dimension {self.basis.dimension}"
-            )
-
-    @property
-    def probe_dims(self) -> tuple[int, int]:
-        return self.tensor.shape[1], self.tensor.shape[2]
-
-    @property
-    def dimension(self) -> int:
-        return self.tensor.size
+        if self.tensor.ndim != 3:
+            raise ValueError(f"tensor shape {self.tensor.shape} is not (trap, probe, probe)")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.tensor))
@@ -118,12 +106,12 @@ def probe_momentum(probe: ProbeParams) -> np.ndarray:
     return 1j * np.sqrt(probe.M * probe.Omega / 2.0) * (b.T - b)
 
 
-def embed_product(phi: FockVector, probe: ProbeParams) -> JointState:
+def embed_product(phi: np.ndarray, probe: ProbeParams) -> JointState:
     """|phi> with both probes in their ground state."""
     d = probe.levels
-    tensor = np.zeros((phi.basis.dimension, d, d), dtype=np.complex128)
-    tensor[:, 0, 0] = phi.amplitudes
-    return JointState(phi.basis, tensor)
+    tensor = np.zeros((len(phi), d, d), dtype=np.complex128)
+    tensor[:, 0, 0] = phi
+    return JointState(tensor)
 
 
 @dataclass(frozen=True)
@@ -140,10 +128,10 @@ class JointHamiltonian:
     lamL: sp.csr_matrix
     lamR: sp.csr_matrix
 
-    def coupling_weight(self, phi: FockVector) -> float:
+    def coupling_weight(self, phi: np.ndarray) -> float:
         """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites."""
-        vL = self.lamL @ phi.amplitudes
-        vR = self.lamR @ phi.amplitudes
+        vL = self.lamL @ phi
+        vR = self.lamR @ phi
         return float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
 
 
@@ -164,8 +152,8 @@ def build_joint_hamiltonian(
         raise DimensionCapError(
             f"joint dimension {total_dim} exceeds cap {dim_cap}"
         )
-    lamL = build_lambda_operator("L", table, basis).matrix
-    lamR = build_lambda_operator("R", table, basis).matrix
+    lamL = build_lambda_operator("L", table, basis)
+    lamR = build_lambda_operator("R", table, basis)
 
     # H_0 is diagonal: trap energy plus the two probe levels, (t, a, b) order;
     # orbital k carries energy (k + 1/2) omega per particle
@@ -183,7 +171,7 @@ def build_joint_hamiltonian(
 
 
 def perturbative_state(
-    phi: FockVector,
+    phi: np.ndarray,
     ham: JointHamiltonian,
     pulse: Pulse,
     include_H0: bool = True,
@@ -200,10 +188,10 @@ def perturbative_state(
     if include_H0:
         # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
         h00 = ham.H0.diagonal().reshape(state.tensor.shape)[:, 0, 0]
-        state.tensor[:, 0, 0] -= 1j * pulse.T * h00 * phi.amplitudes
+        state.tensor[:, 0, 0] -= 1j * pulse.T * h00 * phi
     amp = pulse.area * np.sqrt(probe.M * probe.Omega / 2.0)
-    state.tensor[:, 1, 0] = amp * (ham.lamL @ phi.amplitudes)
-    state.tensor[:, 0, 1] = amp * (ham.lamR @ phi.amplitudes)
+    state.tensor[:, 1, 0] = amp * (ham.lamL @ phi)
+    state.tensor[:, 0, 1] = amp * (ham.lamR @ phi)
     return state
 
 
@@ -222,14 +210,17 @@ def exact_state(
     drift is checked against `norm_tol` and reported as a hard error when
     exceeded. The size cap was checked when `ham` was built.
     """
-    if initial.probe_dims != (ham.probe.levels, ham.probe.levels):
-        raise ValueError("state and Hamiltonian disagree on probe levels")
+    d = ham.probe.levels
+    if initial.tensor.shape != (ham.basis.dimension, d, d):
+        raise ValueError(
+            f"state shape {initial.tensor.shape} does not match the Hamiltonian's "
+            f"(trap, probe, probe) = {(ham.basis.dimension, d, d)}"
+        )
     psi0 = initial.flat()
     norm0 = np.linalg.norm(psi0)
 
-    d = ham.probe.levels
     psiT = np.zeros_like(psi0)
-    for sector in initial.basis.sectors():
+    for sector in ham.basis.sectors():
         s = slice(sector.start * d * d, sector.stop * d * d)
         if psi0[s].any():
             A = (-1j * pulse.T) * (ham.H0[s, s] + pulse.g0 * ham.V[s, s])
@@ -239,4 +230,4 @@ def exact_state(
         raise IntegratorDriftError(
             f"norm drift {drift:.3e} exceeds tolerance {norm_tol:.3e}"
         )
-    return JointState(initial.basis, psiT.reshape(initial.basis.dimension, d, d))
+    return JointState(psiT.reshape(initial.tensor.shape))

@@ -1,14 +1,16 @@
-"""Truncated multimode bosonic Fock space: basis, vectors, sparse operators.
+"""Truncated multimode bosonic Fock space: basis, Lambda operators, embedding.
 
-This is the explicit computational path. It is exact within the truncation
-(total particle number <= n_max over K modes) and is used to validate the
-closed-form moment path on small instances and to run exact time evolution.
+Operators are `scipy.sparse.csr_matrix` and trap vectors complex arrays in
+basis order. This is the explicit computational path. It is exact within the
+truncation (total particle number <= n_max over K modes) and is used to
+validate the closed-form moment path on small instances and to run exact
+time evolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,14 +19,9 @@ from .orbitals import OverlapTable
 
 __all__ = [
     "FockBasis",
-    "FockVector",
-    "FockOperator",
-    "annihilate",
-    "create",
     "number_operator",
     "build_lambda_operator",
-    "apply",
-    "inner",
+    "to_fock_vector",
     "single_particle_commutator_residual",
     "locality_product_residual",
 ]
@@ -75,84 +72,13 @@ class FockBasis:
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-@dataclass
-class FockVector:
-    """Complex amplitude vector over a FockBasis."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.basis.dimension,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, "
-                f"basis dimension is {self.basis.dimension}"
-            )
-        if not np.all(np.isfinite(self.amplitudes.view(float))):
-            raise ValueError("amplitudes must be finite")
-
-    @classmethod
-    def zero(cls, basis: FockBasis) -> "FockVector":
-        return cls(basis, np.zeros(basis.dimension, dtype=np.complex128))
-
-
-@dataclass
-class FockOperator:
-    """Sparse operator over a FockBasis."""
-
-    basis: FockBasis
-    matrix: sp.csr_matrix
-    hermitian: bool = False
-
-    def __post_init__(self) -> None:
-        d = self.basis.dimension
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match basis dimension {d}"
-            )
-        if self.hermitian:
-            dev = abs(self.matrix - self.matrix.conjugate().T)
-            resid = dev.max() if dev.nnz else 0.0
-            if resid >= 1e-12:
-                raise ValueError(f"operator flagged hermitian deviates by {resid:.3e}")
-
-
-def annihilate(k: int, basis: FockBasis) -> FockOperator:
-    """Matrix of a_k: <...n_k - 1...|a_k|...n_k...> = sqrt(n_k).
-
-    Truncation convention: matrix elements leaving the truncated space are
-    dropped, so the adjoint (creation) annihilates states at total n_max.
-    """
-    if not 0 <= k < basis.K:
-        raise IndexError(f"mode {k} outside 0..{basis.K - 1}")
-    rows, cols, vals = [], [], []
-    for j, occ in enumerate(basis.states):
-        n_k = occ[k]
-        if n_k == 0:
-            continue
-        target = occ[:k] + (n_k - 1,) + occ[k + 1 :]
-        rows.append(basis.index[target])
-        cols.append(j)
-        vals.append(sqrt(n_k))
-    mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension)
-    ).tocsr()
-    return FockOperator(basis, mat, hermitian=False)
-
-
-def create(k: int, basis: FockBasis) -> FockOperator:
-    """Matrix of a_k^dagger under the same truncation convention."""
-    return FockOperator(basis, annihilate(k, basis).matrix.T.tocsr(), hermitian=False)
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
+def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total particle number, diagonal in the occupation basis."""
     diag = np.array([sum(occ) for occ in basis.states], dtype=float)
-    return FockOperator(basis, sp.diags(diag).tocsr(), hermitian=True)
+    return sp.diags(diag).tocsr()
 
 
-def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> FockOperator:
+def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
     """Second-quantized half-space operator sum_{kl} lambda_{kl} a_k^dag a_l.
 
     Number conserving by construction; hermitian because the overlap matrix
@@ -178,23 +104,22 @@ def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> F
     j, l = j[p], l[p]
     rows = np.searchsorted(codes, codes[j] - w[1 + l] + w[1 + k])
     vals = lam[k, l] * np.sqrt(occ[j, l] * (occ[j, k] + (k != l)))
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (vals, (rows, j)), shape=(basis.dimension, basis.dimension)
     ).tocsr()
-    return FockOperator(basis, mat, hermitian=True)
 
 
-def apply(op: FockOperator, v: FockVector) -> FockVector:
-    if op.basis is not v.basis and op.basis != v.basis:
-        raise ValueError("operator and vector live on different bases")
-    return FockVector(v.basis, op.matrix @ v.amplitudes)
-
-
-def inner(u: FockVector, v: FockVector) -> complex:
-    """<u|v>, conjugating the first argument."""
-    if u.basis is not v.basis and u.basis != v.basis:
-        raise ValueError("vectors live on different bases")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
+def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Embed lowest-orbital amplitudes c_n, n = 0..n_cut, as a complex array over `basis`."""
+    if len(coeffs) - 1 > basis.n_max:
+        raise ValueError(
+            f"component cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
+        )
+    v = np.zeros(basis.dimension, dtype=np.complex128)
+    rest = (0,) * (basis.K - 1)
+    for n, c in enumerate(coeffs):
+        v[basis.index[(n,) + rest]] = c
+    return v
 
 
 def single_particle_commutator_residual(table: OverlapTable) -> float:
@@ -208,8 +133,8 @@ def single_particle_commutator_residual(table: OverlapTable) -> float:
     returns the actual floating-point residual, whatever it is.
     """
     basis = FockBasis(table.K, 1)
-    lamL = build_lambda_operator("L", table, basis).matrix
-    lamR = build_lambda_operator("R", table, basis).matrix
+    lamL = build_lambda_operator("L", table, basis)
+    lamR = build_lambda_operator("R", table, basis)
     comm = lamL @ lamR - lamR @ lamL
     return float(abs(comm).max()) if comm.nnz else 0.0
 

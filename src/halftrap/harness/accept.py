@@ -128,11 +128,13 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     lambda^L_k0 lambda^R_k0 and decrease strictly toward its limit 0.
     """
     table = build_overlap_table(6)
+    basis = fock.FockBasis(table.K, 4)
+    lam = [fock.build_lambda_operator(side, table, basis) for side in "LR"]
     batch = _oracle_states(cfg.seed)
     worst = 0.0
     for state in batch:
         closed = moments.moments_from_state(state, table.K)
-        explicit = moments.moments_from_fock(state, table, n_max=4)
+        explicit = moments.moments_from_fock(state, basis, *lam)
         worst = max(
             worst,
             abs(closed.mLL - explicit.mLL),

@@ -101,22 +101,24 @@ def _closed_form_for(cfg: ExperimentConfig) -> float | None:
     return None
 
 
-@dataclass
 class _Route:
-    """The overlap table and, built on first use, the Fock operators a route reads.
+    """The overlap table and the Fock operators a route reads, each built on first use.
 
-    The operators depend on no swept parameter, so a sweep builds them once.
+    None of them depends on a swept parameter, so a sweep builds each once.
+    Only the fock and exact routes read them, and both check the basis size
+    before they build the table.
     """
 
-    cfg: ExperimentConfig
-    table: OverlapTable | None
-
-    def __post_init__(self) -> None:
-        cfg, table = self.cfg, self.table
+    def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None) -> None:
         if table is not None and table.K != cfg.K:
             raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
-        if table is None and cfg.path != "moments":  # only fock and exact read a table
-            self.table = build_overlap_table(cfg.K)
+        self.cfg = cfg
+        if table is not None:
+            self.table = table  # an instance attribute shadows the cached property
+
+    @cached_property
+    def table(self) -> OverlapTable:
+        return build_overlap_table(self.cfg.K)
 
     @cached_property
     def basis(self) -> fock.FockBasis:
@@ -132,14 +134,17 @@ class _Route:
         return fock.FockBasis(cfg.K, cfg.n_max)
 
     @cached_property
-    def lam(self) -> tuple[fock.FockOperator, fock.FockOperator]:
-        return tuple(fock.build_lambda_operator(side, self.table, self.basis) for side in "LR")
+    def lam(self) -> tuple:
+        """(Lambda_L, Lambda_R) as CSR matrices on `basis`."""
+        basis = self.basis
+        return tuple(fock.build_lambda_operator(side, self.table, basis) for side in "LR")
 
     @cached_property
     def ham(self) -> evolution.JointHamiltonian:
         cfg = self.cfg
+        basis = self.basis
         probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-        return evolution.build_joint_hamiltonian(self.table, self.basis, probe, cfg.exact_dim_cap)
+        return evolution.build_joint_hamiltonian(self.table, basis, probe, cfg.exact_dim_cap)
 
 
 def extract(
@@ -165,12 +170,12 @@ def extract(
                 "path 'exact' evolves a single vector; use path 'moments' for mixtures"
             )
         ham = route.ham
-        phi = states.to_fock_vector(state.amplitudes, ham.basis)
+        phi = fock.to_fock_vector(state.amplitudes, ham.basis)
         pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
         final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
         return None, measurement.postselect(final)
     if cfg.path == "fock":
-        mom = moments.moments_from_fock(state, route.table, cfg.n_max, route.lam)
+        mom = moments.moments_from_fock(state, route.basis, *route.lam)
     elif cfg.extrapolate:
         mom = moments.analytic_limit_moments(state)
     else:
@@ -234,8 +239,9 @@ def evaluate_point(
 def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[PointResult]:
     """Evaluate the configured grid; results come back in grid order.
 
-    The Fock operators are built once, so a point costs its state vector and
-    the propagation of the particle-number sectors it occupies; a build that
+    The overlap table and the Fock operators are built once, at the first
+    point that reads them, so a point costs its state vector and the
+    propagation of the particle-number sectors it occupies; a build that
     fails fails again at each point, so every row carries its own error.
     """
     if cfg.sweep_param is None:
@@ -243,7 +249,7 @@ def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[
     if not cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep requested but value list is empty")
     route = _Route(cfg, table)
-    return [evaluate_point(cfg, route.table, v, route) for v in cfg.sweep_values]
+    return [evaluate_point(cfg, table, v, route) for v in cfg.sweep_values]
 
 
 def _blank(value) -> str:
@@ -314,7 +320,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     table = build_overlap_table(4)
     basis = fock.FockBasis(4, 3)
     probe = evolution.ProbeParams(levels=4)
-    phi = states.to_fock_vector(states.number_state(2).amplitudes, basis)
+    phi = fock.to_fock_vector(states.number_state(2).amplitudes, basis)
     ham = evolution.build_joint_hamiltonian(table, basis, probe)
     T0 = 0.02
     S = ham.coupling_weight(phi)

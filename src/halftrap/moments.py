@@ -34,11 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum, pi
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .orbitals import OverlapTable
-from .states import TrapState, to_fock_vector
+from .states import TrapState
+
+if TYPE_CHECKING:  # annotations only: importing moments loads no scipy.sparse
+    import scipy.sparse as sp
+
+    from .fock import FockBasis
 
 __all__ = [
     "ProbeBlockMoments",
@@ -119,22 +124,21 @@ def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
 
 
 def moments_from_fock(
-    state: TrapState, table: OverlapTable, n_max: int, lam: tuple | None = None
+    state: TrapState, basis: FockBasis, lamL: sp.csr_matrix, lamR: sp.csr_matrix
 ) -> ProbeBlockMoments:
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
-    Independent of the factorial-moment route: the state is embedded in an
-    occupation basis and the operators applied as sparse matrices. A pure
-    state is embedded whole, so the vanishing of the cross terms between
-    different n is checked rather than assumed; a mixture contributes one
-    number state per n. Cost grows combinatorially with (K, n_max), so this
-    is a cross-check for small truncations, not a production path. A sweep
-    passes its (Lambda_L, Lambda_R) pair on that basis as `lam`.
+    Independent of the factorial-moment route: the state is embedded in the
+    occupation basis `basis`, and the caller's Lambda_L and Lambda_R on it
+    (CSR matrices from `fock.build_lambda_operator`) are applied to it. A
+    pure state is embedded whole, so the vanishing of the cross terms
+    between different n is checked rather than assumed; a mixture
+    contributes one number state per n. Cost grows combinatorially with
+    (K, n_max), so this is a cross-check for small truncations, not a
+    production path.
     """
-    from . import fock
+    from .fock import to_fock_vector
 
-    basis = fock.FockBasis(table.K, n_max) if lam is None else lam[0].basis
-    lamL, lamR = lam or [fock.build_lambda_operator(side, table, basis) for side in "LR"]
     if state.is_pure:
         terms = [(1.0, state.amplitudes)]
     else:
@@ -144,18 +148,18 @@ def moments_from_fock(
     mLR = 0.0 + 0.0j
     for weight, coeffs in terms:
         v = to_fock_vector(coeffs, basis)
-        vL = fock.apply(lamL, v)
-        vR = fock.apply(lamR, v)
-        mLL += weight * fock.inner(vL, vL).real
-        mRR += weight * fock.inner(vR, vR).real
-        mLR += weight * fock.inner(vL, vR)
+        vL = lamL @ v
+        vR = lamR @ v
+        mLL += weight * np.vdot(vL, vL).real
+        mRR += weight * np.vdot(vR, vR).real
+        mLR += weight * np.vdot(vL, vR)
     return ProbeBlockMoments(
         mLL=float(mLL),
         mRR=float(mRR),
         mLR=complex(mLR),
         provenance="fock-K",
-        K=table.K,
-        diagnostics={"n_max": n_max, "dimension": basis.dimension},
+        K=basis.K,
+        diagnostics={"n_max": basis.n_max, "dimension": basis.dimension},
     )
 
 

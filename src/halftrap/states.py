@@ -7,6 +7,8 @@ pure state also keeps its amplitudes c_n, with p_n = |c_n|^2; a thermal or
 phase-averaged mixture is diagonal in n and is its populations alone, so no
 density matrix is ever built. The block moments depend on the state only
 through p_n, because the extraction operators conserve particle number.
+The Fock and exact routes embed amplitudes in an occupation basis with
+`fock.to_fock_vector`; this module holds no multimode machinery.
 
 Truncated states are NOT renormalized; the discarded tail mass is carried
 as a diagnostic instead, because renormalization silently shifts moments
@@ -22,8 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockBasis, FockVector
-
 __all__ = [
     "PureComponent",
     "TrapState",
@@ -34,7 +34,6 @@ __all__ = [
     "superposition_state",
     "thermal_state",
     "phase_averaged_state",
-    "to_fock_vector",
 ]
 
 _KINDS = ("coherent", "number", "superposition", "thermal", "phase_averaged")
@@ -274,15 +273,3 @@ def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: floa
         return phase_averaged_state(params["alpha_sq"], n_cut=n_cut, tail_tol=tail_tol)
     raise ValueError(f"unknown state kind {kind!r}")
 
-
-def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> FockVector:
-    """Embed lowest-orbital amplitudes c_n, n = 0..n_cut, into a multimode basis."""
-    if len(coeffs) - 1 > basis.n_max:
-        raise ValueError(
-            f"component cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
-        )
-    v = FockVector.zero(basis)
-    rest = (0,) * (basis.K - 1)
-    for n, c in enumerate(coeffs):
-        v.amplitudes[basis.index[(n,) + rest]] = c
-    return v

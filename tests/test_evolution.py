@@ -17,14 +17,13 @@ from halftrap.evolution import (
     probe_lowering,
     probe_momentum,
 )
-from halftrap.fock import FockBasis
+from halftrap.fock import FockBasis, to_fock_vector
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
     coherent_state,
     number_state,
     superposition_state,
-    to_fock_vector,
 )
 
 
@@ -71,7 +70,7 @@ def test_branch_weight_matches_moments(setup4):
     phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
     out = perturbative_state(phi, ham, pulse, include_H0=False)
-    mom = moments_from_fock(state, table, basis.n_max)
+    mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
     w10 = float(np.vdot(out.tensor[:, 1, 0], out.tensor[:, 1, 0]).real)
     w01 = float(np.vdot(out.tensor[:, 0, 1], out.tensor[:, 0, 1]).real)

@@ -472,7 +472,9 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
         post_init(basis)
 
     monkeypatch.setattr(fock.FockBasis, "__post_init__", counting)
+    tables = _count_calls(monkeypatch, orbitals, "build_overlap_table")
     # over the cap: refused from C(n_max + K, K) before any state is enumerated
+    # and before the overlap table is allocated
     for path in ("exact", "fock"):
         over = _route_cfg(path, **{"table.K": "30", "fock.n_max": "5"})
         rows = run_sweep(over)
@@ -480,6 +482,7 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
             row.error.startswith("ConfigError: config field 'exact.dim_cap'") for row in rows
         )
         assert len(rows) == 4 and bases == []
+    assert tables == []
     # a mixture is refused before the operators are needed, over the cap or not
     for entries in ({}, {"table.K": "30", "fock.n_max": "5"}):
         mixture = _route_cfg("exact", state="thermal", **{"sweep.param": "nbar"}, **entries)

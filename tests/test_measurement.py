@@ -10,7 +10,7 @@ from halftrap.evolution import (
     embed_product,
     perturbative_state,
 )
-from halftrap.fock import FockBasis
+from halftrap.fock import FockBasis, to_fock_vector
 from halftrap.measurement import (
     NoExtractionError,
     ProbeBlock,
@@ -20,7 +20,7 @@ from halftrap.measurement import (
 )
 from halftrap.moments import analytic_limit_moments, moments_from_fock
 from halftrap.orbitals import build_overlap_table
-from halftrap.states import number_state, superposition_state, to_fock_vector
+from halftrap.states import number_state, superposition_state
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def test_block_from_joint_matches_block_from_moments(small):
     pulse = Pulse.square(T=0.1, g0=0.3)
     joint = perturbative_state(phi, ham, pulse, include_H0=False)
     from_joint = postselect(joint)
-    mom = moments_from_fock(state, table, basis.n_max)
+    mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
     assert np.allclose(from_joint.matrix, from_mom.matrix, atol=1e-12)
     assert from_joint.p_succ == pytest.approx(from_mom.p_succ, rel=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halftrap import moments
+from halftrap.fock import FockBasis, build_lambda_operator
 from halftrap.moments import (
     ProbeBlockMoments,
     analytic_limit_moments,
@@ -109,7 +110,14 @@ def test_mode_count_validation():
         moments_from_state(number_state(1), 0)
 
 
-def test_moments_match_fock_expectations(table6):
+@pytest.fixture(scope="module")
+def fock6(table6):
+    """Four-quanta basis on six modes and its (Lambda_L, Lambda_R) pair."""
+    basis = FockBasis(table6.K, 4)
+    return basis, *(build_lambda_operator(side, table6, basis) for side in "LR")
+
+
+def test_moments_match_fock_expectations(table6, fock6):
     # independent oracle: sparse operators on the explicit occupation basis
     batch = [
         number_state(2),
@@ -119,7 +127,7 @@ def test_moments_match_fock_expectations(table6):
     ]
     for state in batch:
         closed = moments_from_state(state, table6.K)
-        explicit = moments_from_fock(state, table6, n_max=4)
+        explicit = moments_from_fock(state, *fock6)
         assert closed.mLL == pytest.approx(explicit.mLL, abs=1e-12)
         assert closed.mRR == pytest.approx(explicit.mRR, abs=1e-12)
         assert abs(closed.mLR - explicit.mLR) < 1e-12
@@ -130,9 +138,9 @@ def test_moments_match_fock_expectations(table6):
     [number_state(5), thermal_state(0.5, n_cut=5, tail_tol=1.0)],
     ids=["pure", "mixture"],
 )
-def test_fock_route_refuses_states_past_its_basis(state, table6):
+def test_fock_route_refuses_states_past_its_basis(state, fock6):
     with pytest.raises(ValueError, match="cutoff 5 exceeds basis capacity 4"):
-        moments_from_fock(state, table6, n_max=4)
+        moments_from_fock(state, *fock6)
 
 
 def test_finite_truncation_error_decays():
