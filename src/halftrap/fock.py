@@ -10,6 +10,7 @@ time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -66,6 +67,13 @@ class FockBasis:
     def dimension(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """The states as a read-only (dimension, K) int64 array of occupations."""
+        occ = np.array(self.states, dtype=np.int64).reshape(self.dimension, self.K)
+        occ.setflags(write=False)
+        return occ
+
     def sectors(self) -> list[slice]:
         """Index range of each particle-number sector N = 0..n_max."""
         edges = [comb(n + self.K - 1, self.K) for n in range(self.n_max + 2)]
@@ -91,7 +99,7 @@ def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> s
             f"overlap table has K={table.K} but basis has K={basis.K} modes"
         )
     lam = table.lambdaL if side == "L" else table.lambdaR
-    occ = np.array(basis.states, dtype=np.int64).reshape(basis.dimension, basis.K)
+    occ = basis.occupations
     # codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase along the
     # graded basis, so searchsorted finds the target of a_k^dag a_l; Python ints past int64
     base = basis.n_max + 1

@@ -226,6 +226,8 @@ def superposition_state(coeffs) -> TrapState:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or len(c) == 0:
         raise ValueError("coefficient list must be a non-empty 1-d sequence")
+    if not np.isfinite(c).all():
+        raise ValueError(f"coeffs must be finite, got {c.tolist()!r}")
     state = _pure("superposition", c, {"n_terms": len(c)})
     if abs(state.norm_sq() - 1.0) > 1e-12:
         raise ValueError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -89,4 +90,6 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
     cutoffs += [thermal_state(nbar).n_cut for nbar in (0.5, 3.0)]
     assert summary["n_cut_sum"] == sum(cutoffs) + 2 + 3
     assert summary["basis_dim"] > 0
-    assert summary["joint_dim"] > 0
+    # the full joint dimension of the exact run, C(n_max + K, K) * levels^2, not the
+    # mirror-even half that is propagated
+    assert summary["joint_dim"] == comb(3 + 4, 4) * 4**2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
@@ -30,6 +31,13 @@ from halftrap.states import (
 @pytest.fixture(scope="module")
 def table4():
     return build_overlap_table(4)
+
+
+def _full_coupling(ham):
+    """V = Lambda_L P_L + Lambda_R P_R on the whole flattened joint space."""
+    eye = sp.identity(ham.probe.levels, format="csr")
+    P = sp.csr_matrix(probe_momentum(ham.probe))
+    return (sp.kron(sp.kron(ham.lamL, P), eye) + sp.kron(sp.kron(ham.lamR, eye), P)).tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +157,7 @@ def test_sampled_pulse_agrees_with_square(setup4):
     phi = to_fock_vector(number_state(1).amplitudes, basis)
     T, g0 = 0.05, 1.0
     a = exact_state(embed_product(phi, probe), ham, Pulse.square(T=T, g0=g0))
-    H = (ham.H0 + g0 * ham.V).tocsr()
+    H = (ham.H0 + g0 * _full_coupling(ham)).tocsr()
     sol = solve_ivp(
         lambda t, y: -1j * (H @ y),
         (0.0, T),
@@ -172,7 +180,7 @@ def test_dimension_cap_enforced(table4):
 
 def _full_space_state(initial, ham, pulse):
     """Oracle: one expm_multiply over the whole joint space, every sector at once."""
-    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * ham.V)
+    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * _full_coupling(ham))
     return expm_multiply(A.tocsc(), initial.flat())
 
 
@@ -187,22 +195,85 @@ def _full_space_state(initial, ham, pulse):
     ],
     ids=["vacuum", "number", "coherent", "superposition-0-2", "superposition-1-2-4"],
 )
-def test_sector_propagation_matches_full_space(state, table4):
-    basis = FockBasis(4, 4)
-    probe = ProbeParams(levels=4)
-    ham = build_joint_hamiltonian(table4, basis, probe)
-    phi = to_fock_vector(state.amplitudes, basis)
-    initial = embed_product(phi, probe)
-    for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
-        got = exact_state(initial, ham, pulse).flat()
-        expect = _full_space_state(initial, ham, pulse)
-        assert np.abs(got - expect).max() <= 1e-14
-        # sectors the state does not occupy stay exactly zero
-        d2 = probe.levels**2
-        for sector in basis.sectors():
-            s = slice(sector.start * d2, sector.stop * d2)
-            if not initial.flat()[s].any():
-                assert not got[s].any()
+def test_sector_propagation_matches_full_space(state):
+    # K = 1 has only even trap states; K >= 2 mixes both parities in a sector
+    for K in range(1, 7):
+        table = build_overlap_table(K)
+        basis = FockBasis(K, 4)
+        phi = to_fock_vector(state.amplitudes, basis)
+        for levels in (2, 3, 4):
+            probe = ProbeParams(levels=levels)
+            ham = build_joint_hamiltonian(table, basis, probe)
+            initial = embed_product(phi, probe)
+            for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
+                got = exact_state(initial, ham, pulse).flat()
+                expect = _full_space_state(initial, ham, pulse)
+                assert np.abs(got - expect).max() <= 1e-14, (K, levels, pulse)
+                # sectors the state does not occupy stay exactly zero
+                d2 = probe.levels**2
+                for sector in basis.sectors():
+                    s = slice(sector.start * d2, sector.stop * d2)
+                    if not initial.flat()[s].any():
+                        assert not got[s].any()
+
+
+@pytest.mark.parametrize("K, levels", [(1, 2), (3, 3), (4, 4)])
+def test_mirror_sectors_reduce_the_full_operators(K, levels):
+    basis = FockBasis(K, 4)
+    probe = ProbeParams(levels=levels)
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    # H_0 against its loop over the occupation tuples: half-integer sums, so equal exactly
+    h0 = [
+        sum((k + 0.5) * n for k, n in enumerate(occ)) + (a + 0.5) + (b + 0.5)
+        for occ in basis.states
+        for a in range(levels)
+        for b in range(levels)
+    ]
+    assert np.array_equal(ham.H0.diagonal(), h0)
+    V = _full_coupling(ham)
+    for sector in ham.sectors:
+        s, U = sector.span, sector.U
+        assert abs(U.T @ U - sp.identity(U.shape[1])).max() <= 1e-15
+        # U spans the mirror-even half: Pi U = U
+        d = levels
+        t = np.repeat(np.arange(s.start // d**2, s.stop // d**2), d * d)
+        sign = (-1.0) ** (basis.occupations @ np.arange(K))[t]
+        swap = np.arange(s.stop - s.start).reshape(-1, d, d).transpose(0, 2, 1).ravel()
+        assert abs(sp.diags(sign) @ U[swap] - U).max() <= 1e-15
+        assert abs(U.T @ ham.H0[s, s] @ U - sector.h).max() <= 1e-14
+        assert abs(U.T @ V[s, s] @ U - sector.v).max() <= 1e-14
+        assert (sector.h.indices == sector.v.indices).all()
+    # an even trap state keeps the d(d+1)/2 swap-symmetric probe pairs, an odd one the d(d-1)/2 others
+    parity = basis.occupations @ np.arange(K) % 2
+    n_even = int(np.count_nonzero(parity == 0))
+    n_odd = parity.size - n_even
+    even_dim = (n_even * levels * (levels + 1) + n_odd * levels * (levels - 1)) // 2
+    assert sum(sector.U.shape[1] for sector in ham.sectors) == even_dim
+
+
+def test_mirror_halves_the_exact_sweep_sectors():
+    ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
+    assert [s.span.stop - s.span.start for s in ham.sectors] == [16, 128, 576, 1920, 5280]
+    assert [s.U.shape[1] for s in ham.sectors] == [10, 64, 296, 960, 2660]
+    assert ham.H0.shape[0] == 7920
+
+
+def test_table_without_the_parity_identity_is_refused(table4, setup4):
+    _, basis, probe, _ = setup4
+    lamL = table4.lambdaL.copy()
+    lamL[1, 2] += 1e-9  # k + l odd
+    broken = OverlapTable(K=4, lambdaL=lamL, lambdaR=table4.lambdaR.copy(), params=table4.params)
+    with pytest.raises(ValueError, match=r"lambdaL = P lambdaR P"):
+        build_joint_hamiltonian(broken, basis, probe)
+
+
+def test_mirror_odd_initial_state_is_refused(setup4):
+    _, basis, probe, ham = setup4
+    phi = to_fock_vector(number_state(1).amplitudes, basis)
+    odd = embed_product(phi, probe)
+    odd.tensor[:, 1, 0] = phi  # |1>|10> alone is not even under the probe swap
+    with pytest.raises(ValueError, match="mirror-odd"):
+        exact_state(odd, ham, Pulse.square(T=0.05, g0=1.0))
 
 
 def test_tiny_norm_tolerance_raises_drift_error(setup4):

@@ -454,6 +454,23 @@ def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkey
     assert len(ham_calls) == hamiltonians
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"state": "number", "number_n": "3"},
+        {"state": "coherent", "alpha_sq": "0.4", "n_cut": "4", "tail_tol": "1e-3"},
+        {"state": "superposition", "coeffs": "0.6, 0, 0.8j"},
+    ],
+    ids=["number", "coherent", "superposition"],
+)
+def test_exact_route_block_is_mirror_symmetric(entries, table6):
+    # trap parity times the probe swap is a symmetry, so both probes are excited alike
+    cfg = _route_cfg("exact", **{"pulse.area": "0.2", **entries})
+    block = single_block(cfg, table6)
+    assert block.p_succ > 0
+    assert block.matrix[0, 0] == pytest.approx(block.matrix[1, 1], rel=1e-14, abs=0)
+
+
 def test_sweep_rows_match_points_evaluated_alone(table6):
     # sharing the operators between points changes no byte of a row
     for path in ("fock", "exact"):

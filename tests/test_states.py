@@ -276,6 +276,14 @@ def test_superposition_requires_normalization():
         superposition_state([1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "coeffs", [[np.nan, 1.0], [1.0, np.inf], [0.6, complex(0.0, -np.inf)]], ids=["nan", "inf", "complex-inf"]
+)
+def test_superposition_refuses_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        superposition_state(coeffs)
+
+
 def test_superposition_moments_by_direct_sum():
     c = np.array([0.5, 0.5j, 0.0, -np.sqrt(0.5)])
     state = superposition_state(c)
