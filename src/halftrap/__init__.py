@@ -30,7 +30,6 @@ from .evolution import (
     DimensionCapError,
     IntegratorDriftError,
     JointHamiltonian,
-    JointState,
     ProbeParams,
     Pulse,
     build_joint_hamiltonian,
@@ -62,7 +61,6 @@ from .moments import (
     moments_from_state,
 )
 from .orbitals import (
-    OscillatorParams,
     OverlapTable,
     build_overlap_table,
     write_table_csv,
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # orbitals
-    "OscillatorParams",
     "OverlapTable",
     "build_overlap_table",
     "write_table_csv",
@@ -115,7 +112,6 @@ __all__ = [
     "DimensionCapError",
     "IntegratorDriftError",
     "JointHamiltonian",
-    "JointState",
     "ProbeParams",
     "Pulse",
     "build_joint_hamiltonian",

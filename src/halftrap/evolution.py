@@ -2,7 +2,9 @@
 
 Two routes to the final state: the first-order perturbative form (exact in
 the pulse area, valid for weak pulses) and full propagation of the truncated
-joint Hamiltonian (used to measure how good first order actually is).
+joint Hamiltonian (used to measure how good first order actually is). A
+joint state is a complex array of shape (trap Fock basis, probe L levels,
+probe R levels).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .orbitals import OverlapTable
 __all__ = [
     "ProbeParams",
     "Pulse",
-    "JointState",
     "MirrorSector",
     "JointHamiltonian",
     "DimensionCapError",
@@ -78,24 +79,6 @@ class IntegratorDriftError(RuntimeError):
     pass
 
 
-@dataclass
-class JointState:
-    """Amplitudes over (trap Fock basis) x (probe L levels) x (probe R levels)."""
-
-    tensor: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.tensor = np.asarray(self.tensor, dtype=np.complex128)
-        if self.tensor.ndim != 3:
-            raise ValueError(f"tensor shape {self.tensor.shape} is not (trap, probe, probe)")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
-
-    def flat(self) -> np.ndarray:
-        return self.tensor.reshape(-1)
-
-
 def probe_lowering(levels: int) -> np.ndarray:
     """Truncated oscillator lowering operator b on `levels` levels."""
     return np.diag(np.sqrt(np.arange(1.0, levels)), 1)
@@ -107,12 +90,12 @@ def probe_momentum(probe: ProbeParams) -> np.ndarray:
     return 1j * np.sqrt(probe.M * probe.Omega / 2.0) * (b.T - b)
 
 
-def embed_product(phi: np.ndarray, probe: ProbeParams) -> JointState:
-    """|phi> with both probes in their ground state."""
+def embed_product(phi: np.ndarray, probe: ProbeParams) -> np.ndarray:
+    """|phi> with both probes in their ground state, as a (trap, probe, probe) array."""
     d = probe.levels
-    tensor = np.zeros((len(phi), d, d), dtype=np.complex128)
-    tensor[:, 0, 0] = phi
-    return JointState(tensor)
+    joint = np.zeros((len(phi), d, d), dtype=np.complex128)
+    joint[:, 0, 0] = phi
+    return joint
 
 
 @dataclass(frozen=True)
@@ -210,7 +193,7 @@ def _mirror_sectors(
     """
     Q, pairs, B = _probe_halves(probe)
     d2 = probe.levels**2
-    par = basis.occupations @ np.arange(basis.K) % 2
+    par = basis.states @ np.arange(basis.K) % 2
     off = np.concatenate(([0], np.cumsum([Q[p].shape[1] for p in par])))
     n = int(off[-1])
     lam = lamL.tocoo()
@@ -291,9 +274,8 @@ def build_joint_hamiltonian(
     lamR = build_lambda_operator("R", table, basis)
 
     # H_0 is diagonal: trap energy plus the two probe levels, (t, a, b) order;
-    # orbital k carries energy (k + 1/2) omega per particle
-    occ = basis.occupations
-    h_trap = occ @ ((np.arange(basis.K) + 0.5) * table.params.omega)
+    # orbital k carries energy k + 1/2 per particle
+    h_trap = basis.states @ (np.arange(basis.K) + 0.5)
     h_probe = (np.arange(d) + 0.5) * probe.Omega
     H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
 
@@ -301,37 +283,31 @@ def build_joint_hamiltonian(
     return JointHamiltonian(basis, probe, H0, lamL, lamR, sectors)
 
 
-def perturbative_state(
-    phi: np.ndarray,
-    ham: JointHamiltonian,
-    pulse: Pulse,
-    include_H0: bool = True,
-) -> JointState:
+def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
     """First-order joint state, unnormalized, from the operators `ham` holds.
 
     The zero-excitation branch is (1 - i T H_0)|phi>|00>; each single
-    excitation branch carries area * sqrt(M Omega / 2) * Lambda|phi>. With
-    include_H0 off the free-evolution term is dropped; it lives entirely in
-    the branch that post-selection discards.
+    excitation branch carries area * sqrt(M Omega / 2) * Lambda|phi>. The
+    free-evolution term lives entirely in the branch that post-selection
+    discards.
     """
     probe = ham.probe
-    state = embed_product(phi, probe)
-    if include_H0:
-        # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
-        h00 = ham.H0.diagonal().reshape(state.tensor.shape)[:, 0, 0]
-        state.tensor[:, 0, 0] -= 1j * pulse.T * h00 * phi
+    joint = embed_product(phi, probe)
+    # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
+    h00 = ham.H0.diagonal().reshape(joint.shape)[:, 0, 0]
+    joint[:, 0, 0] -= 1j * pulse.T * h00 * phi
     amp = pulse.area * np.sqrt(probe.M * probe.Omega / 2.0)
-    state.tensor[:, 1, 0] = amp * (ham.lamL @ phi)
-    state.tensor[:, 0, 1] = amp * (ham.lamR @ phi)
-    return state
+    joint[:, 1, 0] = amp * (ham.lamL @ phi)
+    joint[:, 0, 1] = amp * (ham.lamR @ phi)
+    return joint
 
 
 def exact_state(
-    initial: JointState,
+    initial: np.ndarray,
     ham: JointHamiltonian,
     pulse: Pulse,
     norm_tol: float = 1e-9,
-) -> JointState:
+) -> np.ndarray:
     """Propagate the joint state through the pulse on the mirror-even half of each sector.
 
     The square pulse makes the Hamiltonian constant, so the sparse matrix
@@ -345,15 +321,15 @@ def exact_state(
     exceeded. The size cap was checked when `ham` was built.
     """
     d = ham.probe.levels
-    if initial.tensor.shape != (ham.basis.dimension, d, d):
+    if initial.shape != (ham.basis.dimension, d, d):
         raise ValueError(
-            f"state shape {initial.tensor.shape} does not match the Hamiltonian's "
+            f"state shape {initial.shape} does not match the Hamiltonian's "
             f"(trap, probe, probe) = {(ham.basis.dimension, d, d)}"
         )
-    psi0 = initial.flat()
+    psi0 = initial.reshape(-1)
     norm0 = np.linalg.norm(psi0)
 
-    psiT = np.zeros_like(psi0)
+    psiT = np.zeros(psi0.shape, dtype=np.complex128)
     scale = -1j * pulse.T
     for sector in ham.sectors:
         x = psi0[sector.span]
@@ -376,4 +352,4 @@ def exact_state(
         raise IntegratorDriftError(
             f"norm drift {drift:.3e} exceeds tolerance {norm_tol:.3e}"
         )
-    return JointState(psiT.reshape(initial.tensor.shape))
+    return psiT.reshape(initial.shape)

@@ -10,7 +10,7 @@ time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -28,51 +28,40 @@ __all__ = [
 ]
 
 
-def _occupations(total: int, modes: int):
-    """All occupation tuples of `modes` modes summing to `total`, lex order."""
-    if modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _occupations(total - first, modes - 1):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis over K modes with total particles <= n_max.
 
-    Ordering is graded lexicographic (by total, then lexicographic on the
-    occupation tuple), which is stable across runs and makes particle-number
+    `states` is a read-only (dimension, K) int64 array of occupations in
+    graded lexicographic order (by total, then lexicographic on the
+    occupations), which is stable across runs and makes particle-number
     blocks contiguous.
     """
 
     K: int
     n_max: int
-    states: tuple = field(init=False, repr=False, compare=False)
-    index: dict = field(init=False, repr=False, compare=False)
+    states: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError(f"mode count must be >= 1, got {self.K}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        states = []
-        for total in range(self.n_max + 1):
-            states.extend(_occupations(total, self.K))
-        object.__setattr__(self, "states", tuple(states))
-        object.__setattr__(self, "index", {occ: i for i, occ in enumerate(states)})
+        K = self.K
+        sectors = []
+        for n in range(self.n_max + 1):
+            # stars and bars: the K - 1 bars among n + K - 1 slots, in lex order; the
+            # gaps around the bars are the occupations
+            bars = np.array(list(combinations(range(n + K - 1), K - 1)), dtype=np.int64)
+            ends = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + K - 1))
+            sectors.append(np.diff(ends, axis=1) - 1)
+        states = np.concatenate(sectors)
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
 
     @property
     def dimension(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        """The states as a read-only (dimension, K) int64 array of occupations."""
-        occ = np.array(self.states, dtype=np.int64).reshape(self.dimension, self.K)
-        occ.setflags(write=False)
-        return occ
 
     def sectors(self) -> list[slice]:
         """Index range of each particle-number sector N = 0..n_max."""
@@ -82,8 +71,7 @@ class FockBasis:
 
 def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total particle number, diagonal in the occupation basis."""
-    diag = np.array([sum(occ) for occ in basis.states], dtype=float)
-    return sp.diags(diag).tocsr()
+    return sp.diags(basis.states.sum(axis=1).astype(float)).tocsr()
 
 
 def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
@@ -99,7 +87,7 @@ def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> s
             f"overlap table has K={table.K} but basis has K={basis.K} modes"
         )
     lam = table.lambdaL if side == "L" else table.lambdaR
-    occ = basis.occupations
+    occ = basis.states
     # codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase along the
     # graded basis, so searchsorted finds the target of a_k^dag a_l; Python ints past int64
     base = basis.n_max + 1
@@ -124,9 +112,8 @@ def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
             f"component cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
         )
     v = np.zeros(basis.dimension, dtype=np.complex128)
-    rest = (0,) * (basis.K - 1)
-    for n, c in enumerate(coeffs):
-        v[basis.index[(n,) + rest]] = c
+    # (n, 0, ..., 0) is the last state of sector n
+    v[[comb(n + basis.K, basis.K) - 1 for n in range(len(coeffs))]] = coeffs
     return v
 
 

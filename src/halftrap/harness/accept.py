@@ -19,7 +19,14 @@ import numpy as np
 from .. import entanglement, fock, measurement, moments, states
 from ..orbitals import build_overlap_table
 from .config import ExperimentConfig
-from .sweep import LOCALITY_LADDER, extract, perturbation_evidence, run_sweep, write_sweep_csv
+from .sweep import (
+    LOCALITY_LADDER,
+    commutator_evidence,
+    extract,
+    perturbation_evidence,
+    run_sweep,
+    write_sweep_csv,
+)
 
 __all__ = ["TARGETS", "run_accept"]
 
@@ -187,9 +194,8 @@ def check_commutator(cfg: ExperimentConfig) -> tuple[bool, str]:
     modes m >= K, and on a fixed 8x8 block it must decrease strictly at every
     step of the validation ladder.
     """
-    ladder = [build_overlap_table(K) for K in LOCALITY_LADDER]
-    resid = [fock.single_particle_commutator_residual(t) for t in ladder]
-    prods = [fock.locality_product_residual(t, block=8) for t in ladder]
+    ev = commutator_evidence()
+    resid, prods = ev["residuals"], ev["products"]
     commute = all(r <= _ROUNDOFF for r in resid)
     decays = all(hi > lo for hi, lo in zip(prods, prods[1:]))
     return commute and decays, (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..measurement import sample_outcomes
+from ..measurement import NoExtractionError, sample_outcomes
 from ..orbitals import build_overlap_table, write_table_csv
 from ..states import TailToleranceError
 from . import accept as accept_mod
@@ -24,6 +24,9 @@ from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config
 from .sweep import run_sweep, run_validation, single_block, write_plot_data, write_sweep_csv
 
 __all__ = ["main"]
+
+# reported as one `error:` line with exit code 1
+_INPUT_ERRORS = (ConfigError, TailToleranceError, NoExtractionError, ValueError, OSError, MemoryError)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -138,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, TailToleranceError, ValueError, OSError, MemoryError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ from .config import ConfigError, ExperimentConfig
 __all__ = [
     "LOCALITY_LADDER",
     "PointResult",
+    "commutator_evidence",
     "evaluate_point",
     "extract",
     "perturbation_evidence",
@@ -331,13 +332,21 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     for T in lengths:
         pulse = evolution.Pulse.square(T=T, g0=g0)
         final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
-        model = evolution.perturbative_state(phi, ham, pulse, include_H0=True)
-        diff = final.flat() - model.flat()
+        diff = final - evolution.perturbative_state(phi, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final)
         leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     return {"T": lengths, "residuals": residuals, "ratios": ratios, "leak_fracs": leak_fracs}
+
+
+def commutator_evidence() -> dict:
+    """[Lambda_L, Lambda_R] residual and the 8x8 locality product at each K of LOCALITY_LADDER."""
+    tables = [build_overlap_table(K) for K in LOCALITY_LADDER]
+    return {
+        "residuals": [fock.single_particle_commutator_residual(t) for t in tables],
+        "products": [fock.locality_product_residual(t, block=8) for t in tables],
+    }
 
 
 def _perturbative_section(cfg: ExperimentConfig, lines: list[str]) -> None:
@@ -386,10 +395,8 @@ def _commutator_section(lines: list[str]) -> None:
     """The two coupling operators commute identically at every truncation."""
     lines.append("single-particle commutator residual vs truncation")
     lines.append("     K   max|[L,R]|   corner-product")
-    for K in LOCALITY_LADDER:
-        table = build_overlap_table(K)
-        resid = fock.single_particle_commutator_residual(table)
-        prod = fock.locality_product_residual(table, block=8)
+    ev = commutator_evidence()
+    for K, resid, prod in zip(LOCALITY_LADDER, ev["residuals"], ev["products"]):
         lines.append(f"  {K:4d}  {resid:11.4e}  {prod:13.6e}")
     lines.append(
         "  note: phi_k phi_l has parity (-1)^(k+l), so the half-line integrals"

@@ -10,11 +10,14 @@ block matrix and reported separately as leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evolution import JointState, ProbeParams, Pulse
 from .moments import ProbeBlockMoments
+
+if TYPE_CHECKING:  # annotations only: measurement needs neither evolution nor scipy at runtime
+    from .evolution import ProbeParams, Pulse
 
 __all__ = [
     "ProbeBlock",
@@ -55,18 +58,20 @@ class ProbeBlock:
             raise ValueError(f"post-selected block not PSD: min eig {eigs.min():.3e}")
 
 
-def postselect(joint: JointState) -> ProbeBlock:
-    """Project out |00>, trace the trap, compress to the {10, 01} block."""
-    norm_sq = float(np.vdot(joint.flat(), joint.flat()).real)
+def postselect(joint: np.ndarray) -> ProbeBlock:
+    """Project (trap, probe, probe) amplitudes off |00>, trace the trap, keep {10, 01}."""
+    if joint.ndim != 3:
+        raise ValueError(f"joint state shape {joint.shape} is not (trap, probe, probe)")
+    norm_sq = float(np.vdot(joint, joint).real)
     if norm_sq <= 0.0:
         raise NoExtractionError("joint state has zero norm")
-    branch_10 = joint.tensor[:, 1, 0]
-    branch_01 = joint.tensor[:, 0, 1]
+    branch_10 = joint[:, 1, 0]
+    branch_01 = joint[:, 0, 1]
     w10 = float(np.vdot(branch_10, branch_10).real)
     w01 = float(np.vdot(branch_01, branch_01).real)
     # partial trace over the trap: rho_ab = sum_t psi_{t,a} conj(psi_{t,b})
     coh = complex(np.vdot(branch_01, branch_10))
-    ground = joint.tensor[:, 0, 0]
+    ground = joint[:, 0, 0]
     w00 = float(np.vdot(ground, ground).real)
     selected = norm_sq - w00
     leakage = max(selected - w10 - w01, 0.0)

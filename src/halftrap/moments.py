@@ -32,7 +32,7 @@ like K^(-1/2), so a finite K leaves that tail in T_LR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum, pi
 from typing import TYPE_CHECKING
 
@@ -65,7 +65,6 @@ class ProbeBlockMoments:
     mLR: complex
     provenance: str
     K: int | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mLL < 0 or self.mRR < 0:
@@ -108,7 +107,6 @@ def _assemble(
         mLR=complex((0.25 - s) * n1 + 0.25 * n2),
         provenance=provenance,
         K=K,
-        diagnostics={"tail_mass": state.tail_mass},
     )
 
 
@@ -159,7 +157,6 @@ def moments_from_fock(
         mLR=complex(mLR),
         provenance="fock-K",
         K=basis.K,
-        diagnostics={"n_max": basis.n_max, "dimension": basis.dimension},
     )
 
 

@@ -9,30 +9,15 @@ and slopes at the origin, so no integral is computed at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "OscillatorParams",
     "OverlapTable",
     "build_overlap_table",
     "write_table_csv",
 ]
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Trap oscillator parameters, hbar fixed to 1."""
-
-    m: float = 1.0
-    omega: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.omega > 0:
-            raise ValueError(f"frequency must be positive, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +38,6 @@ class OverlapTable:
     K: int
     lambdaL: np.ndarray
     lambdaR: np.ndarray
-    params: OscillatorParams = field(default_factory=OscillatorParams)
 
     def __post_init__(self) -> None:
         for name in ("lambdaL", "lambdaR"):
@@ -63,7 +47,7 @@ class OverlapTable:
             arr.setflags(write=False)
 
 
-def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -> OverlapTable:
+def build_overlap_table(K: int) -> OverlapTable:
     """Build the half-line overlap table for K modes from the Wronskian identity.
 
     psi_k'' = (xi^2 - 2k - 1) psi_k, so the Wronskian
@@ -77,7 +61,7 @@ def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -
     entry is delta_{kl}/2 exactly. lambdaL is the complement delta - lambdaR.
 
     The table is evaluated in the dimensionless coordinate, so it is
-    independent of (m, omega); `params` is recorded on the result.
+    independent of the trap's mass and frequency.
     """
     if K < 1:
         raise ValueError(f"mode count must be >= 1, got {K}")
@@ -98,7 +82,7 @@ def build_overlap_table(K: int, params: OscillatorParams = OscillatorParams()) -
     lambdaR[0::2, 1::2] = block.T
     np.fill_diagonal(lambdaR, 0.5)
     lambdaL = np.eye(K) - lambdaR
-    return OverlapTable(K=K, lambdaL=lambdaL, lambdaR=lambdaR, params=params)
+    return OverlapTable(K=K, lambdaL=lambdaL, lambdaR=lambdaR)
 
 
 def write_table_csv(table: OverlapTable, path: str) -> None:

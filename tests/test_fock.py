@@ -13,15 +13,36 @@ from halftrap.fock import (
     build_lambda_operator,
     number_operator,
     single_particle_commutator_residual,
+    to_fock_vector,
 )
 from halftrap.orbitals import build_overlap_table
+
+
+def _occupations(total, modes):
+    """Oracle: all occupation tuples of `modes` modes summing to `total`, lex order."""
+    if modes == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _occupations(total - first, modes - 1):
+            yield (first,) + rest
+
+
+def _graded_states(K, n_max):
+    """Oracle: the graded-lex basis as a list of occupation tuples."""
+    return [occ for total in range(n_max + 1) for occ in _occupations(total, K)]
+
+
+_BASIS_CASES = [(K, n_max) for K in range(1, 9) for n_max in range(5)] + [(64, 1), (40, 2)]
 
 
 def _loop_lambda_operator(side, table, basis):
     """Oracle: sum_{kl} lambda_kl a_k^dag a_l, one state and one (k, l) pair at a time."""
     lam = table.lambdaL if side == "L" else table.lambdaR
+    states = _graded_states(basis.K, basis.n_max)
+    index = {occ: i for i, occ in enumerate(states)}
     rows, cols, vals = [], [], []
-    for j, occ in enumerate(basis.states):
+    for j, occ in enumerate(states):
         for l in range(basis.K):
             n_l = occ[l]
             if n_l == 0:
@@ -37,7 +58,7 @@ def _loop_lambda_operator(side, table, basis):
                     vals.append(coeff * n_l)
                 else:
                     target = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1 :]
-                    rows.append(basis.index[target])
+                    rows.append(index[target])
                     cols.append(j)
                     vals.append(coeff * math.sqrt(n_l * (lowered[k] + 1)))
     return sp.coo_matrix(
@@ -61,20 +82,36 @@ def test_dimension_matches_stars_and_bars():
 
 def test_enumeration_is_graded_then_lexicographic():
     basis = FockBasis(2, 2)
-    assert list(basis.states) == [
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (0, 2),
-        (1, 1),
-        (2, 0),
+    assert basis.states.tolist() == [
+        [0, 0],
+        [0, 1],
+        [1, 0],
+        [0, 2],
+        [1, 1],
+        [2, 0],
     ]
 
 
-def test_index_lookup_roundtrip():
-    basis = FockBasis(3, 3)
-    for i, occ in enumerate(basis.states):
-        assert basis.index[occ] == i
+@pytest.mark.parametrize("K, n_max", _BASIS_CASES)
+def test_states_match_recursive_enumeration(K, n_max):
+    basis = FockBasis(K, n_max)
+    expect = _graded_states(K, n_max)
+    assert basis.states.dtype == np.int64
+    assert basis.states.shape == (len(expect), K)
+    assert basis.states.tolist() == [list(occ) for occ in expect]
+    assert not basis.states.flags.writeable
+
+
+@pytest.mark.parametrize("K, n_max", _BASIS_CASES)
+def test_to_fock_vector_places_c_n_on_the_lowest_orbital_state(K, n_max):
+    basis = FockBasis(K, n_max)
+    index = {occ: i for i, occ in enumerate(_graded_states(K, n_max))}
+    coeffs = np.arange(1, n_max + 2) * (1.0 + 0.5j)
+    v = to_fock_vector(coeffs, basis)
+    expect = np.zeros(basis.dimension, dtype=np.complex128)
+    for n, c in enumerate(coeffs):
+        expect[index[(n,) + (0,) * (K - 1)]] = c
+    assert np.array_equal(v, expect)
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,17 +121,14 @@ def test_every_bounded_occupation_is_present(data):
     occ = tuple(
         data.draw(st.integers(min_value=0, max_value=4), label=f"n{j}") for j in range(3)
     )
-    if sum(occ) <= 4:
-        assert basis.states[basis.index[occ]] == occ
-    else:
-        assert occ not in basis.index
+    matches = np.count_nonzero((basis.states == occ).all(axis=1))
+    assert matches == (1 if sum(occ) <= 4 else 0)
 
 
 def test_number_operator_counts():
     basis = FockBasis(2, 3)
     n = number_operator(basis)
-    for occ in basis.states:
-        i = basis.index[occ]
+    for i, occ in enumerate(basis.states):
         assert n[i, i] == float(sum(occ))
 
 

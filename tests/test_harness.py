@@ -686,6 +686,19 @@ def test_cli_bad_config_exits_one(tmp_path, cli_env):
     assert "state" in proc.stderr
 
 
+@pytest.mark.parametrize("sets", [["state=number", "number_n=0"], ["alpha_sq=0"]])
+def test_cli_reports_a_state_with_no_extraction_as_one_error_line(sets, cli_env):
+    # the vacuum has no weight outside the ground level: NoExtractionError
+    args = ["sample", "--shots", "10"]
+    for item in sets:
+        args += ["--set", item]
+    proc = _cli(args, cli_env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_accept_failure_exits_two(cli_env):
     # an impossible tolerance turns the first target red
     proc = _cli(

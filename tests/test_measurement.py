@@ -36,7 +36,8 @@ def test_block_from_joint_matches_block_from_moments(small):
     state = number_state(2)
     phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.3)
-    joint = perturbative_state(phi, ham, pulse, include_H0=False)
+    joint = perturbative_state(phi, ham, pulse)
+    joint[:, 0, 0] = phi
     from_joint = postselect(joint)
     mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
@@ -51,9 +52,19 @@ def test_free_evolution_leaves_block_unchanged(small):
     table, basis, probe, ham = small
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.05, g0=0.3)
-    with_h0 = postselect(perturbative_state(phi, ham, pulse, include_H0=True))
-    without = postselect(perturbative_state(phi, ham, pulse, include_H0=False))
+    with_h0 = postselect(perturbative_state(phi, ham, pulse))
+    joint = perturbative_state(phi, ham, pulse)
+    joint[:, 0, 0] = phi
+    without = postselect(joint)
     assert np.allclose(with_h0.matrix, without.matrix, atol=1e-12)
+
+
+def test_postselect_needs_trap_probe_probe_axes(small):
+    table, basis, probe, ham = small
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    with pytest.raises(ValueError, match="not \\(trap, probe, probe\\)"):
+        postselect(joint.reshape(-1))
 
 
 def test_vacuum_cannot_be_selected(small):

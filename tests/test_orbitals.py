@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from halftrap.orbitals import (
-    OscillatorParams,
     build_overlap_table,
     write_table_csv,
 )
@@ -45,8 +44,8 @@ def _hermite_functions(kmax: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_orbital(k: int, x, params: OscillatorParams = OscillatorParams()):
-    """Evaluate the k-th trap orbital phi_k at position(s) x.
+def eval_orbital(k: int, x):
+    """Evaluate the k-th trap orbital phi_k at position(s) x, with hbar = m = omega = 1.
 
     Normalized so the squared orbital integrates to one. Far outside the
     classical turning point the value underflows; exact zero is returned
@@ -54,9 +53,8 @@ def eval_orbital(k: int, x, params: OscillatorParams = OscillatorParams()):
     """
     if k < 0:
         raise ValueError(f"mode index must be non-negative, got {k}")
-    scale = params.m * params.omega
-    xi = np.sqrt(scale) * np.asarray(x, dtype=float)
-    vals = scale ** 0.25 * _hermite_functions(k + 1, xi.ravel())[k]
+    xi = np.asarray(x, dtype=float)
+    vals = _hermite_functions(k + 1, xi.ravel())[k]
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals.reshape(np.shape(x))
@@ -230,5 +228,3 @@ def test_tables_are_read_only(table8):
 def test_invalid_arguments_rejected():
     with pytest.raises(ValueError):
         build_overlap_table(0)
-    with pytest.raises(ValueError):
-        OscillatorParams(m=-1.0)

@@ -333,7 +333,8 @@ def test_to_fock_vector_embeds_lowest_mode():
     state = coherent_state(alpha_sq=1.0, n_cut=4, tail_tol=1.0)
     v = to_fock_vector(state.amplitudes, basis)
     for n in range(5):
-        assert v[basis.index[(n, 0, 0)]] == state.amplitudes[n]
+        (i,) = np.flatnonzero((basis.states == (n, 0, 0)).all(axis=1))
+        assert v[i] == state.amplitudes[n]
     assert np.count_nonzero(v) == 5
 
 
