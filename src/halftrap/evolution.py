@@ -16,11 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockBasis, build_lambda_operator
+from .measurement import ProbeParams, Pulse
 from .orbitals import OverlapTable
 
 __all__ = [
-    "ProbeParams",
-    "Pulse",
     "MirrorSector",
     "JointHamiltonian",
     "DimensionCapError",
@@ -34,41 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class ProbeParams:
-    """One probe oscillator species: mass M, frequency Omega, level cutoff."""
-
-    M: float = 1.0
-    Omega: float = 1.0
-    levels: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.M > 0:
-            raise ValueError(f"probe mass must be positive, got {self.M}")
-        if not self.Omega > 0:
-            raise ValueError(f"probe frequency must be positive, got {self.Omega}")
-        if self.levels < 2:
-            raise ValueError(f"probe needs at least 2 levels, got {self.levels}")
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Square coupling pulse g(t) = g0 on [0, T]; first-order physics sees only the area."""
-
-    T: float
-    g0: float = 0.0
-
-    @classmethod
-    def square(cls, T: float, g0: float) -> "Pulse":
-        if not T > 0:
-            raise ValueError(f"pulse duration must be positive, got {T}")
-        return cls(T=float(T), g0=float(g0))
-
-    @property
-    def area(self) -> float:
-        return self.g0 * self.T
 
 
 class DimensionCapError(RuntimeError):

@@ -16,7 +16,7 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .. import entanglement, fock, measurement, moments, states
+from .. import entanglement, measurement, moments, states
 from ..orbitals import build_overlap_table
 from .config import ExperimentConfig
 from .sweep import (
@@ -134,6 +134,8 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     series value of T_LR(K) must equal the fsum of the table column
     lambda^L_k0 lambda^R_k0 and decrease strictly toward its limit 0.
     """
+    from .. import fock
+
     table = build_overlap_table(6)
     basis = fock.FockBasis(table.K, 4)
     lam = [fock.build_lambda_operator(side, table, basis) for side in "LR"]

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field, fields
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "apply_overrides"]
 
 _PATHS = ("moments", "fock", "exact")
-_STATE_KINDS = ("coherent", "number", "superposition", "thermal", "phase_averaged")
+# the one parameter each state family reads, and so the only one a sweep of it may walk
+_STATE_PARAM = {
+    "coherent": "alpha_sq",
+    "number": "number_n",
+    "superposition": None,
+    "thermal": "nbar",
+    "phase_averaged": "alpha_sq",
+}
+_SWEEP_PARAMS = tuple(dict.fromkeys(p for p in _STATE_PARAM.values() if p))
 _PULSE_PRESETS = ("amplitude10", "inverse-quartic", "none")
 
 
@@ -131,7 +139,7 @@ class ExperimentConfig:
     """Typed run parameters; construct via `from_entries`."""
 
     # state
-    state: str = _key("state", "coherent", _choice(*_STATE_KINDS))
+    state: str = _key("state", "coherent", _choice(*_STATE_PARAM))
     alpha_sq: float = _key("alpha_sq", 2.0, _float, low=0)
     number_n: int = _key("number_n", 2, _int, low=0)
     coeffs: list = _key("coeffs", [], _list(complex, "complex"))
@@ -160,7 +168,7 @@ class ExperimentConfig:
     exact_dim_cap: int = _key("exact.dim_cap", 20_000, _int, low=1)
 
     # sweep
-    sweep_param: str | None = _key("sweep.param", None, _choice("alpha_sq", "number_n", "nbar"))
+    sweep_param: str | None = _key("sweep.param", None, _choice(*_SWEEP_PARAMS))
     sweep_values: list = _key("sweep.values", [], _list(float, "number"))
 
     # misc
@@ -205,6 +213,11 @@ class ExperimentConfig:
             raise ConfigError("accept.ratio_lo", "lower ratio bound must be below upper")
         if self.sweep_param is not None and not self.sweep_values:
             raise ConfigError("sweep.values", "sweep requested but value list is empty")
+        reads = _STATE_PARAM[self.state]
+        if self.sweep_param not in (None, reads):
+            hint = f"sweep {reads!r} instead" if reads else "it has no sweep parameter"
+            message = f"state {self.state!r} never reads {self.sweep_param!r}; {hint}"
+            raise ConfigError("sweep.param", message)
         if self.state == "superposition" and not self.coeffs:
             raise ConfigError("coeffs", "superposition state needs a coefficient list")
 

@@ -16,12 +16,16 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import comb, isnan, nan, sqrt
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import entanglement, evolution, fock, measurement, moments, states
+from .. import entanglement, measurement, moments, states
 from ..orbitals import OverlapTable, build_overlap_table
 from .config import ConfigError, ExperimentConfig
+
+if TYPE_CHECKING:  # the fock and exact routes import them where they first run
+    from .. import evolution, fock
 
 __all__ = [
     "LOCALITY_LADDER",
@@ -42,6 +46,9 @@ _FLOAT_FMT = "%.17g"
 
 # truncations at which validate prints and accept checks the locality defect
 LOCALITY_LADDER = (8, 16, 32, 64)
+
+# two-sided 95 percent Student-t quantile at the scaling fit's 3 degrees of freedom
+_T_975_DOF3 = 3.1824463052837078
 
 
 @dataclass
@@ -85,7 +92,7 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None
         area = cfg.g_ref / alpha_sq**2
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
-    return evolution.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
+    return measurement.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
 
 
 def _build_state(cfg: ExperimentConfig) -> states.TrapState:
@@ -107,7 +114,8 @@ class _Route:
 
     None of them depends on a swept parameter, so a sweep builds each once.
     Only the fock and exact routes read them, and both check the basis size
-    before they build the table.
+    before they build the table. The Fock layer, and with it scipy, is
+    imported on first use, so the moment route never loads it.
     """
 
     def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None) -> None:
@@ -124,6 +132,8 @@ class _Route:
     @cached_property
     def basis(self) -> fock.FockBasis:
         """The route's occupation basis, refused over `exact.dim_cap` before enumerating."""
+        from .. import fock
+
         cfg = self.cfg
         dim = comb(cfg.n_max + cfg.K, cfg.K)
         size = "Fock dimension C(fock.n_max + table.K, table.K)"
@@ -137,14 +147,18 @@ class _Route:
     @cached_property
     def lam(self) -> tuple:
         """(Lambda_L, Lambda_R) as CSR matrices on `basis`."""
+        from .. import fock
+
         basis = self.basis
         return tuple(fock.build_lambda_operator(side, self.table, basis) for side in "LR")
 
     @cached_property
     def ham(self) -> evolution.JointHamiltonian:
+        from .. import evolution
+
         cfg = self.cfg
         basis = self.basis
-        probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+        probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
         return evolution.build_joint_hamiltonian(self.table, basis, probe, cfg.exact_dim_cap)
 
 
@@ -162,10 +176,12 @@ def extract(
     instead and returns None for the moments. `route` carries a sweep's
     table and Fock operators; without it the point builds its own.
     """
-    probe = evolution.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+    probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     route = route or _Route(cfg, table)
     alpha_sq = cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
     if cfg.path == "exact":
+        from .. import evolution, fock
+
         if not state.is_pure:
             raise ValueError(
                 "path 'exact' evolves a single vector; use path 'moments' for mixtures"
@@ -295,20 +311,18 @@ def write_plot_data(results: list[PointResult], stream) -> None:
 
 
 def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log y vs log x with a 95 percent half-width."""
+    """Least-squares slope of log y vs log x with a 95 percent half-width.
+
+    The half-width uses `_T_975_DOF3`, so it holds for the five-point grid of
+    `_scaling_section` only.
+    """
     lx = np.log(x)
     ly = np.log(y)
-    n = len(lx)
+    dof = len(lx) - 2
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    dof = n - 2
-    if dof <= 0:
-        return float(slope), float("inf")
-    import scipy.stats  # only validate fits, so other verbs start without it
-
     se = sqrt(float(resid @ resid) / dof / float(((lx - lx.mean()) ** 2).sum()))
-    half = float(scipy.stats.t.ppf(0.975, dof)) * se
-    return float(slope), half
+    return float(slope), _T_975_DOF3 * se
 
 
 def perturbation_evidence(cfg: ExperimentConfig) -> dict:
@@ -318,9 +332,11 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     the excited-branch weight at T0; the ladder then halves T at fixed
     coupling, so the first-order residual shrinks as T^2.
     """
+    from .. import evolution, fock
+
     table = build_overlap_table(4)
     basis = fock.FockBasis(4, 3)
-    probe = evolution.ProbeParams(levels=4)
+    probe = measurement.ProbeParams(levels=4)
     phi = fock.to_fock_vector(states.number_state(2).amplitudes, basis)
     ham = evolution.build_joint_hamiltonian(table, basis, probe)
     T0 = 0.02
@@ -330,7 +346,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     residuals = []
     leak_fracs = []
     for T in lengths:
-        pulse = evolution.Pulse.square(T=T, g0=g0)
+        pulse = measurement.Pulse.square(T=T, g0=g0)
         final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
         diff = final - evolution.perturbative_state(phi, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
@@ -342,6 +358,8 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
 
 def commutator_evidence() -> dict:
     """[Lambda_L, Lambda_R] residual and the 8x8 locality product at each K of LOCALITY_LADDER."""
+    from .. import fock
+
     tables = [build_overlap_table(K) for K in LOCALITY_LADDER]
     return {
         "residuals": [fock.single_particle_commutator_residual(t) for t in tables],

@@ -1,4 +1,8 @@
-"""Projective post-selection on the probes and sampled outcome statistics.
+"""Probe and pulse parameters, projective post-selection and sampled outcomes.
+
+`ProbeParams` and `Pulse` are plain records: the moment route reads them
+here for the success probability, and the exact route for the Hamiltonian
+and the propagation.
 
 Post-selection keeps everything orthogonal to both probes in their ground
 state, traces out the trap, and compresses to the single-excitation block
@@ -10,16 +14,14 @@ block matrix and reported separately as leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .moments import ProbeBlockMoments
 
-if TYPE_CHECKING:  # annotations only: measurement needs neither evolution nor scipy at runtime
-    from .evolution import ProbeParams, Pulse
-
 __all__ = [
+    "ProbeParams",
+    "Pulse",
     "ProbeBlock",
     "NoExtractionError",
     "postselect",
@@ -28,6 +30,41 @@ __all__ = [
 ]
 
 _P_SUCC_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class ProbeParams:
+    """One probe oscillator species: mass M, frequency Omega, level cutoff."""
+
+    M: float = 1.0
+    Omega: float = 1.0
+    levels: int = 2
+
+    def __post_init__(self) -> None:
+        if not self.M > 0:
+            raise ValueError(f"probe mass must be positive, got {self.M}")
+        if not self.Omega > 0:
+            raise ValueError(f"probe frequency must be positive, got {self.Omega}")
+        if self.levels < 2:
+            raise ValueError(f"probe needs at least 2 levels, got {self.levels}")
+
+
+@dataclass(frozen=True)
+class Pulse:
+    """Square coupling pulse g(t) = g0 on [0, T]; first-order physics sees only the area."""
+
+    T: float
+    g0: float = 0.0
+
+    @classmethod
+    def square(cls, T: float, g0: float) -> "Pulse":
+        if not T > 0:
+            raise ValueError(f"pulse duration must be positive, got {T}")
+        return cls(T=float(T), g0=float(g0))
+
+    @property
+    def area(self) -> float:
+        return self.g0 * self.T
 
 
 class NoExtractionError(RuntimeError):

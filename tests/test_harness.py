@@ -8,7 +8,10 @@ from dataclasses import fields, replace
 from math import sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from halftrap import evolution, fock, orbitals
 from halftrap.entanglement import negativity_closed_form
@@ -20,6 +23,7 @@ from halftrap.harness.config import (
     parse_config_text,
 )
 from halftrap.harness.sweep import (
+    _T_975_DOF3,
     evaluate_point,
     run_sweep,
     single_block,
@@ -152,7 +156,7 @@ _NON_DEFAULT = {
     "probe.Omega": ("3", 3.0),
     "probe.levels": ("2", 2),
     "exact.dim_cap": ("100", 100),
-    "sweep.param": ("nbar", "nbar"),
+    "sweep.param": ("alpha_sq", "alpha_sq"),
     "sweep.values": ("1, 2.5", [1.0, 2.5]),
     "seed": ("7", 7),
     "timing": ("yes", True),
@@ -204,6 +208,35 @@ def test_readme_names_only_declared_keys():
 
 
 # ---------------------------------------------------------------- sweep
+
+
+# the one parameter each state family reads
+_READS = {
+    "coherent": "alpha_sq",
+    "number": "number_n",
+    "superposition": None,
+    "thermal": "nbar",
+    "phase_averaged": "alpha_sq",
+}
+
+
+@pytest.mark.parametrize("state", list(_READS))
+@pytest.mark.parametrize("param", ["alpha_sq", "number_n", "nbar"])
+def test_a_sweep_walks_only_the_parameter_its_state_reads(state, param):
+    entries = {"state": state, "coeffs": "1", "sweep.param": param, "sweep.values": "1, 3, 9"}
+    if param == _READS[state]:
+        assert ExperimentConfig.from_entries(entries).sweep_param == param
+    else:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_entries(entries)
+        assert err.value.fieldname == "sweep.param"
+
+
+def test_fit_quantile_is_the_student_t_quantile():
+    # validate's scaling fit has five points, so three degrees of freedom
+    from scipy.stats import t
+
+    assert _T_975_DOF3 == t.ppf(0.975, 3)
 
 
 def test_run_sweep_requires_sweep_param():
@@ -430,18 +463,18 @@ def test_perturbation_target_builds_each_lambda_operator_once(accept_cfg, monkey
     assert sorted(calls) == ["L", "R"]
 
 
+_ROUTE = {
+    "state": "number",
+    "table.K": "6",
+    "fock.n_max": "4",
+    "probe.levels": "4",
+    "pulse.T": "0.05",
+}
+
+
 def _route_cfg(path: str, **entries: str) -> ExperimentConfig:
-    base = {
-        "state": "number",
-        "path": path,
-        "table.K": "6",
-        "fock.n_max": "4",
-        "probe.levels": "4",
-        "pulse.T": "0.05",
-        "sweep.param": "number_n",
-        "sweep.values": "1, 2, 3, 4",
-    }
-    return ExperimentConfig.from_entries({**base, **entries})
+    sweep = {"sweep.param": "number_n", "sweep.values": "1, 2, 3, 4"}
+    return ExperimentConfig.from_entries({**_ROUTE, "path": path, **sweep, **entries})
 
 
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
@@ -465,8 +498,43 @@ def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkey
 )
 def test_exact_route_block_is_mirror_symmetric(entries, table6):
     # trap parity times the probe swap is a symmetry, so both probes are excited alike
-    cfg = _route_cfg("exact", **{"pulse.area": "0.2", **entries})
+    # one point, no sweep: a coherent or superposition state reads no number_n
+    cfg = ExperimentConfig.from_entries(
+        {**_ROUTE, "path": "exact", "pulse.area": "0.2", **entries}
+    )
     block = single_block(cfg, table6)
+    assert block.p_succ > 0
+    assert block.matrix[0, 0] == pytest.approx(block.matrix[1, 1], rel=1e-14, abs=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    K=st.integers(1, 6),
+    n_max=st.integers(1, 4),
+    levels=st.integers(2, 4),
+    raw=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=5,
+    ),
+    area=st.floats(0.01, 1.0),
+    T=st.floats(0.05, 1.0),
+)
+def test_exact_route_block_is_mirror_symmetric_on_random_points(K, n_max, levels, raw, area, T):
+    coeffs = np.array(raw[: n_max + 1])
+    # weight past the vacuum, or the pulse excites nothing
+    assume(np.linalg.norm(coeffs[1:]) > 1e-3)
+    cfg = ExperimentConfig(
+        state="superposition",
+        coeffs=list(coeffs / np.linalg.norm(coeffs)),
+        path="exact",
+        K=K,
+        n_max=n_max,
+        probe_levels=levels,
+        pulse_T=T,
+        pulse_area=area,
+    )
+    block = single_block(cfg)
     assert block.p_succ > 0
     assert block.matrix[0, 0] == pytest.approx(block.matrix[1, 1], rel=1e-14, abs=0)
 
@@ -550,22 +618,41 @@ def test_only_the_fock_and_exact_routes_build_a_table(path, builds, monkeypatch)
 # ---------------------------------------------------------------- CLI
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(cli_env):
-    # scipy.stats (validate's fit) and scipy.integrate (used by no verb)
+# prints, after each step, the step's exit code (if any) and whether scipy is loaded
+_SCIPY_PROBE = """
+import contextlib, io, sys
+
+def report(*head):
+    print(*head, any(m.split(".")[0] == "scipy" for m in sys.modules))
+
+import halftrap
+report()
+from halftrap.harness import cli
+report()
+fock = ["--set", "path=fock", "--set", "table.K=4", "--set", "state=number"]
+sweep = ["--set", "sweep.param=alpha_sq", "--set", "sweep.values=1, 2", "--out", sys.argv[1]]
+for argv in (["sample", "--shots", "9"], ["sweep", *sweep], ["sample", "--shots", "9", *fock]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report(code)
+# a submodule no step imported resolves through the root
+print(halftrap.evolution.Pulse is halftrap.Pulse)
+"""
+
+
+def test_moment_route_loads_no_scipy(tmp_path, cli_env):
+    # the import, a moment-route sample and a moment-route sweep stay numpy-only;
+    # the last step takes the fock route, which is where scipy first loads
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, halftrap.harness.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])",
-        ],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "s.csv")],
         capture_output=True,
         text=True,
         env=cli_env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.splitlines() == ["False", "False", "0 False", "0 False", "0 True", "True"]
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
 
 
 def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):
@@ -674,6 +761,16 @@ def test_cli_sample_deterministic(cli_env):
     assert first.stdout == second.stdout
     assert "p_succ = " in first.stdout
     assert "success = " in first.stdout
+
+
+def test_cli_refuses_a_sweep_over_a_parameter_the_state_never_reads(tmp_path, cli_env):
+    # a coherent state reads alpha_sq only: an nbar sweep would write identical rows
+    out = tmp_path / "s.csv"
+    sets = ["--set", "sweep.param=nbar", "--set", "sweep.values=0.5, 3, 9"]
+    proc = _cli(["sweep", *sets, "--out", str(out)], cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field 'sweep.param'")
+    assert not out.exists()
 
 
 def test_cli_bad_config_exits_one(tmp_path, cli_env):

@@ -1,18 +1,25 @@
-"""Import layering: the moment route and post-selection load no Fock or scipy code.
+"""Import layering: only the Fock and exact layers load Fock or scipy code.
 
-`measurement` and `moments` sit on the moment route, which needs numpy only.
-Each may import `evolution`, `fock` or `scipy` for annotations under
-`if TYPE_CHECKING:`, or inside a function that runs on the fock or exact
-route, but never at module level.
+`fock` and `evolution` hold the two routes that need `scipy.sparse`. Every
+other module of the package, found by walking it so that a new module is
+checked without editing a list, may import `evolution`, `fock` or `scipy`
+for annotations under `if TYPE_CHECKING:`, or inside a function that runs on
+the fock or exact route, but never at module level. The moment route then
+needs numpy only.
 """
 
 import ast
+import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halftrap"
+import halftrap
+
 _HEAVY = {"evolution", "fock", "scipy"}
+_MODULES = ["halftrap"] + [m.name for m in pkgutil.walk_packages(halftrap.__path__, "halftrap.")]
+_LAYERED = [m for m in _MODULES if m not in ("halftrap.fock", "halftrap.evolution")]
 
 
 def _runtime_imports(nodes):
@@ -41,13 +48,22 @@ def _names(node):
     return {part for module in modules for part in module.split(".")}
 
 
-@pytest.mark.parametrize("module", ["measurement", "moments"])
+def _heavy_imports(module: str) -> list[str]:
+    source = Path(importlib.util.find_spec(module).origin).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    return [ast.unparse(node) for node in _runtime_imports(tree.body) if _names(node) & _HEAVY]
+
+
+def test_the_walk_finds_every_layer():
+    assert {"halftrap", "halftrap.measurement", "halftrap.harness.sweep"} <= set(_LAYERED)
+    assert {"halftrap.fock", "halftrap.evolution"} <= set(_MODULES) - set(_LAYERED)
+    # the two exempt modules are the ones that do import scipy
+    assert _heavy_imports("halftrap.fock") and _heavy_imports("halftrap.evolution")
+
+
+@pytest.mark.parametrize("module", _LAYERED, ids=lambda m: m.removeprefix("halftrap."))
 def test_module_level_imports_skip_fock_evolution_and_scipy(module):
-    tree = ast.parse((_PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    heavy = [
-        ast.unparse(node) for node in _runtime_imports(tree.body) if _names(node) & _HEAVY
-    ]
-    assert heavy == []
+    assert _heavy_imports(module) == []
 
 
 def test_the_guard_sees_a_runtime_import():

@@ -1,5 +1,6 @@
 """Probe-block moments: closed form, explicit cross-check, infinite-K limit."""
 
+from functools import cache
 from math import fsum
 
 import mpmath
@@ -131,6 +132,38 @@ def test_moments_match_fock_expectations(table6, fock6):
         assert closed.mLL == pytest.approx(explicit.mLL, abs=1e-12)
         assert closed.mRR == pytest.approx(explicit.mRR, abs=1e-12)
         assert abs(closed.mLR - explicit.mLR) < 1e-12
+
+
+@cache
+def _fock_route(K: int):
+    """Four-quanta basis on K modes and its (Lambda_L, Lambda_R) pair."""
+    table = build_overlap_table(K)
+    basis = FockBasis(K, 4)
+    return basis, *(build_lambda_operator(side, table, basis) for side in "LR")
+
+
+_amplitudes = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=5,
+).filter(lambda raw: np.linalg.norm(raw) > 1e-6)
+_mixture_args = {"n_cut": st.integers(0, 4), "tail_tol": st.just(1.0)}
+# every state fits four quanta: superpositions of <= 5 terms, mixtures cut at n <= 4
+_small_states = st.one_of(
+    _amplitudes.map(lambda raw: superposition_state(np.array(raw) / np.linalg.norm(raw))),
+    st.builds(thermal_state, st.floats(0.0, 8.0), **_mixture_args),
+    st.builds(phase_averaged_state, st.floats(0.0, 8.0), **_mixture_args),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=st.integers(1, 6), state=_small_states)
+def test_series_moments_match_fock_expectations_on_random_states(K, state):
+    closed = moments_from_state(state, K)
+    explicit = moments_from_fock(state, *_fock_route(K))
+    assert abs(closed.mLL - explicit.mLL) <= 1e-12
+    assert abs(closed.mRR - explicit.mRR) <= 1e-12
+    assert abs(closed.mLR - explicit.mLR) <= 1e-12
 
 
 @pytest.mark.parametrize(
