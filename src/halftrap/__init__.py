@@ -41,9 +41,8 @@ _EXPORTS = {
         "ProbeBlockMoments", "analytic_limit_moments", "moments_from_fock", "moments_from_state",
     ),
     "evolution": (
-        "DEFAULT_DIM_CAP", "DimensionCapError", "IntegratorDriftError", "JointHamiltonian",
-        "build_joint_hamiltonian", "embed_product", "exact_state", "perturbative_state",
-        "probe_lowering", "probe_momentum",
+        "DimensionCapError", "IntegratorDriftError", "JointHamiltonian", "build_joint_hamiltonian",
+        "embed_product", "exact_state", "perturbative_state", "probe_lowering", "probe_momentum",
     ),
     "measurement": (
         "NoExtractionError", "ProbeBlock", "ProbeParams", "Pulse", "block_from_moments",

@@ -32,8 +32,6 @@ __all__ = [
     "exact_state",
 ]
 
-DEFAULT_DIM_CAP = 20_000
-
 
 class DimensionCapError(RuntimeError):
     pass
@@ -208,7 +206,7 @@ def build_joint_hamiltonian(
     table: OverlapTable,
     basis: FockBasis,
     probe: ProbeParams,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    dim_cap: int,
 ) -> JointHamiltonian:
     """Assemble H_0 on the flattened trap x probe x probe space and each sector's reduction.
 

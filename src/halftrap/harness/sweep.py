@@ -338,7 +338,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     basis = fock.FockBasis(4, 3)
     probe = measurement.ProbeParams(levels=4)
     phi = fock.to_fock_vector(states.number_state(2).amplitudes, basis)
-    ham = evolution.build_joint_hamiltonian(table, basis, probe)
+    ham = evolution.build_joint_hamiltonian(table, basis, probe, cfg.exact_dim_cap)
     T0 = 0.02
     S = ham.coupling_weight(phi)
     g0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * S) / T0

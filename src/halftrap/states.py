@@ -67,10 +67,11 @@ class PureComponent(NamedTuple):
 class TrapState:
     """Canonical form: populations p_n, n = 0..n_cut, and a pure state's amplitudes.
 
-    `amplitudes` is None for a mixture of number states. The squared norm
-    sum p_n and the factorial moments E[n], E[n(n-1)] are summed once, with
-    compensated summation, when the state is built. `tail_mass` is the
-    probability mass the cutoff discarded, summed when the state was built.
+    Populations and amplitudes must be finite; `amplitudes` is None for a
+    mixture of number states. The squared norm sum p_n and the factorial
+    moments E[n], E[n(n-1)] are summed once, when the state is built: exactly
+    (`math.fsum`) over the p_n at or above 2^-120 of the peak, plus the rest
+    as one `np.sum` term. `tail_mass` is the mass the cutoff discarded.
     """
 
     kind: str
@@ -85,16 +86,19 @@ class TrapState:
         p = np.asarray(self.populations, dtype=float)
         object.__setattr__(self, "populations", p)
         p.setflags(write=False)
-        if np.any(p < 0):
-            raise ValueError("populations must be non-negative")
+        if not np.all(np.isfinite(p) & (p >= 0)):
+            raise ValueError("populations must be finite and non-negative")
         if self.amplitudes is not None:
             c = np.asarray(self.amplitudes, dtype=np.complex128)
             object.__setattr__(self, "amplitudes", c)
             c.setflags(write=False)
+            if not np.isfinite(c).all():
+                raise ValueError("amplitudes must be finite")
             if c.shape != p.shape:
                 raise ValueError("one population per amplitude required")
         n = np.arange(len(p))
-        sums = (fsum(p.tolist()), fsum((n * p).tolist()), fsum((n * (n - 1) * p).tolist()))
+        keep = p >= 2.0**-120 * p.max(initial=0.0)
+        sums = tuple(fsum([*x[keep].tolist(), x[~keep].sum()]) for x in (p, n * p, n * (n - 1) * p))
         object.__setattr__(self, "_sums", sums)
 
     @property

@@ -19,6 +19,7 @@ from halftrap.evolution import (
     probe_momentum,
 )
 from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.harness.config import ExperimentConfig
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
@@ -26,6 +27,9 @@ from halftrap.states import (
     number_state,
     superposition_state,
 )
+
+# the joint-dimension cap every caller passes: the `exact.dim_cap` default
+CAP = ExperimentConfig().exact_dim_cap
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ def _full_coupling(ham):
 def setup4(table4):
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    ham = build_joint_hamiltonian(table4, basis, probe)
+    ham = build_joint_hamiltonian(table4, basis, probe, CAP)
     return table4, basis, probe, ham
 
 
@@ -144,7 +148,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
     )
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
-    ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
+    ham_swapped = build_joint_hamiltonian(swapped, basis, probe, CAP)
     a = exact_state(embed_product(phi, probe), ham, pulse)
     b = exact_state(embed_product(phi, probe), ham_swapped, pulse)
     wa10 = float(np.vdot(a[:, 1, 0], a[:, 1, 0]).real)
@@ -204,7 +208,7 @@ def test_sector_propagation_matches_full_space(state):
         phi = to_fock_vector(state.amplitudes, basis)
         for levels in (2, 3, 4):
             probe = ProbeParams(levels=levels)
-            ham = build_joint_hamiltonian(table, basis, probe)
+            ham = build_joint_hamiltonian(table, basis, probe, CAP)
             initial = embed_product(phi, probe)
             for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
                 got = exact_state(initial, ham, pulse).reshape(-1)
@@ -222,7 +226,7 @@ def test_sector_propagation_matches_full_space(state):
 def test_mirror_sectors_reduce_the_full_operators(K, levels):
     basis = FockBasis(K, 4)
     probe = ProbeParams(levels=levels)
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe, CAP)
     # H_0 against its loop over the occupation tuples: half-integer sums, so equal exactly
     h0 = [
         sum((k + 0.5) * n for k, n in enumerate(occ)) + (a + 0.5) + (b + 0.5)
@@ -253,7 +257,9 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
 
 
 def test_mirror_halves_the_exact_sweep_sectors():
-    ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
+    ham = build_joint_hamiltonian(
+        build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4), CAP
+    )
     assert [s.span.stop - s.span.start for s in ham.sectors] == [16, 128, 576, 1920, 5280]
     assert [s.U.shape[1] for s in ham.sectors] == [10, 64, 296, 960, 2660]
     assert ham.H0.shape[0] == 7920
@@ -265,7 +271,7 @@ def test_table_without_the_parity_identity_is_refused(table4, setup4):
     lamL[1, 2] += 1e-9  # k + l odd
     broken = OverlapTable(K=4, lambdaL=lamL, lambdaR=table4.lambdaR.copy())
     with pytest.raises(ValueError, match=r"lambdaL = P lambdaR P"):
-        build_joint_hamiltonian(broken, basis, probe)
+        build_joint_hamiltonian(broken, basis, probe, CAP)
 
 
 def test_mirror_odd_initial_state_is_refused(setup4):

@@ -11,6 +11,7 @@ from halftrap.evolution import (
     perturbative_state,
 )
 from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.harness.config import ExperimentConfig
 from halftrap.measurement import (
     NoExtractionError,
     ProbeBlock,
@@ -22,13 +23,16 @@ from halftrap.moments import analytic_limit_moments, moments_from_fock
 from halftrap.orbitals import build_overlap_table
 from halftrap.states import number_state, superposition_state
 
+# the joint-dimension cap every caller passes: the `exact.dim_cap` default
+CAP = ExperimentConfig().exact_dim_cap
+
 
 @pytest.fixture(scope="module")
 def small():
     table = build_overlap_table(4)
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    return table, basis, probe, build_joint_hamiltonian(table, basis, probe)
+    return table, basis, probe, build_joint_hamiltonian(table, basis, probe, CAP)
 
 
 def test_block_from_joint_matches_block_from_moments(small):
