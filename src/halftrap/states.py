@@ -86,7 +86,8 @@ class TrapState:
         p = np.asarray(self.populations, dtype=float)
         object.__setattr__(self, "populations", p)
         p.setflags(write=False)
-        if not np.all(np.isfinite(p) & (p >= 0)):
+        top = p.max(initial=0.0)  # NaN if any entry is
+        if not (top < np.inf and p.min(initial=0.0) >= 0):
             raise ValueError("populations must be finite and non-negative")
         if self.amplitudes is not None:
             c = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -97,8 +98,9 @@ class TrapState:
             if c.shape != p.shape:
                 raise ValueError("one population per amplitude required")
         n = np.arange(len(p))
-        keep = p >= 2.0**-120 * p.max(initial=0.0)
-        sums = tuple(fsum([*x[keep].tolist(), x[~keep].sum()]) for x in (p, n * p, n * (n - 1) * p))
+        keep = p >= 2.0**-120 * top
+        rest = ~keep
+        sums = tuple(fsum([*x[keep].tolist(), x[rest].sum()]) for x in (p, n * p, n * (n - 1) * p))
         object.__setattr__(self, "_sums", sums)
 
     @property

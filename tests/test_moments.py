@@ -166,6 +166,15 @@ def test_series_moments_match_fock_expectations_on_random_states(K, state):
     assert abs(closed.mLR - explicit.mLR) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=st.integers(1, 6), state=_small_states)
+def test_fock_moments_are_mirror_symmetric_on_random_states(K, state):
+    # lambda^L = P lambda^R P with P = diag((-1)^k), and a state of the lowest
+    # orbital is even under P, so the left and right diagonal moments agree
+    explicit = moments_from_fock(state, *_fock_route(K))
+    assert abs(explicit.mLL - explicit.mRR) <= 1e-14 * max(abs(explicit.mLL), abs(explicit.mRR))
+
+
 @pytest.mark.parametrize(
     "state",
     [number_state(5), thermal_state(0.5, n_cut=5, tail_tol=1.0)],

@@ -1,18 +1,24 @@
 """Initial gas states: coefficient recurrences, cutoffs, factorial moments."""
 
+import importlib.util
 import math
+import sys
+from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 import mpmath
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.harness.config import ExperimentConfig, parse_config_text
 from halftrap.states import (
     TailToleranceError,
+    TrapState,
     coherent_state,
     make_state,
     number_state,
@@ -261,6 +267,115 @@ def test_large_phase_averaged_moments_match_high_precision_sum():
     got = [state.norm_sq(), *state.factorial_moments()]
     for value, oracle in zip(got, (norm, n1, n2)):
         assert value == pytest.approx(float(oracle), rel=1e-13, abs=0.0)
+
+
+def full_fsums(state) -> tuple[float, float, float]:
+    """Norm and factorial moments by one `math.fsum` over every population.
+
+    `TrapState` sums the entries within 2^-120 of the peak term by term and
+    the rest as one `np.sum` term; this summation from n = 0 stays here as
+    its oracle.
+    """
+    p = state.populations
+    n = np.arange(len(p))
+    return (math.fsum(p.tolist()), math.fsum((n * p).tolist()), math.fsum((n * (n - 1) * p).tolist()))
+
+
+def _benchmark_grid_states() -> list:
+    """Every state of the moments-sweep and occupation-sweep grids, seeds 1-3."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("halftrap_bench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # its dataclasses look their module up there
+    spec.loader.exec_module(wl)
+    out = []
+    for workload in ("moments-sweep", "occupation-sweep"):
+        for seed in (1, 2, 3):
+            for sweep in wl.sweeps(workload, seed):
+                cfg = ExperimentConfig.from_entries(parse_config_text(sweep.config_text()))
+                for v in cfg.sweep_values:
+                    value = int(v) if cfg.sweep_param == "number_n" else v
+                    point = replace(cfg, **{cfg.sweep_param: value})
+                    out.append(
+                        make_state(point.state, point.state_params(), point.n_cut, point.tail_tol)
+                    )
+    return out
+
+
+def test_support_sums_match_full_fsum_on_the_benchmark_grids():
+    grid = _benchmark_grid_states()
+    assert len(grid) == 3 * (72 + 52)
+    for state in grid:
+        assert (state.norm_sq(), *state.factorial_moments()) == full_fsums(state), state.params
+
+
+_wide_amplitudes = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        st.integers(-560, 0),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda terms: np.array([c * 2.0**e for c, e in terms])).filter(
+    lambda c: np.linalg.norm(c) > 1e-6
+)
+# every family across its range, and superpositions whose |c_n|^2 span 2^-1120
+_sum_states = st.one_of(
+    st.builds(
+        partial(make_state, "coherent"),
+        st.fixed_dictionaries({"alpha_sq": st.floats(0.0, 1e5, exclude_max=True)}),
+    ),
+    st.builds(phase_averaged_state, st.floats(0.0, 1e5, exclude_max=True)),
+    st.builds(thermal_state, st.floats(0.0, 200.0)),
+    _wide_amplitudes.map(lambda c: superposition_state(c / np.linalg.norm(c))),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_support_sums_match_full_fsum_on_random_states(data):
+    try:
+        state = data.draw(_sum_states)
+    except TailToleranceError:
+        reject()  # past alpha_sq ~97,790 the cutoff ceiling is too low
+    assert (state.norm_sq(), *state.factorial_moments()) == full_fsums(state)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        coherent_state(alpha_sq=1024.0),
+        phase_averaged_state(1e4),
+        phase_averaged_state(9e4),
+        thermal_state(200.0),
+        superposition_state(np.array([1.0, 2.0**-300, 1e-160j, 2.0**-540]) / np.sqrt(1 + 2.0**-600)),
+        TrapState("thermal", np.array([1.0, 2.0**-53, 2.0**-200])),
+    ],
+    ids=["coherent-1024", "phase-averaged-1e4", "phase-averaged-9e4", "thermal-200", "wide", "tie"],
+)
+def test_support_sums_are_within_an_ulp_of_a_50_digit_sum(state):
+    p = state.populations
+    n = np.arange(len(p))
+    got = (state.norm_sq(), *state.factorial_moments())
+    with mpmath.workdps(50):
+        for value, x in zip(got, (p, n * p, n * (n - 1) * p)):
+            exact = mpmath.fsum(mpmath.mpf(v) for v in x.tolist())
+            assert abs(mpmath.mpf(value) - exact) <= math.ulp(value), (value, exact)
+
+
+def test_entries_below_the_support_still_break_a_tie():
+    # 1 + 2^-53 is a tie that rounds to even, 1.0; the 2^-200 entry lies far
+    # below the support and must still tip it up to 1 + 2^-52
+    state = TrapState("thermal", np.array([1.0, 2.0**-53, 2.0**-200]))
+    assert state.norm_sq() == 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_populations_and_amplitudes_are_refused(bad):
+    with pytest.raises(ValueError, match="populations must be finite"):
+        TrapState("thermal", np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        TrapState("superposition", np.array([0.0, 1.0]), np.array([bad, 1.0]))
 
 
 def test_mixture_components_are_built_on_demand():
