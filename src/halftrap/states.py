@@ -86,14 +86,14 @@ class TrapState:
         p = np.asarray(self.populations, dtype=float)
         object.__setattr__(self, "populations", p)
         p.setflags(write=False)
-        top = p.max(initial=0.0)  # NaN if any entry is
+        top = p.max(initial=0.0)  # NaN if any entry is NaN
         if not (top < np.inf and p.min(initial=0.0) >= 0):
             raise ValueError("populations must be finite and non-negative")
         if self.amplitudes is not None:
             c = np.asarray(self.amplitudes, dtype=np.complex128)
             object.__setattr__(self, "amplitudes", c)
             c.setflags(write=False)
-            if not np.isfinite(c).all():
+            if not np.abs(c).max(initial=0.0) < np.inf:  # False for NaN too
                 raise ValueError("amplitudes must be finite")
             if c.shape != p.shape:
                 raise ValueError("one population per amplitude required")
