@@ -17,51 +17,30 @@ and in the infinite-mode limit, `evolution` the pulse dynamics,
 `entanglement` the negativity and fidelity measures, and `harness` the
 config/sweep/acceptance tooling behind the `halftrap` command.
 
-The names below are re-exported here and each module is imported on first
-access (PEP 562), so `import halftrap` loads nothing but this file. Only
-`fock` and `evolution` import scipy; the moment route needs numpy alone.
+The root star-imports the five layers that need numpy alone (`orbitals`,
+`states`, `moments`, `measurement`, `entanglement`), and its `__all__` is
+theirs. `fock`, `evolution` and `harness` are imported on first access
+(PEP 562): only `fock` and `evolution` import scipy, so `import halftrap` and
+the moment route need numpy alone.
 """
 
 import importlib
 
+from . import entanglement, measurement, moments, orbitals, states
+from .entanglement import *  # noqa: F401,F403
+from .measurement import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .orbitals import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
+
 __version__ = "0.1.0"
 
-# each public name, listed under the module that defines it
-_EXPORTS = {
-    "orbitals": ("OverlapTable", "build_overlap_table", "write_table_csv"),
-    "fock": (
-        "FockBasis", "build_lambda_operator", "locality_product_residual", "number_operator",
-        "single_particle_commutator_residual", "to_fock_vector",
-    ),
-    "states": (
-        "PureComponent", "TailToleranceError", "TrapState", "coherent_state", "make_state",
-        "number_state", "phase_averaged_state", "superposition_state", "thermal_state",
-    ),
-    "moments": (
-        "ProbeBlockMoments", "analytic_limit_moments", "moments_from_fock", "moments_from_state",
-    ),
-    "evolution": (
-        "DimensionCapError", "IntegratorDriftError", "JointHamiltonian", "build_joint_hamiltonian",
-        "embed_product", "exact_state", "perturbative_state", "probe_lowering", "probe_momentum",
-    ),
-    "measurement": (
-        "NoExtractionError", "ProbeBlock", "ProbeParams", "Pulse", "block_from_moments",
-        "postselect", "sample_outcomes",
-    ),
-    "entanglement": (
-        "BipartiteDensity", "disturbance_fidelity", "negativity", "negativity_closed_form",
-        "probe_block_density",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_HOME]
+_LAYERS = (orbitals, states, moments, measurement, entanglement)
+__all__ = ["__version__", *(name for layer in _LAYERS for name in layer.__all__)]
 
 
 def __getattr__(name: str):
-    """Resolve a re-exported name, or a submodule, on first access."""
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    if name in _EXPORTS or name == "harness":
+    """Import the submodules that load scipy, and the harness, on first access."""
+    if name in ("fock", "evolution", "harness"):
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# a mirror-odd part or a norm drift beyond this is refused by `exact_state`
+_NORM_TOL = 1e-9
+
+
 class DimensionCapError(RuntimeError):
     pass
 
@@ -264,12 +268,7 @@ def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> 
     return joint
 
 
-def exact_state(
-    initial: np.ndarray,
-    ham: JointHamiltonian,
-    pulse: Pulse,
-    norm_tol: float = 1e-9,
-) -> np.ndarray:
+def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
     """Propagate the joint state through the pulse on the mirror-even half of each sector.
 
     The square pulse makes the Hamiltonian constant, so the sparse matrix
@@ -278,8 +277,8 @@ def exact_state(
     is propagated on its own and the others stay zero. Within a sector the
     state is mapped onto its mirror-even half with U^T, propagated with
     -iT (h + g0 v), and mapped back with U; a state with a mirror-odd part
-    beyond `norm_tol` is refused, since that part would be dropped. The norm
-    drift is checked against `norm_tol` and reported as a hard error when
+    beyond `_NORM_TOL` is refused, since that part would be dropped. The norm
+    drift is checked against `_NORM_TOL` and reported as a hard error when
     exceeded. The size cap was checked when `ham` was built.
     """
     d = ham.probe.levels
@@ -299,7 +298,7 @@ def exact_state(
             continue
         y = sector.U.T @ x
         odd = np.linalg.norm(x - sector.U @ y)
-        if odd > norm_tol:
+        if odd > _NORM_TOL:
             raise ValueError(
                 f"initial state has a mirror-odd part of norm {odd:.3e}; "
                 "exact_state propagates the mirror-even half only"
@@ -310,8 +309,8 @@ def exact_state(
         y = expm_multiply(A, y, traceA=scale * h.data.sum())
         psiT[sector.span] = sector.U @ y
     drift = abs(np.linalg.norm(psiT) - norm0)
-    if drift > norm_tol:
+    if drift > _NORM_TOL:
         raise IntegratorDriftError(
-            f"norm drift {drift:.3e} exceeds tolerance {norm_tol:.3e}"
+            f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}"
         )
     return psiT.reshape(initial.shape)

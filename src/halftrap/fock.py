@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+# modes of the low block `locality_product_residual` reads; part of the `commutator` target
+_LOCALITY_BLOCK = 8
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis over K modes with total particles <= n_max.
@@ -134,8 +138,8 @@ def single_particle_commutator_residual(table: OverlapTable) -> float:
     return float(abs(comm).max()) if comm.nnz else 0.0
 
 
-def locality_product_residual(table: OverlapTable, block: int = 8) -> float:
-    """Max-norm of (lambdaL @ lambdaR) on a fixed low-mode block.
+def locality_product_residual(table: OverlapTable) -> float:
+    """Max-norm of (lambdaL @ lambdaR) on the fixed low-mode block of `_LOCALITY_BLOCK` modes.
 
     For disjoint half-spaces the product of the one-particle projections
     vanishes; truncating the intermediate mode sum at K leaves a residual
@@ -143,6 +147,6 @@ def locality_product_residual(table: OverlapTable, block: int = 8) -> float:
     the diagnostic away from the truncation edge, where the deficit stays
     order one.
     """
-    b = min(block, table.K)
+    b = min(_LOCALITY_BLOCK, table.K)
     prod = table.lambdaL @ table.lambdaR
     return float(np.abs(prod[:b, :b]).max())

@@ -330,15 +330,17 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
 
     Two particles in four modes, four probe levels. The amplitude rule pins
     the excited-branch weight at T0; the ladder then halves T at fixed
-    coupling, so the first-order residual shrinks as T^2.
+    coupling, so the first-order residual shrinks as T^2. The instance is
+    built as an exact route, so `exact.dim_cap` refuses it before enumerating.
     """
     from .. import evolution, fock
 
-    table = build_overlap_table(4)
-    basis = fock.FockBasis(4, 3)
-    probe = measurement.ProbeParams(levels=4)
-    phi = fock.to_fock_vector(states.number_state(2).amplitudes, basis)
-    ham = evolution.build_joint_hamiltonian(table, basis, probe, cfg.exact_dim_cap)
+    small = replace(
+        cfg, path="exact", K=4, n_max=3, probe_levels=4, probe_M=1.0, probe_Omega=1.0
+    )
+    ham = _Route(small, None).ham
+    probe = ham.probe
+    phi = fock.to_fock_vector(states.number_state(2).amplitudes, ham.basis)
     T0 = 0.02
     S = ham.coupling_weight(phi)
     g0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * S) / T0
@@ -363,7 +365,7 @@ def commutator_evidence() -> dict:
     tables = [build_overlap_table(K) for K in LOCALITY_LADDER]
     return {
         "residuals": [fock.single_particle_commutator_residual(t) for t in tables],
-        "products": [fock.locality_product_residual(t, block=8) for t in tables],
+        "products": [fock.locality_product_residual(t) for t in tables],
     }
 
 

@@ -263,21 +263,24 @@ def phase_averaged_state(
 
 
 def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
-    """Dispatch constructor used by the harness config layer."""
+    """Dispatch constructor of the harness config layer; refuses an `n_cut` below the last level."""
     if kind == "coherent":
-        return coherent_state(
+        state = coherent_state(
             alpha=params.get("alpha"),
             alpha_sq=params.get("alpha_sq"),
             n_cut=n_cut,
             tail_tol=tail_tol,
         )
-    if kind == "number":
-        return number_state(params["N"])
-    if kind == "superposition":
-        return superposition_state(params["coeffs"])
-    if kind == "thermal":
-        return thermal_state(params["nbar"], n_cut=n_cut, tail_tol=tail_tol)
-    if kind == "phase_averaged":
-        return phase_averaged_state(params["alpha_sq"], n_cut=n_cut, tail_tol=tail_tol)
-    raise ValueError(f"unknown state kind {kind!r}")
-
+    elif kind == "number":
+        state = number_state(params["N"])
+    elif kind == "superposition":
+        state = superposition_state(params["coeffs"])
+    elif kind == "thermal":
+        state = thermal_state(params["nbar"], n_cut=n_cut, tail_tol=tail_tol)
+    elif kind == "phase_averaged":
+        state = phase_averaged_state(params["alpha_sq"], n_cut=n_cut, tail_tol=tail_tol)
+    else:
+        raise ValueError(f"unknown state kind {kind!r}")
+    if n_cut is not None and state.n_cut > n_cut:
+        raise ValueError(f"n_cut = {n_cut} is below the {kind} state's last level {state.n_cut}")
+    return state

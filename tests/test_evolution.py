@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
+from halftrap import evolution
 from halftrap.evolution import (
     DimensionCapError,
     IntegratorDriftError,
@@ -283,7 +284,7 @@ def test_mirror_odd_initial_state_is_refused(setup4):
         exact_state(odd, ham, Pulse.square(T=0.05, g0=1.0))
 
 
-def test_tiny_norm_tolerance_raises_drift_error(setup4):
+def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(
         superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
@@ -292,5 +293,6 @@ def test_tiny_norm_tolerance_raises_drift_error(setup4):
     pulse = Pulse.square(T=20.0, g0=3.0)
     initial = embed_product(phi, probe)
     assert np.linalg.norm(exact_state(initial, ham, pulse)) == pytest.approx(1.0, abs=1e-9)
+    monkeypatch.setattr(evolution, "_NORM_TOL", 1e-15)
     with pytest.raises(IntegratorDriftError):
-        exact_state(initial, ham, pulse, norm_tol=1e-15)
+        exact_state(initial, ham, pulse)

@@ -593,6 +593,42 @@ def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
         assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("verb", [["accept", "perturbation"], ["validate"]])
+def test_cli_refuses_the_perturbation_instance_over_the_cap(verb, cli_env):
+    # the perturbation evidence evolves a fixed instance of joint dimension 560
+    proc = _cli([*verb, "--set", "exact.dim_cap=100"], cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["state=number", "number_n=5", "n_cut=2"],
+        ["state=superposition", "coeffs=0.6,0,0.8", "n_cut=1"],
+    ],
+)
+def test_cli_refuses_an_n_cut_below_the_states_last_level(sets, cli_env):
+    args = ["sample", "--shots", "10"]
+    for item in sets:
+        args += ["--set", item]
+    proc = _cli(args, cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: n_cut")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_number_sweep_refuses_only_the_levels_past_n_cut():
+    cfg = ExperimentConfig.from_entries(
+        {"state": "number", "n_cut": "2", "sweep.param": "number_n", "sweep.values": "1, 2, 3"}
+    )
+    rows = run_sweep(cfg)
+    assert [row.error for row in rows[:2]] == ["", ""]
+    assert rows[2].error.startswith("ValueError: n_cut = 2 is below")
+
+
 @pytest.mark.parametrize("path, builds", [("moments", 0), ("fock", 1), ("exact", 1)])
 def test_only_the_fock_and_exact_routes_build_a_table(path, builds, monkeypatch):
     calls = _count_calls(monkeypatch, orbitals, "build_overlap_table")
