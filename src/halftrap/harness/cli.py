@@ -18,15 +18,14 @@ import sys
 
 from ..measurement import NoExtractionError, sample_outcomes
 from ..orbitals import build_overlap_table, write_table_csv
-from ..states import TailToleranceError
 from . import accept as accept_mod
-from .config import ConfigError, ExperimentConfig, apply_overrides, parse_config_text
+from .config import ExperimentConfig, apply_overrides, parse_config_text
 from .sweep import run_sweep, run_validation, single_block, write_plot_data, write_sweep_csv
 
 __all__ = ["main"]
 
 # reported as one `error:` line with exit code 1
-_INPUT_ERRORS = (ConfigError, TailToleranceError, NoExtractionError, ValueError, OSError, MemoryError)
+_INPUT_ERRORS = (ValueError, NoExtractionError, OSError, MemoryError)
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -137,11 +137,13 @@ class _Route:
         cfg = self.cfg
         dim = comb(cfg.n_max + cfg.K, cfg.K)
         size = "Fock dimension C(fock.n_max + table.K, table.K)"
+        sizes = f"C({cfg.n_max} + {cfg.K}, {cfg.K})"
         if cfg.path == "exact":
             dim *= cfg.probe_levels**2
             size = "joint dimension C(fock.n_max + table.K, table.K) * probe.levels^2"
+            sizes += f" * {cfg.probe_levels}^2"
         if dim > cfg.exact_dim_cap:
-            raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {size} = {dim}")
+            raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {size} = {sizes} = {dim}")
         return fock.FockBasis(cfg.K, cfg.n_max)
 
     @cached_property

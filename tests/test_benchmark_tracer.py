@@ -1,34 +1,65 @@
-"""The benchmark's span tracer still sees the names it reads from halftrap.
+"""The benchmark still parses its configs and its span tracer still sees the names it reads.
 
 `benchmarks/tracer.py` wraps the package from outside and its observers read
 `TrapState.components[*].coeffs`, `FockBasis.states`, `JointHamiltonian.H0`
 and `vars(OverlapTable)`. A rename of any of them breaks the traced run that
-produces every per-layer metric without failing anything else.
+produces every per-layer metric without failing anything else. Likewise
+`benchmarks/workloads.py` writes config entries and `benchmarks/worker.py`
+checks rows against `cfg.mu_tol` and `cfg.f_tol`; a schema change that drops
+either would break every benchmark run, and only a benchmark run would show it.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import sys
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from halftrap.harness import sweep
-from halftrap.harness.config import ExperimentConfig
+from halftrap.harness.config import ExperimentConfig, apply_overrides, parse_config_text
 from halftrap.orbitals import build_overlap_table
 from halftrap.states import coherent_state, thermal_state
 
-_TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name: str):
+    path = _BENCHMARKS / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"halftrap_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("halftrap_bench_tracer", _TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+def _sets(args: list[str]) -> list[str]:
+    return [args[i + 1] for i, arg in enumerate(args) if arg == "--set"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_benchmark_config_parses_with_its_row_bounds(seed):
+    wl = _load("workloads")
+    configs = []
+    for workload in wl.SWEEP_WORKLOADS:
+        texts = [sw.config_text() for sw in wl.sweeps(workload, seed)]
+        configs += [ExperimentConfig.from_entries(parse_config_text(t)) for t in texts]
+        sets = _sets(wl.sample_args(workload, seed))
+        configs.append(ExperimentConfig.from_entries(apply_overrides({}, sets)))
+    for call in wl.cli_calls(seed, 64):  # the most calls `benchmarks/run.py` makes
+        assert call["sets"] == _sets(call["args"])
+        configs.append(ExperimentConfig.from_entries(apply_overrides({}, call["sets"])))
+    assert len({cfg.path for cfg in configs}) == 2
+    for cfg in configs:
+        assert 0 < cfg.mu_tol < 1 and 0 < cfg.f_tol < 1
 
 
 def _csv(cfg: ExperimentConfig, table) -> str:

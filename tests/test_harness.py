@@ -146,7 +146,6 @@ _NON_DEFAULT = {
     "path": ("exact", "exact"),
     "moments.extrapolate": ("off", False),
     "fock.n_max": ("2", 2),
-    "pulse.shape": ("square", "square"),  # its only allowed value
     "pulse.T": ("0.25", 0.25),
     "pulse.area": ("0.125", 0.125),
     "pulse.preset": ("none", "none"),
@@ -160,15 +159,6 @@ _NON_DEFAULT = {
     "sweep.values": ("1, 2.5", [1.0, 2.5]),
     "seed": ("7", 7),
     "timing": ("yes", True),
-    "accept.mu_tol": ("0.01", 0.01),
-    "accept.f_tol": ("0.02", 0.02),
-    "accept.oracle_tol": ("1e-9", 1e-9),
-    "accept.single_particle_mu_bound": ("1e-5", 1e-5),
-    "accept.mixture_exact_tol": ("1e-10", 1e-10),
-    "accept.leakage_fraction": ("0.05", 0.05),
-    "accept.ratio_lo": ("2", 2.0),
-    "accept.ratio_hi": ("6", 6.0),
-    "accept.structural_tol": ("1e-11", 1e-11),
 }
 
 
@@ -188,7 +178,49 @@ def test_each_key_sets_its_own_field(f):
     if extra:
         want.sweep_values = [0.5]
     assert cfg == want
-    assert value != getattr(ExperimentConfig(), f.name) or key == "pulse.shape"
+    assert value != getattr(ExperimentConfig(), f.name)
+
+
+# the fixed acceptance bounds, which no config entry may set
+_BOUNDS = {
+    "mu_tol": 1e-3,
+    "f_tol": 1e-3,
+    "oracle_tol": 1e-12,
+    "single_particle_mu_bound": 1e-6,
+    "mixture_exact_tol": 1e-12,
+    "structural_tol": 1e-12,
+    "leakage_fraction": 0.01,
+    "ratio_lo": 3.0,
+    "ratio_hi": 5.0,
+}
+
+
+def test_unknown_key_in_a_config_file_is_refused():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_entries(parse_config_text("state = number\nzeta = 1\n"))
+    assert err.value.fieldname == "zeta"
+    assert "not a config key" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["pulse.shape", *(f"accept.{name}" for name in _BOUNDS)])
+def test_retired_keys_are_refused(key):
+    # pulse.shape had one value, square; the bounds are constants
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_entries({key: "square" if key == "pulse.shape" else "1"})
+    assert err.value.fieldname == key
+
+
+@pytest.mark.parametrize("name", _BOUNDS)
+def test_acceptance_bounds_are_fixed_constants(name):
+    assert name not in {f.name for f in fields(ExperimentConfig)}
+    assert getattr(ExperimentConfig.from_entries({}), name) == _BOUNDS[name]
+    with pytest.raises(TypeError):
+        replace(ExperimentConfig(), **{name: 1.0})
+
+
+def test_workers_entry_still_parses():
+    # benchmark sweep configs carry `workers = 1`, the one undeclared entry let through
+    assert ExperimentConfig.from_entries({"workers": "1"}) == ExperimentConfig()
 
 
 def test_readme_names_only_declared_keys():
@@ -199,12 +231,7 @@ def test_readme_names_only_declared_keys():
     for row in table.splitlines()[2:]:
         first = re.sub(r"\([^)]*\)", "", row.split("|")[1])  # drop the defaults
         named += re.findall(r"`([^`]+)`", first)
-    assert len(named) > 20
-    for name in named:
-        if name.endswith(".*"):
-            assert any(key.startswith(name[:-1]) for key in declared), name
-        else:
-            assert name in declared, name
+    assert sorted(named) == sorted(declared)
 
 
 # ---------------------------------------------------------------- sweep
@@ -595,12 +622,15 @@ def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
 
 @pytest.mark.parametrize("verb", [["accept", "perturbation"], ["validate"]])
 def test_cli_refuses_the_perturbation_instance_over_the_cap(verb, cli_env):
-    # the perturbation evidence evolves a fixed instance of joint dimension 560
+    # the perturbation evidence evolves a fixed instance of joint dimension 560;
+    # the refusal names its K = 4, n_max = 3 and 4 levels, not the default table.K = 512
     proc = _cli([*verb, "--set", "exact.dim_cap=100"], cli_env)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.rstrip().endswith("probe.levels^2 = C(3 + 4, 4) * 4^2 = 560")
+    assert "512" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -833,19 +863,27 @@ def test_cli_reports_a_state_with_no_extraction_as_one_error_line(sets, cli_env)
 
 
 def test_cli_accept_failure_exits_two(cli_env):
-    # an impossible tolerance turns the first target red
-    proc = _cli(
-        [
-            "accept",
-            "coherent-negativity",
-            "--set",
-            "accept.mu_tol=1e-12",
-        ],
-        cli_env,
-    )
+    # a coarse cutoff moves mu about 7e-3 off its closed form, past the fixed 1e-3 bound
+    proc = _cli(["accept", "coherent-negativity", "--set", "tail_tol=0.01"], cli_env)
     assert proc.returncode == 2
     assert "[FAIL] coherent-negativity" in proc.stdout
     assert "0/1 targets passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--shots", "10", "--set", "alpha_sqq=50"],
+        ["accept", "--set", "accept.ratio_lo=0"],
+        ["sample", "--shots", "10", "--set", "pulse.shape=square"],
+    ],
+)
+def test_cli_refuses_an_unknown_key_in_one_line(args, cli_env):
+    proc = _cli(args, cli_env)
+    key = args[-1].split("=")[0]
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: config field {key!r}: not a config key\n"
 
 
 def test_cli_unknown_target_rejected(cli_env):
