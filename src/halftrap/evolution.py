@@ -5,6 +5,12 @@ the pulse area, valid for weak pulses) and full propagation of the truncated
 joint Hamiltonian (used to measure how good first order actually is). A
 joint state is a complex array of shape (trap Fock basis, probe L levels,
 probe R levels).
+
+Full propagation works on the mirror-even half of the particle-number
+sectors, in the probe frame |a> -> i^a |a> where the pulse Hamiltonian is
+real, and applies the square pulse's exp(-i T H) as one Chebyshev series
+whose terms are real sparse products; numpy and scipy.sparse are all it
+needs.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockBasis, build_lambda_operator
 from .measurement import ProbeParams, Pulse
@@ -68,15 +73,17 @@ def embed_product(phi: np.ndarray, probe: ProbeParams) -> np.ndarray:
 class MirrorSector:
     """One particle-number sector of the joint space, reduced to its mirror-even half.
 
-    `span` is the sector's range in the flattened (trap, probe, probe) space
-    and `U` the isometry from the even half into it. `h` = U^T H_0 U and
-    `v` = U^T V U share one CSR pattern, so a point combines their data arrays.
+    `span` is the sector's range in the flattened (trap, probe, probe) space,
+    `even` its range in the mirror-even basis and `U` the isometry from the
+    even half into the span. `phase` holds i^(a+b) for the probe levels
+    a <= b of each even basis state: the probe frame |a> -> i^a |a>, in which
+    V is real (see `build_joint_hamiltonian`).
     """
 
     span: slice
+    even: slice
     U: sp.csr_matrix
-    h: sp.csr_matrix
-    v: sp.csr_matrix
+    phase: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,12 @@ class JointHamiltonian:
 
     `H0` is the diagonal H_0 on the whole flattened (trap, probe, probe)
     space, and `lamL` and `lamR` are the trap-space Lambda operators V is
-    built from. `sectors` holds, for each particle number N = 0..n_max, H_0
-    and V on the mirror-even half of that sector (see
-    `build_joint_hamiltonian`); the full V is never assembled.
+    built from. The mirror-even basis of `build_joint_hamiltonian` holds the
+    rest, each sector a contiguous range of it: `h` is H_0 there (diagonal),
+    `v` is V in the probe frame (real, with explicit zeros on its diagonal at
+    the positions `diag` of `v.data`, so that H_0 fits its pattern), and
+    `radius` holds the row sums of |v|. `sectors` maps each particle number
+    N = 0..n_max into that basis; the full V is never assembled.
     """
 
     basis: FockBasis
@@ -96,6 +106,10 @@ class JointHamiltonian:
     lamL: sp.csr_matrix
     lamR: sp.csr_matrix
     sectors: tuple[MirrorSector, ...]
+    h: np.ndarray
+    v: sp.csr_matrix
+    diag: np.ndarray
+    radius: np.ndarray
 
     def coupling_weight(self, phi: np.ndarray) -> float:
         """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites."""
@@ -111,7 +125,8 @@ def _probe_halves(probe: ProbeParams) -> tuple:
     `Q[1]` the columns (|a b> - |b a>)/sqrt 2; column j of `Q[p]` holds the
     levels a = pairs[p][0][j] <= b = pairs[p][1][j]. `B[p][q]` =
     Q_p^T (P x 1 + (-1)^(p+q) 1 x P) Q_q is V's probe factor between trap
-    states of parities p and q.
+    states of parities p and q, in the probe frame |a> -> i^a |a>: there P is
+    the real quadrature sqrt(M Omega / 2) (b + b^T), so `B` is real.
     """
     d = probe.levels
     Q, pairs = [], []
@@ -123,7 +138,8 @@ def _probe_halves(probe: ProbeParams) -> tuple:
         q[a * d + b, cols] = 1.0
         Q.append(q / np.linalg.norm(q, axis=0))
         pairs.append((a, b))
-    P = probe_momentum(probe)
+    low = probe_lowering(d)
+    P = np.sqrt(probe.M * probe.Omega / 2.0) * (low + low.T)
     PI, IP = np.kron(P, np.eye(d)), np.kron(np.eye(d), P)
     B = tuple(
         tuple(Q[p].T @ (PI + (-1) ** (p + q) * IP) @ Q[q] for q in (0, 1)) for p in (0, 1)
@@ -140,14 +156,18 @@ def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
     )
 
 
+# i^k for k mod 4, exactly
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
 def _mirror_sectors(
     basis: FockBasis,
     lamL: sp.csr_matrix,
     h_trap: np.ndarray,
     h_probe: np.ndarray,
     probe: ProbeParams,
-) -> tuple[MirrorSector, ...]:
-    """Reduce each particle-number sector to its mirror-even half.
+) -> tuple:
+    """Reduce the joint space to its mirror-even half, in the probe frame.
 
     A trap state t of parity p pairs with the probe pairs in Q_p: the even
     basis runs over the trap states in basis order, each with its Q_p
@@ -156,6 +176,8 @@ def _mirror_sectors(
     Lambda_R[t, t'] = (-1)^(p+q) Lambda_L[t, t'] by the parity identity.
     Everything is built for the whole basis at once; H_0, V and Lambda_L
     conserve N, so each sector is a diagonal block of the result.
+
+    Returns (sectors, h, v, diag, radius) as `JointHamiltonian` holds them.
     """
     Q, pairs, B = _probe_halves(probe)
     d2 = probe.levels**2
@@ -166,15 +188,16 @@ def _mirror_sectors(
     # V's probe factors have a zero diagonal, so the diagonal enters as explicit
     # zeros: the pattern then holds H_0 as well
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.zeros(n)]
-    h_diag = np.empty(n)
+    h = np.empty(n)
+    phase = np.empty(n, dtype=np.complex128)
     u_rows, u_cols, u_vals = [], [], []
     for p in (0, 1):
         t = np.flatnonzero(par == p)
         # H_0 is diagonal in the even basis as well: trap energy plus both probe levels
         a, b = pairs[p]
-        h_diag[(off[t, None] + np.arange(len(a))).ravel()] = (
-            (h_trap[t, None] + h_probe[a]) + h_probe[b]
-        ).ravel()
+        at = (off[t, None] + np.arange(len(a))).ravel()
+        h[at] = ((h_trap[t, None] + h_probe[a]) + h_probe[b]).ravel()
+        phase[at] = np.broadcast_to(_I_POW[(a + b) % 4], (t.size, a.size)).ravel()
         k, j = np.nonzero(Q[p])
         u_rows.append((t[:, None] * d2 + k).ravel())
         u_cols.append((off[t, None] + j).ravel())
@@ -189,9 +212,8 @@ def _mirror_sectors(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     row_of = np.repeat(np.arange(n), np.diff(v.indptr))
-    h = sp.csr_matrix(
-        (np.where(v.indices == row_of, h_diag[row_of], 0.0), v.indices, v.indptr), shape=(n, n)
-    )
+    diag = np.flatnonzero(v.indices == row_of)
+    radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
     U = sp.csr_matrix(
         (np.concatenate(u_vals), (np.concatenate(u_rows), np.concatenate(u_cols))),
         shape=(basis.dimension * d2, n),
@@ -200,10 +222,8 @@ def _mirror_sectors(
     for span in basis.sectors():
         full = slice(span.start * d2, span.stop * d2)
         even = slice(int(off[span.start]), int(off[span.stop]))
-        sectors.append(
-            MirrorSector(full, _block(U, full, even), _block(h, even, even), _block(v, even, even))
-        )
-    return tuple(sectors)
+        sectors.append(MirrorSector(full, even, _block(U, full, even), phase[even]))
+    return tuple(sectors), h, v, diag, radius
 
 
 def build_joint_hamiltonian(
@@ -212,14 +232,16 @@ def build_joint_hamiltonian(
     probe: ProbeParams,
     dim_cap: int,
 ) -> JointHamiltonian:
-    """Assemble H_0 on the flattened trap x probe x probe space and each sector's reduction.
+    """Assemble H_0 on the flattened trap x probe x probe space and its mirror-even reduction.
 
     The mirror Pi = (trap parity (-1)^(sum_k k n_k)) x (swap of the two
     probes) commutes with H_0 and V, because the table obeys lambdaL =
     P lambdaR P with P = diag((-1)^k); a table that does not is refused.
     Both also conserve the particle number N. Each sector of fixed N is
     therefore kept as H_0 and V on its Pi-even half, which holds every state
-    |phi>|00> with phi in the lowest orbital.
+    |phi>|00> with phi in the lowest orbital. The reduction is written in the
+    probe frame |a> -> i^a |a> of both probes, which commutes with Pi and
+    H_0 and makes V real.
 
     Nothing here depends on the trap state or the pulse: `run_sweep` builds
     it once per sweep, and `exact_state` propagates each point with it.
@@ -245,8 +267,8 @@ def build_joint_hamiltonian(
     h_probe = (np.arange(d) + 0.5) * probe.Omega
     H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
 
-    sectors = _mirror_sectors(basis, lamL, h_trap, h_probe, probe)
-    return JointHamiltonian(basis, probe, H0, lamL, lamR, sectors)
+    even = _mirror_sectors(basis, lamL, h_trap, h_probe, probe)
+    return JointHamiltonian(basis, probe, H0, lamL, lamR, *even)
 
 
 def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
@@ -268,16 +290,91 @@ def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> 
     return joint
 
 
-def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
-    """Propagate the joint state through the pulse on the mirror-even half of each sector.
+# the Chebyshev series of a pulse drops a tail of at most this weight
+_SERIES_TOL = 2.0**-53
 
-    The square pulse makes the Hamiltonian constant, so the sparse matrix
-    exponential propagates in one step. H_0 and V conserve the trap particle
-    number, so each occupied sector (a contiguous slice of the graded basis)
-    is propagated on its own and the others stay zero. Within a sector the
-    state is mapped onto its mirror-even half with U^T, propagated with
-    -iT (h + g0 v), and mapped back with U; a state with a mirror-odd part
-    beyond `_NORM_TOL` is refused, since that part would be dropped. The norm
+
+def _bessel_series(z: float) -> np.ndarray:
+    """J_0(z), ..., J_(m-1)(z) for z >= 0: the terms the Chebyshev series of exp(-i z x) keeps.
+
+    Miller's backward recurrence J_(k-1) = (2k / z) J_k - J_(k+1), started at
+    k = 2z + 40, far past the cut (J_k falls faster than (e z / 2k)^k there),
+    and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1. The cut m is the first
+    k past max(z, 1) with 2 |J_k| < _SERIES_TOL / 4. Past z each ratio
+    J_(k+1) / J_k is below z / (2k + 2) < 1/2, so the dropped tail
+    2 (|J_m| + |J_(m+1)| + ...), which bounds the error of the series for any
+    x in [-1, 1], is below _SERIES_TOL.
+    """
+    if z == 0.0:
+        return np.array([1.0, 0.0])
+    top = int(2.0 * z) + 40
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = (2.0 * k / z) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:  # the recurrence grows fastest where J_k is smallest
+            j[k - 1 :] *= 1e-250
+    j /= j[0] + 2.0 * j[2::2].sum()
+    k = np.arange(top + 2)
+    return j[: np.flatnonzero((k > max(z, 1.0)) & (2.0 * np.abs(j) < _SERIES_TOL / 4))[0]]
+
+
+def _chebyshev_propagate(
+    ham: JointHamiltonian, span: slice, pulse: Pulse, y: np.ndarray
+) -> np.ndarray:
+    """exp(-i T H) y for H = h + g0 v on the range `span` of the mirror-even basis.
+
+    The Gershgorin discs of H on the range lie in [c - r, c + r], so
+    X = (H - c) / r has its spectrum in [-1, 1] and, as one Chebyshev series,
+    exp(-i T H) = exp(-i T c) (J_0(T r) + 2 sum_k (-i)^k J_k(T r) T_k(X))
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). X is real, so the
+    real and the imaginary part of y each run the recurrence
+    T_(k+1) = 2 X T_k - T_(k-1) in real arithmetic; a part that is zero is
+    left out. The coefficients (-i)^k are real for even k and imaginary for
+    odd k, so the even and the odd terms are summed apart.
+    """
+    h = ham.h[span]
+    reach = abs(pulse.g0) * ham.radius[span]
+    top, bottom = float((h + reach).max()), float((h - reach).min())
+    c, r = (top + bottom) / 2.0, (top - bottom) / 2.0
+    phase = np.exp(-1j * pulse.T * c)
+    if r == 0.0:
+        return phase * y
+    parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
+    # 2 X, with H's diagonal (h - c) folded into the explicit zeros of v's pattern
+    X2 = _block(ham.v, span, span)
+    X2.data = (2.0 * pulse.g0 / r) * X2.data  # a new array: the block shares v's
+    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / r) * (h - c)
+
+    coef = 2.0 * _bessel_series(pulse.T * r)
+    coef[0] /= 2.0
+    coef *= np.resize([1.0, -1.0, -1.0, 1.0], coef.size)  # (-i)^k with the i taken out of odd k
+    out = np.zeros(y.shape, dtype=np.complex128)
+    for unit, part in parts:
+        prev, cur = part, 0.5 * (X2 @ part)
+        sums = [coef[0] * prev, coef[1] * cur]
+        for k in range(2, coef.size):
+            nxt = X2 @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+            sums[k % 2] += coef[k] * cur
+        out += unit * (sums[0] + 1j * sums[1])
+    return phase * out
+
+
+def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
+    """Propagate the joint state through the pulse on the mirror-even half of the occupied sectors.
+
+    H_0 and V conserve the trap particle number, so only the sectors the
+    state occupies (contiguous slices of the graded basis) evolve, and the
+    others stay zero. Within each occupied sector the state is rotated into
+    the probe frame with the phase (-i)^(a+b), in which the pulse
+    Hamiltonian is real, and mapped onto its mirror-even half with U^T; a
+    state with a mirror-odd part beyond `_NORM_TOL` is refused, since that
+    part would be dropped. The square pulse makes the Hamiltonian constant,
+    so exp(-i T (h + g0 v)) is applied once, as a Chebyshev series in real
+    arithmetic, to the even range from the first occupied sector to the last;
+    the result is mapped back with U and rotated back with i^(a+b). The norm
     drift is checked against `_NORM_TOL` and reported as a hard error when
     exceeded. The size cap was checked when `ham` was built.
     """
@@ -291,23 +388,24 @@ def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.
     norm0 = np.linalg.norm(psi0)
 
     psiT = np.zeros(psi0.shape, dtype=np.complex128)
-    scale = -1j * pulse.T
-    for sector in ham.sectors:
-        x = psi0[sector.span]
-        if not x.any():
-            continue
-        y = sector.U.T @ x
-        odd = np.linalg.norm(x - sector.U @ y)
-        if odd > _NORM_TOL:
-            raise ValueError(
-                f"initial state has a mirror-odd part of norm {odd:.3e}; "
-                "exact_state propagates the mirror-even half only"
-            )
-        h, v = sector.h, sector.v
-        A = sp.csr_matrix((scale * (h.data + pulse.g0 * v.data), v.indices, v.indptr), shape=v.shape)
-        # V's trace vanishes: its probe factors have a zero diagonal
-        y = expm_multiply(A, y, traceA=scale * h.data.sum())
-        psiT[sector.span] = sector.U @ y
+    occupied = [sector for sector in ham.sectors if psi0[sector.span].any()]
+    if occupied:
+        lo, hi = occupied[0].even.start, occupied[-1].even.stop
+        y = np.zeros(hi - lo, dtype=np.complex128)
+        for sector in occupied:
+            x = psi0[sector.span]
+            ys = sector.U.T @ x
+            odd = np.linalg.norm(x - sector.U @ ys)
+            if odd > _NORM_TOL:
+                raise ValueError(
+                    f"initial state has a mirror-odd part of norm {odd:.3e}; "
+                    "exact_state propagates the mirror-even half only"
+                )
+            y[sector.even.start - lo : sector.even.stop - lo] = sector.phase.conj() * ys
+        y = _chebyshev_propagate(ham, slice(lo, hi), pulse, y)
+        for sector in occupied:
+            ys = y[sector.even.start - lo : sector.even.stop - lo]
+            psiT[sector.span] = sector.U @ (sector.phase * ys)
     drift = abs(np.linalg.norm(psiT) - norm0)
     if drift > _NORM_TOL:
         raise IntegratorDriftError(

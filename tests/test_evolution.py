@@ -1,10 +1,16 @@
 """Pulse dynamics: first-order model against the full propagator."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
+from scipy.special import jv
 
 from halftrap import evolution
 from halftrap.evolution import (
@@ -158,7 +164,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
 
 
 def test_sampled_pulse_agrees_with_square(setup4):
-    # oracle for expm_multiply: integrate the same square pulse step by step
+    # oracle for the Chebyshev series: integrate the same square pulse step by step
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(1).amplitudes, basis)
     T, g0 = 0.05, 1.0
@@ -184,10 +190,20 @@ def test_dimension_cap_enforced(table4):
         build_joint_hamiltonian(table4, basis, probe, dim_cap=100)
 
 
-def _full_space_state(initial, ham, pulse):
-    """Oracle: one expm_multiply over the whole joint space, every sector at once."""
-    A = (-1j * pulse.T) * (ham.H0 + pulse.g0 * _full_coupling(ham))
-    return expm_multiply(A.tocsc(), initial.reshape(-1))
+def _full_space_state(initial, ham, pulse, step_norm=np.inf):
+    """Oracle: expm_multiply over the whole joint space, every sector at once.
+
+    The pulse runs in equal steps whose matrices have a 1-norm of at most
+    `step_norm`. expm_multiply's error grows with that norm: over 400 draws
+    of the random-input property below it reached 6.4e-14 in one step, and
+    8.1e-15 in steps of 1-norm 8.
+    """
+    A = ((-1j * pulse.T) * (ham.H0 + pulse.g0 * _full_coupling(ham))).tocsc()
+    steps = max(1, int(np.ceil(sparse_norm(A, 1) / step_norm)))
+    psi = initial.reshape(-1)
+    for _ in range(steps):
+        psi = expm_multiply(A / steps, psi)
+    return psi
 
 
 @pytest.mark.parametrize(
@@ -237,24 +253,39 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     ]
     assert np.array_equal(ham.H0.diagonal(), h0)
     V = _full_coupling(ham)
+    # the probe frame |a b> -> i^(a+b) |a b> of each trap state; i^k exactly
+    d = levels
+    frame = np.array([1, 1j, -1, -1j])[np.add.outer(np.arange(d), np.arange(d)).ravel() % 4]
+    assert ham.h.dtype == ham.v.dtype == ham.radius.dtype == np.float64
     for sector in ham.sectors:
-        s, U = sector.span, sector.U
+        s, e, U = sector.span, sector.even, sector.U
         assert abs(U.T @ U - sp.identity(U.shape[1])).max() <= 1e-15
         # U spans the mirror-even half: Pi U = U
-        d = levels
         t = np.repeat(np.arange(s.start // d**2, s.stop // d**2), d * d)
         sign = (-1.0) ** (basis.states @ np.arange(K))[t]
         swap = np.arange(s.stop - s.start).reshape(-1, d, d).transpose(0, 2, 1).ravel()
         assert abs(sp.diags(sign) @ U[swap] - U).max() <= 1e-15
-        assert abs(U.T @ ham.H0[s, s] @ U - sector.h).max() <= 1e-14
-        assert abs(U.T @ V[s, s] @ U - sector.v).max() <= 1e-14
-        assert (sector.h.indices == sector.v.indices).all()
+        # the frame is diagonal on U's columns, with the phases the sector holds
+        omega = sp.diags(np.tile(frame, (s.stop - s.start) // d**2))
+        assert abs(omega @ U - U @ sp.diags(sector.phase)).max() == 0.0
+        assert abs(U.T @ ham.H0[s, s] @ U - sp.diags(ham.h[e])).max() <= 1e-14
+        # V is real in the frame, and the sector's block of v is its mirror-even half
+        rotated = omega.conj() @ V[s, s] @ omega
+        assert abs(rotated.imag).max() == 0.0
+        assert abs(U.T @ rotated.real @ U - ham.v[e, e]).max() <= 1e-14
+        assert ham.v[e].nnz == ham.v[e, e].nnz
+    # v holds H_0's diagonal as explicit zeros at `diag`, and `radius` its |v| row sums
+    n = ham.h.size
+    assert np.array_equal(ham.v.indices[ham.diag], np.arange(n))
+    assert np.array_equal(np.searchsorted(ham.v.indptr, ham.diag, side="right") - 1, np.arange(n))
+    assert not ham.v.data[ham.diag].any()
+    assert np.abs(ham.radius - abs(ham.v).sum(axis=1).A1).max() <= 1e-14
     # an even trap state keeps the d(d+1)/2 swap-symmetric probe pairs, an odd one the d(d-1)/2 others
     parity = basis.states @ np.arange(K) % 2
     n_even = int(np.count_nonzero(parity == 0))
     n_odd = parity.size - n_even
     even_dim = (n_even * levels * (levels + 1) + n_odd * levels * (levels - 1)) // 2
-    assert sum(sector.U.shape[1] for sector in ham.sectors) == even_dim
+    assert sum(sector.U.shape[1] for sector in ham.sectors) == even_dim == n
 
 
 def test_mirror_halves_the_exact_sweep_sectors():
@@ -289,10 +320,64 @@ def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
     phi = to_fock_vector(
         superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
     )
-    # a long strong pulse: many Taylor steps, a drift of about 1e-13
+    # a long strong pulse: a series of about 1000 terms, a drift of about 2e-16
     pulse = Pulse.square(T=20.0, g0=3.0)
     initial = embed_product(phi, probe)
     assert np.linalg.norm(exact_state(initial, ham, pulse)) == pytest.approx(1.0, abs=1e-9)
-    monkeypatch.setattr(evolution, "_NORM_TOL", 1e-15)
+    monkeypatch.setattr(evolution, "_NORM_TOL", 1e-17)
     with pytest.raises(IntegratorDriftError):
         exact_state(initial, ham, pulse)
+
+
+_coefficients = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=5,
+).filter(lambda raw: np.linalg.norm(raw) > 1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_state_matches_the_full_space_oracle_on_random_inputs(data):
+    raw = data.draw(_coefficients)
+    K = data.draw(st.integers(1, 6))
+    basis = FockBasis(K, data.draw(st.integers(len(raw) - 1, 4)))
+    probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
+    pulse = Pulse.square(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.0, 10.0)))
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe, CAP)
+    state = superposition_state(np.array(raw) / np.linalg.norm(raw))
+    initial = embed_product(to_fock_vector(state.amplitudes, basis), probe)
+    got = exact_state(initial, ham, pulse).reshape(-1)
+    # the worst of 400 draws was 8.1e-15, within the bound of the fixed cases above
+    assert np.abs(got - _full_space_state(initial, ham, pulse, step_norm=8.0)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 5.0, 50.0, 700.0])
+def test_bessel_series_matches_scipy(z):
+    J = evolution._bessel_series(z)
+    k = np.arange(J.size)
+    # scipy's jv is itself off by 1.4e-14 at z = 700 (against mpmath), so there
+    # mpmath pins the series as well
+    assert np.abs(J - jv(k, z)).max() <= (2e-14 if z > 100 else 1e-15)
+    if z > 100:
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.besselj(int(i), z)) for i in k[::25]])
+        assert np.abs(J[::25] - exact).max() <= 1e-15
+    # the series stops at the first k past max(z, 1) where 2 |J_k| < tol / 4,
+    # and the tail it drops, 2 (|J_m| + |J_(m+1)| + ...), stays below tol
+    assert J.size == 1 + max(
+        i for i in range(J.size + 1) if i <= max(z, 1.0) or 2 * abs(jv(i, z)) >= evolution._SERIES_TOL / 4
+    )
+    tail = 2.0 * np.abs(jv(np.arange(J.size, J.size + 200), z)).sum()
+    assert tail < evolution._SERIES_TOL
+
+
+def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
+    # all of h at one energy and no coupling: the Gershgorin interval has r = 0,
+    # and the propagator is the phase exp(-i T c) with no series
+    _, basis, probe, ham = setup4
+    flat = dataclasses.replace(ham, h=np.full_like(ham.h, 2.5))
+    phi = to_fock_vector(superposition_state(np.array([0.6, 0.0, 0.8j])).amplitudes, basis)
+    initial = embed_product(phi, probe)
+    got = exact_state(initial, flat, Pulse.square(T=0.7, g0=0.0))
+    assert np.abs(got - np.exp(-1.75j) * initial).max() <= 1e-15

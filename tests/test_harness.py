@@ -721,6 +721,32 @@ def test_moment_route_loads_no_scipy(tmp_path, cli_env):
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
 
 
+# prints an exact-route sample's exit code, then whether scipy.sparse,
+# scipy.sparse.linalg and scipy.linalg are loaded
+_EXACT_ROUTE_PROBE = """
+import contextlib, io, sys
+from halftrap.harness import cli
+sets = ["path=exact", "table.K=4", "fock.n_max=3", "probe.levels=3", "pulse.T=0.05", "state=number"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sample", "--shots", "9", *(a for s in sets for a in ("--set", s))])
+print(code, *(name in sys.modules for name in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")))
+"""
+
+
+def test_exact_route_loads_no_scipy_linalg(cli_env):
+    # the pulse propagator needs sparse products only, so the exact route
+    # leaves scipy.sparse.linalg and scipy.linalg (about 0.14 s of import) unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_ROUTE_PROBE],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False", "False"]
+
+
 def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):
     # a 10^8 x 10^8 float64 matrix (71 PiB) exceeds any address space, and
     # build_overlap_table allocates it before anything else; of the sample
