@@ -6,11 +6,11 @@ joint Hamiltonian (used to measure how good first order actually is). A
 joint state is a complex array of shape (trap Fock basis, probe L levels,
 probe R levels).
 
-Full propagation works on the mirror-even half of the particle-number
-sectors, in the probe frame |a> -> i^a |a> where the pulse Hamiltonian is
-real, and applies the square pulse's exp(-i T H) as one Chebyshev series
-whose terms are real sparse products; numpy and scipy.sparse are all it
-needs.
+Full propagation maps the range of particle-number sectors a state
+occupies, with one isometry, onto its mirror-even half in the probe frame
+|a> -> i^a |a>, where the pulse Hamiltonian is real, and applies the
+square pulse's exp(-i T H) there as one Chebyshev series whose terms are
+real sparse products; numpy and scipy.sparse are all it needs.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .measurement import ProbeParams, Pulse
 from .orbitals import OverlapTable
 
 __all__ = [
-    "MirrorSector",
     "JointHamiltonian",
-    "DimensionCapError",
     "IntegratorDriftError",
     "probe_lowering",
     "probe_momentum",
@@ -40,10 +38,6 @@ __all__ = [
 
 # a mirror-odd part or a norm drift beyond this is refused by `exact_state`
 _NORM_TOL = 1e-9
-
-
-class DimensionCapError(RuntimeError):
-    pass
 
 
 class IntegratorDriftError(RuntimeError):
@@ -70,34 +64,19 @@ def embed_product(phi: np.ndarray, probe: ProbeParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MirrorSector:
-    """One particle-number sector of the joint space, reduced to its mirror-even half.
-
-    `span` is the sector's range in the flattened (trap, probe, probe) space,
-    `even` its range in the mirror-even basis and `U` the isometry from the
-    even half into the span. `phase` holds i^(a+b) for the probe levels
-    a <= b of each even basis state: the probe frame |a> -> i^a |a>, in which
-    V is real (see `build_joint_hamiltonian`).
-    """
-
-    span: slice
-    even: slice
-    U: sp.csr_matrix
-    phase: np.ndarray
-
-
-@dataclass(frozen=True)
 class JointHamiltonian:
     """H_0 and the coupling V = Lambda_L P_L + Lambda_R P_R of the pulse.
 
     `H0` is the diagonal H_0 on the whole flattened (trap, probe, probe)
     space, and `lamL` and `lamR` are the trap-space Lambda operators V is
     built from. The mirror-even basis of `build_joint_hamiltonian` holds the
-    rest, each sector a contiguous range of it: `h` is H_0 there (diagonal),
-    `v` is V in the probe frame (real, with explicit zeros on its diagonal at
-    the positions `diag` of `v.data`, so that H_0 fits its pattern), and
-    `radius` holds the row sums of |v|. `sectors` maps each particle number
-    N = 0..n_max into that basis; the full V is never assembled.
+    rest. `W` is the isometry from it into the flattened space, with the
+    probe frame i^(a+b) folded into its columns, and the sector of particle
+    number N is the range `edges[N]:edges[N + 1]` of it. `h` is H_0 there
+    (diagonal), `v` is V in the probe frame (real, with explicit zeros on its
+    diagonal at the positions `diag` of `v.data`, so that H_0 fits its
+    pattern), and `radius` holds the row sums of |v|. The full V is never
+    assembled.
     """
 
     basis: FockBasis
@@ -105,7 +84,8 @@ class JointHamiltonian:
     H0: sp.csr_matrix
     lamL: sp.csr_matrix
     lamR: sp.csr_matrix
-    sectors: tuple[MirrorSector, ...]
+    W: sp.csr_matrix
+    edges: np.ndarray
     h: np.ndarray
     v: sp.csr_matrix
     diag: np.ndarray
@@ -160,7 +140,7 @@ def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _mirror_sectors(
+def _mirror_even_basis(
     basis: FockBasis,
     lamL: sp.csr_matrix,
     h_trap: np.ndarray,
@@ -171,13 +151,13 @@ def _mirror_sectors(
 
     A trap state t of parity p pairs with the probe pairs in Q_p: the even
     basis runs over the trap states in basis order, each with its Q_p
-    columns in order. V's entry
-    between (t, Q_p) and (t', Q_q) is Lambda_L[t, t'] B[p][q], because
-    Lambda_R[t, t'] = (-1)^(p+q) Lambda_L[t, t'] by the parity identity.
-    Everything is built for the whole basis at once; H_0, V and Lambda_L
-    conserve N, so each sector is a diagonal block of the result.
+    columns in order, and W's column for the pair a <= b carries i^(a+b).
+    V's entry between (t, Q_p) and (t', Q_q) is Lambda_L[t, t'] B[p][q],
+    because Lambda_R[t, t'] = (-1)^(p+q) Lambda_L[t, t'] by the parity
+    identity. Everything is built for the whole basis at once; H_0, V and
+    Lambda_L conserve N, so each sector is a diagonal block of the result.
 
-    Returns (sectors, h, v, diag, radius) as `JointHamiltonian` holds them.
+    Returns (W, edges, h, v, diag, radius) as `JointHamiltonian` holds them.
     """
     Q, pairs, B = _probe_halves(probe)
     d2 = probe.levels**2
@@ -189,19 +169,18 @@ def _mirror_sectors(
     # zeros: the pattern then holds H_0 as well
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.zeros(n)]
     h = np.empty(n)
-    phase = np.empty(n, dtype=np.complex128)
-    u_rows, u_cols, u_vals = [], [], []
+    w_rows, w_cols, w_vals = [], [], []
     for p in (0, 1):
         t = np.flatnonzero(par == p)
         # H_0 is diagonal in the even basis as well: trap energy plus both probe levels
         a, b = pairs[p]
         at = (off[t, None] + np.arange(len(a))).ravel()
         h[at] = ((h_trap[t, None] + h_probe[a]) + h_probe[b]).ravel()
-        phase[at] = np.broadcast_to(_I_POW[(a + b) % 4], (t.size, a.size)).ravel()
         k, j = np.nonzero(Q[p])
-        u_rows.append((t[:, None] * d2 + k).ravel())
-        u_cols.append((off[t, None] + j).ravel())
-        u_vals.append(np.broadcast_to(Q[p][k, j], (t.size, k.size)).ravel())
+        w_rows.append((t[:, None] * d2 + k).ravel())
+        w_cols.append((off[t, None] + j).ravel())
+        w = Q[p][k, j] * _I_POW[(a + b)[j] % 4]
+        w_vals.append(np.broadcast_to(w, (t.size, k.size)).ravel())
         for q in (0, 1):
             m = (par[lam.row] == p) & (par[lam.col] == q)
             i, j = np.nonzero(B[p][q])
@@ -214,23 +193,18 @@ def _mirror_sectors(
     row_of = np.repeat(np.arange(n), np.diff(v.indptr))
     diag = np.flatnonzero(v.indices == row_of)
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
-    U = sp.csr_matrix(
-        (np.concatenate(u_vals), (np.concatenate(u_rows), np.concatenate(u_cols))),
+    W = sp.csr_matrix(
+        (np.concatenate(w_vals), (np.concatenate(w_rows), np.concatenate(w_cols))),
         shape=(basis.dimension * d2, n),
     )
-    sectors = []
-    for span in basis.sectors():
-        full = slice(span.start * d2, span.stop * d2)
-        even = slice(int(off[span.start]), int(off[span.stop]))
-        sectors.append(MirrorSector(full, even, _block(U, full, even), phase[even]))
-    return tuple(sectors), h, v, diag, radius
+    edges = off[[span.start for span in basis.sectors()] + [basis.dimension]]
+    return W, edges, h, v, diag, radius
 
 
 def build_joint_hamiltonian(
     table: OverlapTable,
     basis: FockBasis,
     probe: ProbeParams,
-    dim_cap: int,
 ) -> JointHamiltonian:
     """Assemble H_0 on the flattened trap x probe x probe space and its mirror-even reduction.
 
@@ -247,11 +221,6 @@ def build_joint_hamiltonian(
     it once per sweep, and `exact_state` propagates each point with it.
     """
     d = probe.levels
-    total_dim = basis.dimension * d * d
-    if total_dim > dim_cap:
-        raise DimensionCapError(
-            f"joint dimension {total_dim} exceeds cap {dim_cap}"
-        )
     sign = (-1.0) ** np.arange(table.K)
     if not np.array_equal(table.lambdaL, sign[:, None] * table.lambdaR * sign):
         raise ValueError(
@@ -267,7 +236,7 @@ def build_joint_hamiltonian(
     h_probe = (np.arange(d) + 0.5) * probe.Omega
     H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
 
-    even = _mirror_sectors(basis, lamL, h_trap, h_probe, probe)
+    even = _mirror_even_basis(basis, lamL, h_trap, h_probe, probe)
     return JointHamiltonian(basis, probe, H0, lamL, lamR, *even)
 
 
@@ -365,18 +334,16 @@ def _chebyshev_propagate(
 def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
     """Propagate the joint state through the pulse on the mirror-even half of the occupied sectors.
 
-    H_0 and V conserve the trap particle number, so only the sectors the
-    state occupies (contiguous slices of the graded basis) evolve, and the
-    others stay zero. Within each occupied sector the state is rotated into
-    the probe frame with the phase (-i)^(a+b), in which the pulse
-    Hamiltonian is real, and mapped onto its mirror-even half with U^T; a
-    state with a mirror-odd part beyond `_NORM_TOL` is refused, since that
-    part would be dropped. The square pulse makes the Hamiltonian constant,
-    so exp(-i T (h + g0 v)) is applied once, as a Chebyshev series in real
-    arithmetic, to the even range from the first occupied sector to the last;
-    the result is mapped back with U and rotated back with i^(a+b). The norm
-    drift is checked against `_NORM_TOL` and reported as a hard error when
-    exceeded. The size cap was checked when `ham` was built.
+    H_0 and V conserve the trap particle number, so only the sectors from
+    the lowest to the highest N the state occupies evolve (one contiguous
+    range of the graded basis), and the others stay zero. The block of W on
+    that range maps the state into the probe frame's mirror-even basis, in
+    which the pulse Hamiltonian is real, with W^H; a state with a mirror-odd
+    part beyond `_NORM_TOL` is refused, since that part would be dropped.
+    The square pulse makes the Hamiltonian constant, so exp(-i T (h + g0 v))
+    is applied once, as a Chebyshev series in real arithmetic, and the
+    result is mapped back with W. The norm drift is checked against
+    `_NORM_TOL` and reported as a hard error when exceeded.
     """
     d = ham.probe.levels
     if initial.shape != (ham.basis.dimension, d, d):
@@ -388,24 +355,22 @@ def exact_state(initial: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.
     norm0 = np.linalg.norm(psi0)
 
     psiT = np.zeros(psi0.shape, dtype=np.complex128)
-    occupied = [sector for sector in ham.sectors if psi0[sector.span].any()]
-    if occupied:
-        lo, hi = occupied[0].even.start, occupied[-1].even.stop
-        y = np.zeros(hi - lo, dtype=np.complex128)
-        for sector in occupied:
-            x = psi0[sector.span]
-            ys = sector.U.T @ x
-            odd = np.linalg.norm(x - sector.U @ ys)
-            if odd > _NORM_TOL:
-                raise ValueError(
-                    f"initial state has a mirror-odd part of norm {odd:.3e}; "
-                    "exact_state propagates the mirror-even half only"
-                )
-            y[sector.even.start - lo : sector.even.stop - lo] = sector.phase.conj() * ys
-        y = _chebyshev_propagate(ham, slice(lo, hi), pulse, y)
-        for sector in occupied:
-            ys = y[sector.even.start - lo : sector.even.stop - lo]
-            psiT[sector.span] = sector.U @ (sector.phase * ys)
+    occupied = np.flatnonzero(initial.any(axis=(1, 2)))
+    if occupied.size:
+        lo, hi = ham.basis.states[occupied[[0, -1]]].sum(axis=1)
+        spans = ham.basis.sectors()
+        rows = slice(spans[lo].start * d * d, spans[hi].stop * d * d)
+        even = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
+        W = _block(ham.W, rows, even)
+        x = psi0[rows]
+        y = W.conj().T @ x
+        odd = np.linalg.norm(x - W @ y)
+        if odd > _NORM_TOL:
+            raise ValueError(
+                f"initial state has a mirror-odd part of norm {odd:.3e}; "
+                "exact_state propagates the mirror-even half only"
+            )
+        psiT[rows] = W @ _chebyshev_propagate(ham, even, pulse, y)
     drift = abs(np.linalg.norm(psiT) - norm0)
     if drift > _NORM_TOL:
         raise IntegratorDriftError(

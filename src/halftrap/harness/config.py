@@ -172,7 +172,7 @@ class ExperimentConfig:
     sweep_values: list = _key("sweep.values", [], _list(float, "number"))
 
     # misc
-    seed: int = _key("seed", 12345, _int)
+    seed: int = _key("seed", 12345, _int, low=0)
     timing: bool = _key("timing", False, _bool)
 
     # acceptance bounds: constants, not fields, so no config entry can set them

@@ -14,7 +14,7 @@ import csv
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from math import comb, isnan, nan, sqrt
+from math import comb, isfinite, isnan, nan, sqrt
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -73,26 +73,37 @@ class PointResult:
 
 
 def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None):
-    """Pulse area from the configured preset (or the explicit override)."""
+    """Pulse area from the configured preset (or the explicit override).
+
+    An area whose first-order weight area^2 (M Omega / 2) S is not finite is
+    refused, naming the key that set it.
+    """
     if cfg.pulse_area is not None:
-        area = cfg.pulse_area
+        key, area = "pulse.area", cfg.pulse_area
     elif cfg.pulse_preset == "amplitude10":
         scale = (cfg.probe_M * cfg.probe_Omega / 2.0) * S
         if scale <= 0.0:
             raise measurement.NoExtractionError(
                 "amplitude preset undefined: no weight outside the ground level"
             )
-        area = cfg.amplitude_target / sqrt(scale)
+        key, area = "pulse.amplitude_target", cfg.amplitude_target / sqrt(scale)
     elif cfg.pulse_preset == "inverse-quartic":
         if alpha_sq is None or alpha_sq <= 0.0:
             raise ConfigError(
                 "pulse.preset",
                 "inverse-quartic scaling needs a coherent-family state with alpha_sq > 0",
             )
-        area = cfg.g_ref / alpha_sq**2
+        key, area = "pulse.g_ref", cfg.g_ref / alpha_sq**2
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
-    return measurement.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
+    pulse = measurement.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
+    # the weight as `block_from_moments` forms it, with a product in place of its `** 2`
+    weight = pulse.area * pulse.area * cfg.probe_M * cfg.probe_Omega / 2.0 * S
+    if not isfinite(weight):
+        raise ConfigError(
+            key, f"sets the pulse area {pulse.area:.3g}, whose first-order weight overflows"
+        )
+    return pulse
 
 
 def _build_state(cfg: ExperimentConfig) -> states.TrapState:
@@ -161,7 +172,7 @@ class _Route:
         cfg = self.cfg
         basis = self.basis
         probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-        return evolution.build_joint_hamiltonian(self.table, basis, probe, cfg.exact_dim_cap)
+        return evolution.build_joint_hamiltonian(self.table, basis, probe)
 
 
 def extract(

@@ -165,6 +165,8 @@ def sample_outcomes(block: ProbeBlock, shots: int, seed: int) -> dict:
     """Seeded Bernoulli draws of the extraction event."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= block.p_succ <= 1.0:
         raise ValueError(f"success probability {block.p_succ!r} outside [0, 1]")
     rng = np.random.default_rng(seed)

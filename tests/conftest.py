@@ -10,6 +10,8 @@ import pytest
 from halftrap.harness.config import ExperimentConfig
 from halftrap.orbitals import build_overlap_table
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def table6():

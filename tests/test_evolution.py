@@ -1,6 +1,7 @@
 """Pulse dynamics: first-order model against the full propagator."""
 
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
@@ -14,7 +15,6 @@ from scipy.special import jv
 
 from halftrap import evolution
 from halftrap.evolution import (
-    DimensionCapError,
     IntegratorDriftError,
     ProbeParams,
     Pulse,
@@ -26,7 +26,6 @@ from halftrap.evolution import (
     probe_momentum,
 )
 from halftrap.fock import FockBasis, to_fock_vector
-from halftrap.harness.config import ExperimentConfig
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
@@ -34,10 +33,6 @@ from halftrap.states import (
     number_state,
     superposition_state,
 )
-
-# the joint-dimension cap every caller passes: the `exact.dim_cap` default
-CAP = ExperimentConfig().exact_dim_cap
-
 
 @pytest.fixture(scope="module")
 def table4():
@@ -55,7 +50,7 @@ def _full_coupling(ham):
 def setup4(table4):
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    ham = build_joint_hamiltonian(table4, basis, probe, CAP)
+    ham = build_joint_hamiltonian(table4, basis, probe)
     return table4, basis, probe, ham
 
 
@@ -155,7 +150,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
     )
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
-    ham_swapped = build_joint_hamiltonian(swapped, basis, probe, CAP)
+    ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
     a = exact_state(embed_product(phi, probe), ham, pulse)
     b = exact_state(embed_product(phi, probe), ham_swapped, pulse)
     wa10 = float(np.vdot(a[:, 1, 0], a[:, 1, 0]).real)
@@ -181,13 +176,6 @@ def test_sampled_pulse_agrees_with_square(setup4):
     assert sol.success
     overlap = abs(np.vdot(a.reshape(-1), sol.y[:, -1]))
     assert overlap == pytest.approx(1.0, abs=1e-8)
-
-
-def test_dimension_cap_enforced(table4):
-    basis = FockBasis(4, 3)
-    probe = ProbeParams(levels=4)
-    with pytest.raises(DimensionCapError):
-        build_joint_hamiltonian(table4, basis, probe, dim_cap=100)
 
 
 def _full_space_state(initial, ham, pulse, step_norm=np.inf):
@@ -225,7 +213,7 @@ def test_sector_propagation_matches_full_space(state):
         phi = to_fock_vector(state.amplitudes, basis)
         for levels in (2, 3, 4):
             probe = ProbeParams(levels=levels)
-            ham = build_joint_hamiltonian(table, basis, probe, CAP)
+            ham = build_joint_hamiltonian(table, basis, probe)
             initial = embed_product(phi, probe)
             for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
                 got = exact_state(initial, ham, pulse).reshape(-1)
@@ -243,7 +231,7 @@ def test_sector_propagation_matches_full_space(state):
 def test_mirror_sectors_reduce_the_full_operators(K, levels):
     basis = FockBasis(K, 4)
     probe = ProbeParams(levels=levels)
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe, CAP)
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
     # H_0 against its loop over the occupation tuples: half-integer sums, so equal exactly
     h0 = [
         sum((k + 0.5) * n for k, n in enumerate(occ)) + (a + 0.5) + (b + 0.5)
@@ -257,22 +245,26 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     d = levels
     frame = np.array([1, 1j, -1, -1j])[np.add.outer(np.arange(d), np.arange(d)).ravel() % 4]
     assert ham.h.dtype == ham.v.dtype == ham.radius.dtype == np.float64
-    for sector in ham.sectors:
-        s, e, U = sector.span, sector.even, sector.U
-        assert abs(U.T @ U - sp.identity(U.shape[1])).max() <= 1e-15
-        # U spans the mirror-even half: Pi U = U
-        t = np.repeat(np.arange(s.start // d**2, s.stop // d**2), d * d)
+    for N, span in enumerate(basis.sectors()):
+        s = slice(span.start * d**2, span.stop * d**2)
+        e = slice(ham.edges[N], ham.edges[N + 1])
+        W = ham.W[s, e]
+        # the sector's rows of W reach its own range of the even basis only
+        assert ham.W[s].nnz == W.nnz
+        assert abs(W.conj().T @ W - sp.identity(W.shape[1])).max() <= 1e-15
+        # W spans the mirror-even half: Pi W = W
+        t = np.repeat(np.arange(span.start, span.stop), d * d)
         sign = (-1.0) ** (basis.states @ np.arange(K))[t]
         swap = np.arange(s.stop - s.start).reshape(-1, d, d).transpose(0, 2, 1).ravel()
-        assert abs(sp.diags(sign) @ U[swap] - U).max() <= 1e-15
-        # the frame is diagonal on U's columns, with the phases the sector holds
-        omega = sp.diags(np.tile(frame, (s.stop - s.start) // d**2))
-        assert abs(omega @ U - U @ sp.diags(sector.phase)).max() == 0.0
-        assert abs(U.T @ ham.H0[s, s] @ U - sp.diags(ham.h[e])).max() <= 1e-14
+        assert abs(sp.diags(sign) @ W[swap] - W).max() <= 1e-15
+        # the frame is folded into W: undoing it leaves a real isometry
+        omega = sp.diags(np.tile(frame, span.stop - span.start))
+        assert abs((omega.conj() @ W).imag).max() == 0.0
+        assert abs(W.conj().T @ ham.H0[s, s] @ W - sp.diags(ham.h[e])).max() <= 1e-14
         # V is real in the frame, and the sector's block of v is its mirror-even half
-        rotated = omega.conj() @ V[s, s] @ omega
-        assert abs(rotated.imag).max() == 0.0
-        assert abs(U.T @ rotated.real @ U - ham.v[e, e]).max() <= 1e-14
+        reduced = W.conj().T @ V[s, s] @ W
+        assert abs(reduced.imag).max() <= 1e-14
+        assert abs(reduced.real - ham.v[e, e]).max() <= 1e-14
         assert ham.v[e].nnz == ham.v[e, e].nnz
     # v holds H_0's diagonal as explicit zeros at `diag`, and `radius` its |v| row sums
     n = ham.h.size
@@ -285,15 +277,13 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     n_even = int(np.count_nonzero(parity == 0))
     n_odd = parity.size - n_even
     even_dim = (n_even * levels * (levels + 1) + n_odd * levels * (levels - 1)) // 2
-    assert sum(sector.U.shape[1] for sector in ham.sectors) == even_dim == n
+    assert ham.edges[0] == 0
+    assert ham.edges[-1] == ham.W.shape[1] == even_dim == n
 
 
 def test_mirror_halves_the_exact_sweep_sectors():
-    ham = build_joint_hamiltonian(
-        build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4), CAP
-    )
-    assert [s.span.stop - s.span.start for s in ham.sectors] == [16, 128, 576, 1920, 5280]
-    assert [s.U.shape[1] for s in ham.sectors] == [10, 64, 296, 960, 2660]
+    ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
+    assert np.diff(ham.edges).tolist() == [10, 64, 296, 960, 2660]
     assert ham.H0.shape[0] == 7920
 
 
@@ -303,7 +293,7 @@ def test_table_without_the_parity_identity_is_refused(table4, setup4):
     lamL[1, 2] += 1e-9  # k + l odd
     broken = OverlapTable(K=4, lambdaL=lamL, lambdaR=table4.lambdaR.copy())
     with pytest.raises(ValueError, match=r"lambdaL = P lambdaR P"):
-        build_joint_hamiltonian(broken, basis, probe, CAP)
+        build_joint_hamiltonian(broken, basis, probe)
 
 
 def test_mirror_odd_initial_state_is_refused(setup4):
@@ -313,6 +303,37 @@ def test_mirror_odd_initial_state_is_refused(setup4):
     odd[:, 1, 0] = phi  # |1>|10> alone is not even under the probe swap
     with pytest.raises(ValueError, match="mirror-odd"):
         exact_state(odd, ham, Pulse.square(T=0.05, g0=1.0))
+
+
+def test_mirror_odd_part_beyond_the_first_occupied_sector_is_refused(setup4):
+    _, basis, probe, ham = setup4
+    phi = to_fock_vector(superposition_state(np.array([0.0, 0.6, 0.0, 0.8])).amplitudes, basis)
+    initial = embed_product(phi, probe)
+    pulse = Pulse.square(T=0.05, g0=1.0)
+    assert np.linalg.norm(exact_state(initial, ham, pulse)) == pytest.approx(1.0, abs=1e-12)
+    # |3>|10> alone is not even under the probe swap; N = 1 stays even
+    t3 = np.flatnonzero(phi)[-1]
+    assert basis.states[t3].sum() == 3
+    initial[t3, 1, 0] = 0.1
+    with pytest.raises(ValueError, match="mirror-odd part of norm 7.071e-02"):
+        exact_state(initial, ham, pulse)
+
+
+def test_wrongly_shaped_state_is_refused(setup4):
+    _, basis, probe, ham = setup4
+    wrong = np.zeros((basis.dimension, probe.levels, probe.levels + 1), dtype=np.complex128)
+    expect = (basis.dimension, probe.levels, probe.levels)
+    shapes = re.escape(f"{wrong.shape}") + ".*" + re.escape(f"{expect}")
+    with pytest.raises(ValueError, match=shapes):
+        exact_state(wrong, ham, Pulse.square(T=0.05, g0=1.0))
+
+
+def test_empty_state_propagates_to_zeros(setup4):
+    _, basis, probe, ham = setup4
+    empty = np.zeros((basis.dimension, probe.levels, probe.levels), dtype=np.complex128)
+    out = exact_state(empty, ham, Pulse.square(T=0.05, g0=1.0))
+    assert out.shape == empty.shape
+    assert not out.any()
 
 
 def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
@@ -344,7 +365,7 @@ def test_exact_state_matches_the_full_space_oracle_on_random_inputs(data):
     basis = FockBasis(K, data.draw(st.integers(len(raw) - 1, 4)))
     probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
     pulse = Pulse.square(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.0, 10.0)))
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe, CAP)
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
     state = superposition_state(np.array(raw) / np.linalg.norm(raw))
     initial = embed_product(to_fock_vector(state.amplitudes, basis), probe)
     got = exact_state(initial, ham, pulse).reshape(-1)

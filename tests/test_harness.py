@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from halftrap import evolution, fock, orbitals
 from halftrap.entanglement import negativity_closed_form
+from halftrap.harness import cli
 from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
     ConfigError,
@@ -25,6 +26,7 @@ from halftrap.harness.config import (
 from halftrap.harness.sweep import (
     _T_975_DOF3,
     evaluate_point,
+    resolve_pulse,
     run_sweep,
     single_block,
     write_plot_data,
@@ -125,6 +127,7 @@ def test_from_entries_defaults_and_types():
         ({"fock.n_max": "-1"}, "fock.n_max"),
         ({"exact.dim_cap": "0"}, "exact.dim_cap"),
         ({"probe.M": "0"}, "probe.M"),
+        ({"seed": "-1"}, "seed"),
     ],
 )
 def test_validation_names_the_field(entries, field):
@@ -502,6 +505,26 @@ _ROUTE = {
 def _route_cfg(path: str, **entries: str) -> ExperimentConfig:
     sweep = {"sweep.param": "number_n", "sweep.values": "1, 2, 3, 4"}
     return ExperimentConfig.from_entries({**_ROUTE, "path": path, **sweep, **entries})
+
+
+@pytest.mark.parametrize(
+    "entries, field",
+    [
+        ({"pulse.area": "1e155"}, "pulse.area"),
+        ({"pulse.amplitude_target": "1e200"}, "pulse.amplitude_target"),
+        ({"pulse.preset": "inverse-quartic", "pulse.g_ref": "1e200"}, "pulse.g_ref"),
+    ],
+)
+def test_a_pulse_whose_first_order_weight_overflows_is_refused(entries, field):
+    # area^2 (M Omega / 2) S passes the largest float, 1.8e308, for each of these
+    cfg = ExperimentConfig.from_entries(entries)
+    with pytest.raises(ConfigError) as err:
+        resolve_pulse(cfg, 4.0, alpha_sq=2.0)
+    assert err.value.fieldname == field
+    assert resolve_pulse(replace(cfg, pulse_area=1e153), 4.0).area == 1e153
+    sweep = {"sweep.param": "alpha_sq", "sweep.values": "1, 2"}
+    rows = run_sweep(ExperimentConfig.from_entries({**entries, **sweep}))
+    assert all(row.error.startswith(f"ConfigError: config field {field!r}") for row in rows)
 
 
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
@@ -910,6 +933,25 @@ def test_cli_refuses_an_unknown_key_in_one_line(args, cli_env):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: config field {key!r}: not a config key\n"
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--set", "pulse.area=1e200"], "'pulse.area'"),
+        (["--set", "pulse.area=1e154"], "'pulse.area'"),
+        (["--set", "pulse.amplitude_target=1e200"], "'pulse.amplitude_target'"),
+        (["--set", "seed=-1"], "'seed'"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ],
+)
+def test_cli_sample_names_the_field_of_an_out_of_range_value(args, field, capsys):
+    code = cli.main(["sample", "--shots", "10", *args])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
 
 
 def test_cli_unknown_target_rejected(cli_env):
