@@ -27,6 +27,7 @@ from .orbitals import OverlapTable
 __all__ = [
     "JointHamiltonian",
     "IntegratorDriftError",
+    "SeriesLengthError",
     "probe_lowering",
     "probe_momentum",
     "embed_product",
@@ -42,6 +43,10 @@ _NORM_TOL = 1e-9
 
 class IntegratorDriftError(RuntimeError):
     pass
+
+
+class SeriesLengthError(ValueError):
+    """A pulse whose Chebyshev series would pass `_MAX_TERMS` terms; refused before it is formed."""
 
 
 def probe_lowering(levels: int) -> np.ndarray:
@@ -210,10 +215,10 @@ def build_joint_hamiltonian(
 
     The mirror Pi = (trap parity (-1)^(sum_k k n_k)) x (swap of the two
     probes) commutes with H_0 and V, because the table obeys lambdaL =
-    P lambdaR P with P = diag((-1)^k); a table that does not is refused.
-    Both also conserve the particle number N. Each sector of fixed N is
-    therefore kept as H_0 and V on its Pi-even half, which holds every state
-    |phi>|00> with phi in the lowest orbital. The reduction is written in the
+    P lambdaR P with P = diag((-1)^k) by construction. Both also conserve
+    the particle number N. Each sector of fixed N is therefore kept as H_0
+    and V on its Pi-even half, which holds every state |phi>|00> with phi in
+    the lowest orbital. The reduction is written in the
     probe frame |a> -> i^a |a> of both probes, which commutes with Pi and
     H_0 and makes V real.
 
@@ -221,12 +226,6 @@ def build_joint_hamiltonian(
     it once per sweep, and `exact_state` propagates each point with it.
     """
     d = probe.levels
-    sign = (-1.0) ** np.arange(table.K)
-    if not np.array_equal(table.lambdaL, sign[:, None] * table.lambdaR * sign):
-        raise ValueError(
-            "overlap table breaks the parity identity lambdaL = P lambdaR P, "
-            "P = diag((-1)^k), that the mirror reduction of the exact route needs"
-        )
     lamL = build_lambda_operator("L", table, basis)
     lamR = build_lambda_operator("R", table, basis)
 
@@ -261,6 +260,8 @@ def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> 
 
 # the Chebyshev series of a pulse drops a tail of at most this weight
 _SERIES_TOL = 2.0**-53
+# the series of a pulse keeps more than T r terms; a T r past this is refused
+_MAX_TERMS = 50_000
 
 
 def _bessel_series(z: float) -> np.ndarray:
@@ -272,8 +273,14 @@ def _bessel_series(z: float) -> np.ndarray:
     k past max(z, 1) with 2 |J_k| < _SERIES_TOL / 4. Past z each ratio
     J_(k+1) / J_k is below z / (2k + 2) < 1/2, so the dropped tail
     2 (|J_m| + |J_(m+1)| + ...), which bounds the error of the series for any
-    x in [-1, 1], is below _SERIES_TOL.
+    x in [-1, 1], is below _SERIES_TOL. A z past `_MAX_TERMS` is refused
+    before anything of its size is allocated.
     """
+    if not z <= _MAX_TERMS:
+        raise SeriesLengthError(
+            f"the pulse's Chebyshev series needs more than T r = {z:.3g} terms, "
+            f"past the cap of {_MAX_TERMS}"
+        )
     if z == 0.0:
         return np.array([1.0, 0.0])
     top = int(2.0 * z) + 40

@@ -14,6 +14,8 @@ when acceptance targets fail.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
 
 from ..measurement import NoExtractionError, sample_outcomes
@@ -48,6 +50,10 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_lambda(args) -> int:
+    # each of the K^2 rows takes the 8 bytes of "k,l,0,0\n" at the least
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(args.out))).free
+    if 8 * args.K**2 > free:
+        raise OSError(f"the K = {args.K} table CSV needs over {8 * args.K**2} bytes, {free} are free")
     table = build_overlap_table(args.K)
     write_table_csv(table, args.out)
     print(f"wrote {args.out}: K={table.K}")

@@ -47,6 +47,9 @@ _FLOAT_FMT = "%.17g"
 # truncations at which validate prints and accept checks the locality defect
 LOCALITY_LADDER = (8, 16, 32, 64)
 
+# nonzeros a Lambda operator may hold per unit of `exact.dim_cap` (1.28e6, 15 MB, at the default)
+_LAMBDA_NNZ_PER_CAP = 64
+
 # two-sided 95 percent Student-t quantile at the scaling fit's 3 degrees of freedom
 _T_975_DOF3 = 3.1824463052837078
 
@@ -72,28 +75,35 @@ class PointResult:
     error: str = ""
 
 
+def _area_key(cfg: ExperimentConfig) -> str:
+    """The key that sets the pulse area: the explicit override, else the preset's own."""
+    presets = {"amplitude10": "pulse.amplitude_target", "inverse-quartic": "pulse.g_ref"}
+    return "pulse.area" if cfg.pulse_area is not None else presets.get(cfg.pulse_preset, "pulse.area")
+
+
 def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None):
     """Pulse area from the configured preset (or the explicit override).
 
     An area whose first-order weight area^2 (M Omega / 2) S is not finite is
     refused, naming the key that set it.
     """
+    key = _area_key(cfg)
     if cfg.pulse_area is not None:
-        key, area = "pulse.area", cfg.pulse_area
+        area = cfg.pulse_area
     elif cfg.pulse_preset == "amplitude10":
         scale = (cfg.probe_M * cfg.probe_Omega / 2.0) * S
         if scale <= 0.0:
             raise measurement.NoExtractionError(
                 "amplitude preset undefined: no weight outside the ground level"
             )
-        key, area = "pulse.amplitude_target", cfg.amplitude_target / sqrt(scale)
+        area = cfg.amplitude_target / sqrt(scale)
     elif cfg.pulse_preset == "inverse-quartic":
         if alpha_sq is None or alpha_sq <= 0.0:
             raise ConfigError(
                 "pulse.preset",
                 "inverse-quartic scaling needs a coherent-family state with alpha_sq > 0",
             )
-        key, area = "pulse.g_ref", cfg.g_ref / alpha_sq**2
+        area = cfg.g_ref / alpha_sq**2
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
     pulse = measurement.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
@@ -104,6 +114,18 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None
             key, f"sets the pulse area {pulse.area:.3g}, whose first-order weight overflows"
         )
     return pulse
+
+
+def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> np.ndarray:
+    """The joint state after the pulse; one too long for its series is refused by the key of its larger part."""
+    from .. import evolution
+
+    try:
+        return evolution.exact_state(evolution.embed_product(phi, ham.probe), ham, pulse)
+    except evolution.SeriesLengthError as exc:
+        # T r <= T (spread of H_0) / 2 + |area| (largest row sum of |V|)
+        by_area = abs(pulse.area) * ham.radius.max() >= pulse.T * np.ptp(ham.h) / 2
+        raise ConfigError(_area_key(cfg) if by_area else "pulse.T", str(exc)) from None
 
 
 def _build_state(cfg: ExperimentConfig) -> states.TrapState:
@@ -142,11 +164,15 @@ class _Route:
 
     @cached_property
     def basis(self) -> fock.FockBasis:
-        """The route's occupation basis, refused over `exact.dim_cap` before enumerating."""
-        from .. import fock
+        """The route's occupation basis, refused over `exact.dim_cap` before enumerating.
 
+        The cap bounds the dimension and, `_LAMBDA_NNZ_PER_CAP` times over, Lambda's
+        nonzeros: the diagonal, and per state one particle down, the pairs k + l odd.
+        """
         cfg = self.cfg
-        dim = comb(cfg.n_max + cfg.K, cfg.K)
+        K, n = cfg.K, cfg.n_max
+        dim = comb(n + K, K)
+        nnz = dim - 1 + comb(n - 1 + K, K) * 2 * (K // 2) * ((K + 1) // 2)
         size = "Fock dimension C(fock.n_max + table.K, table.K)"
         sizes = f"C({cfg.n_max} + {cfg.K}, {cfg.K})"
         if cfg.path == "exact":
@@ -155,6 +181,10 @@ class _Route:
             sizes += f" * {cfg.probe_levels}^2"
         if dim > cfg.exact_dim_cap:
             raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {size} = {sizes} = {dim}")
+        if nnz > _LAMBDA_NNZ_PER_CAP * cfg.exact_dim_cap:
+            raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {nnz} nonzeros of Lambda / {_LAMBDA_NNZ_PER_CAP}")
+        from .. import fock
+
         return fock.FockBasis(cfg.K, cfg.n_max)
 
     @cached_property
@@ -193,7 +223,7 @@ def extract(
     route = route or _Route(cfg, table)
     alpha_sq = cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
     if cfg.path == "exact":
-        from .. import evolution, fock
+        from .. import fock
 
         if not state.is_pure:
             raise ValueError(
@@ -202,8 +232,7 @@ def extract(
         ham = route.ham
         phi = fock.to_fock_vector(state.amplitudes, ham.basis)
         pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
-        final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
-        return None, measurement.postselect(final)
+        return None, measurement.postselect(_exact_final(cfg, ham, phi, pulse))
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.basis, *route.lam)
     elif cfg.extrapolate:
@@ -344,25 +373,25 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     Two particles in four modes, four probe levels. The amplitude rule pins
     the excited-branch weight at T0; the ladder then halves T at fixed
     coupling, so the first-order residual shrinks as T^2. The instance is
-    built as an exact route, so `exact.dim_cap` refuses it before enumerating.
+    built as an exact route, so `exact.dim_cap` refuses it before enumerating,
+    and its pulse comes from `resolve_pulse` at T0.
     """
     from .. import evolution, fock
 
+    T0 = 0.02
     small = replace(
-        cfg, path="exact", K=4, n_max=3, probe_levels=4, probe_M=1.0, probe_Omega=1.0
+        cfg, path="exact", K=4, n_max=3, probe_levels=4, probe_M=1.0, probe_Omega=1.0,
+        pulse_T=T0, pulse_area=None, pulse_preset="amplitude10",
     )
     ham = _Route(small, None).ham
-    probe = ham.probe
     phi = fock.to_fock_vector(states.number_state(2).amplitudes, ham.basis)
-    T0 = 0.02
-    S = ham.coupling_weight(phi)
-    g0 = cfg.amplitude_target / sqrt((probe.M * probe.Omega / 2.0) * S) / T0
+    g0 = resolve_pulse(small, ham.coupling_weight(phi)).g0
     lengths = (T0, T0 / 2, T0 / 4)
     residuals = []
     leak_fracs = []
     for T in lengths:
         pulse = measurement.Pulse.square(T=T, g0=g0)
-        final = evolution.exact_state(evolution.embed_product(phi, probe), ham, pulse)
+        final = _exact_final(small, ham, phi, pulse)
         diff = final - evolution.perturbative_state(phi, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final)

@@ -143,11 +143,13 @@ def test_first_order_residual_scales_quadratically(setup4):
 
 def test_left_right_swap_mirrors_the_block(setup4):
     table, basis, probe, ham = setup4
-    swapped = OverlapTable(
-        K=table.K,
-        lambdaL=table.lambdaR.copy(),
-        lambdaR=table.lambdaL.copy(),
-    )
+    # psi_k(0) negated flips every k + l odd entry: lambdaR becomes lambdaL and back
+    swapped = OverlapTable(K=table.K, value=-table.value, slope=table.slope.copy())
+    modes = np.arange(table.K)
+    for side, other in ("LR", "RL"):
+        assert np.array_equal(
+            swapped.entries(side, modes[:, None], modes), table.entries(other, modes[:, None], modes)
+        )
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
@@ -285,15 +287,6 @@ def test_mirror_halves_the_exact_sweep_sectors():
     ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
     assert np.diff(ham.edges).tolist() == [10, 64, 296, 960, 2660]
     assert ham.H0.shape[0] == 7920
-
-
-def test_table_without_the_parity_identity_is_refused(table4, setup4):
-    _, basis, probe, _ = setup4
-    lamL = table4.lambdaL.copy()
-    lamL[1, 2] += 1e-9  # k + l odd
-    broken = OverlapTable(K=4, lambdaL=lamL, lambdaR=table4.lambdaR.copy())
-    with pytest.raises(ValueError, match=r"lambdaL = P lambdaR P"):
-        build_joint_hamiltonian(broken, basis, probe)
 
 
 def test_mirror_odd_initial_state_is_refused(setup4):

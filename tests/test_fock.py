@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halftrap.fock import (
@@ -36,9 +36,14 @@ def _graded_states(K, n_max):
 _BASIS_CASES = [(K, n_max) for K in range(1, 9) for n_max in range(5)] + [(64, 1), (40, 2)]
 
 
+def _dense(table, side):
+    modes = np.arange(table.K)
+    return table.entries(side, modes[:, None], modes)
+
+
 def _loop_lambda_operator(side, table, basis):
     """Oracle: sum_{kl} lambda_kl a_k^dag a_l, one state and one (k, l) pair at a time."""
-    lam = table.lambdaL if side == "L" else table.lambdaR
+    lam = _dense(table, side)
     states = _graded_states(basis.K, basis.n_max)
     index = {occ: i for i, occ in enumerate(states)}
     rows, cols, vals = [], [], []
@@ -63,6 +68,30 @@ def _loop_lambda_operator(side, table, basis):
                     vals.append(coeff * math.sqrt(n_l * (lowered[k] + 1)))
     return sp.coo_matrix(
         (vals, (rows, cols)), shape=(basis.dimension, basis.dimension)
+    ).tocsr()
+
+
+def _coded_lambda_operator(side, table, basis):
+    """Oracle: the former builder, which looks each target state up by an occupation code.
+
+    Codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase
+    along the graded basis, so searchsorted finds the target of a_k^dag a_l;
+    they are Python ints once they pass int64. Entries come by state j, then
+    l (n_l > 0), then k (lambda_kl != 0), from the dense K x K matrix.
+    """
+    lam = _dense(table, side)
+    occ = basis.states
+    base = basis.n_max + 1
+    dtype = np.int64 if base ** (basis.K + 1) < 2**63 else object
+    w = np.array([base**p for p in range(basis.K, -1, -1)], dtype=dtype)
+    codes = np.column_stack([occ.sum(axis=1), occ]) @ w
+    j, l = np.nonzero(occ)
+    p, k = np.nonzero(lam[:, l].T != 0.0)
+    j, l = j[p], l[p]
+    rows = np.searchsorted(codes, codes[j] - w[1 + l] + w[1 + k])
+    vals = lam[k, l] * np.sqrt(occ[j, l] * (occ[j, k] + (k != l)))
+    return sp.coo_matrix(
+        (vals, (rows, j)), shape=(basis.dimension, basis.dimension)
     ).tocsr()
 
 
@@ -152,9 +181,32 @@ def test_lambda_operator_matches_loop_oracle_bit_for_bit(K):
             assert (got != got.T.conj()).nnz == 0  # exactly hermitian
 
 
+# the largest K per n_max at which the coded oracle stays quick
+_CODED_K_MAX = (70, 70, 40, 14, 9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.one_of(
+        st.tuples(st.integers(62, 70), st.just(1)),
+        st.integers(0, 4).flatmap(lambda n: st.tuples(st.integers(1, _CODED_K_MAX[n]), st.just(n))),
+    )
+)
+@example(case=(62, 1))
+@example(case=(70, 1))
+@example(case=(9, 4))
+def test_lambda_operator_matches_the_coded_oracle_bit_for_bit(case):
+    # ranks from the sector maps replace the base-(n_max + 1) codes and their
+    # searchsorted, with the same bits; at n_max = 1 and K >= 62 the codes were Python ints
+    K, n_max = case
+    table, basis = build_overlap_table(K), FockBasis(K, n_max)
+    for side in "LR":
+        _assert_same_csr(build_lambda_operator(side, table, basis), _coded_lambda_operator(side, table, basis))
+
+
 @pytest.mark.parametrize("K, n_max", [(64, 1), (40, 2)])
 def test_lambda_operator_matches_loop_oracle_past_int64_codes(K, n_max):
-    # (n_max + 1)^(K + 1) >= 2^63: the occupation codes are Python ints here
+    # (n_max + 1)^(K + 1) >= 2^63: codes in base n_max + 1 would pass int64 here
     assert (n_max + 1) ** (K + 1) >= 2**63
     table = build_overlap_table(K)
     basis = FockBasis(K, n_max)

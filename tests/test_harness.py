@@ -1,5 +1,6 @@
 """Config grammar, sweep driver, CSV stability, and the command-line surface."""
 
+import hashlib
 import io
 import re
 import subprocess
@@ -26,6 +27,7 @@ from halftrap.harness.config import (
 from halftrap.harness.sweep import (
     _T_975_DOF3,
     evaluate_point,
+    perturbation_evidence,
     resolve_pulse,
     run_sweep,
     single_block,
@@ -527,6 +529,46 @@ def test_a_pulse_whose_first_order_weight_overflows_is_refused(entries, field):
     assert all(row.error.startswith(f"ConfigError: config field {field!r}") for row in rows)
 
 
+def test_the_perturbation_ladder_resolves_its_pulse_with_the_weight_check(accept_cfg, cli_env):
+    # the ladder's pulse comes from `pulse.amplitude_target` through `resolve_pulse`
+    cfg = replace(accept_cfg, amplitude_target=1e200)
+    with pytest.raises(ConfigError) as err:
+        perturbation_evidence(cfg)
+    assert err.value.fieldname == "pulse.amplitude_target"
+    proc = _cli(["validate", "--set", "pulse.amplitude_target=1e200"], cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field 'pulse.amplitude_target'")
+
+
+@pytest.mark.parametrize(
+    "entries, field",
+    [
+        ({"pulse.area": "1e100"}, "pulse.area"),
+        ({"pulse.area": "1e6"}, "pulse.area"),
+        ({"pulse.amplitude_target": "1e100"}, "pulse.amplitude_target"),
+        ({"pulse.preset": "inverse-quartic", "pulse.g_ref": "1e100"}, "pulse.g_ref"),
+        ({"pulse.T": "1e5"}, "pulse.T"),
+    ],
+)
+def test_a_pulse_too_long_for_its_series_is_refused(entries, field, table6):
+    # a finite first-order weight, but T r far past the Chebyshev series' term cap;
+    # a long pulse of small area is blamed on its length
+    coherent = {"state": "coherent", "alpha_sq": "0.4", "n_cut": "4", "tail_tol": "1e-3"}
+    cfg = ExperimentConfig.from_entries({**_ROUTE, "path": "exact", **coherent, **entries})
+    with pytest.raises(ConfigError, match="past the cap of") as err:
+        single_block(cfg, table6)
+    assert err.value.fieldname == field
+
+
+def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
+    args = ["sample", "--shots", "10", "--set", "path=exact", "--set", "table.K=4"]
+    args += ["--set", "fock.n_max=3", "--set", "state=number", "--set", "pulse.area=1e100"]
+    proc = _cli(args, cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field 'pulse.area'")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
 def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
     lam_calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
@@ -632,8 +674,10 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
 
 
 def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
-    # the fock route at default settings would enumerate C(516, 4) ~ 2.9e9 states
-    for sets in (["path=exact", "table.K=30", "fock.n_max=5"], ["path=fock"]):
+    # the fock route at default settings would enumerate C(516, 4) ~ 2.9e9 states;
+    # at K = 4000 and n_max = 1 its dimension is 4001, but each Lambda would hold 8e6 entries
+    fock_4000 = ["path=fock", "fock.n_max=1", "state=number", "number_n=1", "table.K=4000"]
+    for sets in (["path=exact", "table.K=30", "fock.n_max=5"], ["path=fock"], fock_4000):
         args = ["sample", "--shots", "10"]
         for item in sets:
             args += ["--set", item]
@@ -641,6 +685,24 @@ def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: config field 'exact.dim_cap'")
         assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("path, K, n_max", [("fock", 200, 1), ("fock", 80, 2), ("exact", 520, 1)])
+def test_the_cap_bounds_the_nonzeros_of_lambda(path, K, n_max, monkeypatch):
+    # the refusal counts Lambda's nonzeros exactly, before any state is enumerated,
+    # and admits 64 of them per unit of the cap
+    basis = fock.FockBasis(K, n_max)
+    nnz = fock.build_lambda_operator("L", orbitals.build_overlap_table(K), basis).nnz
+    entries = {"path": path, "state": "number", "number_n": "1", "table.K": str(K)}
+    entries.update({"fock.n_max": str(n_max), "probe.levels": "2", "pulse.T": "0.05"})
+    cap = -(-nnz // 64)
+    assert cap >= basis.dimension * (4 if path == "exact" else 1)  # the dimension passes
+    monkeypatch.setattr(fock.FockBasis, "__post_init__", None)  # enumerating would fail
+    with pytest.raises(ConfigError, match=f"below the {nnz} nonzeros of Lambda / 64") as err:
+        single_block(ExperimentConfig.from_entries({**entries, "exact.dim_cap": str(cap - 1)}))
+    assert err.value.fieldname == "exact.dim_cap"
+    monkeypatch.undo()
+    assert single_block(ExperimentConfig.from_entries({**entries, "exact.dim_cap": str(cap)})).p_succ > 0
 
 
 @pytest.mark.parametrize("verb", [["accept", "perturbation"], ["validate"]])
@@ -771,9 +833,9 @@ def test_exact_route_loads_no_scipy_linalg(cli_env):
 
 
 def test_cli_reports_unallocatable_table_as_input_error(tmp_path, cli_env):
-    # a 10^8 x 10^8 float64 matrix (71 PiB) exceeds any address space, and
-    # build_overlap_table allocates it before anything else; of the sample
-    # routes only fock and exact read the table
+    # a fock route at K = 10^8 is over `exact.dim_cap`, and the 10^16 rows of a
+    # K = 10^8 table CSV exceed any disk, so both stop before the table is built;
+    # of the sample routes only fock and exact read the table
     for args in (
         ["sample", "--shots", "10", "--set", "path=fock", "--set", "table.K=100000000"],
         ["lambda", "--K", "100000000", "--out", str(tmp_path / "t.csv")],
@@ -801,6 +863,35 @@ def test_cli_moment_route_samples_at_a_million_modes(extrapolate, cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("p_succ = ")
+
+
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "cmd = [sys.executable, '-m', 'halftrap.harness.cli', *sys.argv[1:]]\n"
+    "code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def _peak_rss_kb(args, env) -> int:
+    """Peak RSS of one `halftrap` process, taken by a parent that starts nothing else."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    code, peak = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(peak)
+
+
+def test_cli_lambda_streams_its_table_in_bounded_memory(tmp_path, cli_env):
+    # the bytes the dense K x K matrices wrote (48 MB peak RSS at K = 1024); streamed
+    # row by row from the boundary values, the verb stays within a few MB of a
+    # moment-route sample, which builds no table
+    out = tmp_path / "t.csv"
+    peak = _peak_rss_kb(["lambda", "--K", "1024", "--out", str(out)], cli_env)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3f2d2b74d2c9a479e90b8ca168c8deda8b12cdc999a03f9d9212994dd2cc46b1"
+    assert peak <= _peak_rss_kb(["sample", "--shots", "100"], cli_env) + 4 * 1024
 
 
 def test_cli_lambda_writes_table(tmp_path, cli_env):

@@ -73,9 +73,9 @@ def test_thermal_moment_structure():
 def test_truncation_sums_match_table_columns(K):
     # oracle: the compensated sums over column 0 of the Wronskian table; one
     # particle has E[n] = 1 and E[n(n-1)] = 0, so its moments are the sums T_IJ
-    table = build_overlap_table(K)
-    colL = table.lambdaL[:, 0]
-    colR = table.lambdaR[:, 0]
+    table, modes = build_overlap_table(K), np.arange(K)
+    colL = table.entries("L", modes, 0)
+    colR = table.entries("R", modes, 0)
     mom = moments_from_state(number_state(1), K)
     assert mom.provenance == "finite-K"
     assert mom.K == K

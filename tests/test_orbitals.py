@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from halftrap.orbitals import (
+    OverlapTable,
     build_overlap_table,
     write_table_csv,
 )
@@ -86,6 +87,31 @@ def quadrature_table(K: int) -> np.ndarray:
     return (psi * weights) @ psi.T
 
 
+def wronskian_tables(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (lambdaL, lambdaR) as dense K x K matrices, the table's former construction.
+
+    The k + l odd block W_kl(0) / (2 (k - l)) is formed once for odd rows and
+    even columns and stored with its transpose; lambdaL = I - lambdaR.
+    """
+    lambdaR = np.zeros((K, K))
+    even = np.arange(0, K, 2)
+    odd = np.arange(1, K, 2)
+    steps = -np.sqrt((even[1:] - 1.0) / even[1:])
+    value = np.pi**-0.25 * np.cumprod(np.concatenate(([1.0], steps)))
+    slope = np.sqrt(2.0 * odd) * value[: odd.size]
+    block = slope[:, None] * value[None, :] / (2.0 * (odd[:, None] - even[None, :]))
+    lambdaR[1::2, 0::2] = block
+    lambdaR[0::2, 1::2] = block.T
+    np.fill_diagonal(lambdaR, 0.5)
+    return np.eye(K) - lambdaR, lambdaR
+
+
+def dense(table: OverlapTable, side: str) -> np.ndarray:
+    """All K x K entries of one side of the table."""
+    modes = np.arange(table.K)
+    return table.entries(side, modes[:, None], modes)
+
+
 def test_ground_orbital_at_origin():
     assert eval_orbital(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
 
@@ -130,23 +156,52 @@ def test_orbital_matches_hermite_reference(k, x):
     assert eval_orbital(k, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(K=st.integers(1, 80))
+def test_entries_match_the_dense_oracle_bit_for_bit(K):
+    # every value keeps the dense construction's expression and operand order, so
+    # its bits, and lambdaL's even entries stay +0.0 (a -0.0 would print as -0)
+    table = build_overlap_table(K)
+    for side, expect in zip("LR", wronskian_tables(K)):
+        assert dense(table, side).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 8, 64, 513])
+def test_left_table_is_the_parity_image_of_the_right(K):
+    # phi_k phi_l has parity (-1)^(k+l): lambdaL = P lambdaR P, P = diag((-1)^k), exactly
+    table = build_overlap_table(K)
+    sign = (-1.0) ** np.arange(K)
+    assert np.array_equal(dense(table, "L"), sign[:, None] * dense(table, "R") * sign)
+
+
+def test_table_holds_its_boundary_values_only():
+    # psi_k(0) for even k and psi_k'(0) for odd k: K floats, where the dense
+    # matrices held 2 K^2 (16 TB here)
+    K = 10**6
+    table = build_overlap_table(K)
+    arrays = [v for v in vars(table).values() if hasattr(v, "nbytes")]
+    assert sum(a.nbytes for a in arrays) == 8 * K
+    assert table.entries("R", 1, 0) == pytest.approx(ONE_OVER_SQRT_2PI, abs=1e-15)
+
+
 def test_overlap_entry_01_closed_form(table8):
     # int_0^inf psi_0 psi_1 = 1/sqrt(2 pi)
-    assert table8.lambdaR[0, 1] == pytest.approx(ONE_OVER_SQRT_2PI, abs=1e-12)
-    assert table8.lambdaL[0, 1] == pytest.approx(-ONE_OVER_SQRT_2PI, abs=1e-12)
+    assert table8.entries("R", 0, 1) == pytest.approx(ONE_OVER_SQRT_2PI, abs=1e-12)
+    assert table8.entries("L", 0, 1) == pytest.approx(-ONE_OVER_SQRT_2PI, abs=1e-12)
 
 
 def test_even_parity_entries_are_exact(table8):
     K = table8.K
+    R = dense(table8, "R")
     for k in range(K):
         for l in range(K):
             if (k + l) % 2 == 0:
                 expect = 0.5 if k == l else 0.0
-                assert table8.lambdaR[k, l] == expect
+                assert R[k, l] == expect
 
 
 def test_left_right_tables_sum_to_identity(table8):
-    assert np.array_equal(table8.lambdaL + table8.lambdaR, np.eye(table8.K))
+    assert np.array_equal(dense(table8, "L") + dense(table8, "R"), np.eye(table8.K))
 
 
 def test_odd_entries_against_quadrature_oracle(table8):
@@ -155,8 +210,8 @@ def test_odd_entries_against_quadrature_oracle(table8):
     # right one, so this pins it to the (-inf, 0] integrals themselves
     for k, l in ((0, 1), (1, 2), (2, 5), (3, 4)):
         for lo, hi, table in (
-            (0.0, np.inf, table8.lambdaR),
-            (-np.inf, 0.0, table8.lambdaL),
+            (0.0, np.inf, dense(table8, "R")),
+            (-np.inf, 0.0, dense(table8, "L")),
         ):
             val, err = scipy.integrate.quad(
                 lambda x: eval_orbital(k, x) * eval_orbital(l, x), lo, hi
@@ -166,13 +221,15 @@ def test_odd_entries_against_quadrature_oracle(table8):
 
 
 def test_table_symmetry(table64):
-    assert np.array_equal(table64.lambdaR, table64.lambdaR.T)
+    R = dense(table64, "R")
+    assert np.array_equal(R, R.T)
 
 
 def test_bessel_bound_and_weight_capture(table512):
     # rows of a projection obey sum_l lambda[k,l]^2 <= lambda[k,k] = 1/2,
     # approaching equality as modes are added
-    sq = table512.lambdaR @ table512.lambdaR
+    R = dense(table512, "R")
+    sq = R @ R
     diag = np.diag(sq)
     assert np.all(diag <= 0.5 + 1e-12)
     assert diag[0] > 0.49
@@ -182,8 +239,8 @@ def test_projection_defect_shrinks_with_truncation():
     # fixed upper-left block of lambda^2 - lambda, compared across table sizes
     defects = {}
     for K in (16, 128):
-        t = build_overlap_table(K)
-        d = t.lambdaR @ t.lambdaR - t.lambdaR
+        R = dense(build_overlap_table(K), "R")
+        d = R @ R - R
         defects[K] = float(np.abs(d[:8, :8]).max())
     assert defects[128] < defects[16]
 
@@ -191,13 +248,12 @@ def test_projection_defect_shrinks_with_truncation():
 @pytest.mark.parametrize("K", [8, 64, 512])
 def test_closed_form_matches_quadrature_oracle(K):
     table = build_overlap_table(K)
-    assert np.abs(table.lambdaR - quadrature_table(K)).max() <= 1e-13
+    assert np.abs(dense(table, "R") - quadrature_table(K)).max() <= 1e-13
 
 
 def test_large_table_builds():
     K = 2048
-    table = build_overlap_table(K)
-    R = table.lambdaR
+    R = dense(build_overlap_table(K), "R")
     assert np.array_equal(R, R.T)
     kk = np.arange(K)
     even = ((kk[:, None] + kk[None, :]) % 2) == 0
@@ -214,17 +270,37 @@ def test_csv_export_roundtrips(table8, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "l", "lambdaL", "lambdaR"]
     assert len(rows) == 1 + table8.K**2
+    L, R = dense(table8, "L"), dense(table8, "R")
     for row in rows[1:]:
         k, l = int(row[0]), int(row[1])
-        assert float(row[2]) == table8.lambdaL[k, l]
-        assert float(row[3]) == table8.lambdaR[k, l]
+        assert float(row[2]) == L[k, l]
+        assert float(row[3]) == R[k, l]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+def test_csv_export_matches_the_dense_oracle_bytes(K, tmp_path):
+    # the former writer: every entry of both dense matrices through %.17g
+    lambdaL, lambdaR = wronskian_tables(K)
+    expect = "k,l,lambdaL,lambdaR\n" + "".join(
+        "%d,%d,%.17g,%.17g\n" % (k, l, lambdaL[k, l], lambdaR[k, l])
+        for k in range(K)
+        for l in range(K)
+    )
+    path = tmp_path / "table.csv"
+    write_table_csv(build_overlap_table(K), str(path))
+    assert path.read_bytes() == expect.encode()
 
 
 def test_tables_are_read_only(table8):
-    with pytest.raises(ValueError):
-        table8.lambdaR[0, 0] = 1.0
+    for arr in (table8.value, table8.slope):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
-def test_invalid_arguments_rejected():
+def test_invalid_arguments_rejected(table8):
     with pytest.raises(ValueError):
         build_overlap_table(0)
+    with pytest.raises(ValueError, match="side must be"):
+        table8.entries("X", 0, 1)
+    with pytest.raises(ValueError, match="slope must hold 4 entries"):
+        OverlapTable(K=8, value=table8.value.copy(), slope=table8.slope[:3].copy())
