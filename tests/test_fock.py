@@ -72,7 +72,7 @@ def _loop_lambda_operator(side, table, basis):
 
 
 def _coded_lambda_operator(side, table, basis):
-    """Oracle: the former builder, which looks each target state up by an occupation code.
+    """Oracle: the former `build_lambda_operator`, which finds each target state by an occupation code.
 
     Codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase
     along the graded basis, so searchsorted finds the target of a_k^dag a_l;
