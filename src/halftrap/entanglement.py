@@ -18,6 +18,7 @@ from .states import TrapState
 
 __all__ = [
     "BipartiteDensity",
+    "block_negativity",
     "negativity",
     "probe_block_density",
     "negativity_closed_form",
@@ -55,6 +56,19 @@ def negativity(rho: BipartiteDensity) -> float:
     eigs = np.linalg.eigvalsh(pt)
     # abs, not negation: with no negative eigenvalue the sum is 0.0, never -0.0
     return float(abs(eigs[eigs < 0.0].sum()))
+
+
+def block_negativity(block: ProbeBlock) -> float:
+    """Negativity of the post-selected probe pair, |rho_01|, without an eigensolver.
+
+    In the product basis the pair's density is rho_00 |10><10| + rho_11 |01><01|
+    + rho_01 |10><01| + h.c. Transposing probe R maps |10><01| to |11><00|, so
+    the partial transpose is diag(rho_00, rho_11) on {|10>, |01>} next to the
+    block [[0, rho_01^*], [rho_01, 0]] on {|00>, |11>}. Its one negative
+    eigenvalue is -|rho_01|. `negativity(probe_block_density(block))` is the
+    numerical check of this value (the `structural` acceptance target).
+    """
+    return float(abs(block.matrix[0, 1]))
 
 
 def probe_block_density(block: ProbeBlock) -> BipartiteDensity:

@@ -10,7 +10,7 @@ time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -55,10 +55,17 @@ class FockBasis:
         sectors = []
         for n in range(self.n_max + 1):
             # stars and bars: the K - 1 bars among n + K - 1 slots, in lex order; the
-            # gaps around the bars are the occupations
-            bars = np.array(list(combinations(range(n + K - 1), K - 1)), dtype=np.int64)
+            # gaps around the bars are the occupations; each stage is freed before the
+            # next, so a sector's build holds at most two arrays of its size
+            rows = comb(n + K - 1, K - 1)
+            flat = chain.from_iterable(combinations(range(n + K - 1), K - 1))
+            bars = np.fromiter(flat, np.int64, count=rows * (K - 1)).reshape(rows, K - 1)
             ends = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + K - 1))
-            sectors.append(np.diff(ends, axis=1) - 1)
+            del bars
+            gaps = np.diff(ends, axis=1)
+            del ends
+            gaps -= 1
+            sectors.append(gaps)
         states = np.concatenate(sectors)
         states.setflags(write=False)
         object.__setattr__(self, "states", states)

@@ -280,7 +280,7 @@ def evaluate_point(
             out.mRR = mom.mRR
             out.mLR_re = mom.mLR.real
             out.mLR_im = mom.mLR.imag
-        out.mu = entanglement.negativity(entanglement.probe_block_density(block))
+        out.mu = entanglement.block_negativity(block)
         out.p_succ = block.p_succ
         out.leakage = block.leakage
         out.mu_closed_form = _closed_form_for(cfg)

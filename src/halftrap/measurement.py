@@ -13,7 +13,9 @@ block matrix and reported separately as leakage.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from math import hypot
 
 import numpy as np
 
@@ -86,13 +88,19 @@ class ProbeBlock:
         rho.setflags(write=False)
         if rho.shape != (2, 2):
             raise ValueError(f"block must be 2x2, got {rho.shape}")
-        if np.abs(rho - rho.conj().T).max() > 1e-12:
+        (r00, r01), (r10, r11) = rho.tolist()
+        if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
+            raise ValueError(f"block matrix must be finite, got {rho.tolist()}")
+        # max |rho - rho^H|: the diagonal entries' defect is twice their imaginary part
+        if max(2.0 * abs(r00.imag), 2.0 * abs(r11.imag), abs(r01 - r10.conjugate())) > 1e-12:
             raise ValueError("post-selected block must be hermitian")
-        if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > 1e-12:
+        a, b = r00.real, r11.real
+        if abs(a + b - 1.0) > 1e-12:
             raise ValueError("post-selected block must have unit trace")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < -1e-12:
-            raise ValueError(f"post-selected block not PSD: min eig {eigs.min():.3e}")
+        # smaller eigenvalue of the hermitian matrix on the diagonal and lower entry
+        low = (a + b) / 2.0 - hypot((a - b) / 2.0, abs(r10))
+        if low < -1e-12:
+            raise ValueError(f"post-selected block not PSD: min eig {low:.3e}")
 
 
 def postselect(joint: np.ndarray) -> ProbeBlock:

@@ -1,10 +1,16 @@
 """Negativity of the probe pair and the extraction-disturbance trade-off."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halftrap.entanglement import (
     BipartiteDensity,
+    block_negativity,
     disturbance_fidelity,
     negativity,
     negativity_closed_form,
@@ -47,6 +53,33 @@ def test_embedded_block_negativity_is_offdiagonal_weight():
         block = ProbeBlock(matrix=rho, p_succ=0.5, leakage=0.0, source="synthetic")
         mu = negativity(probe_block_density(block))
         assert mu == pytest.approx(abs(rho[0, 1]), abs=1e-12)
+
+
+@st.composite
+def _psd_blocks(draw):
+    """Unit-trace PSD 2x2 blocks: general, diagonal, rank-1 and tiny-coherence draws."""
+    a = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])))
+    b = 1.0 - a
+    bound = math.sqrt(a * b)
+    kind = draw(st.sampled_from(["general", "diagonal", "rank1", "tiny"]))
+    scale = {
+        "general": draw(st.floats(0.0, 1.0)),
+        "diagonal": 0.0,
+        "rank1": 1.0,
+        "tiny": draw(st.floats(1e-300, 1e-10)),
+    }[kind]
+    c = scale * bound * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return ProbeBlock(
+        matrix=[[a, c.conjugate()], [c, b]], p_succ=0.5, leakage=0.0, source="synthetic"
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(block=_psd_blocks())
+def test_block_negativity_matches_the_partial_transpose(block):
+    # the eigensolver on the 4x4 partial transpose is the oracle of the closed form
+    expect = negativity(probe_block_density(block))
+    assert abs(block_negativity(block) - expect) <= 1e-15
 
 
 def test_closed_form_values():

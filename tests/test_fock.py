@@ -1,5 +1,6 @@
 """Truncated occupation basis and the sparse coupling operators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +101,25 @@ def _assert_same_csr(got, expect):
         a, b = getattr(got, attr), getattr(expect, attr)
         assert a.dtype == b.dtype, attr
         assert np.array_equal(a, b), attr
+
+
+def _tuple_states(K, n_max):
+    """Oracle: the former enumeration, each sector's bars as a list of Python tuples."""
+    sectors = []
+    for n in range(n_max + 1):
+        bars = np.array(list(itertools.combinations(range(n + K - 1), K - 1)), dtype=np.int64)
+        ends = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + K - 1))
+        sectors.append(np.diff(ends, axis=1) - 1)
+    return np.concatenate(sectors)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_states_match_the_tuple_list_enumeration(K):
+    # K = 1 has no bars: the streamed enumeration reshapes zero entries to (1, 0) per sector
+    for n_max in range(5):
+        got, expect = FockBasis(K, n_max).states, _tuple_states(K, n_max)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
 
 
 def test_dimension_matches_stars_and_bars():

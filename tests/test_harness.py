@@ -806,6 +806,27 @@ def test_moment_route_loads_no_scipy(tmp_path, cli_env):
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
 
 
+_ROUTE_SWEEPS = {
+    "moments": {"state": "coherent", "sweep.param": "alpha_sq", "sweep.values": "0.5, 2, 8"},
+    "fock": {"path": "fock", "table.K": "4", "fock.n_max": "3", "state": "number",
+             "sweep.param": "number_n", "sweep.values": "1, 2, 3"},
+    "exact": {"path": "exact", "table.K": "4", "fock.n_max": "3", "probe.levels": "4",
+              "pulse.T": "0.05", "state": "number", "sweep.param": "number_n", "sweep.values": "1, 2, 3"},
+}
+
+
+@pytest.mark.parametrize("path", list(_ROUTE_SWEEPS))
+def test_sweep_points_call_no_eigensolver(path, monkeypatch):
+    # each point reads its negativity and the block's PSD check from 2x2 closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a sweep point")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rows = run_sweep(ExperimentConfig.from_entries(_ROUTE_SWEEPS[path]))
+    assert [row.error for row in rows] == ["", "", ""]
+    assert all(row.mu >= 0.0 for row in rows)
+
+
 # prints an exact-route sample's exit code, then whether scipy.sparse,
 # scipy.sparse.linalg and scipy.linalg are loaded
 _EXACT_ROUTE_PROBE = """

@@ -1,7 +1,12 @@
 """Post-selection onto the single shared excitation and outcome sampling."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from halftrap.evolution import (
     ProbeParams,
@@ -122,6 +127,89 @@ def test_block_validation_rejects_bad_matrices():
             matrix=np.array([[1.2, 0.0], [0.0, -0.2]]), p_succ=0.5, leakage=0.0,
             source="synthetic",
         )
+
+
+def _block(matrix) -> ProbeBlock:
+    return ProbeBlock(matrix=matrix, p_succ=0.5, leakage=0.0, source="synthetic")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[np.nan, 0.0], [0.0, np.nan]],
+        [[0.5, np.nan], [0.0, 0.5]],
+        [[np.inf, 0.0], [0.0, -np.inf]],
+        [[0.5, 0.0], [complex(0.0, np.inf), 0.5]],
+    ],
+)
+def test_block_refuses_non_finite_entries(matrix):
+    with pytest.raises(ValueError, match="matrix"):
+        _block(matrix)
+
+
+def test_hermitian_defect_counts_the_diagonal_imaginary_part_twice():
+    # |rho - rho^H| on the diagonal is 2 |Im rho_kk|, against the bound 1e-12
+    with pytest.raises(ValueError, match="hermitian"):
+        _block([[0.5 + 6e-13j, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="hermitian"):
+        _block([[0.5, 0.0], [0.0, 0.5 - 6e-13j]])
+    _block([[0.5 + 4e-13j, 0.0], [0.0, 0.5]])
+    _block([[0.5, 0.0], [0.0, 0.5 - 4e-13j]])
+
+
+def test_psd_refusal_reports_the_smaller_eigenvalue():
+    with pytest.raises(ValueError, match="not PSD: min eig -1.000e-01"):
+        _block([[0.5, 0.6], [0.6, 0.5]])
+
+
+_THRESHOLD = 1e-12
+_MARGIN = 1e-14
+
+
+def _former_checks(rho: np.ndarray) -> tuple[float, float, float]:
+    """Oracle: the former checks' hermitian defect, trace defect and eigensolver minimum."""
+    return (
+        float(np.abs(rho - rho.conj().T).max()),
+        abs(rho[0, 0].real + rho[1, 1].real - 1.0),
+        float(np.linalg.eigvalsh(rho).min()),
+    )
+
+
+@st.composite
+def _near_threshold_matrices(draw):
+    """2x2 matrices whose three defects straddle their bounds, diagonals near 0 included."""
+    defect = st.floats(-2e-12, 2e-12)
+    a = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-11), st.just(1.0)))
+    b = 1.0 - a + draw(defect)
+    # the smaller eigenvalue lands near t when |rho_10|^2 = (a - t)(b - t)
+    t = draw(st.floats(-3e-12, 2e-12))
+    lower = math.sqrt(max((a - t) * (b - t), 0.0)) * cmath.exp(1j * draw(st.floats(-3.0, 3.0)))
+    # a hermitian defect of size |skew| at one place, or none
+    spot = draw(st.sampled_from(["none", "rho_00", "rho_11", "rho_01"]))
+    skew = draw(defect)
+    rho = np.array([[a, lower.conjugate()], [lower, b]], dtype=np.complex128)
+    if spot == "rho_01":
+        rho[0, 1] += skew * cmath.exp(1j * draw(st.floats(-3.0, 3.0)))
+    elif spot != "none":
+        k = int(spot[-1])
+        rho[k, k] += 0.5j * skew
+    return rho
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(rho=_near_threshold_matrices())
+def test_scalar_checks_refuse_what_the_eigensolver_checks_refused(rho):
+    hermitian, trace, low = _former_checks(rho)
+    assume(abs(hermitian - _THRESHOLD) >= _MARGIN)
+    assume(abs(trace - _THRESHOLD) >= _MARGIN)
+    assume(abs(low + _THRESHOLD) >= _MARGIN)
+    refused = hermitian > _THRESHOLD or trace > _THRESHOLD or low < -_THRESHOLD
+    try:
+        _block(rho)
+    except ValueError:
+        assert refused
+    else:
+        assert not refused
 
 
 def _block_with_p(p: float) -> ProbeBlock:
