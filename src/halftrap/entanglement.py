@@ -41,6 +41,8 @@ class BipartiteDensity:
         dim = self.d_A * self.d_B
         if rho.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix must be finite")
         if np.abs(rho - rho.conj().T).max() > 1e-10:
             raise ValueError("density matrix must be hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-10:

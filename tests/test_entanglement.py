@@ -155,3 +155,12 @@ def test_nonhermitian_rejected():
     m[0, 1] = 0.2
     with pytest.raises(ValueError):
         BipartiteDensity(2, 2, m)
+
+
+@pytest.mark.parametrize(
+    "diag", [[np.inf, 0.0, 0.0, -np.inf], [np.nan, 1.0, 0.0, 0.0]], ids=["inf-minus-inf", "nan"]
+)
+def test_non_finite_density_rejected(diag):
+    # inf - inf makes the trace NaN, which passes every comparison
+    with pytest.raises(ValueError, match="finite"):
+        BipartiteDensity(2, 2, np.diag(diag).astype(complex))
