@@ -20,7 +20,6 @@ from .orbitals import OverlapTable
 
 __all__ = [
     "FockBasis",
-    "number_operator",
     "build_lambda_operator",
     "to_fock_vector",
     "single_particle_commutator_residual",
@@ -78,11 +77,6 @@ class FockBasis:
         """Index range of each particle-number sector N = 0..n_max."""
         edges = [comb(n + self.K - 1, self.K) for n in range(self.n_max + 2)]
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def number_operator(basis: FockBasis) -> sp.csr_matrix:
-    """Total particle number, diagonal in the occupation basis."""
-    return sp.diags(basis.states.sum(axis=1).astype(float)).tocsr()
 
 
 def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:

@@ -121,7 +121,7 @@ def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> np.ndarr
     from .. import evolution
 
     try:
-        return evolution.exact_state(evolution.embed_product(phi, ham.probe), ham, pulse)
+        return evolution.exact_state(phi, ham, pulse)
     except evolution.SeriesLengthError as exc:
         # T r <= T (spread of H_0) / 2 + |area| (largest row sum of |V|)
         by_area = abs(pulse.area) * ham.radius.max() >= pulse.T * np.ptp(ham.h) / 2
@@ -216,8 +216,11 @@ def extract(
     The moment route uses the infinite-K limit or the finite-K closed form,
     as `moments.extrapolate` says, and reads no table; the fock route the
     occupation-basis expectations. The exact route evolves the joint state
-    instead and returns None for the moments. `route` carries a sweep's
-    table and Fock operators; without it the point builds its own.
+    instead and returns None for the moments; a mixture evolves as the
+    vector sum_n sqrt(p_n) |n>, which gives the same block, since H
+    conserves N and every quantity post-selection forms is a sum within one
+    sector. `route` carries a sweep's table and Fock operators; without it
+    the point builds its own.
     """
     probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     route = route or _Route(cfg, table)
@@ -225,14 +228,11 @@ def extract(
     if cfg.path == "exact":
         from .. import fock
 
-        if not state.is_pure:
-            raise ValueError(
-                "path 'exact' evolves a single vector; use path 'moments' for mixtures"
-            )
         ham = route.ham
-        phi = fock.to_fock_vector(state.amplitudes, ham.basis)
+        phi = fock.to_fock_vector(state.vector, ham.basis)
         pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
-        return None, measurement.postselect(_exact_final(cfg, ham, phi, pulse))
+        final = _exact_final(cfg, ham, phi, pulse)
+        return None, measurement.postselect(final, state.norm_sq())
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.basis, *route.lam)
     elif cfg.extrapolate:
@@ -384,7 +384,8 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
         pulse_T=T0, pulse_area=None, pulse_preset="amplitude10",
     )
     ham = _Route(small, None).ham
-    phi = fock.to_fock_vector(states.number_state(2).amplitudes, ham.basis)
+    state = states.number_state(2)
+    phi = fock.to_fock_vector(state.vector, ham.basis)
     g0 = resolve_pulse(small, ham.coupling_weight(phi)).g0
     lengths = (T0, T0 / 2, T0 / 4)
     residuals = []
@@ -394,7 +395,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
         final = _exact_final(small, ham, phi, pulse)
         diff = final - evolution.perturbative_state(phi, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
-        block = measurement.postselect(final)
+        block = measurement.postselect(final, state.norm_sq())
         leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     return {"T": lengths, "residuals": residuals, "ratios": ratios, "leak_fracs": leak_fracs}

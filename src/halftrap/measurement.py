@@ -6,16 +6,19 @@ and the propagation.
 
 Post-selection keeps everything orthogonal to both probes in their ground
 state, traces out the trap, and compresses to the single-excitation block
-{|1>_L|0>_R, |0>_L|1>_R}. Population outside that block (possible on the
-exact path) is folded into the success probability but excluded from the
-block matrix and reported separately as leakage.
+{|1>_L|0>_R, |0>_L|1>_R}, which it forms from the probes' centre-of-mass and
+relative levels that the exact route works in. Population outside that block
+(possible on the exact path) is folded into the success probability but
+excluded from the block matrix and reported separately as leakage; the
+caller passes the state's squared norm, so population in levels the array
+leaves out counts there too.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import hypot
+from math import hypot, inf, sqrt
 
 import numpy as np
 
@@ -103,15 +106,21 @@ class ProbeBlock:
             raise ValueError(f"post-selected block not PSD: min eig {low:.3e}")
 
 
-def postselect(joint: np.ndarray) -> ProbeBlock:
-    """Project (trap, probe, probe) amplitudes off |00>, trace the trap, keep {10, 01}."""
+def postselect(joint: np.ndarray, norm_sq: float) -> ProbeBlock:
+    """Project (trap, n_+, n_-) amplitudes off |00>, trace the trap, keep {10, 01}.
+
+    The L and R single excitations are (|10> +- |01>) / sqrt 2 in the probes'
+    centre-of-mass and relative levels. `norm_sq` is the squared norm of the
+    whole state, which the caller knows: levels the array leaves out count
+    as selected and, outside the block, as leakage.
+    """
     if joint.ndim != 3:
         raise ValueError(f"joint state shape {joint.shape} is not (trap, probe, probe)")
-    norm_sq = float(np.vdot(joint, joint).real)
-    if norm_sq <= 0.0:
-        raise NoExtractionError("joint state has zero norm")
-    branch_10 = joint[:, 1, 0]
-    branch_01 = joint[:, 0, 1]
+    if not 0.0 < norm_sq < inf:
+        raise ValueError(f"norm_sq must be finite and positive, got {norm_sq!r}")
+    plus, minus = joint[:, 1, 0], joint[:, 0, 1]
+    branch_10 = (plus + minus) / sqrt(2.0)
+    branch_01 = (plus - minus) / sqrt(2.0)
     w10 = float(np.vdot(branch_10, branch_10).real)
     w01 = float(np.vdot(branch_01, branch_01).real)
     # partial trace over the trap: rho_ab = sum_t psi_{t,a} conj(psi_{t,b})

@@ -127,34 +127,22 @@ def moments_from_fock(
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
     Independent of the factorial-moment route: the state is embedded in the
-    occupation basis `basis`, and the caller's Lambda_L and Lambda_R on it
-    (CSR matrices from `fock.build_lambda_operator`) are applied to it. A
-    pure state is embedded whole, so the vanishing of the cross terms
-    between different n is checked rather than assumed; a mixture
-    contributes one number state per n. Cost grows combinatorially with
-    (K, n_max), so this is a cross-check for small truncations, not a
-    production path.
+    occupation basis `basis` as one vector, `TrapState.vector`, and the
+    caller's Lambda_L and Lambda_R on it (CSR matrices from
+    `fock.build_lambda_operator`) are applied to it, so the vanishing of the
+    cross terms between different n is checked rather than assumed, for a
+    mixture too. Cost grows combinatorially with (K, n_max), so this is a
+    cross-check for small truncations, not a production path.
     """
     from .fock import to_fock_vector
 
-    if state.is_pure:
-        terms = [(1.0, state.amplitudes)]
-    else:
-        terms = [(p, np.eye(1, n + 1, n)[0]) for n, p in enumerate(state.populations)]
-    mLL = 0.0
-    mRR = 0.0
-    mLR = 0.0 + 0.0j
-    for weight, coeffs in terms:
-        v = to_fock_vector(coeffs, basis)
-        vL = lamL @ v
-        vR = lamR @ v
-        mLL += weight * np.vdot(vL, vL).real
-        mRR += weight * np.vdot(vR, vR).real
-        mLR += weight * np.vdot(vL, vR)
+    v = to_fock_vector(state.vector, basis)
+    vL = lamL @ v
+    vR = lamR @ v
     return ProbeBlockMoments(
-        mLL=float(mLL),
-        mRR=float(mRR),
-        mLR=complex(mLR),
+        mLL=float(np.vdot(vL, vL).real),
+        mRR=float(np.vdot(vR, vR).real),
+        mLR=complex(np.vdot(vL, vR)),
         provenance="fock-K",
         K=basis.K,
     )

@@ -7,8 +7,8 @@ pure state also keeps its amplitudes c_n, with p_n = |c_n|^2; a thermal or
 phase-averaged mixture is diagonal in n and is its populations alone, so no
 density matrix is ever built. The block moments depend on the state only
 through p_n, because the extraction operators conserve particle number.
-The Fock and exact routes embed amplitudes in an occupation basis with
-`fock.to_fock_vector`; this module holds no multimode machinery.
+The Fock and exact routes embed `TrapState.vector` in an occupation basis
+with `fock.to_fock_vector`; this module holds no multimode machinery.
 
 Truncated states are NOT renormalized; the discarded tail mass is carried
 as a diagnostic instead, because renormalization silently shifts moments
@@ -110,6 +110,15 @@ class TrapState:
     @property
     def n_cut(self) -> int:
         return len(self.populations) - 1
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The amplitudes, or sqrt(p_n) for a mixture: each number state |n> carries weight p_n.
+
+        The Fock and exact routes form only sums within one particle-number
+        sector, so on them this vector stands for the mixture.
+        """
+        return self.amplitudes if self.amplitudes is not None else np.sqrt(self.populations)
 
     def norm_sq(self) -> float:
         """Squared norm sum p_n of the truncated canonical form."""

@@ -104,6 +104,24 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
             ),
             build_overlap_table(4),
         ),
+        (
+            # a mixture on the exact route, embedded as sum_n sqrt(p_n) |n>
+            ExperimentConfig.from_entries(
+                {
+                    "state": "thermal",
+                    "path": "exact",
+                    "table.K": "4",
+                    "fock.n_max": "3",
+                    "probe.levels": "4",
+                    "pulse.T": "0.05",
+                    "n_cut": "3",
+                    "tail_tol": "0.2",
+                    "sweep.param": "nbar",
+                    "sweep.values": "0.5, 1",
+                }
+            ),
+            build_overlap_table(4),
+        ),
     ]
     plain = [_csv(cfg, table) for cfg, table in runs]
     tracer = tracing.Tracer()
@@ -116,10 +134,10 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
     # the error column is last: every point completed
     assert all(row.endswith(",") for text in plain for row in text.splitlines()[1:])
     summary = tracing.summarize(tracer.spans)
-    # one state per point: coherent 1, 4; thermal 0.5, 3; number 2, 3
+    # one state per point: coherent 1, 4; thermal 0.5, 3; number 2, 3; thermal 0.5, 1 at n_cut 3
     cutoffs = [coherent_state(alpha_sq=a).n_cut for a in (1.0, 4.0)]
     cutoffs += [thermal_state(nbar).n_cut for nbar in (0.5, 3.0)]
-    assert summary["n_cut_sum"] == sum(cutoffs) + 2 + 3
+    assert summary["n_cut_sum"] == sum(cutoffs) + 2 + 3 + 3 + 3
     assert summary["basis_dim"] > 0
     # the full joint dimension of the exact run, C(n_max + K, K) * levels^2, not the
     # mirror-even half that is propagated

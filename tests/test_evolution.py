@@ -1,6 +1,12 @@
-"""Pulse dynamics: first-order model against the full propagator."""
+"""Pulse dynamics: first-order model against the full propagator.
+
+`exact_state` works in the probes' centre-of-mass and relative levels
+(n_+, n_-); the oracles here propagate the probes' own levels (n_L, n_R)
+on the whole joint space, or each mode's Hamiltonian on its own.
+"""
 
 import dataclasses
+import math
 import re
 
 import mpmath
@@ -23,12 +29,13 @@ from halftrap.evolution import (
     exact_state,
     perturbative_state,
     probe_lowering,
-    probe_momentum,
 )
 from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.measurement import postselect
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
+    TrapState,
     coherent_state,
     number_state,
     superposition_state,
@@ -39,11 +46,23 @@ def table4():
     return build_overlap_table(4)
 
 
+def probe_momentum(probe: ProbeParams) -> np.ndarray:
+    """P = i sqrt(M Omega / 2) (b^dag - b) on the truncated probe space."""
+    b = probe_lowering(probe.levels)
+    return 1j * np.sqrt(probe.M * probe.Omega / 2.0) * (b.T - b)
+
+
 def _full_coupling(ham):
-    """V = Lambda_L P_L + Lambda_R P_R on the whole flattened joint space."""
+    """V = Lambda_L P_L + Lambda_R P_R on the whole flattened (trap, n_L, n_R) space."""
     eye = sp.identity(ham.probe.levels, format="csr")
     P = sp.csr_matrix(probe_momentum(ham.probe))
     return (sp.kron(sp.kron(ham.lamL, P), eye) + sp.kron(sp.kron(ham.lamR, eye), P)).tocsr()
+
+
+def _branches(joint):
+    """The |00>, L and R single-excitation amplitudes of a (trap, n_+, n_-) array."""
+    plus, minus = joint[:, 1, 0], joint[:, 0, 1]
+    return joint[:, 0, 0], (plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +102,11 @@ def test_branch_weight_matches_moments(setup4):
     state = number_state(2)
     phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
-    out = perturbative_state(phi, ham, pulse)
-    out[:, 0, 0] = phi
+    _, left, right = _branches(perturbative_state(phi, ham, pulse))
     mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
-    w10 = float(np.vdot(out[:, 1, 0], out[:, 1, 0]).real)
-    w01 = float(np.vdot(out[:, 0, 1], out[:, 0, 1]).real)
+    w10 = float(np.vdot(left, left).real)
+    w01 = float(np.vdot(right, right).real)
     assert w10 == pytest.approx(scale * mom.mLL, rel=1e-12)
     assert w01 == pytest.approx(scale * mom.mRR, rel=1e-12)
 
@@ -111,7 +129,7 @@ def test_zero_coupling_is_free_evolution(setup4):
         superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
     )
     initial = embed_product(phi, probe)
-    final = exact_state(initial, ham, Pulse.square(T=0.3, g0=0.0))
+    final = exact_state(phi, ham, Pulse.square(T=0.3, g0=0.0))
     # phases only: every amplitude keeps its magnitude, branches stay empty
     assert np.allclose(
         np.abs(final[:, 0, 0]), np.abs(initial[:, 0, 0]), atol=1e-12
@@ -123,8 +141,14 @@ def test_zero_coupling_is_free_evolution(setup4):
 def test_exact_evolution_is_unitary(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(2).amplitudes, basis)
-    final = exact_state(embed_product(phi, probe), ham, Pulse.square(T=0.2, g0=0.8))
-    assert np.linalg.norm(final) == pytest.approx(1.0, abs=1e-12)
+    T, g0 = 0.2, 0.8
+    final = exact_state(phi, ham, Pulse.square(T=T, g0=g0))
+    # the array holds the + mode's first levels only: of the Poisson weights of
+    # |beta|^2 = (2 c / Omega)^2 sin^2(Omega T / 2), c = g0 N sqrt(M Omega / 4), the first four
+    beta_sq = (2.0 * g0 * 2 * 0.5 * np.sin(T / 2.0)) ** 2
+    kept = np.exp(-beta_sq) * sum(beta_sq**n / math.factorial(n) for n in range(probe.levels))
+    assert 1.0 - kept > 1e-8
+    assert np.vdot(final, final).real == pytest.approx(kept, abs=1e-14)
 
 
 def test_first_order_residual_scales_quadratically(setup4):
@@ -133,7 +157,7 @@ def test_first_order_residual_scales_quadratically(setup4):
     residuals = []
     for T in (0.02, 0.01, 0.005):
         pulse = Pulse.square(T=T, g0=2.0)
-        final = exact_state(embed_product(phi, probe), ham, pulse)
+        final = exact_state(phi, ham, pulse)
         model = perturbative_state(phi, ham, pulse)
         diff = final.reshape(-1) - model.reshape(-1)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
@@ -153,80 +177,127 @@ def test_left_right_swap_mirrors_the_block(setup4):
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
-    a = exact_state(embed_product(phi, probe), ham, pulse)
-    b = exact_state(embed_product(phi, probe), ham_swapped, pulse)
-    wa10 = float(np.vdot(a[:, 1, 0], a[:, 1, 0]).real)
-    wb01 = float(np.vdot(b[:, 0, 1], b[:, 0, 1]).real)
+    _, a10, _ = _branches(exact_state(phi, ham, pulse))
+    _, _, b01 = _branches(exact_state(phi, ham_swapped, pulse))
+    wa10 = float(np.vdot(a10, a10).real)
+    wb01 = float(np.vdot(b01, b01).real)
     assert wa10 == pytest.approx(wb01, rel=1e-12)
+
+
+def _relative_initial(phi, ham, span):
+    """phi on the relative mode's ground level, as a vector over the range `span` of its even half."""
+    rows = ham.even[span]
+    d = ham.probe.levels
+    return np.where(rows % d == 0, phi[rows // d], 0.0)
+
+
+def _relative_operator(ham, span, pulse):
+    return (sp.diags(ham.h[span]) + pulse.g0 * ham.v[span, span]).tocsc()
 
 
 def test_sampled_pulse_agrees_with_square(setup4):
     # oracle for the Chebyshev series: integrate the same square pulse step by step
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(1).amplitudes, basis)
-    T, g0 = 0.05, 1.0
-    a = exact_state(embed_product(phi, probe), ham, Pulse.square(T=T, g0=g0))
-    H = (ham.H0 + g0 * _full_coupling(ham)).tocsr()
+    pulse = Pulse.square(T=0.05, g0=1.0)
+    span = slice(int(ham.edges[1]), int(ham.edges[2]))
+    y = _relative_initial(phi, ham, span)
+    a = evolution._chebyshev_propagate(ham, span, pulse, y)
+    H = _relative_operator(ham, span, pulse)
     sol = solve_ivp(
         lambda t, y: -1j * (H @ y),
-        (0.0, T),
-        embed_product(phi, probe).reshape(-1),
+        (0.0, pulse.T),
+        y.astype(complex),
         method="DOP853",
         rtol=1e-11,
         atol=1e-13,
     )
     assert sol.success
-    overlap = abs(np.vdot(a.reshape(-1), sol.y[:, -1]))
+    overlap = abs(np.vdot(a, sol.y[:, -1]))
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
-def _full_space_state(initial, ham, pulse, step_norm=np.inf):
-    """Oracle: expm_multiply over the whole joint space, every sector at once.
+def _full_space_states(initial, ham, pulse):
+    """Oracle: expm_multiply over the whole (trap, n_L, n_R) space, every sector at once.
 
-    The pulse runs in equal steps whose matrices have a 1-norm of at most
-    `step_norm`. expm_multiply's error grows with that norm: over 400 draws
-    of the random-input property below it reached 6.4e-14 in one step, and
-    8.1e-15 in steps of 1-norm 8.
+    `initial` holds one flattened joint state per column.
     """
     A = ((-1j * pulse.T) * (ham.H0 + pulse.g0 * _full_coupling(ham))).tocsc()
+    return _stepped_expm(A, initial, 8.0)
+
+
+def _stepped_expm(A, psi, step_norm):
+    """expm_multiply(A, psi) in equal steps whose matrices have a 1-norm of at most `step_norm`.
+
+    expm_multiply's error grows with that norm: over 400 draws of a
+    random-input property on the whole joint space it reached 6.4e-14 in
+    one step, and 8.1e-15 in steps of 1-norm 8.
+    """
     steps = max(1, int(np.ceil(sparse_norm(A, 1) / step_norm)))
-    psi = initial.reshape(-1)
     for _ in range(steps):
         psi = expm_multiply(A / steps, psi)
     return psi
 
 
-@pytest.mark.parametrize(
-    "state",
-    [
-        number_state(0),
-        number_state(2),
-        coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3),
-        superposition_state(np.array([0.6, 0.0, 0.8])),
-        superposition_state(np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)])),
-    ],
-    ids=["vacuum", "number", "coherent", "superposition-0-2", "superposition-1-2-4"],
-)
-def test_sector_propagation_matches_full_space(state):
-    # K = 1 has only even trap states; K >= 2 mixes both parities in a sector
+_ORACLE_STATES = {
+    "vacuum": number_state(0),
+    "number": number_state(2),
+    "coherent": coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3),
+    "superposition-0-2": superposition_state(np.array([0.6, 0.0, 0.8])),
+    "superposition-1-2-4": superposition_state(np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)])),
+}
+_ORACLE_PULSES = (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8))
+
+
+@pytest.fixture(scope="module")
+def full_space_10():
+    """Per K = 1..6: the 10-level Hamiltonian, and the full-space oracle of every state and pulse."""
+    out = {}
     for K in range(1, 7):
-        table = build_overlap_table(K)
         basis = FockBasis(K, 4)
-        phi = to_fock_vector(state.amplitudes, basis)
-        for levels in (2, 3, 4):
-            probe = ProbeParams(levels=levels)
-            ham = build_joint_hamiltonian(table, basis, probe)
-            initial = embed_product(phi, probe)
-            for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8)):
-                got = exact_state(initial, ham, pulse).reshape(-1)
-                expect = _full_space_state(initial, ham, pulse)
-                assert np.abs(got - expect).max() <= 1e-14, (K, levels, pulse)
-                # sectors the state does not occupy stay exactly zero
-                d2 = probe.levels**2
-                for sector in basis.sectors():
-                    s = slice(sector.start * d2, sector.stop * d2)
-                    if not initial.reshape(-1)[s].any():
-                        assert not got[s].any()
+        ham = build_joint_hamiltonian(build_overlap_table(K), basis, ProbeParams(levels=10))
+        phis = [to_fock_vector(state.amplitudes, basis) for state in _ORACLE_STATES.values()]
+        initial = np.stack([embed_product(phi, ham.probe).reshape(-1) for phi in phis], axis=1)
+        expected = [_full_space_states(initial, ham, pulse) for pulse in _ORACLE_PULSES]
+        out[K] = ham, dict(zip(_ORACLE_STATES, zip(phis, zip(*(e.T for e in expected)))))
+    return out
+
+
+@pytest.mark.parametrize("state", list(_ORACLE_STATES))
+def test_sector_propagation_matches_full_space(state, full_space_10):
+    # both at 10 levels, where neither the L/R probes' truncation nor that of the
+    # relative mode moves the |00> amplitudes or the single-excitation branches;
+    # K = 1 has only even trap states, K >= 2 mixes both parities in a sector
+    for K, (ham, cases) in full_space_10.items():
+        phi, expected = cases[state]
+        for pulse, expect in zip(_ORACLE_PULSES, expected):
+            got = exact_state(phi, ham, pulse)
+            expect = expect.reshape(got.shape)
+            for a, b in zip(_branches(got), (expect[:, 0, 0], expect[:, 1, 0], expect[:, 0, 1])):
+                assert np.abs(a - b).max() <= 1e-14, (K, pulse)
+            # sectors the state does not occupy stay exactly zero
+            for sector in ham.basis.sectors():
+                if not phi[sector].any():
+                    assert not got[sector].any()
+
+
+@pytest.mark.parametrize(
+    "N, g0, T, M, Omega",
+    [(1, 2.0, 0.05, 1.0, 1.0), (4, 0.8, 0.3, 1.0, 1.0), (4, 2.0, 2.0, 1.0, 1.0), (2, 1.5, 7.0, 0.7, 1.3)],
+)
+def test_centre_of_mass_mode_is_the_driven_oscillator(N, g0, T, M, Omega):
+    # beta_N and theta_N against expm_multiply of Omega b^dag b + i c_N (b^dag - b) from |0>,
+    # truncated far past |beta_N|^2 <= (2 c_N / Omega)^2
+    probe = ProbeParams(M=M, Omega=Omega, levels=10)
+    got = evolution._centre_of_mass(np.array([N]), probe, Pulse.square(T=T, g0=g0))[0]
+    c = g0 * N * np.sqrt(M * Omega / 4.0)
+    size = int(2.0 * (2.0 * c / Omega) ** 2) + 60
+    b = sp.csr_matrix(probe_lowering(size))
+    H = Omega * (b.T @ b) + 1j * c * (b.T - b)
+    expect = _stepped_expm((-1j * T * H).tocsc(), np.eye(size)[0].astype(complex), 8.0)
+    assert np.abs(got - expect[:10]).max() <= 1e-13
+    # the whole coherent state: no weight lies past the truncation
+    assert np.linalg.norm(expect[size - 10 :]) < 1e-15
 
 
 @pytest.mark.parametrize("K, levels", [(1, 2), (3, 3), (4, 4)])
@@ -242,31 +313,25 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
         for b in range(levels)
     ]
     assert np.array_equal(ham.H0.diagonal(), h0)
-    V = _full_coupling(ham)
-    # the probe frame |a b> -> i^(a+b) |a b> of each trap state; i^k exactly
     d = levels
-    frame = np.array([1, 1j, -1, -1j])[np.add.outer(np.arange(d), np.arange(d)).ravel() % 4]
+    parity = basis.states @ np.arange(K) % 2
+    # the mirror-even half keeps the relative levels of the trap state's parity
+    even = [t * d + m for t in range(basis.dimension) for m in range(d) if (m - parity[t]) % 2 == 0]
+    assert np.array_equal(ham.even, even)
+    t, m = np.divmod(ham.even, d)
+    assert np.array_equal(ham.h, ham.H0.diagonal().reshape(-1, d, d)[t, 0, m])
     assert ham.h.dtype == ham.v.dtype == ham.radius.dtype == np.float64
+    # v is (Lambda_L - Lambda_R) P_- / sqrt 2, with P_- in the frame |m> -> i^m |m>, where it is real
+    frame = np.diag(np.array([1, 1j, -1, -1j])[np.arange(d) % 4])
+    P = frame.conj().T @ probe_momentum(probe) @ frame
+    assert np.abs(P.imag).max() == 0.0
+    full = sp.kron(ham.lamL - ham.lamR, sp.csr_matrix(P.real / np.sqrt(2.0))).tocsr()
+    assert abs(full[ham.even][:, ham.even] - ham.v).max() <= 1e-15
+    # the even half is closed under v: none of its rows reaches an odd state
+    assert full[ham.even].nnz == full[ham.even][:, ham.even].nnz
     for N, span in enumerate(basis.sectors()):
-        s = slice(span.start * d**2, span.stop * d**2)
         e = slice(ham.edges[N], ham.edges[N + 1])
-        W = ham.W[s, e]
-        # the sector's rows of W reach its own range of the even basis only
-        assert ham.W[s].nnz == W.nnz
-        assert abs(W.conj().T @ W - sp.identity(W.shape[1])).max() <= 1e-15
-        # W spans the mirror-even half: Pi W = W
-        t = np.repeat(np.arange(span.start, span.stop), d * d)
-        sign = (-1.0) ** (basis.states @ np.arange(K))[t]
-        swap = np.arange(s.stop - s.start).reshape(-1, d, d).transpose(0, 2, 1).ravel()
-        assert abs(sp.diags(sign) @ W[swap] - W).max() <= 1e-15
-        # the frame is folded into W: undoing it leaves a real isometry
-        omega = sp.diags(np.tile(frame, span.stop - span.start))
-        assert abs((omega.conj() @ W).imag).max() == 0.0
-        assert abs(W.conj().T @ ham.H0[s, s] @ W - sp.diags(ham.h[e])).max() <= 1e-14
-        # V is real in the frame, and the sector's block of v is its mirror-even half
-        reduced = W.conj().T @ V[s, s] @ W
-        assert abs(reduced.imag).max() <= 1e-14
-        assert abs(reduced.real - ham.v[e, e]).max() <= 1e-14
+        assert np.array_equal(ham.even[e] // d, np.repeat(np.arange(span.start, span.stop), np.bincount(t)[span]))
         assert ham.v[e].nnz == ham.v[e, e].nnz
     # v holds H_0's diagonal as explicit zeros at `diag`, and `radius` its |v| row sums
     n = ham.h.size
@@ -274,58 +339,51 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     assert np.array_equal(np.searchsorted(ham.v.indptr, ham.diag, side="right") - 1, np.arange(n))
     assert not ham.v.data[ham.diag].any()
     assert np.abs(ham.radius - abs(ham.v).sum(axis=1).A1).max() <= 1e-14
-    # an even trap state keeps the d(d+1)/2 swap-symmetric probe pairs, an odd one the d(d-1)/2 others
-    parity = basis.states @ np.arange(K) % 2
+    # an even trap state keeps ceil(d / 2) relative levels, an odd one floor(d / 2)
     n_even = int(np.count_nonzero(parity == 0))
-    n_odd = parity.size - n_even
-    even_dim = (n_even * levels * (levels + 1) + n_odd * levels * (levels - 1)) // 2
     assert ham.edges[0] == 0
-    assert ham.edges[-1] == ham.W.shape[1] == even_dim == n
+    assert ham.edges[-1] == n_even * ((d + 1) // 2) + (parity.size - n_even) * (d // 2) == n
 
 
 def test_mirror_halves_the_exact_sweep_sectors():
     ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
-    assert np.diff(ham.edges).tolist() == [10, 64, 296, 960, 2660]
+    assert np.diff(ham.edges).tolist() == [2, 16, 72, 240, 660]
     assert ham.H0.shape[0] == 7920
 
 
 def test_mirror_odd_initial_state_is_refused(setup4):
     _, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(1).amplitudes, basis)
-    odd = embed_product(phi, probe)
-    odd[:, 1, 0] = phi  # |1>|10> alone is not even under the probe swap
-    with pytest.raises(ValueError, match="mirror-odd"):
-        exact_state(odd, ham, Pulse.square(T=0.05, g0=1.0))
+    # one particle in orbital 1: trap parity odd, so |phi>|00> is mirror-odd
+    phi = np.zeros(basis.dimension, dtype=np.complex128)
+    phi[np.flatnonzero((basis.states == [0, 1, 0, 0]).all(axis=1))] = 1.0
+    with pytest.raises(ValueError, match="odd-parity part of norm 1.000e"):
+        exact_state(phi, ham, Pulse.square(T=0.05, g0=1.0))
 
 
 def test_mirror_odd_part_beyond_the_first_occupied_sector_is_refused(setup4):
     _, basis, probe, ham = setup4
     phi = to_fock_vector(superposition_state(np.array([0.0, 0.6, 0.0, 0.8])).amplitudes, basis)
-    initial = embed_product(phi, probe)
     pulse = Pulse.square(T=0.05, g0=1.0)
-    assert np.linalg.norm(exact_state(initial, ham, pulse)) == pytest.approx(1.0, abs=1e-12)
-    # |3>|10> alone is not even under the probe swap; N = 1 stays even
-    t3 = np.flatnonzero(phi)[-1]
-    assert basis.states[t3].sum() == 3
-    initial[t3, 1, 0] = 0.1
-    with pytest.raises(ValueError, match="mirror-odd part of norm 7.071e-02"):
-        exact_state(initial, ham, pulse)
+    exact_state(phi, ham, pulse)  # all even: accepted
+    # (2, 1, 0, 0) holds three particles, one of them in orbital 1; N = 1 stays even
+    odd = np.flatnonzero((basis.states == [2, 1, 0, 0]).all(axis=1))
+    phi[odd] = 0.1
+    with pytest.raises(ValueError, match="odd-parity part of norm 1.000e-01"):
+        exact_state(phi, ham, pulse)
 
 
 def test_wrongly_shaped_state_is_refused(setup4):
     _, basis, probe, ham = setup4
-    wrong = np.zeros((basis.dimension, probe.levels, probe.levels + 1), dtype=np.complex128)
-    expect = (basis.dimension, probe.levels, probe.levels)
-    shapes = re.escape(f"{wrong.shape}") + ".*" + re.escape(f"{expect}")
+    wrong = np.zeros(basis.dimension + 1, dtype=np.complex128)
+    shapes = re.escape(f"{wrong.shape}") + ".*" + re.escape(f"{(basis.dimension,)}")
     with pytest.raises(ValueError, match=shapes):
         exact_state(wrong, ham, Pulse.square(T=0.05, g0=1.0))
 
 
 def test_empty_state_propagates_to_zeros(setup4):
     _, basis, probe, ham = setup4
-    empty = np.zeros((basis.dimension, probe.levels, probe.levels), dtype=np.complex128)
-    out = exact_state(empty, ham, Pulse.square(T=0.05, g0=1.0))
-    assert out.shape == empty.shape
+    out = exact_state(np.zeros(basis.dimension, dtype=np.complex128), ham, Pulse.square(T=0.05, g0=1.0))
+    assert out.shape == (basis.dimension, probe.levels, probe.levels)
     assert not out.any()
 
 
@@ -334,13 +392,12 @@ def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
     phi = to_fock_vector(
         superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
     )
-    # a long strong pulse: a series of about 1000 terms, a drift of about 2e-16
-    pulse = Pulse.square(T=20.0, g0=3.0)
-    initial = embed_product(phi, probe)
-    assert np.linalg.norm(exact_state(initial, ham, pulse)) == pytest.approx(1.0, abs=1e-9)
+    # a long strong pulse: a series of about 650 terms, a drift of about 1e-15
+    pulse = Pulse.square(T=40.0, g0=3.0)
+    exact_state(phi, ham, pulse)
     monkeypatch.setattr(evolution, "_NORM_TOL", 1e-17)
     with pytest.raises(IntegratorDriftError):
-        exact_state(initial, ham, pulse)
+        exact_state(phi, ham, pulse)
 
 
 _coefficients = st.lists(
@@ -352,18 +409,56 @@ _coefficients = st.lists(
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_exact_state_matches_the_full_space_oracle_on_random_inputs(data):
+def test_relative_mode_series_matches_expm_multiply_on_random_inputs(data):
     raw = data.draw(_coefficients)
     K = data.draw(st.integers(1, 6))
     basis = FockBasis(K, data.draw(st.integers(len(raw) - 1, 4)))
     probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
     pulse = Pulse.square(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.0, 10.0)))
     ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
-    state = superposition_state(np.array(raw) / np.linalg.norm(raw))
-    initial = embed_product(to_fock_vector(state.amplitudes, basis), probe)
-    got = exact_state(initial, ham, pulse).reshape(-1)
-    # the worst of 400 draws was 8.1e-15, within the bound of the fixed cases above
-    assert np.abs(got - _full_space_state(initial, ham, pulse, step_norm=8.0)).max() <= 1e-14
+    phi = to_fock_vector(np.array(raw) / np.linalg.norm(raw), basis)
+    # the range of sectors `exact_state` propagates for this phi
+    lo, hi = basis.states[np.flatnonzero(phi)[[0, -1]]].sum(axis=1)
+    span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
+    y = _relative_initial(phi, ham, span)
+    got = evolution._chebyshev_propagate(ham, span, pulse, y)
+    expect = _stepped_expm((-1j * pulse.T) * _relative_operator(ham, span, pulse), y, 8.0)
+    assert np.abs(got - expect).max() <= 1e-14
+
+
+def _weights(joint):
+    """|00> weight, L and R branch weights and the coherence <R|L> of a (trap, n_+, n_-) array."""
+    ground, left, right = _branches(joint)
+    return np.array([np.vdot(ground, ground), np.vdot(left, left), np.vdot(right, right), np.vdot(right, left)])
+
+
+_populations = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).filter(lambda p: sum(p[1:]) > 1e-3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mixture_evolves_as_its_square_root_vector(data):
+    # H conserves N, so the block of sum_n sqrt(p_n) |n> is the p_n-weighted sum of
+    # the per-number-state branch weights
+    p = np.array(data.draw(_populations))
+    p /= p.sum()
+    K = data.draw(st.integers(1, 6))
+    basis = FockBasis(K, data.draw(st.integers(len(p) - 1, 4)))
+    probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
+    pulse = Pulse.square(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.1, 10.0)))
+    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    mixture = TrapState("thermal", populations=p)
+    norm_sq = mixture.norm_sq()
+    block = postselect(exact_state(to_fock_vector(mixture.vector, basis), ham, pulse), norm_sq)
+    w00, w10, w01, coh = sum(
+        pn * _weights(exact_state(to_fock_vector(np.eye(1, n + 1, n)[0], basis), ham, pulse))
+        for n, pn in enumerate(p)
+    )
+    rho = np.array([[w10, coh], [np.conj(coh), w01]]) / (w10 + w01).real
+    # the worst of 400 draws: 6.1e-16 in rho, 1.3e-15 in p_succ and 1.4e-15 in leakage
+    assert np.abs(block.matrix - rho).max() <= 2e-15
+    assert abs(block.p_succ - (norm_sq - w00.real) / norm_sq) <= 5e-15
+    assert abs(block.leakage - (norm_sq - w00 - w10 - w01).real / norm_sq) <= 5e-15
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 5.0, 50.0, 700.0])
@@ -392,6 +487,5 @@ def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
     _, basis, probe, ham = setup4
     flat = dataclasses.replace(ham, h=np.full_like(ham.h, 2.5))
     phi = to_fock_vector(superposition_state(np.array([0.6, 0.0, 0.8j])).amplitudes, basis)
-    initial = embed_product(phi, probe)
-    got = exact_state(initial, flat, Pulse.square(T=0.7, g0=0.0))
-    assert np.abs(got - np.exp(-1.75j) * initial).max() <= 1e-15
+    got = exact_state(phi, flat, Pulse.square(T=0.7, g0=0.0))
+    assert np.abs(got - np.exp(-1.75j) * embed_product(phi, probe)).max() <= 1e-15

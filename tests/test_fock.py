@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from halftrap.fock import (
     FockBasis,
     build_lambda_operator,
-    number_operator,
     single_particle_commutator_residual,
     to_fock_vector,
 )
 from halftrap.orbitals import build_overlap_table
+
+
+def number_operator(basis):
+    """Total particle number, diagonal in the occupation basis."""
+    return sp.diags(basis.states.sum(axis=1).astype(float)).tocsr()
 
 
 def _occupations(total, modes):

@@ -660,17 +660,22 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
         )
         assert len(rows) == 4 and bases == []
     assert tables == []
-    # a mixture is refused before the operators are needed, over the cap or not
-    for entries in ({}, {"table.K": "30", "fock.n_max": "5"}):
-        mixture = _route_cfg("exact", state="thermal", **{"sweep.param": "nbar"}, **entries)
-        for row in run_sweep(mixture):
-            assert row.error.startswith("ValueError: path 'exact' evolves a single vector")
-    assert bases == []
     # a point past the basis fails alone; its neighbours share the operators
     rows = run_sweep(_route_cfg("exact", **{"sweep.values": "2, 6, 3"}), table6)
     assert rows[0].error == rows[2].error == ""
     assert "exceeds basis capacity 4" in rows[1].error
     assert bases == [6]
+
+
+def test_exact_route_runs_mixtures(table6):
+    # a thermal state evolves as sum_n sqrt(p_n) |n>; its rows agree with the fock
+    # route's within the benchmark's exact-vs-fock row bound, the first-order
+    # remainder at pulse.T = 0.05
+    thermal = {"state": "thermal", "sweep.param": "nbar", "sweep.values": "1, 2"}
+    thermal.update({"n_cut": "4", "tail_tol": "0.2"})
+    exact, fock_rows = (run_sweep(_route_cfg(path, **thermal), table6) for path in ("exact", "fock"))
+    assert [row.error for row in exact + fock_rows] == [""] * 4
+    assert all(abs(a.mu - b.mu) <= 2e-3 for a, b in zip(exact, fock_rows))
 
 
 def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):

@@ -27,6 +27,10 @@ from halftrap.moments import analytic_limit_moments, moments_from_fock
 from halftrap.orbitals import build_overlap_table
 from halftrap.states import number_state, superposition_state
 
+def _norm_sq(joint):
+    return float(np.vdot(joint, joint).real)
+
+
 @pytest.fixture(scope="module")
 def small():
     table = build_overlap_table(4)
@@ -42,7 +46,7 @@ def test_block_from_joint_matches_block_from_moments(small):
     pulse = Pulse.square(T=0.1, g0=0.3)
     joint = perturbative_state(phi, ham, pulse)
     joint[:, 0, 0] = phi
-    from_joint = postselect(joint)
+    from_joint = postselect(joint, _norm_sq(joint))
     mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
     assert np.allclose(from_joint.matrix, from_mom.matrix, atol=1e-12)
@@ -56,10 +60,11 @@ def test_free_evolution_leaves_block_unchanged(small):
     table, basis, probe, ham = small
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     pulse = Pulse.square(T=0.05, g0=0.3)
-    with_h0 = postselect(perturbative_state(phi, ham, pulse))
+    first = perturbative_state(phi, ham, pulse)
+    with_h0 = postselect(first, _norm_sq(first))
     joint = perturbative_state(phi, ham, pulse)
     joint[:, 0, 0] = phi
-    without = postselect(joint)
+    without = postselect(joint, _norm_sq(joint))
     assert np.allclose(with_h0.matrix, without.matrix, atol=1e-12)
 
 
@@ -68,7 +73,7 @@ def test_postselect_needs_trap_probe_probe_axes(small):
     phi = to_fock_vector(number_state(2).amplitudes, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="not \\(trap, probe, probe\\)"):
-        postselect(joint.reshape(-1))
+        postselect(joint.reshape(-1), _norm_sq(joint))
 
 
 def test_vacuum_cannot_be_selected(small):
@@ -76,9 +81,32 @@ def test_vacuum_cannot_be_selected(small):
     phi = to_fock_vector(number_state(0).amplitudes, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(NoExtractionError):
-        postselect(joint)
+        postselect(joint, _norm_sq(joint))
     with pytest.raises(NoExtractionError):
         block_from_moments(analytic_limit_moments(number_state(0)))
+
+
+@pytest.mark.parametrize("norm_sq", [0.0, -1.0, math.nan, math.inf])
+def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_sq):
+    # a NaN passes `norm_sq <= 0.0` and would give a NaN p_succ, which ProbeBlock accepts
+    table, basis, probe, ham = small
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    with pytest.raises(ValueError, match="norm_sq must be finite and positive"):
+        postselect(joint, norm_sq)
+
+
+def test_levels_the_array_leaves_out_count_as_selected_leakage(small):
+    # the caller's norm_sq holds weight the array lacks: selected, outside the block
+    table, basis, probe, ham = small
+    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    whole = postselect(joint, _norm_sq(joint))
+    missing = postselect(joint, _norm_sq(joint) + 0.25)
+    assert np.array_equal(missing.matrix, whole.matrix)
+    total = _norm_sq(joint) + 0.25
+    assert missing.p_succ == pytest.approx((whole.p_succ * _norm_sq(joint) + 0.25) / total, rel=1e-14)
+    assert missing.leakage == pytest.approx(0.25 / total, rel=1e-12)
 
 
 def test_single_particle_block_is_maximally_mixed():
@@ -93,7 +121,7 @@ def test_block_is_unit_trace_density(small):
     state = superposition_state(np.array([0.0, 0.6, 0.0, 0.8]))
     phi = to_fock_vector(state.amplitudes, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
-    block = postselect(joint)
+    block = postselect(joint, _norm_sq(joint))
     assert np.trace(block.matrix).real == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(block.matrix)
     assert eigs.min() >= -1e-12
