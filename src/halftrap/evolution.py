@@ -8,7 +8,8 @@ Both are written in the probes' centre-of-mass and relative modes
 b_+- = (b_L +- b_R) / sqrt 2. The half-line overlaps obey
 lambda^L + lambda^R = 1, so Lambda_L + Lambda_R = N, the particle number,
 and the coupling Lambda_L P_L + Lambda_R P_R is
-(N P_+ + (Lambda_L - Lambda_R) P_-) / sqrt 2. A joint state is a complex
+(N P_+ + D P_-) / sqrt 2 with D = Lambda_L - Lambda_R: the Hamiltonian
+reads N and D only, and no Lambda is built. A joint state is a complex
 array of shape (trap Fock basis, n_+ levels, n_- levels); the L and R
 single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, build_lambda_operator
+from .fock import FockBasis, build_imbalance_operator
 from .measurement import ProbeParams, Pulse
 from .orbitals import OverlapTable
 
@@ -72,23 +73,25 @@ def embed_product(phi: np.ndarray, probe: ProbeParams) -> np.ndarray:
 class JointHamiltonian:
     """H_0 and the coupling V = Lambda_L P_L + Lambda_R P_R of the pulse.
 
-    `H0` is the diagonal H_0 on the whole flattened (trap, n_+, n_-) space,
-    the same as on (trap, n_L, n_R), since n_+ + n_- = n_L + n_R; `lamL` and
-    `lamR` are the trap-space Lambda operators. The rest is the trap and
-    relative mode on their mirror-even half: `even` holds the flat
-    (trap, n_-) indices it keeps, in order, and the sector of particle number
-    N is the range `edges[N]:edges[N + 1]` of them. `h` is H_0 there at
-    n_+ = 0 (diagonal), `v` is (Lambda_L - Lambda_R) P_- / sqrt 2 in the
-    frame (real, with explicit zeros on its diagonal at the positions `diag`
-    of `v.data`, so that H_0 fits its pattern), and `radius` holds the row
-    sums of |v|.
+    `H0` is the diagonal of H_0 on the whole flattened (trap, n_+, n_-)
+    space, the same as on (trap, n_L, n_R), since n_+ + n_- = n_L + n_R.
+    `D` is the trap-space imbalance Lambda_L - Lambda_R, and `number` and
+    `odd` hold each trap state's particle number and whether its parity is
+    odd. The rest is the trap and relative mode on their mirror-even half:
+    `even` holds the flat (trap, n_-) indices it keeps, in order, and the
+    sector of particle number N is the range `edges[N]:edges[N + 1]` of
+    them. `h` is H_0 there at n_+ = 0, `v` is D P_- / sqrt 2 in the frame
+    (real, with explicit zeros on its diagonal at the positions `diag` of
+    `v.data`, so that H_0 fits its pattern), and `radius` holds the row sums
+    of |v|.
     """
 
     basis: FockBasis
     probe: ProbeParams
-    H0: sp.csr_matrix
-    lamL: sp.csr_matrix
-    lamR: sp.csr_matrix
+    H0: np.ndarray
+    D: sp.csr_matrix
+    number: np.ndarray
+    odd: np.ndarray
     even: np.ndarray
     edges: np.ndarray
     h: np.ndarray
@@ -97,10 +100,13 @@ class JointHamiltonian:
     radius: np.ndarray
 
     def coupling_weight(self, phi: np.ndarray) -> float:
-        """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites."""
-        vL = self.lamL @ phi
-        vR = self.lamR @ phi
-        return float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
+        """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites.
+
+        Lambda_L,R = (N +- D) / 2, so S = (|N phi|^2 + |D phi|^2) / 2.
+        """
+        n_phi = self.number * phi
+        d_phi = self.D @ phi
+        return 0.5 * (float(np.vdot(n_phi, n_phi).real) + float(np.vdot(d_phi, d_phi).real))
 
 
 def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
@@ -114,11 +120,6 @@ def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
 
 # i^k for k mod 4, exactly
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
-def _trap_parity(basis: FockBasis) -> np.ndarray:
-    """(sum_k k n_k) mod 2 of each trap state."""
-    return basis.states @ np.arange(basis.K) % 2
 
 
 def build_joint_hamiltonian(
@@ -140,45 +141,58 @@ def build_joint_hamiltonian(
     it once per sweep, and `exact_state` propagates each point with it.
     """
     d = probe.levels
-    lamL = build_lambda_operator("L", table, basis)
-    lamR = build_lambda_operator("R", table, basis)
+    D = build_imbalance_operator(table, basis)
+    parity = basis.states @ np.arange(basis.K) % 2  # (sum_k k n_k) mod 2 of each trap state
 
     # H_0 is diagonal: trap energy plus the two probe levels, (t, n_+, n_-) order;
     # orbital k carries energy k + 1/2 per particle
     h_trap = basis.states @ (np.arange(basis.K) + 0.5)
     h_probe = (np.arange(d) + 0.5) * probe.Omega
-    H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
+    H0 = (h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()
 
-    even = np.flatnonzero((np.arange(d) - _trap_parity(basis)[:, None]) % 2 == 0)
+    even = np.flatnonzero((np.arange(d) - parity[:, None]) % 2 == 0)
     n = even.size
     h = ((h_trap[:, None] + h_probe[0]) + h_probe).ravel()[even]
-    # Lambda_L - Lambda_R joins trap states of opposite parity and P_- adjacent
-    # relative levels, so a product entry whose row is kept has its column kept too;
-    # P_- / sqrt 2 is the real sqrt(M Omega / 4) (b + b^T) in the frame
-    lam = (lamL - lamR).tocoo()
+    t, m = np.divmod(even, d)
+
+    # v's row (t, m) is D's row t times P_- / sqrt 2 = sqrt(M Omega / 4) (b + b^T) in the
+    # frame: per entry D[t, t'], in D's column order, the levels m - 1 and m + 1 that exist.
+    # D flips the trap parity and P_- the level's, so both are kept levels of t', its
+    # ((m -+ 1) // 2)-th; the row's diagonal slot comes after the entries left of column t
     low = probe_lowering(d)
     quad = np.sqrt(probe.M * probe.Omega / 4.0) * (low + low.T)
-    i, j = np.nonzero(quad)
-    rows = (lam.row[:, None] * d + i).ravel()
-    cols = (lam.col[:, None] * d + j).ravel()
-    vals = (lam.data[:, None] * quad[i, j]).ravel()
-    index = np.full(basis.dimension * d, -1)
-    index[even] = np.arange(n)
-    kept = index[rows] >= 0
-    # V has no diagonal, so the diagonal enters as explicit zeros: the pattern then holds H_0 as well
-    at = np.arange(n)
-    v = sp.csr_matrix(
-        (
-            np.concatenate((vals[kept], np.zeros(n))),
-            (np.concatenate((index[rows[kept]], at)), np.concatenate((index[cols[kept]], at))),
-        ),
-        shape=(n, n),
-    )
-    row_of = np.repeat(at, np.diff(v.indptr))
-    diag = np.flatnonzero(v.indices == row_of)
+    kept = (d + 1 - parity) // 2
+    first = np.cumsum(kept) - kept  # position of each trap state's lowest kept level
+    per_t = np.diff(D.indptr)
+    rows_of_D = np.repeat(np.arange(basis.dimension), per_t)
+    left = np.bincount(rows_of_D[D.indices < rows_of_D], minlength=basis.dimension)[t]
+    below, above = m > 0, m < d - 1
+    width = below + above.astype(np.int64)
+    per_row = per_t[t]
+    indptr = np.concatenate(([0], np.cumsum(per_row * width + 1)))
+    diag = indptr[:-1] + left * width
+    data = np.zeros(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(n)
+
+    def each(a):  # a per-row value at each of the row's D entries
+        return np.repeat(a, per_row)
+
+    # the j-th entry of D's row t is D.data[ent], and its first slot in v is `slot`
+    j = np.arange(per_row.sum()) - each(np.cumsum(per_row) - per_row)
+    ent = each(D.indptr[t]) + j
+    slot = each(indptr[:-1]) + j * each(width) + (j >= each(left))
+    col = first[D.indices[ent].astype(np.intp)]
+    # a level past either end is not kept; `% d` only keeps its index in range
+    for has, step, at in ((below, -1, slot), (above, 1, slot + each(below))):
+        sel = each(has)
+        indices[at[sel]] = (col + each((m + step) // 2))[sel]
+        data[at[sel]] = (D.data[ent] * each(quad[m, (m + step) % d]))[sel]
+    v = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
     edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
-    return JointHamiltonian(basis, probe, H0, lamL, lamR, even, edges, h, v, diag, radius)
+    number = basis.states.sum(axis=1)
+    return JointHamiltonian(basis, probe, H0, D, number, parity == 1, even, edges, h, v, diag, radius)
 
 
 def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
@@ -186,18 +200,18 @@ def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> 
 
     The zero-excitation branch is (1 - i T H_0)|phi>|00>. The + and -
     single excitations carry area * sqrt(M Omega / 4) times N|phi> and
-    (Lambda_L - Lambda_R)|phi>, so the L and R branches carry
+    D|phi> = (Lambda_L - Lambda_R)|phi>, so the L and R branches carry
     area * sqrt(M Omega / 2) * Lambda|phi>. The free-evolution term lives
     entirely in the branch that post-selection discards.
     """
     probe = ham.probe
     joint = embed_product(phi, probe)
     # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
-    h00 = ham.H0.diagonal().reshape(joint.shape)[:, 0, 0]
+    h00 = ham.H0.reshape(joint.shape)[:, 0, 0]
     joint[:, 0, 0] -= 1j * pulse.T * h00 * phi
     amp = pulse.area * np.sqrt(probe.M * probe.Omega / 4.0)
-    joint[:, 1, 0] = amp * ham.basis.states.sum(axis=1) * phi
-    joint[:, 0, 1] = amp * (ham.lamL @ phi - ham.lamR @ phi)
+    joint[:, 1, 0] = amp * ham.number * phi
+    joint[:, 0, 1] = amp * (ham.D @ phi)
     return joint
 
 
@@ -305,8 +319,9 @@ def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndar
     """The joint state after the pulse, from the trap state `phi` with both probes in their ground state.
 
     H_0 and V conserve the particle number N, and in each sector the + mode
-    evolves apart from the rest, in closed form (`_centre_of_mass`); the
-    returned array holds it on the probe levels. The trap and the relative
+    evolves apart from the rest, in closed form (`_centre_of_mass`, once per
+    N and read per trap state through `ham.number`); the returned array
+    holds it on the probe levels. The trap and the relative
     mode evolve under h + g0 v on the mirror-even half of the sectors from
     the lowest to the highest N that `phi` occupies (one contiguous range of
     the graded basis), and the others stay zero. A `phi` with an odd-parity
@@ -321,7 +336,7 @@ def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndar
         raise ValueError(
             f"trap state shape {phi.shape} does not match the Hamiltonian's basis {(basis.dimension,)}"
         )
-    odd = np.linalg.norm(phi[_trap_parity(basis) == 1])
+    odd = np.linalg.norm(phi[ham.odd])
     if odd > _NORM_TOL:
         raise ValueError(
             f"trap state has an odd-parity part of norm {odd:.3e}; "
@@ -330,7 +345,7 @@ def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndar
     relative = np.zeros(basis.dimension * d, dtype=np.complex128)
     occupied = np.flatnonzero(phi)
     if occupied.size:
-        lo, hi = basis.states[occupied[[0, -1]]].sum(axis=1)
+        lo, hi = ham.number[occupied[[0, -1]]]
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
         rows = ham.even[span]
         y = np.where(rows % d == 0, phi[rows // d], 0.0)
@@ -341,5 +356,5 @@ def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndar
                 f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}"
             )
         relative[rows] = out * _I_POW[rows % d % 4]  # back from the frame
-    plus = _centre_of_mass(basis.states.sum(axis=1), ham.probe, pulse)
+    plus = _centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
     return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]

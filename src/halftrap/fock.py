@@ -1,4 +1,4 @@
-"""Truncated multimode bosonic Fock space: basis, Lambda operators, embedding.
+"""Truncated multimode bosonic Fock space: basis, Lambda operators, their imbalance, embedding.
 
 Operators are `scipy.sparse.csr_matrix` and trap vectors complex arrays in
 basis order. This is the explicit computational path. It is exact within the
@@ -21,6 +21,7 @@ from .orbitals import OverlapTable
 __all__ = [
     "FockBasis",
     "build_lambda_operator",
+    "build_imbalance_operator",
     "to_fock_vector",
     "single_particle_commutator_residual",
     "locality_product_residual",
@@ -79,14 +80,12 @@ class FockBasis:
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
-    """Second-quantized half-space operator sum_{kl} lambda_{kl} a_k^dag a_l.
+def _hop_operator(table: OverlapTable, basis: FockBasis, coeff, diagonal: bool) -> sp.csr_matrix:
+    """sum_{kl} coeff(k, l) a_k^dag a_l over the pairs k + l odd, and k = l if `diagonal`.
 
-    Number conserving by construction; hermitian because the overlap matrix
-    is symmetric real. Built in O(nnz): every entry is lambda_kl times
+    Built in O(nnz): every entry is coeff(k, l) times
     <m + e_k| a_k^dag a_l |m + e_l> = sqrt((m_k + 1) (m_l + 1)) for a state m
-    one particle down, and lambda_kl is nonzero on the diagonal and for k + l
-    odd only.
+    one particle down. Off the diagonal no two pairs reach the same entry.
     """
     if table.K != basis.K:
         raise ValueError(
@@ -98,12 +97,33 @@ def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> s
     up = j.reshape(basis.K, -1).T
     raised = basis.states[: len(up)] + 1
     modes = np.arange(basis.K if len(up) else 0)  # no pairs without a particle to move
-    k, l = np.nonzero((modes[:, None] % 2 != modes % 2) | np.eye(len(modes), dtype=bool))
-    lam = table.entries(side, k, l)
-    vals = lam * np.sqrt(raised[:, l] * raised[:, k])
+    k, l = np.nonzero((modes[:, None] % 2 != modes % 2) | (diagonal & np.eye(len(modes), dtype=bool)))
+    vals = coeff(k, l) * np.sqrt(raised[:, l] * raised[:, k])
     return sp.coo_matrix(
         (vals.ravel(), (up[:, k].ravel(), up[:, l].ravel())), shape=(basis.dimension, basis.dimension)
     ).tocsr()
+
+
+def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
+    """Second-quantized half-space operator sum_{kl} lambda_{kl} a_k^dag a_l.
+
+    Number conserving by construction; hermitian because the overlap matrix
+    is symmetric real. lambda_kl is nonzero on the diagonal and for k + l
+    odd only.
+    """
+    return _hop_operator(table, basis, lambda k, l: table.entries(side, k, l), diagonal=True)
+
+
+def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
+    """D = Lambda_L - Lambda_R, from the pairs k + l odd alone.
+
+    lambdaL = delta - lambdaR, so D's diagonal is exactly zero, and off it
+    lambda^L_kl = -lambda^R_kl bit for bit: D equals the difference of the
+    two `build_lambda_operator` results bit for bit, with no diagonal stored.
+    """
+    return _hop_operator(
+        table, basis, lambda k, l: table.entries("L", k, l) - table.entries("R", k, l), diagonal=False
+    )
 
 
 def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -106,14 +106,13 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None
         area = cfg.g_ref / alpha_sq**2
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
-    pulse = measurement.Pulse.square(T=cfg.pulse_T, g0=area / cfg.pulse_T)
+    g0 = area / cfg.pulse_T
+    area = g0 * cfg.pulse_T  # `Pulse.area`, which an amplitude that overflows makes infinite
     # the weight as `block_from_moments` forms it, with a product in place of its `** 2`
-    weight = pulse.area * pulse.area * cfg.probe_M * cfg.probe_Omega / 2.0 * S
+    weight = area * area * cfg.probe_M * cfg.probe_Omega / 2.0 * S
     if not isfinite(weight):
-        raise ConfigError(
-            key, f"sets the pulse area {pulse.area:.3g}, whose first-order weight overflows"
-        )
-    return pulse
+        raise ConfigError(key, f"sets the pulse area {area:.3g}, whose first-order weight overflows")
+    return measurement.Pulse.square(T=cfg.pulse_T, g0=g0)
 
 
 def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> np.ndarray:

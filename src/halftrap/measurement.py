@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import hypot, inf, sqrt
+from math import hypot, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -46,10 +46,10 @@ class ProbeParams:
     levels: int = 2
 
     def __post_init__(self) -> None:
-        if not self.M > 0:
-            raise ValueError(f"probe mass must be positive, got {self.M}")
-        if not self.Omega > 0:
-            raise ValueError(f"probe frequency must be positive, got {self.Omega}")
+        if not (self.M > 0 and isfinite(self.M)):
+            raise ValueError(f"probe mass M must be positive and finite, got {self.M}")
+        if not (self.Omega > 0 and isfinite(self.Omega)):
+            raise ValueError(f"probe frequency Omega must be positive and finite, got {self.Omega}")
         if self.levels < 2:
             raise ValueError(f"probe needs at least 2 levels, got {self.levels}")
 
@@ -63,8 +63,10 @@ class Pulse:
 
     @classmethod
     def square(cls, T: float, g0: float) -> "Pulse":
-        if not T > 0:
-            raise ValueError(f"pulse duration must be positive, got {T}")
+        if not (T > 0 and isfinite(T)):
+            raise ValueError(f"pulse duration T must be positive and finite, got {T}")
+        if not isfinite(g0):
+            raise ValueError(f"pulse amplitude g0 must be finite, got {g0}")
         return cls(T=float(T), g0=float(g0))
 
     @property

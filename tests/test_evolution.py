@@ -30,7 +30,7 @@ from halftrap.evolution import (
     perturbative_state,
     probe_lowering,
 )
-from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.fock import FockBasis, build_lambda_operator, to_fock_vector
 from halftrap.measurement import postselect
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
@@ -52,11 +52,16 @@ def probe_momentum(probe: ProbeParams) -> np.ndarray:
     return 1j * np.sqrt(probe.M * probe.Omega / 2.0) * (b.T - b)
 
 
-def _full_coupling(ham):
+def _lambda_pair(table, basis):
+    return tuple(build_lambda_operator(side, table, basis) for side in "LR")
+
+
+def _full_coupling(ham, table):
     """V = Lambda_L P_L + Lambda_R P_R on the whole flattened (trap, n_L, n_R) space."""
+    lamL, lamR = _lambda_pair(table, ham.basis)
     eye = sp.identity(ham.probe.levels, format="csr")
     P = sp.csr_matrix(probe_momentum(ham.probe))
-    return (sp.kron(sp.kron(ham.lamL, P), eye) + sp.kron(sp.kron(ham.lamR, eye), P)).tocsr()
+    return (sp.kron(sp.kron(lamL, P), eye) + sp.kron(sp.kron(lamR, eye), P)).tocsr()
 
 
 def _branches(joint):
@@ -103,7 +108,7 @@ def test_branch_weight_matches_moments(setup4):
     phi = to_fock_vector(state.amplitudes, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
     _, left, right = _branches(perturbative_state(phi, ham, pulse))
-    mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
+    mom = moments_from_fock(state, basis, *_lambda_pair(table, basis))
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
     w10 = float(np.vdot(left, left).real)
     w01 = float(np.vdot(right, right).real)
@@ -217,12 +222,12 @@ def test_sampled_pulse_agrees_with_square(setup4):
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
-def _full_space_states(initial, ham, pulse):
+def _full_space_states(initial, ham, table, pulse):
     """Oracle: expm_multiply over the whole (trap, n_L, n_R) space, every sector at once.
 
     `initial` holds one flattened joint state per column.
     """
-    A = ((-1j * pulse.T) * (ham.H0 + pulse.g0 * _full_coupling(ham))).tocsc()
+    A = ((-1j * pulse.T) * (sp.diags(ham.H0) + pulse.g0 * _full_coupling(ham, table))).tocsc()
     return _stepped_expm(A, initial, 8.0)
 
 
@@ -254,11 +259,11 @@ def full_space_10():
     """Per K = 1..6: the 10-level Hamiltonian, and the full-space oracle of every state and pulse."""
     out = {}
     for K in range(1, 7):
-        basis = FockBasis(K, 4)
-        ham = build_joint_hamiltonian(build_overlap_table(K), basis, ProbeParams(levels=10))
+        basis, table = FockBasis(K, 4), build_overlap_table(K)
+        ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=10))
         phis = [to_fock_vector(state.amplitudes, basis) for state in _ORACLE_STATES.values()]
         initial = np.stack([embed_product(phi, ham.probe).reshape(-1) for phi in phis], axis=1)
-        expected = [_full_space_states(initial, ham, pulse) for pulse in _ORACLE_PULSES]
+        expected = [_full_space_states(initial, ham, table, pulse) for pulse in _ORACLE_PULSES]
         out[K] = ham, dict(zip(_ORACLE_STATES, zip(phis, zip(*(e.T for e in expected)))))
     return out
 
@@ -302,9 +307,9 @@ def test_centre_of_mass_mode_is_the_driven_oscillator(N, g0, T, M, Omega):
 
 @pytest.mark.parametrize("K, levels", [(1, 2), (3, 3), (4, 4)])
 def test_mirror_sectors_reduce_the_full_operators(K, levels):
-    basis = FockBasis(K, 4)
+    basis, table = FockBasis(K, 4), build_overlap_table(K)
     probe = ProbeParams(levels=levels)
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    ham = build_joint_hamiltonian(table, basis, probe)
     # H_0 against its loop over the occupation tuples: half-integer sums, so equal exactly
     h0 = [
         sum((k + 0.5) * n for k, n in enumerate(occ)) + (a + 0.5) + (b + 0.5)
@@ -312,20 +317,21 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
         for a in range(levels)
         for b in range(levels)
     ]
-    assert np.array_equal(ham.H0.diagonal(), h0)
+    assert np.array_equal(ham.H0, h0)
     d = levels
     parity = basis.states @ np.arange(K) % 2
     # the mirror-even half keeps the relative levels of the trap state's parity
     even = [t * d + m for t in range(basis.dimension) for m in range(d) if (m - parity[t]) % 2 == 0]
     assert np.array_equal(ham.even, even)
     t, m = np.divmod(ham.even, d)
-    assert np.array_equal(ham.h, ham.H0.diagonal().reshape(-1, d, d)[t, 0, m])
+    assert np.array_equal(ham.h, ham.H0.reshape(-1, d, d)[t, 0, m])
     assert ham.h.dtype == ham.v.dtype == ham.radius.dtype == np.float64
     # v is (Lambda_L - Lambda_R) P_- / sqrt 2, with P_- in the frame |m> -> i^m |m>, where it is real
     frame = np.diag(np.array([1, 1j, -1, -1j])[np.arange(d) % 4])
     P = frame.conj().T @ probe_momentum(probe) @ frame
     assert np.abs(P.imag).max() == 0.0
-    full = sp.kron(ham.lamL - ham.lamR, sp.csr_matrix(P.real / np.sqrt(2.0))).tocsr()
+    lamL, lamR = _lambda_pair(table, basis)
+    full = sp.kron(lamL - lamR, sp.csr_matrix(P.real / np.sqrt(2.0))).tocsr()
     assert abs(full[ham.even][:, ham.even] - ham.v).max() <= 1e-15
     # the even half is closed under v: none of its rows reaches an odd state
     assert full[ham.even].nnz == full[ham.even][:, ham.even].nnz
@@ -343,6 +349,90 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     n_even = int(np.count_nonzero(parity == 0))
     assert ham.edges[0] == 0
     assert ham.edges[-1] == n_even * ((d + 1) // 2) + (parity.size - n_even) * (d // 2) == n
+
+
+def _reference_build(table, basis, probe):
+    """Oracle: the former build of `build_joint_hamiltonian`.
+
+    It builds Lambda_L and Lambda_R, subtracts them, forms every product of
+    an entry of the difference with one of P_- / sqrt 2 in COO form, keeps
+    the rows of the mirror-even half and lets `tocsr` sort the entries.
+    """
+    d = probe.levels
+    lamL, lamR = _lambda_pair(table, basis)
+    h_trap = basis.states @ (np.arange(basis.K) + 0.5)
+    h_probe = (np.arange(d) + 0.5) * probe.Omega
+    H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
+    parity = basis.states @ np.arange(basis.K) % 2
+    even = np.flatnonzero((np.arange(d) - parity[:, None]) % 2 == 0)
+    n = even.size
+    h = ((h_trap[:, None] + h_probe[0]) + h_probe).ravel()[even]
+    lam = (lamL - lamR).tocoo()
+    low = probe_lowering(d)
+    quad = np.sqrt(probe.M * probe.Omega / 4.0) * (low + low.T)
+    i, j = np.nonzero(quad)
+    rows = (lam.row[:, None] * d + i).ravel()
+    cols = (lam.col[:, None] * d + j).ravel()
+    vals = (lam.data[:, None] * quad[i, j]).ravel()
+    index = np.full(basis.dimension * d, -1)
+    index[even] = np.arange(n)
+    kept = index[rows] >= 0
+    at = np.arange(n)
+    v = sp.csr_matrix(
+        (
+            np.concatenate((vals[kept], np.zeros(n))),
+            (np.concatenate((index[rows[kept]], at)), np.concatenate((index[cols[kept]], at))),
+        ),
+        shape=(n, n),
+    )
+    row_of = np.repeat(at, np.diff(v.indptr))
+    diag = np.flatnonzero(v.indices == row_of)
+    radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
+    edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
+    return {"H0": H0.diagonal(), "even": even, "edges": edges, "h": h, "v": v, "diag": diag, "radius": radius}
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_joint_hamiltonian_matches_the_two_lambda_build_bit_for_bit(K):
+    # odd and even level counts: an odd d gives the two trap parities different row counts
+    table = build_overlap_table(K)
+    for n_max in range(5):
+        basis = FockBasis(K, n_max)
+        for levels in range(2, 6):
+            probe = ProbeParams(M=0.7, Omega=1.3, levels=levels)
+            ham = build_joint_hamiltonian(table, basis, probe)
+            ref = _reference_build(table, basis, probe)
+            for attr in ("data", "indices", "indptr"):
+                got, expect = getattr(ham.v, attr), getattr(ref["v"], attr)
+                assert got.dtype == expect.dtype and np.array_equal(got, expect), (n_max, levels, attr)
+            for name in ("H0", "even", "edges", "h", "diag", "radius"):
+                assert np.array_equal(getattr(ham, name), ref[name]), (n_max, levels, name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(K=st.integers(1, 8), n_max=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_coupling_weight_is_the_lambda_pair_weight_on_random_states(K, n_max, seed):
+    # (|N phi|^2 + |D phi|^2) / 2 against |Lambda_L phi|^2 + |Lambda_R phi|^2, over the whole basis
+    table, basis = build_overlap_table(K), FockBasis(K, n_max)
+    ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=2))
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    vL, vR = (lam @ phi for lam in _lambda_pair(table, basis))
+    expect = float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
+    assert abs(ham.coupling_weight(phi) - expect) <= 1e-14 * expect
+
+
+def test_basis_constants_are_the_per_state_values():
+    basis = FockBasis(8, 4)
+    probe = ProbeParams(levels=4)
+    ham = build_joint_hamiltonian(build_overlap_table(8), basis, probe)
+    assert np.array_equal(ham.number, basis.states.sum(axis=1))
+    assert np.array_equal(ham.odd, basis.states @ np.arange(8) % 2 == 1)
+    # the centre-of-mass mode per sector, indexed by N, has the bits of its per-state form
+    for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=7.0, g0=1.5)):
+        per_state = evolution._centre_of_mass(basis.states.sum(axis=1), probe, pulse)
+        per_sector = evolution._centre_of_mass(np.arange(basis.n_max + 1), probe, pulse)[ham.number]
+        assert np.array_equal(per_sector, per_state)
 
 
 def test_mirror_halves_the_exact_sweep_sectors():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from halftrap.fock import (
     FockBasis,
+    build_imbalance_operator,
     build_lambda_operator,
     single_particle_commutator_residual,
     to_fock_vector,
@@ -239,6 +240,18 @@ def test_lambda_operator_matches_loop_oracle_past_int64_codes(K, n_max):
         _assert_same_csr(got, _loop_lambda_operator(side, table, basis))
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+def test_imbalance_operator_is_the_lambda_difference_bit_for_bit(K):
+    # scipy's difference drops the diagonal, which cancels exactly; D never stores it
+    table = build_overlap_table(K)
+    for n_max in range(5):
+        basis = FockBasis(K, n_max)
+        D = build_imbalance_operator(table, basis)
+        lamL, lamR = (build_lambda_operator(side, table, basis) for side in "LR")
+        _assert_same_csr(D, lamL - lamR)
+        assert not (D.indices == np.repeat(np.arange(basis.dimension), np.diff(D.indptr))).any()
+
+
 def test_sectors_are_the_particle_number_blocks():
     for K, n_max in ((1, 0), (1, 3), (3, 2), (6, 4)):
         basis = FockBasis(K, n_max)
@@ -299,3 +312,5 @@ def test_invalid_side_rejected(table8):
 def test_basis_table_mode_mismatch_rejected(table8):
     with pytest.raises(ValueError):
         build_lambda_operator("L", table8, FockBasis(2, 1))
+    with pytest.raises(ValueError, match="K=8 but basis has K=2"):
+        build_imbalance_operator(table8, FockBasis(2, 1))

@@ -469,8 +469,10 @@ def _count_calls(monkeypatch, owner, attr: str) -> list:
     return calls
 
 
-def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
+def test_exact_point_builds_one_imbalance_operator(table6, monkeypatch):
+    # the exact route reads Lambda_L - Lambda_R only, built as one operator
     calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
+    imbalance = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     cfg = ExperimentConfig.from_entries(
         {
             "state": "number",
@@ -484,15 +486,18 @@ def test_exact_point_builds_each_lambda_operator_once(table6, monkeypatch):
     )
     row = evaluate_point(cfg, table6)
     assert row.error == ""
-    assert sorted(calls) == ["L", "R"]
+    assert calls == []
+    assert imbalance == [table6]
 
 
-def test_perturbation_target_builds_each_lambda_operator_once(accept_cfg, monkeypatch):
-    # the first-order model reuses the operators of the Hamiltonian it is checked against
+def test_perturbation_target_builds_one_imbalance_operator(accept_cfg, monkeypatch):
+    # the first-order model reuses the operator of the Hamiltonian it is checked against
     calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
+    imbalance = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     ok, detail = TARGETS["perturbation"](accept_cfg)
     assert ok, detail
-    assert sorted(calls) == ["L", "R"]
+    assert calls == []
+    assert len(imbalance) == 1
 
 
 _ROUTE = {
@@ -515,6 +520,7 @@ def _route_cfg(path: str, **entries: str) -> ExperimentConfig:
         ({"pulse.area": "1e155"}, "pulse.area"),
         ({"pulse.amplitude_target": "1e200"}, "pulse.amplitude_target"),
         ({"pulse.preset": "inverse-quartic", "pulse.g_ref": "1e200"}, "pulse.g_ref"),
+        ({"pulse.area": "1e308", "pulse.T": "0.5"}, "pulse.area"),  # g0 = area / T overflows too
     ],
 )
 def test_a_pulse_whose_first_order_weight_overflows_is_refused(entries, field):
@@ -571,12 +577,14 @@ def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
 
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
 def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
+    # the fock route builds Lambda_L and Lambda_R, the exact route their imbalance alone
     lam_calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
+    imbalance_calls = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     ham_calls = _count_calls(monkeypatch, evolution, "build_joint_hamiltonian")
     rows = run_sweep(_route_cfg(path), table6)
     assert [row.error for row in rows] == [""] * 4
-    assert sorted(lam_calls) == ["L", "R"]
-    assert len(ham_calls) == hamiltonians
+    assert sorted(lam_calls) == ([] if hamiltonians else ["L", "R"])
+    assert len(imbalance_calls) == len(ham_calls) == hamiltonians
 
 
 @pytest.mark.parametrize(

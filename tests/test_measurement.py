@@ -15,7 +15,7 @@ from halftrap.evolution import (
     embed_product,
     perturbative_state,
 )
-from halftrap.fock import FockBasis, to_fock_vector
+from halftrap.fock import FockBasis, build_lambda_operator, to_fock_vector
 from halftrap.measurement import (
     NoExtractionError,
     ProbeBlock,
@@ -47,7 +47,7 @@ def test_block_from_joint_matches_block_from_moments(small):
     joint = perturbative_state(phi, ham, pulse)
     joint[:, 0, 0] = phi
     from_joint = postselect(joint, _norm_sq(joint))
-    mom = moments_from_fock(state, basis, ham.lamL, ham.lamR)
+    mom = moments_from_fock(state, basis, *(build_lambda_operator(side, table, basis) for side in "LR"))
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
     assert np.allclose(from_joint.matrix, from_mom.matrix, atol=1e-12)
     assert from_joint.p_succ == pytest.approx(from_mom.p_succ, rel=1e-12)
@@ -142,6 +142,23 @@ def test_success_probability_nan_without_pulse():
     mom = analytic_limit_moments(number_state(2))
     block = block_from_moments(mom)
     assert np.isnan(block.p_succ)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda bad: ProbeParams(M=bad), "mass M"),
+        (lambda bad: ProbeParams(Omega=bad), "frequency Omega"),
+        (lambda bad: Pulse.square(T=bad, g0=1.0), "duration T"),
+        (lambda bad: Pulse.square(T=1.0, g0=bad), "amplitude g0"),
+    ],
+    ids=["M", "Omega", "T", "g0"],
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_non_finite_probe_and_pulse_values_are_refused(build, field, bad):
+    # before, Omega = inf or g0 = nan reached block_from_moments and gave p_succ = nan
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        build(bad)
 
 
 def test_block_validation_rejects_bad_matrices():
