@@ -21,6 +21,7 @@ from ..orbitals import build_overlap_table
 from .config import ExperimentConfig
 from .sweep import (
     LOCALITY_LADDER,
+    _Route,
     commutator_evidence,
     extract,
     perturbation_evidence,
@@ -38,16 +39,18 @@ _THERMAL_GRID = (0.5, 1.0, 4.0)
 _ROUNDOFF = 1e-12
 
 
-def _moment_route(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The configuration pinned to infinite-K limit moments and the amplitude preset."""
-    return replace(
+def _moment_route(cfg: ExperimentConfig) -> _Route:
+    """A route of the configuration pinned to infinite-K limit moments and the amplitude preset."""
+    pinned = replace(
         cfg, path="moments", extrapolate=True, pulse_preset="amplitude10", pulse_area=None
     )
+    return _Route(pinned, None)
 
 
 def _pipeline_mu(cfg: ExperimentConfig, state) -> float:
     """State -> infinite-K limit moments -> post-selected block -> partial transpose."""
-    _, block = extract(_moment_route(cfg), state, None)
+    route = _moment_route(cfg)
+    _, block = extract(route.cfg, state, route)
     return entanglement.negativity(entanglement.probe_block_density(block))
 
 
@@ -132,18 +135,15 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     The closed form sums T_IJ(K) from the arcsin series and reads no table,
     so the finite-K approach is checked too: on the locality ladder the
     series value of T_LR(K) must equal the fsum of the table column
-    lambda^L_k0 lambda^R_k0 and decrease strictly toward its limit 0.
+    lambda^L_k0 lambda^R_k0 and decrease strictly toward its limit 0. The
+    basis is a fock route's, so `exact.dim_cap` refuses it before enumerating.
     """
-    from .. import fock
-
-    table = build_overlap_table(6)
-    basis = fock.FockBasis(table.K, 4)
-    lam = [fock.build_lambda_operator(side, table, basis) for side in "LR"]
+    route = _Route(replace(cfg, path="fock", K=6, n_max=4), None)
     batch = _oracle_states(cfg.seed)
     worst = 0.0
     for state in batch:
-        closed = moments.moments_from_state(state, table.K)
-        explicit = moments.moments_from_fock(state, basis, *lam)
+        closed = moments.moments_from_state(state, route.cfg.K)
+        explicit = moments.moments_from_fock(state, route.basis, *route.lam)
         worst = max(
             worst,
             abs(closed.mLL - explicit.mLL),
@@ -289,7 +289,8 @@ def check_determinism(cfg: ExperimentConfig) -> tuple[bool, str]:
         write_sweep_csv(run_sweep(scan), buf)
         payloads.append(buf.getvalue())
     csv_ok = payloads[0] == payloads[1]
-    _, block = extract(_moment_route(cfg), states.coherent_state(alpha_sq=2.0), None)
+    route = _moment_route(cfg)
+    _, block = extract(route.cfg, states.coherent_state(alpha_sq=2.0), route)
     draws = [measurement.sample_outcomes(block, 10_000, cfg.seed) for _ in range(2)]
     sample_ok = draws[0] == draws[1]
     ok = csv_ok and sample_ok

@@ -19,15 +19,16 @@ from typing import ClassVar
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "apply_overrides"]
 
 _PATHS = ("moments", "fock", "exact")
-# the one parameter each state family reads, and so the only one a sweep of it may walk
+# the one field each state family reads, and so the only one a sweep of it may walk;
+# a list cannot be walked, so a superposition has no sweep parameter
 _STATE_PARAM = {
     "coherent": "alpha_sq",
     "number": "number_n",
-    "superposition": None,
+    "superposition": "coeffs",
     "thermal": "nbar",
     "phase_averaged": "alpha_sq",
 }
-_SWEEP_PARAMS = tuple(dict.fromkeys(p for p in _STATE_PARAM.values() if p))
+_SWEEP_PARAMS = tuple(dict.fromkeys(p for p in _STATE_PARAM.values() if p != "coeffs"))
 _PULSE_PRESETS = ("amplitude10", "inverse-quartic", "none")
 
 
@@ -214,19 +215,9 @@ class ExperimentConfig:
             raise ConfigError("sweep.values", "sweep requested but value list is empty")
         reads = _STATE_PARAM[self.state]
         if self.sweep_param not in (None, reads):
-            hint = f"sweep {reads!r} instead" if reads else "it has no sweep parameter"
+            hint = f"sweep {reads!r} instead" if reads in _SWEEP_PARAMS else "it has no sweep parameter"
             message = f"state {self.state!r} never reads {self.sweep_param!r}; {hint}"
             raise ConfigError("sweep.param", message)
         if self.state == "superposition" and not self.coeffs:
             raise ConfigError("coeffs", "superposition state needs a coefficient list")
 
-    def state_params(self) -> dict:
-        if self.state == "coherent":
-            return {"alpha_sq": self.alpha_sq}
-        if self.state == "number":
-            return {"N": self.number_n}
-        if self.state == "superposition":
-            return {"coeffs": self.coeffs}
-        if self.state == "thermal":
-            return {"nbar": self.nbar}
-        return {"alpha_sq": self.alpha_sq}

@@ -14,7 +14,7 @@ import csv
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from math import comb, isfinite, isnan, nan, sqrt
+from math import comb, inf, isfinite, isnan, nan, sqrt
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import entanglement, measurement, moments, states
 from ..orbitals import OverlapTable, build_overlap_table
-from .config import ConfigError, ExperimentConfig
+from .config import _STATE_PARAM, ConfigError, ExperimentConfig
 
 if TYPE_CHECKING:  # the fock and exact routes import them where they first run
     from .. import evolution, fock
@@ -81,11 +81,13 @@ def _area_key(cfg: ExperimentConfig) -> str:
     return "pulse.area" if cfg.pulse_area is not None else presets.get(cfg.pulse_preset, "pulse.area")
 
 
-def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None):
+def resolve_pulse(cfg: ExperimentConfig, S: float):
     """Pulse area from the configured preset (or the explicit override).
 
-    An area whose first-order weight area^2 (M Omega / 2) S is not finite is
-    refused, naming the key that set it.
+    The inverse-quartic preset reads `alpha_sq`, so it needs a state family
+    that reads it too. An area whose first-order weight area^2 (M Omega / 2) S
+    is not finite, or that divides by an alpha_sq^2 that underflows to zero,
+    is refused, naming the key that set it.
     """
     key = _area_key(cfg)
     if cfg.pulse_area is not None:
@@ -98,12 +100,13 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float | None = None
             )
         area = cfg.amplitude_target / sqrt(scale)
     elif cfg.pulse_preset == "inverse-quartic":
-        if alpha_sq is None or alpha_sq <= 0.0:
+        if _STATE_PARAM[cfg.state] != "alpha_sq" or cfg.alpha_sq <= 0.0:
             raise ConfigError(
                 "pulse.preset",
                 "inverse-quartic scaling needs a coherent-family state with alpha_sq > 0",
             )
-        area = cfg.g_ref / alpha_sq**2
+        square = cfg.alpha_sq**2
+        area = cfg.g_ref / square if square else inf  # an underflow, refused as an overflow below
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
     g0 = area / cfg.pulse_T
@@ -128,9 +131,8 @@ def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> np.ndarr
 
 
 def _build_state(cfg: ExperimentConfig) -> states.TrapState:
-    return states.make_state(
-        cfg.state, cfg.state_params(), n_cut=cfg.n_cut, tail_tol=cfg.tail_tol
-    )
+    value = getattr(cfg, _STATE_PARAM[cfg.state])
+    return states.make_state(cfg.state, value, n_cut=cfg.n_cut, tail_tol=cfg.tail_tol)
 
 
 def _closed_form_for(cfg: ExperimentConfig) -> float | None:
@@ -205,10 +207,7 @@ class _Route:
 
 
 def extract(
-    cfg: ExperimentConfig,
-    state: states.TrapState,
-    table: OverlapTable | None,
-    route: _Route | None = None,
+    cfg: ExperimentConfig, state: states.TrapState, route: _Route
 ) -> tuple[moments.ProbeBlockMoments | None, measurement.ProbeBlock]:
     """The point pipeline: block moments by route, pulse, post-selected block.
 
@@ -218,18 +217,16 @@ def extract(
     instead and returns None for the moments; a mixture evolves as the
     vector sum_n sqrt(p_n) |n>, which gives the same block, since H
     conserves N and every quantity post-selection forms is a sum within one
-    sector. `route` carries a sweep's table and Fock operators; without it
-    the point builds its own.
+    sector. `route` carries the table and Fock operators, built on first
+    use, so a sweep that passes one route to every point builds them once.
     """
     probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-    route = route or _Route(cfg, table)
-    alpha_sq = cfg.alpha_sq if cfg.state in ("coherent", "phase_averaged") else None
     if cfg.path == "exact":
         from .. import fock
 
         ham = route.ham
         phi = fock.to_fock_vector(state.vector, ham.basis)
-        pulse = resolve_pulse(cfg, ham.coupling_weight(phi), alpha_sq)
+        pulse = resolve_pulse(cfg, ham.coupling_weight(phi))
         final = _exact_final(cfg, ham, phi, pulse)
         return None, measurement.postselect(final, state.norm_sq())
     if cfg.path == "fock":
@@ -238,7 +235,7 @@ def extract(
         mom = moments.analytic_limit_moments(state)
     else:
         mom = moments.moments_from_state(state, cfg.K)
-    pulse = resolve_pulse(cfg, mom.S, alpha_sq)
+    pulse = resolve_pulse(cfg, mom.S)
     return mom, measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
 
 
@@ -246,7 +243,7 @@ def single_block(
     cfg: ExperimentConfig, table: OverlapTable | None = None
 ) -> measurement.ProbeBlock:
     """Post-selected block for the configured state, via the configured path."""
-    return extract(cfg, _build_state(cfg), table)[1]
+    return extract(cfg, _build_state(cfg), _Route(cfg, table))[1]
 
 
 def evaluate_point(
@@ -269,7 +266,7 @@ def evaluate_point(
                 cfg = replace(cfg, **{param: float(value)})
 
         state = _build_state(cfg)
-        mom, block = extract(cfg, state, table, route)
+        mom, block = extract(cfg, state, route or _Route(cfg, table))
         if mom is None:
             out.provenance = block.source
         else:
@@ -440,7 +437,7 @@ def _scaling_section(cfg: ExperimentConfig, lines: list[str]) -> None:
             pulse_area=None,
         )
         state = states.coherent_state(alpha_sq=float(a), tail_tol=cfg.tail_tol)
-        probs.append(extract(scan, state, None)[1].p_succ)
+        probs.append(extract(scan, state, _Route(scan, None))[1].p_succ)
     slope, half = _fit_loglog(grid, np.array(probs))
     lines.append("success probability under inverse-quartic pulse areas")
     lines.append("  alpha_sq    p_succ")

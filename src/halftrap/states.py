@@ -17,9 +17,9 @@ and corrupts convergence studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, fsum, log, sqrt
+from math import ceil, fsum, hypot, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,7 @@ class PureComponent(NamedTuple):
 class TrapState:
     """Canonical form: populations p_n, n = 0..n_cut, and a pure state's amplitudes.
 
+    `kind` names the family, one of the five that `make_state` builds.
     Populations and amplitudes must be finite; `amplitudes` is None for a
     mixture of number states. The squared norm sum p_n and the factorial
     moments E[n], E[n(n-1)] are summed once, when the state is built: exactly
@@ -77,7 +78,6 @@ class TrapState:
     kind: str
     populations: np.ndarray
     amplitudes: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
@@ -144,8 +144,8 @@ class TrapState:
         return tuple(PureComponent(last[-n - 1 :]) for n in range(len(last)))
 
 
-def _pure(kind: str, coeffs: np.ndarray, params: dict, tail: float = 0.0) -> TrapState:
-    return TrapState(kind, np.abs(coeffs) ** 2, coeffs, params, tail)
+def _pure(kind: str, coeffs: np.ndarray, tail: float = 0.0) -> TrapState:
+    return TrapState(kind, np.abs(coeffs) ** 2, coeffs, tail)
 
 
 def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +224,7 @@ def coherent_state(
     p, tail = _truncate(*_poisson_weights(mean, n_cut), n_cut, tail_tol)
     phase = alpha / abs(alpha) if alpha else 1.0
     coeffs = np.sqrt(p) * phase ** np.arange(len(p))
-    return _pure("coherent", coeffs, {"alpha": complex(alpha), "alpha_sq": mean}, tail)
+    return _pure("coherent", coeffs, tail)
 
 
 def number_state(N: int) -> TrapState:
@@ -233,7 +233,7 @@ def number_state(N: int) -> TrapState:
         raise ValueError(f"particle number must be >= 0, got {N}")
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     coeffs[N] = 1.0
-    return _pure("number", coeffs, {"N": N})
+    return _pure("number", coeffs)
 
 
 def superposition_state(coeffs) -> TrapState:
@@ -243,11 +243,13 @@ def superposition_state(coeffs) -> TrapState:
         raise ValueError("coefficient list must be a non-empty 1-d sequence")
     if not np.isfinite(c).all():
         raise ValueError(f"coeffs must be finite, got {c.tolist()!r}")
-    state = _pure("superposition", c, {"n_terms": len(c)})
+    # a part past 2 puts |c|^2 past 4, and squaring it may overflow: refuse it by |c|, unsquared
+    if max(np.abs(c.real).max(), np.abs(c.imag).max()) > 2.0:
+        norm = hypot(*c.real.tolist(), *c.imag.tolist())
+        raise ValueError(f"superposition coefficients must be normalized; got |c| = {norm!r}")
+    state = _pure("superposition", c)
     if abs(state.norm_sq() - 1.0) > 1e-12:
-        raise ValueError(
-            f"superposition coefficients must be normalized; got |c|^2 = {state.norm_sq()!r}"
-        )
+        raise ValueError(f"superposition coefficients must be normalized; got |c|^2 = {state.norm_sq()!r}")
     return state
 
 
@@ -258,7 +260,7 @@ def thermal_state(
     if nbar < 0:
         raise ValueError(f"mean occupancy must be >= 0, got {nbar}")
     weights, tail = _truncate(*_geometric_weights(nbar, n_cut, tail_tol), n_cut, tail_tol)
-    return TrapState("thermal", weights, None, {"nbar": nbar}, tail)
+    return TrapState("thermal", weights, None, tail)
 
 
 def phase_averaged_state(
@@ -268,26 +270,27 @@ def phase_averaged_state(
     if alpha_sq < 0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     weights, tail = _truncate(*_poisson_weights(alpha_sq, n_cut), n_cut, tail_tol)
-    return TrapState("phase_averaged", weights, None, {"alpha_sq": alpha_sq}, tail)
+    return TrapState("phase_averaged", weights, None, tail)
 
 
-def make_state(kind: str, params: dict, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
-    """Dispatch constructor of the harness config layer; refuses an `n_cut` below the last level."""
+def make_state(kind: str, value, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
+    """The `kind` state from its one parameter, as the harness config names it.
+
+    `value` is alpha_sq for a coherent or phase-averaged state, N for a number
+    state, the coefficient list for a superposition and nbar for a thermal
+    state. `n_cut` and `tail_tol` reach the families that truncate; an `n_cut`
+    below the state's last level is refused.
+    """
     if kind == "coherent":
-        state = coherent_state(
-            alpha=params.get("alpha"),
-            alpha_sq=params.get("alpha_sq"),
-            n_cut=n_cut,
-            tail_tol=tail_tol,
-        )
+        state = coherent_state(alpha_sq=value, n_cut=n_cut, tail_tol=tail_tol)
     elif kind == "number":
-        state = number_state(params["N"])
+        state = number_state(value)
     elif kind == "superposition":
-        state = superposition_state(params["coeffs"])
+        state = superposition_state(value)
     elif kind == "thermal":
-        state = thermal_state(params["nbar"], n_cut=n_cut, tail_tol=tail_tol)
+        state = thermal_state(value, n_cut=n_cut, tail_tol=tail_tol)
     elif kind == "phase_averaged":
-        state = phase_averaged_state(params["alpha_sq"], n_cut=n_cut, tail_tol=tail_tol)
+        state = phase_averaged_state(value, n_cut=n_cut, tail_tol=tail_tol)
     else:
         raise ValueError(f"unknown state kind {kind!r}")
     if n_cut is not None and state.n_cut > n_cut:

@@ -521,16 +521,18 @@ def _route_cfg(path: str, **entries: str) -> ExperimentConfig:
         ({"pulse.amplitude_target": "1e200"}, "pulse.amplitude_target"),
         ({"pulse.preset": "inverse-quartic", "pulse.g_ref": "1e200"}, "pulse.g_ref"),
         ({"pulse.area": "1e308", "pulse.T": "0.5"}, "pulse.area"),  # g0 = area / T overflows too
+        # alpha_sq^2 underflows to 0, so g_ref / alpha_sq^2 would divide by zero
+        ({"pulse.preset": "inverse-quartic", "alpha_sq": "1e-200"}, "pulse.g_ref"),
     ],
 )
 def test_a_pulse_whose_first_order_weight_overflows_is_refused(entries, field):
     # area^2 (M Omega / 2) S passes the largest float, 1.8e308, for each of these
     cfg = ExperimentConfig.from_entries(entries)
     with pytest.raises(ConfigError) as err:
-        resolve_pulse(cfg, 4.0, alpha_sq=2.0)
+        resolve_pulse(cfg, 4.0)
     assert err.value.fieldname == field
     assert resolve_pulse(replace(cfg, pulse_area=1e153), 4.0).area == 1e153
-    sweep = {"sweep.param": "alpha_sq", "sweep.values": "1, 2"}
+    sweep = {"sweep.param": "alpha_sq", "sweep.values": entries.get("alpha_sq", "1, 2")}
     rows = run_sweep(ExperimentConfig.from_entries({**entries, **sweep}))
     assert all(row.error.startswith(f"ConfigError: config field {field!r}") for row in rows)
 
@@ -716,6 +718,15 @@ def test_the_cap_bounds_the_nonzeros_of_lambda(path, K, n_max, monkeypatch):
     assert err.value.fieldname == "exact.dim_cap"
     monkeypatch.undo()
     assert single_block(ExperimentConfig.from_entries({**entries, "exact.dim_cap": str(cap)})).p_succ > 0
+
+
+def test_the_oracle_target_builds_its_basis_under_the_cap(accept_cfg):
+    # the oracle's fock basis at K = 6 and n_max = 4 holds C(10, 6) = 210 states
+    with pytest.raises(ConfigError, match="Fock dimension .* = C[(]4 [+] 6, 6[)] = 210") as err:
+        TARGETS["oracle"](replace(accept_cfg, exact_dim_cap=209))
+    assert err.value.fieldname == "exact.dim_cap"
+    ok, _ = TARGETS["oracle"](replace(accept_cfg, exact_dim_cap=210))
+    assert ok
 
 
 @pytest.mark.parametrize("verb", [["accept", "perturbation"], ["validate"]])

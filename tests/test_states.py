@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -16,6 +17,7 @@ from scipy.stats import poisson
 
 from halftrap.fock import FockBasis, to_fock_vector
 from halftrap.harness.config import ExperimentConfig, parse_config_text
+from halftrap.harness.sweep import _build_state
 from halftrap.states import (
     TailToleranceError,
     TrapState,
@@ -89,9 +91,10 @@ def test_auto_cutoff_meets_tolerance():
 def assert_minimal_cutoff(state, sf, tail_tol):
     # sf(n) is the exact mass beyond n: the tail is it, and one less cutoff fails
     n = state.n_cut
-    assert 0.0 <= state.tail_mass < tail_tol, (state.params, n, state.tail_mass)
-    assert state.tail_mass == pytest.approx(sf(n), rel=1e-9, abs=1e-300), (state.params, n)
-    assert n == 0 or sf(n - 1) >= tail_tol, (state.params, n)
+    which = (state.kind, state.factorial_moments()[0], n)  # E[n] is the family's mean
+    assert 0.0 <= state.tail_mass < tail_tol, (*which, state.tail_mass)
+    assert state.tail_mass == pytest.approx(sf(n), rel=1e-9, abs=1e-300), which
+    assert n == 0 or sf(n - 1) >= tail_tol, which
 
 
 def test_large_amplitude_cutoffs_are_minimal_and_exact():
@@ -197,9 +200,8 @@ def component_sums(state) -> tuple[float, float, float]:
 )
 def test_mixture_sums_match_component_oracle(kind, mean, tail_tol):
     # phase-averaged means run to 190, thermal ones to 10: n_cut <= 300 both
-    param = "alpha_sq" if kind == "phase_averaged" else "nbar"
     scale = 19.0 if kind == "phase_averaged" else 1.0
-    state = make_state(kind, {param: mean * scale}, tail_tol=tail_tol)
+    state = make_state(kind, mean * scale, tail_tol=tail_tol)
     assert state.n_cut <= 300
     norm, n1, n2 = component_sums(state)
     assert state.norm_sq() == pytest.approx(norm, rel=1e-14, abs=0.0)
@@ -295,10 +297,7 @@ def _benchmark_grid_states() -> list:
                 cfg = ExperimentConfig.from_entries(parse_config_text(sweep.config_text()))
                 for v in cfg.sweep_values:
                     value = int(v) if cfg.sweep_param == "number_n" else v
-                    point = replace(cfg, **{cfg.sweep_param: value})
-                    out.append(
-                        make_state(point.state, point.state_params(), point.n_cut, point.tail_tol)
-                    )
+                    out.append(_build_state(replace(cfg, **{cfg.sweep_param: value})))
     return out
 
 
@@ -306,7 +305,7 @@ def test_support_sums_match_full_fsum_on_the_benchmark_grids():
     grid = _benchmark_grid_states()
     assert {s.kind for s in grid} == {"coherent", "number", "thermal"}
     for state in grid:
-        assert (state.norm_sq(), *state.factorial_moments()) == full_fsums(state), state.params
+        assert (state.norm_sq(), *state.factorial_moments()) == full_fsums(state), (state.kind, state.n_cut)
 
 
 _wide_amplitudes = st.lists(
@@ -388,6 +387,15 @@ def test_superposition_requires_normalization():
         superposition_state([1.0, 1.0])
 
 
+@pytest.mark.parametrize("coeffs", [[1e200, 0.0], [0.6, 8e199j]], ids=["real", "imaginary"])
+def test_huge_superposition_coefficients_are_refused_before_they_are_squared(coeffs):
+    # |c_n|^2 overflows to inf; the refusal names the normalization, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="superposition coefficients must be normalized"):
+            superposition_state(coeffs)
+
+
 @pytest.mark.parametrize(
     "coeffs", [[np.nan, 1.0], [1.0, np.inf], [0.6, complex(0.0, -np.inf)]], ids=["nan", "inf", "complex-inf"]
 )
@@ -432,12 +440,24 @@ def test_superposition_properties(raw):
 
 
 def test_make_state_dispatch():
-    assert make_state("number", {"N": 2}).kind == "number"
-    assert make_state("coherent", {"alpha_sq": 1.0}).kind == "coherent"
-    assert make_state("thermal", {"nbar": 0.5}).kind == "thermal"
-    assert make_state("superposition", {"coeffs": [1.0]}).kind == "superposition"
-    with pytest.raises((KeyError, ValueError)):
-        make_state("bogus", {})
+    # the one value reaches the family's constructor, and a truncating family's the cutoff too
+    cases = [
+        ("coherent", 1.0, partial(coherent_state, alpha_sq=1.0, n_cut=7, tail_tol=0.5)),
+        ("number", 2, partial(number_state, 2)),
+        ("superposition", [0.6, 0.0, 0.8j], partial(superposition_state, [0.6, 0.0, 0.8j])),
+        ("thermal", 0.5, partial(thermal_state, 0.5, n_cut=7, tail_tol=0.5)),
+        ("phase_averaged", 1.0, partial(phase_averaged_state, 1.0, n_cut=7, tail_tol=0.5)),
+    ]
+    for kind, value, direct in cases:
+        state, want = make_state(kind, value, n_cut=7, tail_tol=0.5), direct()
+        assert state.kind == want.kind == kind
+        assert state.populations.tobytes() == want.populations.tobytes(), kind
+        assert (state.amplitudes is None) == (want.amplitudes is None), kind
+        if state.amplitudes is not None:
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes(), kind
+        assert state.tail_mass == want.tail_mass, kind
+    with pytest.raises(ValueError, match="unknown state kind"):
+        make_state("bogus", 1.0)
 
 
 def test_to_fock_vector_embeds_lowest_mode():
