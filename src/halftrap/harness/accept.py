@@ -243,8 +243,9 @@ def check_mixtures(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Dephased and thermal mixtures against oracles built from factorial moments."""
     dephase_worst = 0.0
     for a in (1.0, 2.0, 4.0):
-        # dephasing invariance holds exactly, so compare in the infinite-mode
-        # limit where no truncation noise can mask a real difference
+        # coherent and phase-averaged states share their Poisson populations, so
+        # this reads 0 by construction and catches any change that lets a phase
+        # reach the moments; the infinite-mode limit adds no truncation noise
         mom_c = moments.analytic_limit_moments(
             states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol)
         )

@@ -16,6 +16,8 @@ from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
+from ..states import _N_CUT_CEILING
+
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "apply_overrides"]
 
 _PATHS = ("moments", "fock", "exact")
@@ -124,13 +126,13 @@ def _list(convert, noun: str):
     return parse
 
 
-def _key(key: str, default, parse, low=None, positive: bool = False):
-    """A config field: its dotted key, parser and lower bound, declared once.
+def _key(key: str, default, parse, low=None, high=None, positive: bool = False):
+    """A config field: its dotted key, parser and bounds, declared once.
 
-    `low` is an inclusive bound; `positive` demands a value above zero.
+    `low` and `high` are inclusive bounds; `positive` demands a value above zero.
     A list default becomes a per-instance factory.
     """
-    meta = {"key": key, "parse": parse, "low": low, "positive": positive}
+    meta = {"key": key, "parse": parse, "low": low, "high": high, "positive": positive}
     if isinstance(default, list):
         return field(default_factory=list, metadata=meta)
     return field(default=default, metadata=meta)
@@ -143,10 +145,10 @@ class ExperimentConfig:
     # state
     state: str = _key("state", "coherent", _choice(*_STATE_PARAM))
     alpha_sq: float = _key("alpha_sq", 2.0, _float, low=0)
-    number_n: int = _key("number_n", 2, _int, low=0)
+    number_n: int = _key("number_n", 2, _int, low=0, high=_N_CUT_CEILING)
     coeffs: list = _key("coeffs", [], _list(complex, "complex"))
     nbar: float = _key("nbar", 1.0, _float, low=0)
-    n_cut: int | None = _key("n_cut", None, _int, low=0)
+    n_cut: int | None = _key("n_cut", None, _int, low=0, high=_N_CUT_CEILING)
     tail_tol: float = _key("tail_tol", 1e-12, _float, positive=True)
 
     # overlap table
@@ -206,11 +208,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check each field's declared bound in field order, then the cross-field rules."""
         for f in fields(self):
-            key, low, value = f.metadata["key"], f.metadata["low"], getattr(self, f.name)
+            key, low, high = (f.metadata[k] for k in ("key", "low", "high"))
+            value = getattr(self, f.name)
             if f.metadata["positive"] and not value > 0:
                 raise ConfigError(key, f"must be positive, got {value}")
             if low is not None and value is not None and value < low:
                 raise ConfigError(key, f"must be >= {low}, got {value}")
+            if high is not None and value is not None and value > high:
+                raise ConfigError(key, f"must be <= {high}, got {value}")
         if self.sweep_param is not None and not self.sweep_values:
             raise ConfigError("sweep.values", "sweep requested but value list is empty")
         reads = _STATE_PARAM[self.state]

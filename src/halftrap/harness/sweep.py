@@ -214,11 +214,12 @@ def extract(
     The moment route uses the infinite-K limit or the finite-K closed form,
     as `moments.extrapolate` says, and reads no table; the fock route the
     occupation-basis expectations. The exact route evolves the joint state
-    instead and returns None for the moments; a mixture evolves as the
-    vector sum_n sqrt(p_n) |n>, which gives the same block, since H
-    conserves N and every quantity post-selection forms is a sum within one
-    sector. `route` carries the table and Fock operators, built on first
-    use, so a sweep that passes one route to every point builds them once.
+    instead and returns None for the moments; every state evolves as the
+    vector sum_n sqrt(p_n) |n>, which gives the block of any state with
+    those populations, pure or mixed, since H conserves N and every
+    quantity post-selection forms is a sum within one sector. `route`
+    carries the table and Fock operators, built on first use, so a sweep
+    that passes one route to every point builds them once.
     """
     probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     if cfg.path == "exact":
@@ -261,6 +262,8 @@ def evaluate_point(
             if param == "number_n":
                 if value != int(value):
                     raise ConfigError("sweep.values", f"particle number {value} not an integer")
+                if value > states._N_CUT_CEILING:
+                    raise ConfigError("sweep.values", f"particle number {value} must be <= {states._N_CUT_CEILING}")
                 cfg = replace(cfg, number_n=int(value))
             else:
                 cfg = replace(cfg, **{param: float(value)})

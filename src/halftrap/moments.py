@@ -127,12 +127,12 @@ def moments_from_fock(
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
     Independent of the factorial-moment route: the state is embedded in the
-    occupation basis `basis` as one vector, `TrapState.vector`, and the
-    caller's Lambda_L and Lambda_R on it (CSR matrices from
-    `fock.build_lambda_operator`) are applied to it, so the vanishing of the
-    cross terms between different n is checked rather than assumed, for a
-    mixture too. Cost grows combinatorially with (K, n_max), so this is a
-    cross-check for small truncations, not a production path.
+    occupation basis `basis` as one vector, `TrapState.vector` =
+    sum_n sqrt(p_n) |n>, and the caller's Lambda_L and Lambda_R on it (CSR
+    matrices from `fock.build_lambda_operator`) are applied to it, so the
+    vanishing of the cross terms between different n is checked rather than
+    assumed, for every family. Cost grows combinatorially with (K, n_max),
+    so this is a cross-check for small truncations, not a production path.
     """
     from .fock import to_fock_vector
 

@@ -1,14 +1,15 @@
-"""Input states of the trap, in a common canonical form.
+"""Input states of the trap, each stored as its number populations.
 
 Every supported state (coherent, number, arbitrary superposition of
 lowest-orbital number states, thermal, phase-averaged coherent) is stored
-as its number populations p_n over the lowest orbital, n = 0..n_cut. A
-pure state also keeps its amplitudes c_n, with p_n = |c_n|^2; a thermal or
-phase-averaged mixture is diagonal in n and is its populations alone, so no
-density matrix is ever built. The block moments depend on the state only
-through p_n, because the extraction operators conserve particle number.
-The Fock and exact routes embed `TrapState.vector` in an occupation basis
-with `fock.to_fock_vector`; this module holds no multimode machinery.
+as its number populations p_n over the lowest orbital, n = 0..n_cut, and
+nothing else: the pulse Hamiltonian, Lambda_L, Lambda_R and D all conserve
+particle number, so every block quantity depends on the state only through
+p_n. A state's phases, and whether it is pure or a mixture of number
+states, reach no route, and no amplitude list or density matrix is built.
+The Fock and exact routes embed `TrapState.vector`, sqrt(p_n), in an
+occupation basis with `fock.to_fock_vector`; this module holds no
+multimode machinery.
 
 Truncated states are NOT renormalized; the discarded tail mass is carried
 as a diagnostic instead, because renormalization silently shifts moments
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, fsum, hypot, log, sqrt
+from math import ceil, fsum, hypot, inf, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -58,26 +59,25 @@ class TailToleranceError(ValueError):
 
 
 class PureComponent(NamedTuple):
-    """One pure component: amplitudes c_n over lowest-orbital number states."""
+    """A state's `vector` sqrt(p_n) under the field name `coeffs`."""
 
     coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrapState:
-    """Canonical form: populations p_n, n = 0..n_cut, and a pure state's amplitudes.
+    """Canonical form: the populations p_n, n = 0..n_cut, of a `kind` state.
 
     `kind` names the family, one of the five that `make_state` builds.
-    Populations and amplitudes must be finite; `amplitudes` is None for a
-    mixture of number states. The squared norm sum p_n and the factorial
-    moments E[n], E[n(n-1)] are summed once, when the state is built: exactly
-    (`math.fsum`) over the p_n at or above 2^-120 of the peak, plus the rest
-    as one `np.sum` term. `tail_mass` is the mass the cutoff discarded.
+    Populations must be finite and non-negative. The squared norm sum p_n
+    and the factorial moments E[n], E[n(n-1)] are summed once, when the
+    state is built: exactly (`math.fsum`) over the p_n at or above 2^-120 of
+    the peak, plus the rest as one `np.sum` term. `tail_mass` is the mass
+    the cutoff discarded.
     """
 
     kind: str
     populations: np.ndarray
-    amplitudes: np.ndarray | None = None
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
@@ -89,14 +89,6 @@ class TrapState:
         top = p.max(initial=0.0)  # NaN if any entry is NaN
         if not (top < np.inf and p.min(initial=0.0) >= 0):
             raise ValueError("populations must be finite and non-negative")
-        if self.amplitudes is not None:
-            c = np.asarray(self.amplitudes, dtype=np.complex128)
-            object.__setattr__(self, "amplitudes", c)
-            c.setflags(write=False)
-            if not np.abs(c).max(initial=0.0) < np.inf:  # False for NaN too
-                raise ValueError("amplitudes must be finite")
-            if c.shape != p.shape:
-                raise ValueError("one population per amplitude required")
         n = np.arange(len(p))
         keep = p >= 2.0**-120 * top
         rest = ~keep
@@ -104,21 +96,18 @@ class TrapState:
         object.__setattr__(self, "_sums", sums)
 
     @property
-    def is_pure(self) -> bool:
-        return self.amplitudes is not None
-
-    @property
     def n_cut(self) -> int:
         return len(self.populations) - 1
 
     @property
     def vector(self) -> np.ndarray:
-        """The amplitudes, or sqrt(p_n) for a mixture: each number state |n> carries weight p_n.
+        """sqrt(p_n): the state as the vector sum_n sqrt(p_n) |n>.
 
         The Fock and exact routes form only sums within one particle-number
-        sector, so on them this vector stands for the mixture.
+        sector, so on them this vector stands for the state, whatever its
+        phases and whether it is pure or a mixture of number states.
         """
-        return self.amplitudes if self.amplitudes is not None else np.sqrt(self.populations)
+        return np.sqrt(self.populations)
 
     def norm_sq(self) -> float:
         """Squared norm sum p_n of the truncated canonical form."""
@@ -130,22 +119,13 @@ class TrapState:
 
     @cached_property
     def components(self) -> tuple:
-        """The state as pure components: itself, or one |n> per population.
+        """The state as one pure component, `vector`, built on first access.
 
-        Built on first access only; nothing on the moment route reads it.
+        Nothing in the package reads it; `benchmarks/tracer.py` takes a
+        state's cutoff from it, so it forms sqrt(p_n) without a traced
+        `vector` call.
         """
-        if self.amplitudes is not None:
-            return (PureComponent(self.amplitudes),)
-        # |n> is the last n + 1 entries of (0, ..., 0, 1): every component is
-        # a view of one buffer, not an array of its own
-        last = np.zeros(len(self.populations), dtype=np.complex128)
-        last[-1] = 1.0
-        last.setflags(write=False)
-        return tuple(PureComponent(last[-n - 1 :]) for n in range(len(last)))
-
-
-def _pure(kind: str, coeffs: np.ndarray, tail: float = 0.0) -> TrapState:
-    return TrapState(kind, np.abs(coeffs) ** 2, coeffs, tail)
+        return (PureComponent(np.sqrt(self.populations)),)
 
 
 def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +179,8 @@ def _truncate(
     """
     if not tail_tol > 0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    if n_cut is not None and n_cut < 0:
+        raise ValueError(f"n_cut must be >= 0, got {n_cut}")
     required = int(np.count_nonzero(tails >= tail_tol))
     cut = min(required, _N_CUT_CEILING) if n_cut is None else n_cut
     tail = float(tails[cut])
@@ -207,37 +189,28 @@ def _truncate(
     return weights[: cut + 1], tail
 
 
-def coherent_state(
-    alpha: complex | None = None,
-    alpha_sq: float | None = None,
-    n_cut: int | None = None,
-    tail_tol: float = 1e-12,
-) -> TrapState:
-    """Coherent state of the lowest orbital, c_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
-    if (alpha is None) == (alpha_sq is None):
-        raise ValueError("give exactly one of alpha, alpha_sq")
-    if alpha is None:
-        if alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-        alpha = sqrt(alpha_sq)
-    mean = abs(alpha) ** 2
-    p, tail = _truncate(*_poisson_weights(mean, n_cut), n_cut, tail_tol)
-    phase = alpha / abs(alpha) if alpha else 1.0
-    coeffs = np.sqrt(p) * phase ** np.arange(len(p))
-    return _pure("coherent", coeffs, tail)
+def _poisson_state(kind: str, alpha_sq: float, n_cut: int | None, tail_tol: float) -> TrapState:
+    if not 0 <= alpha_sq < inf:  # False for NaN too
+        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
+    return TrapState(kind, *_truncate(*_poisson_weights(alpha_sq, n_cut), n_cut, tail_tol))
+
+
+def coherent_state(alpha_sq: float, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
+    """Coherent state of the lowest orbital, as its Poisson populations e^{-alpha_sq} alpha_sq^n / n!."""
+    return _poisson_state("coherent", alpha_sq, n_cut, tail_tol)
 
 
 def number_state(N: int) -> TrapState:
     """Exactly N particles in the lowest orbital; no truncation tail."""
     if N < 0:
         raise ValueError(f"particle number must be >= 0, got {N}")
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
-    coeffs[N] = 1.0
-    return _pure("number", coeffs)
+    p = np.zeros(N + 1)
+    p[N] = 1.0
+    return TrapState("number", p)
 
 
 def superposition_state(coeffs) -> TrapState:
-    """Arbitrary normalized superposition sum_n c_n |n> of the lowest orbital."""
+    """Arbitrary normalized superposition sum_n c_n |n> of the lowest orbital, stored as |c_n|^2."""
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or len(c) == 0:
         raise ValueError("coefficient list must be a non-empty 1-d sequence")
@@ -247,7 +220,7 @@ def superposition_state(coeffs) -> TrapState:
     if max(np.abs(c.real).max(), np.abs(c.imag).max()) > 2.0:
         norm = hypot(*c.real.tolist(), *c.imag.tolist())
         raise ValueError(f"superposition coefficients must be normalized; got |c| = {norm!r}")
-    state = _pure("superposition", c)
+    state = TrapState("superposition", np.abs(c) ** 2)
     if abs(state.norm_sq() - 1.0) > 1e-12:
         raise ValueError(f"superposition coefficients must be normalized; got |c|^2 = {state.norm_sq()!r}")
     return state
@@ -257,20 +230,16 @@ def thermal_state(
     nbar: float, n_cut: int | None = None, tail_tol: float = 1e-12
 ) -> TrapState:
     """Thermal (geometric) mixture p_n = nbar^n / (1 + nbar)^{n+1}."""
-    if nbar < 0:
-        raise ValueError(f"mean occupancy must be >= 0, got {nbar}")
-    weights, tail = _truncate(*_geometric_weights(nbar, n_cut, tail_tol), n_cut, tail_tol)
-    return TrapState("thermal", weights, None, tail)
+    if not 0 <= nbar < inf:  # False for NaN too
+        raise ValueError(f"mean occupancy nbar must be finite and >= 0, got {nbar}")
+    return TrapState("thermal", *_truncate(*_geometric_weights(nbar, n_cut, tail_tol), n_cut, tail_tol))
 
 
 def phase_averaged_state(
     alpha_sq: float, n_cut: int | None = None, tail_tol: float = 1e-12
 ) -> TrapState:
-    """Coherent state averaged over its phase: Poisson mixture of number states."""
-    if alpha_sq < 0:
-        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    weights, tail = _truncate(*_poisson_weights(alpha_sq, n_cut), n_cut, tail_tol)
-    return TrapState("phase_averaged", weights, None, tail)
+    """Coherent state averaged over its phase: a mixture of number states, populations as `coherent_state`."""
+    return _poisson_state("phase_averaged", alpha_sq, n_cut, tail_tol)
 
 
 def make_state(kind: str, value, n_cut: int | None = None, tail_tol: float = 1e-12) -> TrapState:
@@ -282,7 +251,7 @@ def make_state(kind: str, value, n_cut: int | None = None, tail_tol: float = 1e-
     below the state's last level is refused.
     """
     if kind == "coherent":
-        state = coherent_state(alpha_sq=value, n_cut=n_cut, tail_tol=tail_tol)
+        state = coherent_state(value, n_cut=n_cut, tail_tol=tail_tol)
     elif kind == "number":
         state = number_state(value)
     elif kind == "superposition":

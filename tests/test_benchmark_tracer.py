@@ -78,7 +78,7 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
             build_overlap_table(64),
         ),
         (
-            # a mixture: its one-hot components exist only when read
+            # a mixture: its one component, the vector sqrt(p_n), is built when read
             ExperimentConfig.from_entries(
                 {
                     "state": "thermal",

@@ -95,7 +95,7 @@ def test_probe_momentum_matrix():
 
 def test_vacuum_gains_no_excitation(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(0).amplitudes, basis)
+    phi = to_fock_vector(number_state(0).vector, basis)
     out = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     assert np.all(out[:, 1, 0] == 0.0)
     assert np.all(out[:, 0, 1] == 0.0)
@@ -105,7 +105,7 @@ def test_branch_weight_matches_moments(setup4):
     # |branch|^2 = area^2 (M Omega / 2) m_II with the same truncation
     table, basis, probe, ham = setup4
     state = number_state(2)
-    phi = to_fock_vector(state.amplitudes, basis)
+    phi = to_fock_vector(state.vector, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
     _, left, right = _branches(perturbative_state(phi, ham, pulse))
     mom = moments_from_fock(state, basis, *_lambda_pair(table, basis))
@@ -118,7 +118,7 @@ def test_branch_weight_matches_moments(setup4):
 
 def test_free_term_only_touches_ground_branch(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     pulse = Pulse.square(T=0.05, g0=0.4)
     with_h0 = perturbative_state(phi, ham, pulse)
     without = perturbative_state(phi, ham, pulse)
@@ -131,7 +131,7 @@ def test_free_term_only_touches_ground_branch(setup4):
 def test_zero_coupling_is_free_evolution(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(
-        superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
+        superposition_state(np.array([0.6, 0.0, 0.8])).vector, basis
     )
     initial = embed_product(phi, probe)
     final = exact_state(phi, ham, Pulse.square(T=0.3, g0=0.0))
@@ -145,7 +145,7 @@ def test_zero_coupling_is_free_evolution(setup4):
 
 def test_exact_evolution_is_unitary(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     T, g0 = 0.2, 0.8
     final = exact_state(phi, ham, Pulse.square(T=T, g0=g0))
     # the array holds the + mode's first levels only: of the Poisson weights of
@@ -158,7 +158,7 @@ def test_exact_evolution_is_unitary(setup4):
 
 def test_first_order_residual_scales_quadratically(setup4):
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     residuals = []
     for T in (0.02, 0.01, 0.005):
         pulse = Pulse.square(T=T, g0=2.0)
@@ -179,7 +179,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
         assert np.array_equal(
             swapped.entries(side, modes[:, None], modes), table.entries(other, modes[:, None], modes)
         )
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
     _, a10, _ = _branches(exact_state(phi, ham, pulse))
@@ -203,7 +203,7 @@ def _relative_operator(ham, span, pulse):
 def test_sampled_pulse_agrees_with_square(setup4):
     # oracle for the Chebyshev series: integrate the same square pulse step by step
     table, basis, probe, ham = setup4
-    phi = to_fock_vector(number_state(1).amplitudes, basis)
+    phi = to_fock_vector(number_state(1).vector, basis)
     pulse = Pulse.square(T=0.05, g0=1.0)
     span = slice(int(ham.edges[1]), int(ham.edges[2]))
     y = _relative_initial(phi, ham, span)
@@ -244,12 +244,13 @@ def _stepped_expm(A, psi, step_norm):
     return psi
 
 
+# lowest-orbital vectors: `exact_state` takes any complex one, phases included
 _ORACLE_STATES = {
-    "vacuum": number_state(0),
-    "number": number_state(2),
-    "coherent": coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3),
-    "superposition-0-2": superposition_state(np.array([0.6, 0.0, 0.8])),
-    "superposition-1-2-4": superposition_state(np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)])),
+    "vacuum": number_state(0).vector,
+    "number": number_state(2).vector,
+    "coherent": coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3).vector,
+    "superposition-0-2": np.array([0.6, 0.0, 0.8]),
+    "superposition-1-2-4": np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)]),
 }
 _ORACLE_PULSES = (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=0.3, g0=0.8))
 
@@ -261,7 +262,7 @@ def full_space_10():
     for K in range(1, 7):
         basis, table = FockBasis(K, 4), build_overlap_table(K)
         ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=10))
-        phis = [to_fock_vector(state.amplitudes, basis) for state in _ORACLE_STATES.values()]
+        phis = [to_fock_vector(c, basis) for c in _ORACLE_STATES.values()]
         initial = np.stack([embed_product(phi, ham.probe).reshape(-1) for phi in phis], axis=1)
         expected = [_full_space_states(initial, ham, table, pulse) for pulse in _ORACLE_PULSES]
         out[K] = ham, dict(zip(_ORACLE_STATES, zip(phis, zip(*(e.T for e in expected)))))
@@ -452,7 +453,7 @@ def test_mirror_odd_initial_state_is_refused(setup4):
 
 def test_mirror_odd_part_beyond_the_first_occupied_sector_is_refused(setup4):
     _, basis, probe, ham = setup4
-    phi = to_fock_vector(superposition_state(np.array([0.0, 0.6, 0.0, 0.8])).amplitudes, basis)
+    phi = to_fock_vector(superposition_state(np.array([0.0, 0.6, 0.0, 0.8])).vector, basis)
     pulse = Pulse.square(T=0.05, g0=1.0)
     exact_state(phi, ham, pulse)  # all even: accepted
     # (2, 1, 0, 0) holds three particles, one of them in orbital 1; N = 1 stays even
@@ -480,7 +481,7 @@ def test_empty_state_propagates_to_zeros(setup4):
 def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(
-        superposition_state(np.array([0.6, 0.0, 0.8])).amplitudes, basis
+        superposition_state(np.array([0.6, 0.0, 0.8])).vector, basis
     )
     # a long strong pulse: a series of about 650 terms, a drift of about 1e-15
     pulse = Pulse.square(T=40.0, g0=3.0)
@@ -551,6 +552,20 @@ def test_a_mixture_evolves_as_its_square_root_vector(data):
     assert abs(block.leakage - (norm_sq - w00 - w10 - w01).real / norm_sq) <= 5e-15
 
 
+def test_a_phase_on_one_sector_leaves_the_exact_block_alone(setup4):
+    # `to_fock_vector` takes any complex vector, phases included: H conserves N,
+    # so a phase on the N = 2 sector cancels in every block sum
+    _, basis, _, ham = setup4
+    pulse = Pulse.square(T=0.3, g0=0.8)
+    plain, phased = (
+        postselect(exact_state(to_fock_vector(np.array(c), basis), ham, pulse), 1.0)
+        for c in ([0.6, 0.0, 0.8], [0.6, 0.0, 0.8j])
+    )
+    assert np.abs(phased.matrix - plain.matrix).max() <= 1e-15
+    assert abs(phased.p_succ - plain.p_succ) <= 1e-15
+    assert abs(phased.leakage - plain.leakage) <= 1e-15
+
+
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 5.0, 50.0, 700.0])
 def test_bessel_series_matches_scipy(z):
     J = evolution._bessel_series(z)
@@ -576,6 +591,6 @@ def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
     # and the propagator is the phase exp(-i T c) with no series
     _, basis, probe, ham = setup4
     flat = dataclasses.replace(ham, h=np.full_like(ham.h, 2.5))
-    phi = to_fock_vector(superposition_state(np.array([0.6, 0.0, 0.8j])).amplitudes, basis)
+    phi = to_fock_vector(np.array([0.6, 0.0, 0.8j]), basis)
     got = exact_state(phi, flat, Pulse.square(T=0.7, g0=0.0))
     assert np.abs(got - np.exp(-1.75j) * embed_product(phi, probe)).max() <= 1e-15

@@ -130,6 +130,9 @@ def test_from_entries_defaults_and_types():
         ({"exact.dim_cap": "0"}, "exact.dim_cap"),
         ({"probe.M": "0"}, "probe.M"),
         ({"seed": "-1"}, "seed"),
+        ({"n_cut": "100001"}, "n_cut"),
+        ({"number_n": "100001"}, "number_n"),
+        ({"state": "number", "number_n": "10000000"}, "number_n"),
     ],
 )
 def test_validation_names_the_field(entries, field):
@@ -766,6 +769,16 @@ def test_a_number_sweep_refuses_only_the_levels_past_n_cut():
     rows = run_sweep(cfg)
     assert [row.error for row in rows[:2]] == ["", ""]
     assert rows[2].error.startswith("ValueError: n_cut = 2 is below")
+
+
+def test_a_number_sweep_refuses_a_particle_number_past_the_ceiling_in_its_own_row():
+    cfg = ExperimentConfig.from_entries(
+        {"state": "number", "sweep.param": "number_n", "sweep.values": "2, 100001, 2.5, 100000"}
+    )
+    rows = run_sweep(cfg)
+    assert [rows[0].error, rows[3].error] == ["", ""]
+    assert rows[1].error == "ConfigError: config field 'sweep.values': particle number 100001.0 must be <= 100000"
+    assert rows[2].error == "ConfigError: config field 'sweep.values': particle number 2.5 not an integer"
 
 
 @pytest.mark.parametrize("path, builds", [("moments", 0), ("fock", 1), ("exact", 1)])

@@ -42,7 +42,7 @@ def small():
 def test_block_from_joint_matches_block_from_moments(small):
     table, basis, probe, ham = small
     state = number_state(2)
-    phi = to_fock_vector(state.amplitudes, basis)
+    phi = to_fock_vector(state.vector, basis)
     pulse = Pulse.square(T=0.1, g0=0.3)
     joint = perturbative_state(phi, ham, pulse)
     joint[:, 0, 0] = phi
@@ -58,7 +58,7 @@ def test_free_evolution_leaves_block_unchanged(small):
     # the free term only rotates the discarded ground branch; the selected
     # block is unaffected while the success probability shifts slightly
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     pulse = Pulse.square(T=0.05, g0=0.3)
     first = perturbative_state(phi, ham, pulse)
     with_h0 = postselect(first, _norm_sq(first))
@@ -70,7 +70,7 @@ def test_free_evolution_leaves_block_unchanged(small):
 
 def test_postselect_needs_trap_probe_probe_axes(small):
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="not \\(trap, probe, probe\\)"):
         postselect(joint.reshape(-1), _norm_sq(joint))
@@ -78,7 +78,7 @@ def test_postselect_needs_trap_probe_probe_axes(small):
 
 def test_vacuum_cannot_be_selected(small):
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(0).amplitudes, basis)
+    phi = to_fock_vector(number_state(0).vector, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(NoExtractionError):
         postselect(joint, _norm_sq(joint))
@@ -90,7 +90,7 @@ def test_vacuum_cannot_be_selected(small):
 def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_sq):
     # a NaN passes `norm_sq <= 0.0` and would give a NaN p_succ, which ProbeBlock accepts
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="norm_sq must be finite and positive"):
         postselect(joint, norm_sq)
@@ -99,7 +99,7 @@ def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_s
 def test_levels_the_array_leaves_out_count_as_selected_leakage(small):
     # the caller's norm_sq holds weight the array lacks: selected, outside the block
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).amplitudes, basis)
+    phi = to_fock_vector(number_state(2).vector, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
     whole = postselect(joint, _norm_sq(joint))
     missing = postselect(joint, _norm_sq(joint) + 0.25)
@@ -119,7 +119,7 @@ def test_single_particle_block_is_maximally_mixed():
 def test_block_is_unit_trace_density(small):
     table, basis, probe, ham = small
     state = superposition_state(np.array([0.0, 0.6, 0.0, 0.8]))
-    phi = to_fock_vector(state.amplitudes, basis)
+    phi = to_fock_vector(state.vector, basis)
     joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
     block = postselect(joint, _norm_sq(joint))
     assert np.trace(block.matrix).real == pytest.approx(1.0, abs=1e-12)

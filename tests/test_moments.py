@@ -53,14 +53,6 @@ def test_coherent_analytic_values():
     assert mom.S == pytest.approx(4.0, abs=1e-9)
 
 
-def test_coherent_phase_drops_out():
-    plain = moments_from_state(coherent_state(alpha=np.sqrt(2.0)), 64)
-    rotated = moments_from_state(coherent_state(alpha=np.sqrt(2.0) * 1.0j), 64)
-    assert rotated.mLR.imag == pytest.approx(0.0, abs=1e-14)
-    assert rotated.mLR.real == pytest.approx(plain.mLR.real, rel=1e-12)
-    assert rotated.mLL == pytest.approx(plain.mLL, rel=1e-12)
-
-
 def test_thermal_moment_structure():
     nbar = 2.0
     mom = analytic_limit_moments(thermal_state(nbar))
