@@ -308,7 +308,8 @@ def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarr
     W, T = probe.Omega, pulse.T
     x = pulse.g0 * N * np.sqrt(probe.M * W / 4.0) / W
     beta = 1j * x * np.expm1(-1j * W * T)
-    theta = x * x * (W * T - np.sin(W * T))
+    # x reaches 1e154 at a tiny T of fixed area, where x * x overflows while Omega T - sin Omega T is 0
+    theta = x * (x * (W * T - np.sin(W * T)))
     # <n|beta> = e^(-|beta|^2 / 2) beta^n / sqrt(n!), by the ratio beta / sqrt(n) from level to level
     steps = beta[:, None] / np.sqrt(np.arange(1.0, probe.levels))
     ground = np.exp(1j * theta - 0.5 * (beta * beta.conj()).real)

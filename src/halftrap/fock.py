@@ -1,10 +1,12 @@
-"""Truncated multimode bosonic Fock space: basis, Lambda operators, their imbalance, embedding.
+"""Truncated multimode bosonic Fock space: basis, the Lambda imbalance, embedding.
 
 Operators are `scipy.sparse.csr_matrix` and trap vectors complex arrays in
-basis order. This is the explicit computational path. It is exact within the
-truncation (total particle number <= n_max over K modes) and is used to
-validate the closed-form moment path on small instances and to run exact
-time evolution.
+basis order. lambda^L + lambda^R = 1 makes Lambda_L + Lambda_R = N, the
+particle number, so the one operator built is D = Lambda_L - Lambda_R, and
+Lambda_{L,R} = (N +- D) / 2. This is the explicit computational path. It is
+exact within the truncation (total particle number <= n_max over K modes)
+and is used to validate the closed-form moment path on small instances and
+to run exact time evolution.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .orbitals import OverlapTable
 
 __all__ = [
     "FockBasis",
-    "build_lambda_operator",
     "build_imbalance_operator",
     "to_fock_vector",
     "single_particle_commutator_residual",
@@ -80,12 +81,14 @@ class FockBasis:
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _hop_operator(table: OverlapTable, basis: FockBasis, coeff, diagonal: bool) -> sp.csr_matrix:
-    """sum_{kl} coeff(k, l) a_k^dag a_l over the pairs k + l odd, and k = l if `diagonal`.
+def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
+    """D = Lambda_L - Lambda_R = sum_{k + l odd} (lambda^L_kl - lambda^R_kl) a_k^dag a_l, in CSR.
 
-    Built in O(nnz): every entry is coeff(k, l) times
-    <m + e_k| a_k^dag a_l |m + e_l> = sqrt((m_k + 1) (m_l + 1)) for a state m
-    one particle down. Off the diagonal no two pairs reach the same entry.
+    lambdaL = delta - lambdaR, so D has no diagonal, and off it
+    lambda^L_kl = -lambda^R_kl bit for bit. Built in O(nnz): every entry is
+    the coefficient times <m + e_k| a_k^dag a_l |m + e_l> =
+    sqrt((m_k + 1) (m_l + 1)) for a state m one particle down, and no two
+    pairs reach the same entry.
     """
     if table.K != basis.K:
         raise ValueError(
@@ -97,40 +100,19 @@ def _hop_operator(table: OverlapTable, basis: FockBasis, coeff, diagonal: bool) 
     up = j.reshape(basis.K, -1).T
     raised = basis.states[: len(up)] + 1
     modes = np.arange(basis.K if len(up) else 0)  # no pairs without a particle to move
-    k, l = np.nonzero((modes[:, None] % 2 != modes % 2) | (diagonal & np.eye(len(modes), dtype=bool)))
-    vals = coeff(k, l) * np.sqrt(raised[:, l] * raised[:, k])
+    k, l = np.nonzero(modes[:, None] % 2 != modes % 2)
+    coeff = table.entries("L", k, l) - table.entries("R", k, l)
+    vals = coeff * np.sqrt(raised[:, l] * raised[:, k])
     return sp.coo_matrix(
         (vals.ravel(), (up[:, k].ravel(), up[:, l].ravel())), shape=(basis.dimension, basis.dimension)
     ).tocsr()
-
-
-def build_lambda_operator(side: str, table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
-    """Second-quantized half-space operator sum_{kl} lambda_{kl} a_k^dag a_l.
-
-    Number conserving by construction; hermitian because the overlap matrix
-    is symmetric real. lambda_kl is nonzero on the diagonal and for k + l
-    odd only.
-    """
-    return _hop_operator(table, basis, lambda k, l: table.entries(side, k, l), diagonal=True)
-
-
-def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
-    """D = Lambda_L - Lambda_R, from the pairs k + l odd alone.
-
-    lambdaL = delta - lambdaR, so D's diagonal is exactly zero, and off it
-    lambda^L_kl = -lambda^R_kl bit for bit: D equals the difference of the
-    two `build_lambda_operator` results bit for bit, with no diagonal stored.
-    """
-    return _hop_operator(
-        table, basis, lambda k, l: table.entries("L", k, l) - table.entries("R", k, l), diagonal=False
-    )
 
 
 def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Embed lowest-orbital amplitudes c_n, n = 0..n_cut, as a complex array over `basis`."""
     if len(coeffs) - 1 > basis.n_max:
         raise ValueError(
-            f"component cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
+            f"state cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
         )
     v = np.zeros(basis.dimension, dtype=np.complex128)
     # (n, 0, ..., 0) is the last state of sector n
@@ -139,8 +121,9 @@ def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def single_particle_commutator_residual(table: OverlapTable) -> float:
-    """Max-norm of [Lambda_L, Lambda_R] on the one-particle block.
+    """Max-norm of [Lambda_L, Lambda_R] on the one-particle block, where Lambda_I is lambda^I.
 
+    Formed from the dense K x K entries, for the locality ladder's K <= 64.
     Measured, never assumed: phi_k phi_l has parity (-1)^(k+l), so the
     half-line integrals obey lambdaL = P lambdaR P = I - lambdaR with
     P = diag((-1)^k), and the two operators commute identically at every
@@ -148,11 +131,9 @@ def single_particle_commutator_residual(table: OverlapTable) -> float:
     product instead, see `locality_product_residual`). This diagnostic
     returns the actual floating-point residual, whatever it is.
     """
-    basis = FockBasis(table.K, 1)
-    lamL = build_lambda_operator("L", table, basis)
-    lamR = build_lambda_operator("R", table, basis)
-    comm = lamL @ lamR - lamR @ lamL
-    return float(abs(comm).max()) if comm.nnz else 0.0
+    modes = np.arange(table.K)
+    lamL, lamR = (table.entries(side, modes[:, None], modes) for side in "LR")
+    return float(np.abs(lamL @ lamR - lamR @ lamL).max())
 
 
 def locality_product_residual(table: OverlapTable) -> float:

@@ -143,7 +143,7 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     worst = 0.0
     for state in batch:
         closed = moments.moments_from_state(state, route.cfg.K)
-        explicit = moments.moments_from_fock(state, route.basis, *route.lam)
+        explicit = moments.moments_from_fock(state, route.basis, route.imbalance)
         worst = max(
             worst,
             abs(closed.mLL - explicit.mLL),

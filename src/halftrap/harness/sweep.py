@@ -25,6 +25,8 @@ from ..orbitals import OverlapTable, build_overlap_table
 from .config import _STATE_PARAM, ConfigError, ExperimentConfig
 
 if TYPE_CHECKING:  # the fock and exact routes import them where they first run
+    import scipy.sparse as sp
+
     from .. import evolution, fock
 
 __all__ = [
@@ -47,7 +49,7 @@ _FLOAT_FMT = "%.17g"
 # truncations at which validate prints and accept checks the locality defect
 LOCALITY_LADDER = (8, 16, 32, 64)
 
-# nonzeros a Lambda operator may hold per unit of `exact.dim_cap` (1.28e6, 15 MB, at the default)
+# nonzeros of a Lambda operator, which bound D's, per unit of `exact.dim_cap` (1.28e6 at the default)
 _LAMBDA_NNZ_PER_CAP = 64
 
 # two-sided 95 percent Student-t quantile at the scaling fit's 3 degrees of freedom
@@ -168,7 +170,7 @@ class _Route:
         """The route's occupation basis, refused over `exact.dim_cap` before enumerating.
 
         The cap bounds the dimension and, `_LAMBDA_NNZ_PER_CAP` times over, Lambda's
-        nonzeros: the diagonal, and per state one particle down, the pairs k + l odd.
+        nonzeros: the diagonal, and per state one particle down, the pairs k + l odd (D's).
         """
         cfg = self.cfg
         K, n = cfg.K, cfg.n_max
@@ -189,12 +191,11 @@ class _Route:
         return fock.FockBasis(cfg.K, cfg.n_max)
 
     @cached_property
-    def lam(self) -> tuple:
-        """(Lambda_L, Lambda_R) as CSR matrices on `basis`."""
+    def imbalance(self) -> sp.csr_matrix:
+        """D = Lambda_L - Lambda_R on `basis`, the one Fock operator the fock route reads."""
         from .. import fock
 
-        basis = self.basis
-        return tuple(fock.build_lambda_operator(side, self.table, basis) for side in "LR")
+        return fock.build_imbalance_operator(self.table, self.basis)
 
     @cached_property
     def ham(self) -> evolution.JointHamiltonian:
@@ -219,9 +220,12 @@ def extract(
     those populations, pure or mixed, since H conserves N and every
     quantity post-selection forms is a sum within one sector. `route`
     carries the table and Fock operators, built on first use, so a sweep
-    that passes one route to every point builds them once.
+    that passes one route to every point builds them once; a state past
+    `fock.n_max` is refused before either route builds anything.
     """
     probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+    if cfg.path != "moments" and state.n_cut > cfg.n_max:
+        raise ConfigError("fock.n_max", f"is {cfg.n_max}, below the state's last level n = {state.n_cut}")
     if cfg.path == "exact":
         from .. import fock
 
@@ -231,7 +235,7 @@ def extract(
         final = _exact_final(cfg, ham, phi, pulse)
         return None, measurement.postselect(final, state.norm_sq())
     if cfg.path == "fock":
-        mom = moments.moments_from_fock(state, route.basis, *route.lam)
+        mom = moments.moments_from_fock(state, route.basis, route.imbalance)
     elif cfg.extrapolate:
         mom = moments.analytic_limit_moments(state)
     else:

@@ -182,8 +182,8 @@ def block_from_moments(
 
 def sample_outcomes(block: ProbeBlock, shots: int, seed: int) -> dict:
     """Seeded Bernoulli draws of the extraction event."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**63 - 1:  # numpy's binomial takes at most 2**63 - 1 trials
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= block.p_succ <= 1.0:

@@ -121,24 +121,24 @@ def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
     return _assemble(state, s, provenance="finite-K", K=K)
 
 
-def moments_from_fock(
-    state: TrapState, basis: FockBasis, lamL: sp.csr_matrix, lamR: sp.csr_matrix
-) -> ProbeBlockMoments:
+def moments_from_fock(state: TrapState, basis: FockBasis, D: sp.csr_matrix) -> ProbeBlockMoments:
     """Block moments as multimode expectation values <Lambda_I phi, Lambda_J phi>.
 
     Independent of the factorial-moment route: the state is embedded in the
     occupation basis `basis` as one vector, `TrapState.vector` =
-    sum_n sqrt(p_n) |n>, and the caller's Lambda_L and Lambda_R on it (CSR
-    matrices from `fock.build_lambda_operator`) are applied to it, so the
-    vanishing of the cross terms between different n is checked rather than
-    assumed, for every family. Cost grows combinatorially with (K, n_max),
-    so this is a cross-check for small truncations, not a production path.
+    sum_n sqrt(p_n) |n>, and Lambda_{L,R} phi = (N phi +- D phi) / 2 are
+    formed from the particle number N and the caller's D = Lambda_L - Lambda_R
+    (`fock.build_imbalance_operator`), so the vanishing of the cross terms
+    between different n is checked rather than assumed, for every family.
+    Cost grows combinatorially with (K, n_max), so this is a cross-check for
+    small truncations, not a production path.
     """
     from .fock import to_fock_vector
 
     v = to_fock_vector(state.vector, basis)
-    vL = lamL @ v
-    vR = lamR @ v
+    nv, dv = basis.states.sum(axis=1) * v, D @ v
+    vL = (nv + dv) / 2
+    vR = (nv - dv) / 2
     return ProbeBlockMoments(
         mLL=float(np.vdot(vL, vL).real),
         mRR=float(np.vdot(vR, vR).real),

@@ -30,7 +30,7 @@ from halftrap.evolution import (
     perturbative_state,
     probe_lowering,
 )
-from halftrap.fock import FockBasis, build_lambda_operator, to_fock_vector
+from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.measurement import postselect
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
@@ -40,6 +40,8 @@ from halftrap.states import (
     number_state,
     superposition_state,
 )
+from lambda_oracle import lambda_pair
+
 
 @pytest.fixture(scope="module")
 def table4():
@@ -52,13 +54,9 @@ def probe_momentum(probe: ProbeParams) -> np.ndarray:
     return 1j * np.sqrt(probe.M * probe.Omega / 2.0) * (b.T - b)
 
 
-def _lambda_pair(table, basis):
-    return tuple(build_lambda_operator(side, table, basis) for side in "LR")
-
-
 def _full_coupling(ham, table):
     """V = Lambda_L P_L + Lambda_R P_R on the whole flattened (trap, n_L, n_R) space."""
-    lamL, lamR = _lambda_pair(table, ham.basis)
+    lamL, lamR = lambda_pair(table, ham.basis)
     eye = sp.identity(ham.probe.levels, format="csr")
     P = sp.csr_matrix(probe_momentum(ham.probe))
     return (sp.kron(sp.kron(lamL, P), eye) + sp.kron(sp.kron(lamR, eye), P)).tocsr()
@@ -108,7 +106,7 @@ def test_branch_weight_matches_moments(setup4):
     phi = to_fock_vector(state.vector, basis)
     pulse = Pulse.square(T=0.1, g0=0.4)
     _, left, right = _branches(perturbative_state(phi, ham, pulse))
-    mom = moments_from_fock(state, basis, *_lambda_pair(table, basis))
+    mom = moments_from_fock(state, basis, build_imbalance_operator(table, basis))
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
     w10 = float(np.vdot(left, left).real)
     w01 = float(np.vdot(right, right).real)
@@ -331,7 +329,7 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     frame = np.diag(np.array([1, 1j, -1, -1j])[np.arange(d) % 4])
     P = frame.conj().T @ probe_momentum(probe) @ frame
     assert np.abs(P.imag).max() == 0.0
-    lamL, lamR = _lambda_pair(table, basis)
+    lamL, lamR = lambda_pair(table, basis)
     full = sp.kron(lamL - lamR, sp.csr_matrix(P.real / np.sqrt(2.0))).tocsr()
     assert abs(full[ham.even][:, ham.even] - ham.v).max() <= 1e-15
     # the even half is closed under v: none of its rows reaches an odd state
@@ -360,7 +358,7 @@ def _reference_build(table, basis, probe):
     the rows of the mirror-even half and lets `tocsr` sort the entries.
     """
     d = probe.levels
-    lamL, lamR = _lambda_pair(table, basis)
+    lamL, lamR = lambda_pair(table, basis)
     h_trap = basis.states @ (np.arange(basis.K) + 0.5)
     h_probe = (np.arange(d) + 0.5) * probe.Omega
     H0 = sp.diags((h_trap[:, None, None] + h_probe[:, None] + h_probe).ravel()).tocsr()
@@ -418,7 +416,7 @@ def test_coupling_weight_is_the_lambda_pair_weight_on_random_states(K, n_max, se
     ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=2))
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-    vL, vR = (lam @ phi for lam in _lambda_pair(table, basis))
+    vL, vR = (lam @ phi for lam in lambda_pair(table, basis))
     expect = float(np.vdot(vL, vL).real) + float(np.vdot(vR, vR).real)
     assert abs(ham.coupling_weight(phi) - expect) <= 1e-14 * expect
 

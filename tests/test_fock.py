@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from halftrap.fock import (
     FockBasis,
     build_imbalance_operator,
-    build_lambda_operator,
     single_particle_commutator_residual,
     to_fock_vector,
 )
+from halftrap.harness.sweep import LOCALITY_LADDER
 from halftrap.orbitals import build_overlap_table
+from lambda_oracle import build_lambda_operator
 
 
 def number_operator(basis):
@@ -78,7 +79,7 @@ def _loop_lambda_operator(side, table, basis):
 
 
 def _coded_lambda_operator(side, table, basis):
-    """Oracle: the former `build_lambda_operator`, which finds each target state by an occupation code.
+    """Oracle: an earlier `build_lambda_operator`, which found each target state by an occupation code.
 
     Codes with digits (total, n_0, ..., n_{K-1}) in base n_max + 1 increase
     along the graded basis, so searchsorted finds the target of a_k^dag a_l;
@@ -225,8 +226,10 @@ def test_lambda_operator_matches_the_coded_oracle_bit_for_bit(case):
     # searchsorted, with the same bits; at n_max = 1 and K >= 62 the codes were Python ints
     K, n_max = case
     table, basis = build_overlap_table(K), FockBasis(K, n_max)
-    for side in "LR":
-        _assert_same_csr(build_lambda_operator(side, table, basis), _coded_lambda_operator(side, table, basis))
+    coded = [_coded_lambda_operator(side, table, basis) for side in "LR"]
+    for side, expect in zip("LR", coded):
+        _assert_same_csr(build_lambda_operator(side, table, basis), expect)
+    _assert_same_csr(build_imbalance_operator(table, basis), coded[0] - coded[1])
 
 
 @pytest.mark.parametrize("K, n_max", [(64, 1), (40, 2)])
@@ -304,13 +307,21 @@ def test_single_particle_commutator_residual_vanishes():
         assert single_particle_commutator_residual(table) <= 1e-12
 
 
-def test_invalid_side_rejected(table8):
-    with pytest.raises(ValueError):
-        build_lambda_operator("X", table8, FockBasis(8, 1))
+@pytest.mark.parametrize("K", LOCALITY_LADDER)
+def test_dense_commutator_equals_the_fock_built_one(K):
+    # the one-particle block of Lambda_I is lambda^I bit for bit (its states e_k run
+    # from k = K - 1 down to 0), so [lambda^L, lambda^R] from the table's entries is
+    # the commutator of the two Fock operators there
+    table, basis = build_overlap_table(K), FockBasis(K, 1)
+    lamL, lamR = (build_lambda_operator(side, table, basis) for side in "LR")
+    for side, lam in zip("LR", (lamL, lamR)):
+        assert np.array_equal(lam[1:, 1:].toarray(), _dense(table, side)[::-1, ::-1])
+        assert lam[0].nnz == lam[:, 0].nnz == 0
+    comm = lamL @ lamR - lamR @ lamL
+    fock_built = float(abs(comm).max()) if comm.nnz else 0.0
+    assert single_particle_commutator_residual(table) == fock_built == 0.0
 
 
 def test_basis_table_mode_mismatch_rejected(table8):
-    with pytest.raises(ValueError):
-        build_lambda_operator("L", table8, FockBasis(2, 1))
     with pytest.raises(ValueError, match="K=8 but basis has K=2"):
         build_imbalance_operator(table8, FockBasis(2, 1))

@@ -36,6 +36,7 @@ from halftrap.harness.sweep import (
 )
 from halftrap.moments import moments_from_state
 from halftrap.states import number_state
+from lambda_oracle import build_lambda_operator
 
 
 def _cli(args, env, cwd=None, input_text=None):
@@ -474,7 +475,6 @@ def _count_calls(monkeypatch, owner, attr: str) -> list:
 
 def test_exact_point_builds_one_imbalance_operator(table6, monkeypatch):
     # the exact route reads Lambda_L - Lambda_R only, built as one operator
-    calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
     imbalance = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     cfg = ExperimentConfig.from_entries(
         {
@@ -489,17 +489,14 @@ def test_exact_point_builds_one_imbalance_operator(table6, monkeypatch):
     )
     row = evaluate_point(cfg, table6)
     assert row.error == ""
-    assert calls == []
     assert imbalance == [table6]
 
 
 def test_perturbation_target_builds_one_imbalance_operator(accept_cfg, monkeypatch):
     # the first-order model reuses the operator of the Hamiltonian it is checked against
-    calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
     imbalance = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     ok, detail = TARGETS["perturbation"](accept_cfg)
     assert ok, detail
-    assert calls == []
     assert len(imbalance) == 1
 
 
@@ -571,6 +568,16 @@ def test_a_pulse_too_long_for_its_series_is_refused(entries, field, table6):
     assert err.value.fieldname == field
 
 
+@pytest.mark.parametrize("T", [1e-160, 1e-300])
+def test_a_vanishing_pulse_length_keeps_the_exact_block_finite(T, table6):
+    # at a fixed area x = g0 N sqrt(M Omega / 4) / Omega passes 1e154, so x * x
+    # overflows while Omega T - sin Omega T is 0; the phase must not become inf * 0
+    entries = {**_ROUTE, "path": "exact", "number_n": "2"}
+    at = {t: single_block(ExperimentConfig.from_entries({**entries, "pulse.T": str(t)}), table6) for t in (1e-150, T)}
+    assert np.array_equal(at[T].matrix, at[1e-150].matrix)
+    assert at[T].p_succ == at[1e-150].p_succ and at[T].leakage == at[1e-150].leakage
+
+
 def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
     args = ["sample", "--shots", "10", "--set", "path=exact", "--set", "table.K=4"]
     args += ["--set", "fock.n_max=3", "--set", "state=number", "--set", "pulse.area=1e100"]
@@ -582,14 +589,14 @@ def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
 
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
 def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
-    # the fock route builds Lambda_L and Lambda_R, the exact route their imbalance alone
-    lam_calls = _count_calls(monkeypatch, fock, "build_lambda_operator")
+    # both routes build the imbalance D = Lambda_L - Lambda_R once, the exact route inside
+    # its Hamiltonian; the fock route reads Lambda_{L,R} as (N +- D) / 2
     imbalance_calls = _count_calls(monkeypatch, fock, "build_imbalance_operator")
     ham_calls = _count_calls(monkeypatch, evolution, "build_joint_hamiltonian")
     rows = run_sweep(_route_cfg(path), table6)
     assert [row.error for row in rows] == [""] * 4
-    assert sorted(lam_calls) == ([] if hamiltonians else ["L", "R"])
-    assert len(imbalance_calls) == len(ham_calls) == hamiltonians
+    assert imbalance_calls == [table6]
+    assert len(ham_calls) == hamiltonians
 
 
 @pytest.mark.parametrize(
@@ -676,8 +683,39 @@ def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):
     # a point past the basis fails alone; its neighbours share the operators
     rows = run_sweep(_route_cfg("exact", **{"sweep.values": "2, 6, 3"}), table6)
     assert rows[0].error == rows[2].error == ""
-    assert "exceeds basis capacity 4" in rows[1].error
+    assert rows[1].error == (
+        "ConfigError: config field 'fock.n_max': is 4, below the state's last level n = 6"
+    )
     assert bases == [6]
+
+
+@pytest.mark.parametrize("path", ["exact", "fock"])
+@pytest.mark.parametrize(
+    "entries, last",
+    [
+        ({"state": "coherent", "alpha_sq": "2"}, 18),
+        ({"state": "thermal", "nbar": "1"}, 39),
+        ({"state": "number", "number_n": "6"}, 6),
+        ({"state": "superposition", "coeffs": "0.6, 0, 0, 0, 0, 0.8"}, 5),
+    ],
+    ids=["coherent", "thermal", "number", "superposition"],
+)
+def test_a_state_past_the_basis_is_refused_by_n_max_before_enumerating(path, entries, last, monkeypatch):
+    # the state's last level is checked against fock.n_max before the basis, the table
+    # or the Hamiltonian is built; a sweep refuses each such row on its own
+    bases = []
+    monkeypatch.setattr(fock.FockBasis, "__post_init__", lambda basis: bases.append(basis.K))
+    tables = _count_calls(monkeypatch, orbitals, "build_overlap_table")
+    cfg = ExperimentConfig.from_entries({**_ROUTE, "path": path, "fock.n_max": "3", **entries})
+    with pytest.raises(ConfigError) as err:
+        single_block(cfg)
+    assert err.value.fieldname == "fock.n_max"
+    assert str(err.value).endswith(f"is 3, below the state's last level n = {last}")
+    if entries["state"] != "superposition":  # the one family no sweep may walk
+        param = next(key for key in entries if key != "state")
+        rows = run_sweep(replace(cfg, sweep_param=param, sweep_values=[float(entries[param])] * 2))
+        assert [row.error for row in rows] == [f"ConfigError: {err.value}"] * 2
+    assert bases == [] and tables == []
 
 
 def test_exact_route_runs_mixtures(table6):
@@ -693,9 +731,11 @@ def test_exact_route_runs_mixtures(table6):
 
 def test_cli_refuses_an_exact_route_over_the_cap_at_once(cli_env):
     # the fock route at default settings would enumerate C(516, 4) ~ 2.9e9 states;
-    # at K = 4000 and n_max = 1 its dimension is 4001, but each Lambda would hold 8e6 entries
-    fock_4000 = ["path=fock", "fock.n_max=1", "state=number", "number_n=1", "table.K=4000"]
-    for sets in (["path=exact", "table.K=30", "fock.n_max=5"], ["path=fock"], fock_4000):
+    # at K = 4000 and n_max = 1 its dimension is 4001, but each Lambda would hold 8e6 entries;
+    # a one-particle state fits every basis, so `fock.n_max` refuses none of them first
+    one = ["state=number", "number_n=1"]
+    fock_4000 = ["path=fock", "fock.n_max=1", *one, "table.K=4000"]
+    for sets in (["path=exact", "table.K=30", "fock.n_max=5", *one], ["path=fock", *one], fock_4000):
         args = ["sample", "--shots", "10"]
         for item in sets:
             args += ["--set", item]
@@ -710,7 +750,7 @@ def test_the_cap_bounds_the_nonzeros_of_lambda(path, K, n_max, monkeypatch):
     # the refusal counts Lambda's nonzeros exactly, before any state is enumerated,
     # and admits 64 of them per unit of the cap
     basis = fock.FockBasis(K, n_max)
-    nnz = fock.build_lambda_operator("L", orbitals.build_overlap_table(K), basis).nnz
+    nnz = build_lambda_operator("L", orbitals.build_overlap_table(K), basis).nnz
     entries = {"path": path, "state": "number", "number_n": "1", "table.K": str(K)}
     entries.update({"fock.n_max": str(n_max), "probe.levels": "2", "pulse.T": "0.05"})
     cap = -(-nnz // 64)
@@ -1092,6 +1132,11 @@ def test_cli_refuses_an_unknown_key_in_one_line(args, cli_env):
         (["--set", "pulse.amplitude_target=1e200"], "'pulse.amplitude_target'"),
         (["--set", "seed=-1"], "'seed'"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--shots", "100000000000000000000"], "shots must be in [1, 2**63 - 1]"),
+        (
+            [a for s in ("path=fock", "table.K=4", "fock.n_max=3", "alpha_sq=2") for a in ("--set", s)],
+            "'fock.n_max': is 3, below the state's last level n = 18",
+        ),
     ],
 )
 def test_cli_sample_names_the_field_of_an_out_of_range_value(args, field, capsys):

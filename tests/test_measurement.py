@@ -15,7 +15,7 @@ from halftrap.evolution import (
     embed_product,
     perturbative_state,
 )
-from halftrap.fock import FockBasis, build_lambda_operator, to_fock_vector
+from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.measurement import (
     NoExtractionError,
     ProbeBlock,
@@ -47,7 +47,7 @@ def test_block_from_joint_matches_block_from_moments(small):
     joint = perturbative_state(phi, ham, pulse)
     joint[:, 0, 0] = phi
     from_joint = postselect(joint, _norm_sq(joint))
-    mom = moments_from_fock(state, basis, *(build_lambda_operator(side, table, basis) for side in "LR"))
+    mom = moments_from_fock(state, basis, build_imbalance_operator(table, basis))
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
     assert np.allclose(from_joint.matrix, from_mom.matrix, atol=1e-12)
     assert from_joint.p_succ == pytest.approx(from_mom.p_succ, rel=1e-12)
@@ -296,5 +296,9 @@ def test_sampling_is_seed_deterministic():
 def test_sampling_validation():
     with pytest.raises(ValueError):
         sample_outcomes(_block_with_p(0.5), 0, seed=1)
+    # numpy's binomial takes at most 2**63 - 1 trials
+    assert sum(sample_outcomes(_block_with_p(0.5), 2**63 - 1, seed=1).values()) == 2**63 - 1
+    with pytest.raises(ValueError, match="shots must be in"):
+        sample_outcomes(_block_with_p(0.5), 2**63, seed=1)
     with pytest.raises(ValueError):
         sample_outcomes(block_from_moments(analytic_limit_moments(number_state(2))), 10, seed=1)

@@ -2,6 +2,7 @@
 
 from functools import cache
 from math import fsum
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halftrap import moments
-from halftrap.fock import FockBasis, build_lambda_operator
+from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.moments import (
     ProbeBlockMoments,
     analytic_limit_moments,
     moments_from_fock,
     moments_from_state,
 )
+from halftrap.harness.accept import _oracle_states
 from halftrap.orbitals import build_overlap_table
 from halftrap.states import (
     coherent_state,
@@ -25,6 +27,7 @@ from halftrap.states import (
     superposition_state,
     thermal_state,
 )
+from lambda_oracle import lambda_pair
 
 
 def test_vacuum_has_no_moments():
@@ -105,9 +108,9 @@ def test_mode_count_validation():
 
 @pytest.fixture(scope="module")
 def fock6(table6):
-    """Four-quanta basis on six modes and its (Lambda_L, Lambda_R) pair."""
+    """Four-quanta basis on six modes and its imbalance D = Lambda_L - Lambda_R."""
     basis = FockBasis(table6.K, 4)
-    return basis, *(build_lambda_operator(side, table6, basis) for side in "LR")
+    return basis, build_imbalance_operator(table6, basis)
 
 
 def test_moments_match_fock_expectations(table6, fock6):
@@ -128,10 +131,10 @@ def test_moments_match_fock_expectations(table6, fock6):
 
 @cache
 def _fock_route(K: int):
-    """Four-quanta basis on K modes and its (Lambda_L, Lambda_R) pair."""
+    """Four-quanta basis on K modes and its imbalance D = Lambda_L - Lambda_R."""
     table = build_overlap_table(K)
     basis = FockBasis(K, 4)
-    return basis, *(build_lambda_operator(side, table, basis) for side in "LR")
+    return basis, build_imbalance_operator(table, basis)
 
 
 _amplitudes = st.lists(
@@ -165,6 +168,34 @@ def test_fock_moments_are_mirror_symmetric_on_random_states(K, state):
     # orbital is even under P, so the left and right diagonal moments agree
     explicit = moments_from_fock(state, *_fock_route(K))
     assert abs(explicit.mLL - explicit.mRR) <= 1e-14 * max(abs(explicit.mLL), abs(explicit.mRR))
+
+
+def _bits(mom) -> list[str]:
+    """The moments' exact bits, signed zeros included."""
+    return [float(x).hex() for x in (mom.mLL, mom.mRR, mom.mLR.real, mom.mLR.imag)]
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_fock_moments_are_the_lambda_pair_products_bit_for_bit(K):
+    # (N v +- D v) / 2 against Lambda_L v and Lambda_R v of the oracle pair: the vector
+    # holds one state per sector and both operators conserve N, so each entry is one
+    # product; off the diagonal D = 2 Lambda_L exactly, and Lambda_I's diagonal on
+    # |n, 0, ..., 0> is n / 2. The phased vectors reach moments_from_fock as a state's
+    # `vector`, the one attribute it reads
+    table, basis = build_overlap_table(K), FockBasis(K, 4)
+    lamL, lamR = lambda_pair(table, basis)
+    D = build_imbalance_operator(table, basis)
+    rng = np.random.default_rng(K)
+    for state in _oracle_states(seed=K):
+        phased = state.vector * np.exp(2j * np.pi * rng.random(state.vector.size))
+        for vector in (state.vector, phased):
+            v = to_fock_vector(vector, basis)
+            vL, vR = lamL @ v, lamR @ v
+            expect = ProbeBlockMoments(
+                float(np.vdot(vL, vL).real), float(np.vdot(vR, vR).real), complex(np.vdot(vL, vR)), "fock-K", K
+            )
+            got = moments_from_fock(SimpleNamespace(vector=vector), basis, D)
+            assert _bits(got) == _bits(expect)
 
 
 @pytest.mark.parametrize(
