@@ -69,11 +69,13 @@ class TrapState:
     """Canonical form: the populations p_n, n = 0..n_cut, of a `kind` state.
 
     `kind` names the family, one of the five that `make_state` builds.
-    Populations must be finite and non-negative. The squared norm sum p_n
-    and the factorial moments E[n], E[n(n-1)] are summed once, when the
-    state is built: exactly (`math.fsum`) over the p_n at or above 2^-120 of
-    the peak, plus the rest as one `np.sum` term. `tail_mass` is the mass
-    the cutoff discarded.
+    Populations must be finite, non-negative and not empty. The squared norm
+    sum p_n and the factorial moments E[n], E[n(n-1)] are summed once, when
+    the state is built, by one exact `math.fsum` per row over the support, the
+    entries at or above 2^-120 of p's peak, from that peak outward, plus the
+    rest as one `np.sum` term. A row whose rest is not negligible against its
+    total (n p_n when p peaks at n = 0) is one `math.fsum` of all its entries.
+    `tail_mass` is the mass the cutoff discarded.
     """
 
     kind: str
@@ -87,12 +89,12 @@ class TrapState:
         object.__setattr__(self, "populations", p)
         p.setflags(write=False)
         top = p.max(initial=0.0)  # NaN if any entry is NaN
-        if not (top < np.inf and p.min(initial=0.0) >= 0):
-            raise ValueError("populations must be finite and non-negative")
+        if not (len(p) and top < np.inf and p.min(initial=0.0) >= 0):
+            raise ValueError("populations must be finite, non-negative and not empty")
         n = np.arange(len(p))
         keep = p >= 2.0**-120 * top
-        rest = ~keep
-        sums = tuple(fsum([*x[keep].tolist(), x[rest].sum()]) for x in (p, n * p, n * (n - 1) * p))
+        k = p[keep].argmax()  # p's peak, counted within its support
+        sums = tuple(_outward_fsum(x, keep, k) for x in (p, n * p, n * (n - 1) * p))
         object.__setattr__(self, "_sums", sums)
 
     @property
@@ -126,6 +128,14 @@ class TrapState:
         `vector` call.
         """
         return (PureComponent(np.sqrt(self.populations)),)
+
+
+def _outward_fsum(x: np.ndarray, keep: np.ndarray, k: int) -> float:
+    """One row's sum, as the `TrapState` docstring sets out; `k` places the peak in `x[keep]`."""
+    head = x[keep].tolist()
+    rest = x[~keep].sum() if len(head) < len(x) else 0.0
+    total = fsum([*head[k:], *head[:k][::-1], rest])
+    return total if rest <= 2.0**-60 * total else fsum(x[x > 0].tolist())
 
 
 def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:
