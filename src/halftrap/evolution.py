@@ -11,7 +11,9 @@ and the coupling Lambda_L P_L + Lambda_R P_R is
 (N P_+ + D P_-) / sqrt 2 with D = Lambda_L - Lambda_R: the Hamiltonian
 reads N and D only, and no Lambda is built. A joint state is a complex
 array of shape (trap Fock basis, n_+ levels, n_- levels); the L and R
-single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2.
+single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2. The exact state
+is returned as its two factors per trap state, the + mode's and the
+relative mode's amplitudes (`FactoredState`), whose product is that array.
 
 N is conserved, so in each particle-number sector the + mode is a driven
 oscillator, solved in closed form. Only the trap and the relative mode are
@@ -34,6 +36,7 @@ from .orbitals import OverlapTable
 
 __all__ = [
     "JointHamiltonian",
+    "FactoredState",
     "IntegratorDriftError",
     "SeriesLengthError",
     "probe_lowering",
@@ -83,7 +86,8 @@ class JointHamiltonian:
     them. `h` is H_0 there at n_+ = 0, `v` is D P_- / sqrt 2 in the frame
     (real, with explicit zeros on its diagonal at the positions `diag` of
     `v.data`, so that H_0 fits its pattern), and `radius` holds the row sums
-    of |v|.
+    of |v|. Per kept row, `trap` is its trap state, `level0` whether its
+    relative level is 0 and `frame` the frame phase i^(n_-).
     """
 
     basis: FockBasis
@@ -98,6 +102,9 @@ class JointHamiltonian:
     v: sp.csr_matrix
     diag: np.ndarray
     radius: np.ndarray
+    trap: np.ndarray
+    level0: np.ndarray
+    frame: np.ndarray
 
     def coupling_weight(self, phi: np.ndarray) -> float:
         """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites.
@@ -192,7 +199,9 @@ def build_joint_hamiltonian(
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
     edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
     number = basis.states.sum(axis=1)
-    return JointHamiltonian(basis, probe, H0, D, number, parity == 1, even, edges, h, v, diag, radius)
+    return JointHamiltonian(
+        basis, probe, H0, D, number, parity == 1, even, edges, h, v, diag, radius, t, m == 0, _I_POW[m % 4]
+    )
 
 
 def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
@@ -316,21 +325,37 @@ def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarr
     return np.cumprod(np.hstack((ground[:, None], steps)), axis=1)
 
 
-def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
+@dataclass(frozen=True)
+class FactoredState:
+    """A joint state as the product of a + mode and a relative mode factor per trap state.
+
+    `plus` and `relative` are (trap, levels) arrays, and the state is
+    joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-].
+    """
+
+    plus: np.ndarray
+    relative: np.ndarray
+
+    def joint(self) -> np.ndarray:
+        """The (trap, n_+, n_-) array of the state."""
+        return self.plus[:, :, None] * self.relative[:, None, :]
+
+
+def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredState:
     """The joint state after the pulse, from the trap state `phi` with both probes in their ground state.
 
     H_0 and V conserve the particle number N, and in each sector the + mode
     evolves apart from the rest, in closed form (`_centre_of_mass`, once per
-    N and read per trap state through `ham.number`); the returned array
-    holds it on the probe levels. The trap and the relative
-    mode evolve under h + g0 v on the mirror-even half of the sectors from
-    the lowest to the highest N that `phi` occupies (one contiguous range of
-    the graded basis), and the others stay zero. A `phi` with an odd-parity
-    part beyond `_NORM_TOL` is refused, since that part is mirror-odd. The
-    square pulse makes the Hamiltonian constant, so exp(-i T (h + g0 v)) is
-    applied once, as a Chebyshev series in real arithmetic, and the
-    result's norm drift is checked against `_NORM_TOL` and reported as a
-    hard error when exceeded.
+    N and read per trap state through `ham.number`): that is the factor
+    `plus`. The trap and the relative mode evolve under h + g0 v on the
+    mirror-even half of the sectors from the lowest to the highest N that
+    `phi` occupies (one contiguous range of the graded basis), and the
+    others stay zero: that is the factor `relative`. A `phi` with an
+    odd-parity part beyond `_NORM_TOL` is refused, since that part is
+    mirror-odd. The square pulse makes the Hamiltonian constant, so
+    exp(-i T (h + g0 v)) is applied once, as a Chebyshev series in real
+    arithmetic, and the result's norm drift is checked against `_NORM_TOL`
+    and reported as a hard error when exceeded.
     """
     basis, d = ham.basis, ham.probe.levels
     if phi.shape != (basis.dimension,):
@@ -348,14 +373,13 @@ def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndar
     if occupied.size:
         lo, hi = ham.number[occupied[[0, -1]]]
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
-        rows = ham.even[span]
-        y = np.where(rows % d == 0, phi[rows // d], 0.0)
+        y = np.where(ham.level0[span], phi[ham.trap[span]], 0.0)
         out = _chebyshev_propagate(ham, span, pulse, y)
         drift = abs(np.linalg.norm(out) - np.linalg.norm(y))
         if drift > _NORM_TOL:
             raise IntegratorDriftError(
                 f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}"
             )
-        relative[rows] = out * _I_POW[rows % d % 4]  # back from the frame
+        relative[ham.even[span]] = out * ham.frame[span]  # back from the frame
     plus = _centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
-    return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
+    return FactoredState(plus, relative.reshape(-1, d))

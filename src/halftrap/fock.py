@@ -12,7 +12,7 @@ to run exact time evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -40,7 +40,9 @@ class FockBasis:
     `states` is a read-only (dimension, K) int64 array of occupations in
     graded lexicographic order (by total, then lexicographic on the
     occupations), which is stable across runs and makes particle-number
-    blocks contiguous.
+    blocks contiguous. Sector n is enumerated as the multisets of n modes
+    (`itertools.combinations_with_replacement`), whose lex order is the
+    reverse of their occupations', and counted into rows by one bincount.
     """
 
     K: int
@@ -55,18 +57,12 @@ class FockBasis:
         K = self.K
         sectors = []
         for n in range(self.n_max + 1):
-            # stars and bars: the K - 1 bars among n + K - 1 slots, in lex order; the
-            # gaps around the bars are the occupations; each stage is freed before the
-            # next, so a sector's build holds at most two arrays of its size
-            rows = comb(n + K - 1, K - 1)
-            flat = chain.from_iterable(combinations(range(n + K - 1), K - 1))
-            bars = np.fromiter(flat, np.int64, count=rows * (K - 1)).reshape(rows, K - 1)
-            ends = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + K - 1))
-            del bars
-            gaps = np.diff(ends, axis=1)
-            del ends
-            gaps -= 1
-            sectors.append(gaps)
+            # row r counts the modes of multiset rows - 1 - r, over the flat (row, mode) cells
+            rows = comb(n + K - 1, n)
+            flat = chain.from_iterable(combinations_with_replacement(range(K), n))
+            cells = np.fromiter(flat, np.int64, count=rows * n)
+            cells += np.arange((rows - 1) * K, -1, -K).repeat(n)
+            sectors.append(np.bincount(cells, minlength=rows * K).reshape(rows, K))
         states = np.concatenate(sectors)
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
@@ -85,7 +81,7 @@ def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_ma
     """D = Lambda_L - Lambda_R = sum_{k + l odd} (lambda^L_kl - lambda^R_kl) a_k^dag a_l, in CSR.
 
     lambdaL = delta - lambdaR, so D has no diagonal, and off it
-    lambda^L_kl = -lambda^R_kl bit for bit. Built in O(nnz): every entry is
+    lambda^L_kl - lambda^R_kl = -2 lambda^R_kl bit for bit. Every entry is
     the coefficient times <m + e_k| a_k^dag a_l |m + e_l> =
     sqrt((m_k + 1) (m_l + 1)) for a state m one particle down, and no two
     pairs reach the same entry.
@@ -101,11 +97,15 @@ def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_ma
     raised = basis.states[: len(up)] + 1
     modes = np.arange(basis.K if len(up) else 0)  # no pairs without a particle to move
     k, l = np.nonzero(modes[:, None] % 2 != modes % 2)
-    coeff = table.entries("L", k, l) - table.entries("R", k, l)
-    vals = coeff * np.sqrt(raised[:, l] * raised[:, k])
-    return sp.coo_matrix(
-        (vals.ravel(), (up[:, k].ravel(), up[:, l].ravel())), shape=(basis.dimension, basis.dimension)
-    ).tocsr()
+    vals = (-2.0 * table.entries("R", k, l)) * np.sqrt(raised[:, l] * raised[:, k])
+    rows, cols = up[:, k].ravel(), up[:, l].ravel()
+    # CSR by one sort of the entries on (row, column), with scipy's index dtype
+    n = basis.dimension
+    order = np.argsort(rows * n + cols)
+    index = np.int32 if max(n, rows.size) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((vals.ravel()[order], cols[order].astype(index), indptr), shape=(n, n))
 
 
 def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -120,7 +120,7 @@ def resolve_pulse(cfg: ExperimentConfig, S: float):
     return measurement.Pulse.square(T=cfg.pulse_T, g0=g0)
 
 
-def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> np.ndarray:
+def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> evolution.FactoredState:
     """The joint state after the pulse; one too long for its series is refused by the key of its larger part."""
     from .. import evolution
 
@@ -233,7 +233,7 @@ def extract(
         phi = fock.to_fock_vector(state.vector, ham.basis)
         pulse = resolve_pulse(cfg, ham.coupling_weight(phi))
         final = _exact_final(cfg, ham, phi, pulse)
-        return None, measurement.postselect(final, state.norm_sq())
+        return None, measurement.postselect_factors(final.plus, final.relative, state.norm_sq())
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.basis, route.imbalance)
     elif cfg.extrapolate:
@@ -395,7 +395,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     leak_fracs = []
     for T in lengths:
         pulse = measurement.Pulse.square(T=T, g0=g0)
-        final = _exact_final(small, ham, phi, pulse)
+        final = _exact_final(small, ham, phi, pulse).joint()
         diff = final - evolution.perturbative_state(phi, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final, state.norm_sq())

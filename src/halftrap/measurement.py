@@ -11,7 +11,10 @@ relative levels that the exact route works in. Population outside that block
 (possible on the exact path) is folded into the success probability but
 excluded from the block matrix and reported separately as leakage; the
 caller passes the state's squared norm, so population in levels the array
-leaves out counts there too.
+leaves out counts there too. `postselect` reads a (trap, n_+, n_-) array;
+`postselect_factors` reads the exact route's state as its two factors per
+trap state and forms only the three level pairs that post-selection reads.
+Both go through one core.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "ProbeBlock",
     "NoExtractionError",
     "postselect",
+    "postselect_factors",
     "block_from_moments",
     "sample_outcomes",
 ]
@@ -118,16 +122,34 @@ def postselect(joint: np.ndarray, norm_sq: float) -> ProbeBlock:
     """
     if joint.ndim != 3:
         raise ValueError(f"joint state shape {joint.shape} is not (trap, probe, probe)")
+    return _select(joint[:, 0, 0], joint[:, 1, 0], joint[:, 0, 1], norm_sq)
+
+
+def postselect_factors(plus: np.ndarray, relative: np.ndarray, norm_sq: float) -> ProbeBlock:
+    """`postselect` of the joint state joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-].
+
+    Both factors are (trap, levels) arrays over the trap basis; only the
+    three level pairs post-selection reads are formed. The block, p_succ and
+    leakage are those `postselect` gives for the product array: the |00>
+    amplitudes are read through a strided view here as there, so their
+    squared norm is summed in the same order.
+    """
+    if plus.ndim != 2 or plus.shape != relative.shape:
+        raise ValueError(f"factor shapes {plus.shape} and {relative.shape} are not one (trap, probe)")
+    low = plus[:, :2] * relative[:, :1]  # n_- = 0: the |00> and |10> amplitudes
+    return _select(low[:, 0], low[:, 1], plus[:, 0] * relative[:, 1], norm_sq)
+
+
+def _select(ground: np.ndarray, plus: np.ndarray, minus: np.ndarray, norm_sq: float) -> ProbeBlock:
+    """The block from the |00>, |10> and |01> amplitudes in (n_+, n_-), one per trap state."""
     if not 0.0 < norm_sq < inf:
         raise ValueError(f"norm_sq must be finite and positive, got {norm_sq!r}")
-    plus, minus = joint[:, 1, 0], joint[:, 0, 1]
     branch_10 = (plus + minus) / sqrt(2.0)
     branch_01 = (plus - minus) / sqrt(2.0)
     w10 = float(np.vdot(branch_10, branch_10).real)
     w01 = float(np.vdot(branch_01, branch_01).real)
     # partial trace over the trap: rho_ab = sum_t psi_{t,a} conj(psi_{t,b})
     coh = complex(np.vdot(branch_01, branch_10))
-    ground = joint[:, 0, 0]
     w00 = float(np.vdot(ground, ground).real)
     selected = norm_sq - w00
     leakage = max(selected - w10 - w01, 0.0)

@@ -27,13 +27,15 @@ Hence T_LL = T_RR = 1/4 + s(K) and T_LR = 1/4 - s(K), with
 the Taylor series of arcsin(x) / 2pi at x = 1. Its limit arcsin(1) / 2pi
 = 1/4 is the completeness limit T_LL = T_RR = 1/2, T_LR = 0, which
 `analytic_limit_moments` evaluates exactly; the partial sum converges only
-like K^(-1/2), so a finite K leaves that tail in T_LR.
+like K^(-1/2), so a finite K leaves that tail in T_LR. Past 2^16 terms the
+tail, sqrt(pi M) tail = 1 + 1/(24 M) - ... with M = floor(K/2), is summed
+from its asymptotic series instead, so any K costs the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, pi
+from math import fsum, pi, sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,6 +56,13 @@ __all__ = [
 
 # series terms per block: memory stays bounded at any K
 _BLOCK = 1 << 16
+
+# past this many terms M = floor(K/2), s(K) comes from the asymptotic series of the tail
+_ASYMPTOTIC_M = 1 << 16
+# the tail sum_{m >= M} C(2m, m) / (4^m (2m + 1)) times sqrt(pi M), in powers of 1/M: the
+# Euler-Maclaurin sum of the large-m expansion of Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1) (2m + 1));
+# the next term, 721 / (98304 M^4), is below 1e-21 past _ASYMPTOTIC_M
+_TAIL_SERIES = (1.0, 1.0 / 24.0, -19.0 / 640.0, -155.0 / 21504.0)
 
 
 @dataclass(frozen=True)
@@ -110,15 +119,27 @@ def _assemble(
     )
 
 
-def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
-    """Block moments truncated to the lowest K trap modes.
+def _partial_sum(K: int) -> float:
+    """s(K), the arcsin series' partial sum over m < floor(K/2), divided by 2 pi.
 
-    s(K) is summed exactly rounded (fsum), in O(K) time and bounded memory.
+    Up to `_ASYMPTOTIC_M` terms they are summed exactly rounded (fsum), in
+    O(K) time and bounded memory; past it s = 1/4 - tail / 2 pi, with the
+    tail from `_TAIL_SERIES`, in O(1).
     """
+    M = K // 2
+    if M <= _ASYMPTOTIC_M:
+        return fsum(_arcsin_terms(M)) / (2.0 * pi)
+    series = 0.0
+    for c in reversed(_TAIL_SERIES):
+        series = series / M + c
+    return 0.25 - series / (sqrt(pi * M) * (2.0 * pi))
+
+
+def moments_from_state(state: TrapState, K: int) -> ProbeBlockMoments:
+    """Block moments truncated to the lowest K trap modes (s(K) from `_partial_sum`)."""
     if K < 1:
         raise ValueError(f"mode count must be >= 1, got {K}")
-    s = fsum(_arcsin_terms(K // 2)) / (2.0 * pi)
-    return _assemble(state, s, provenance="finite-K", K=K)
+    return _assemble(state, _partial_sum(K), provenance="finite-K", K=K)
 
 
 def moments_from_fock(state: TrapState, basis: FockBasis, D: sp.csr_matrix) -> ProbeBlockMoments:

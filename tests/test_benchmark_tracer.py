@@ -7,10 +7,14 @@ produces every per-layer metric without failing anything else. Likewise
 `benchmarks/workloads.py` writes config entries and `benchmarks/worker.py`
 checks rows against `cfg.mu_tol` and `cfg.f_tol`; a schema change that drops
 either would break every benchmark run, and only a benchmark run would show it.
+The worker's row gate on the exact-sweep grids, exact against fock within
+`EXACT_VS_FOCK_TOL`, is run here too, so an exact-route regression fails
+here before a benchmark run reports it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import io
 import sys
@@ -142,3 +146,36 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
     # the full joint dimension of the exact run, C(n_max + K, K) * levels^2, not the
     # mirror-even half that is propagated
     assert summary["joint_dim"] == comb(3 + 4, 4) * 4**2
+    # the exact step and the build it reads run under the names the tracer times:
+    # a move to another name would read 0 in every traced benchmark run
+    assert summary["propagate_s"] > 0
+    assert summary["hamiltonian_s"] > 0
+
+
+def _constant(module: str, name: str):
+    """A module-level constant of a benchmark file, read from its source without running it."""
+    tree = ast.parse((_BENCHMARKS / f"{module}.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{module}.py defines no {name}")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_sweep_rows_pass_the_benchmark_row_gate(seed):
+    # the worker's check of every exact-sweep row: it completes on both routes, and
+    # the exact route's mu stays within EXACT_VS_FOCK_TOL of the fock route's
+    wl = _load("workloads")
+    tol = _constant("worker", "EXACT_VS_FOCK_TOL")
+    assert 0 < tol < 1e-2
+    for sw in wl.sweeps("exact-sweep", seed):
+        text = sw.config_text()
+        assert "path = exact" in text
+        exact, fock = (
+            sweep.run_sweep(ExperimentConfig.from_entries(parse_config_text(text.replace("path = exact", f"path = {route}"))))
+            for route in ("exact", "fock")
+        )
+        assert [r.value for r in exact] == [r.value for r in fock] == list(sw.values)
+        for e, f in zip(exact, fock):
+            assert e.error == f.error == ""
+            assert abs(e.mu - f.mu) <= tol, (sw.K, sw.family.state, e.value)

@@ -30,8 +30,10 @@ from halftrap.evolution import (
     perturbative_state,
     probe_lowering,
 )
+from halftrap.entanglement import block_negativity
 from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
-from halftrap.measurement import postselect
+from halftrap.harness.accept import _oracle_states as _accept_oracle_states
+from halftrap.measurement import NoExtractionError, postselect, postselect_factors
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
@@ -132,7 +134,7 @@ def test_zero_coupling_is_free_evolution(setup4):
         superposition_state(np.array([0.6, 0.0, 0.8])).vector, basis
     )
     initial = embed_product(phi, probe)
-    final = exact_state(phi, ham, Pulse.square(T=0.3, g0=0.0))
+    final = exact_state(phi, ham, Pulse.square(T=0.3, g0=0.0)).joint()
     # phases only: every amplitude keeps its magnitude, branches stay empty
     assert np.allclose(
         np.abs(final[:, 0, 0]), np.abs(initial[:, 0, 0]), atol=1e-12
@@ -145,7 +147,7 @@ def test_exact_evolution_is_unitary(setup4):
     table, basis, probe, ham = setup4
     phi = to_fock_vector(number_state(2).vector, basis)
     T, g0 = 0.2, 0.8
-    final = exact_state(phi, ham, Pulse.square(T=T, g0=g0))
+    final = exact_state(phi, ham, Pulse.square(T=T, g0=g0)).joint()
     # the array holds the + mode's first levels only: of the Poisson weights of
     # |beta|^2 = (2 c / Omega)^2 sin^2(Omega T / 2), c = g0 N sqrt(M Omega / 4), the first four
     beta_sq = (2.0 * g0 * 2 * 0.5 * np.sin(T / 2.0)) ** 2
@@ -160,7 +162,7 @@ def test_first_order_residual_scales_quadratically(setup4):
     residuals = []
     for T in (0.02, 0.01, 0.005):
         pulse = Pulse.square(T=T, g0=2.0)
-        final = exact_state(phi, ham, pulse)
+        final = exact_state(phi, ham, pulse).joint()
         model = perturbative_state(phi, ham, pulse)
         diff = final.reshape(-1) - model.reshape(-1)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
@@ -180,8 +182,8 @@ def test_left_right_swap_mirrors_the_block(setup4):
     phi = to_fock_vector(number_state(2).vector, basis)
     pulse = Pulse.square(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
-    _, a10, _ = _branches(exact_state(phi, ham, pulse))
-    _, _, b01 = _branches(exact_state(phi, ham_swapped, pulse))
+    _, a10, _ = _branches(exact_state(phi, ham, pulse).joint())
+    _, _, b01 = _branches(exact_state(phi, ham_swapped, pulse).joint())
     wa10 = float(np.vdot(a10, a10).real)
     wb01 = float(np.vdot(b01, b01).real)
     assert wa10 == pytest.approx(wb01, rel=1e-12)
@@ -275,7 +277,7 @@ def test_sector_propagation_matches_full_space(state, full_space_10):
     for K, (ham, cases) in full_space_10.items():
         phi, expected = cases[state]
         for pulse, expect in zip(_ORACLE_PULSES, expected):
-            got = exact_state(phi, ham, pulse)
+            got = exact_state(phi, ham, pulse).joint()
             expect = expect.reshape(got.shape)
             for a, b in zip(_branches(got), (expect[:, 0, 0], expect[:, 1, 0], expect[:, 0, 1])):
                 assert np.abs(a - b).max() <= 1e-14, (K, pulse)
@@ -427,6 +429,11 @@ def test_basis_constants_are_the_per_state_values():
     ham = build_joint_hamiltonian(build_overlap_table(8), basis, probe)
     assert np.array_equal(ham.number, basis.states.sum(axis=1))
     assert np.array_equal(ham.odd, basis.states @ np.arange(8) % 2 == 1)
+    # the per-row maps a point reads: trap state, level-0 mask and frame phase i^(n_-)
+    t, m = np.divmod(ham.even, probe.levels)
+    assert np.array_equal(ham.trap, t)
+    assert np.array_equal(ham.level0, m == 0)
+    assert np.array_equal(ham.frame, [1j**k for k in m])
     # the centre-of-mass mode per sector, indexed by N, has the bits of its per-state form
     for pulse in (Pulse.square(T=0.05, g0=2.0), Pulse.square(T=7.0, g0=1.5)):
         per_state = evolution._centre_of_mass(basis.states.sum(axis=1), probe, pulse)
@@ -472,8 +479,10 @@ def test_wrongly_shaped_state_is_refused(setup4):
 def test_empty_state_propagates_to_zeros(setup4):
     _, basis, probe, ham = setup4
     out = exact_state(np.zeros(basis.dimension, dtype=np.complex128), ham, Pulse.square(T=0.05, g0=1.0))
-    assert out.shape == (basis.dimension, probe.levels, probe.levels)
-    assert not out.any()
+    assert out.plus.shape == out.relative.shape == (basis.dimension, probe.levels)
+    joint = out.joint()
+    assert joint.shape == (basis.dimension, probe.levels, probe.levels)
+    assert not joint.any()
 
 
 def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
@@ -538,13 +547,14 @@ def test_a_mixture_evolves_as_its_square_root_vector(data):
     ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
     mixture = TrapState("thermal", populations=p)
     norm_sq = mixture.norm_sq()
-    block = postselect(exact_state(to_fock_vector(mixture.vector, basis), ham, pulse), norm_sq)
+    final = exact_state(to_fock_vector(mixture.vector, basis), ham, pulse)
+    block = postselect_factors(final.plus, final.relative, norm_sq)
     w00, w10, w01, coh = sum(
-        pn * _weights(exact_state(to_fock_vector(np.eye(1, n + 1, n)[0], basis), ham, pulse))
+        pn * _weights(exact_state(to_fock_vector(np.eye(1, n + 1, n)[0], basis), ham, pulse).joint())
         for n, pn in enumerate(p)
     )
     rho = np.array([[w10, coh], [np.conj(coh), w01]]) / (w10 + w01).real
-    # the worst of 400 draws: 6.1e-16 in rho, 1.3e-15 in p_succ and 1.4e-15 in leakage
+    # the worst of 400 draws: 5.6e-16 in rho, 1.0e-15 in p_succ and 1.1e-15 in leakage
     assert np.abs(block.matrix - rho).max() <= 2e-15
     assert abs(block.p_succ - (norm_sq - w00.real) / norm_sq) <= 5e-15
     assert abs(block.leakage - (norm_sq - w00 - w10 - w01).real / norm_sq) <= 5e-15
@@ -555,10 +565,8 @@ def test_a_phase_on_one_sector_leaves_the_exact_block_alone(setup4):
     # so a phase on the N = 2 sector cancels in every block sum
     _, basis, _, ham = setup4
     pulse = Pulse.square(T=0.3, g0=0.8)
-    plain, phased = (
-        postselect(exact_state(to_fock_vector(np.array(c), basis), ham, pulse), 1.0)
-        for c in ([0.6, 0.0, 0.8], [0.6, 0.0, 0.8j])
-    )
+    finals = (exact_state(to_fock_vector(np.array(c), basis), ham, pulse) for c in ([0.6, 0.0, 0.8], [0.6, 0.0, 0.8j]))
+    plain, phased = (postselect_factors(f.plus, f.relative, 1.0) for f in finals)
     assert np.abs(phased.matrix - plain.matrix).max() <= 1e-15
     assert abs(phased.p_succ - plain.p_succ) <= 1e-15
     assert abs(phased.leakage - plain.leakage) <= 1e-15
@@ -590,5 +598,75 @@ def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
     _, basis, probe, ham = setup4
     flat = dataclasses.replace(ham, h=np.full_like(ham.h, 2.5))
     phi = to_fock_vector(np.array([0.6, 0.0, 0.8j]), basis)
-    got = exact_state(phi, flat, Pulse.square(T=0.7, g0=0.0))
+    got = exact_state(phi, flat, Pulse.square(T=0.7, g0=0.0)).joint()
     assert np.abs(got - np.exp(-1.75j) * embed_product(phi, probe)).max() <= 1e-15
+
+
+def _joint_array_route(phi, ham, pulse):
+    """Oracle: the former `exact_state`, which formed the (trap, n_+, n_-) array on the whole basis.
+
+    It re-derives the per-row maps from `ham.even` and reads the + mode for
+    every particle number, per trap state.
+    """
+    basis, d = ham.basis, ham.probe.levels
+    relative = np.zeros(basis.dimension * d, dtype=np.complex128)
+    occupied = np.flatnonzero(phi)
+    if occupied.size:
+        lo, hi = ham.number[occupied[[0, -1]]]
+        span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
+        rows = ham.even[span]
+        out = evolution._chebyshev_propagate(ham, span, pulse, _relative_initial(phi, ham, span))
+        relative[rows] = out * np.array([1.0, 1.0j, -1.0, -1.0j])[rows % d % 4]
+    plus = evolution._centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
+    return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
+
+
+def _factored_cases():
+    """accept's oracle states as their vectors, and complex-phase superpositions handed over directly."""
+    rng = np.random.default_rng(7)
+    vectors = [state.vector for state in _accept_oracle_states(1)]
+    for size in (2, 3, 5):
+        raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+        vectors.append(raw / np.linalg.norm(raw))
+    vectors.append(np.array([0.0, 0.6, 0.0, 0.8j]))
+    return vectors
+
+
+# exact-sweep's shape at K = 8, a sector-mixing strong pulse, odd and even level counts
+_FACTORED_SETUPS = [
+    (8, 4, 4, Pulse.square(T=0.05, g0=2.0)),
+    (6, 4, 3, Pulse.square(T=0.3, g0=0.8)),
+    (4, 3, 5, Pulse.square(T=2.0, g0=1.5)),
+    (1, 2, 2, Pulse.square(T=0.05, g0=2.0)),
+]
+
+
+@pytest.mark.parametrize("K, n_max, levels, pulse", _FACTORED_SETUPS)
+def test_factored_block_matches_the_joint_array_route(K, n_max, levels, pulse):
+    # the factors form the former joint array bit for bit, signed zeros included, and
+    # post-selecting them gives the block, mu, p_succ and leakage of `postselect` on that
+    # array exactly. Both read the |00> amplitudes through a strided view: summed as a
+    # contiguous vector instead, p_succ and leakage moved by up to 4.2 eps here, the
+    # cancellation in norm_sq - w00; summed over the propagated sectors' trap states
+    # alone, mu moved by up to 3 ulp (K = 6, 3 levels, mu 0.07)
+    ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
+    compared = 0
+    for coeffs in _factored_cases():
+        if len(coeffs) - 1 > n_max:
+            continue
+        phi = to_fock_vector(coeffs, ham.basis)
+        final, expect = exact_state(phi, ham, pulse), _joint_array_route(phi, ham, pulse)
+        assert final.joint().tobytes() == expect.tobytes()
+        norm_sq = float(np.vdot(coeffs, coeffs).real)
+        try:
+            ref = postselect(expect, norm_sq)
+        except NoExtractionError:  # the vacuum: nothing to select on either route
+            with pytest.raises(NoExtractionError):
+                postselect_factors(final.plus, final.relative, norm_sq)
+            continue
+        got = postselect_factors(final.plus, final.relative, norm_sq)
+        assert got.matrix.tobytes() == ref.matrix.tobytes()
+        assert (got.p_succ, got.leakage) == (ref.p_succ, ref.leakage)
+        assert block_negativity(got) == block_negativity(ref)
+        compared += 1
+    assert compared >= 4

@@ -1,7 +1,9 @@
 """Probe-block moments: closed form, explicit cross-check, infinite-K limit."""
 
+from fractions import Fraction
 from functools import cache
 from math import fsum
+from time import perf_counter
 from types import SimpleNamespace
 
 import mpmath
@@ -99,6 +101,66 @@ def test_block_size_leaves_the_sums_unchanged(monkeypatch):
     whole = moments_from_state(number_state(1), 4096)
     monkeypatch.setattr(moments, "_BLOCK", 7)
     assert moments_from_state(number_state(1), 4096) == whole
+
+
+def _mp_tail(M):
+    """sum_{m >= M} C(2m, m) / (4^m (2m + 1)) = t_M 3F2(1, M + 1/2, M + 1/2; M + 1, M + 3/2; 1), in mpmath."""
+    M = mpmath.mpf(M)
+    t_M = mpmath.gamma(M + 0.5) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(M + 1) * (2 * M + 1))
+    return t_M * mpmath.hyp3f2(1, M + 0.5, M + 0.5, M + 1, M + 1.5, 1)
+
+
+@pytest.mark.parametrize("M", [10**4, 2**16, 10**6])
+def test_tail_series_coefficients_match_mpmath(M):
+    # each float coefficient is the rounding of a small rational; with the rationals,
+    # tail * sqrt(pi M) minus the series through 1/M^(j - 1) leaves coefficient j over
+    # M^j, to 1e-3 relative, and after the last one the term the series drops
+    exact = [Fraction(c).limit_denominator(10**6) for c in moments._TAIL_SERIES]
+    assert [float(c) for c in exact] == list(moments._TAIL_SERIES)
+    assert exact == [1, Fraction(1, 24), Fraction(-19, 640), Fraction(-155, 21504)]
+    with mpmath.workdps(50):
+        scaled = _mp_tail(M) * mpmath.sqrt(mpmath.pi * M)
+        terms = [mpmath.mpf(c.numerator) / c.denominator for c in exact] + [mpmath.mpf(721) / 98304]
+        for j in range(len(terms)):
+            rest = (scaled - sum(c / mpmath.mpf(M) ** i for i, c in enumerate(terms[:j]))) * mpmath.mpf(M) ** j
+            assert abs(rest - terms[j]) <= 1e-3 * abs(terms[j])
+
+
+@pytest.mark.parametrize("K", [2 * 2**16 + 2, 2 * 2**16 + 3, 10**6 + 1, 10**9, 10**12, 2**62 + 7, 10**18])
+def test_asymptotic_partial_sum_is_within_one_ulp(K):
+    # past _ASYMPTOTIC_M terms, s(K) = 1/4 - tail / 2 pi from the series, against mpmath
+    assert K // 2 > moments._ASYMPTOTIC_M
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(1) / 4 - _mp_tail(K // 2) / (2 * mpmath.pi)
+        s = moments._partial_sum(K)
+        assert abs(s - exact) <= np.spacing(float(exact))
+        # one particle: mLL = 1/4 + s, one rounding more
+        mom = moments_from_state(number_state(1), K)
+        assert abs(mom.mLL - (exact + mpmath.mpf(1) / 4)) <= np.spacing(mom.mLL)
+
+
+def test_threshold_keeps_the_fsum_path(monkeypatch):
+    # up to _ASYMPTOTIC_M terms nothing changes: the fsum of the terms, as before
+    K = 2 * moments._ASYMPTOTIC_M + 1
+    calls = []
+    real = moments._arcsin_terms
+    monkeypatch.setattr(moments, "_arcsin_terms", lambda M: calls.append(M) or real(M))
+    s = moments._partial_sum(K)
+    assert calls == [moments._ASYMPTOTIC_M]
+    assert s == fsum(real(moments._ASYMPTOTIC_M)) / (2.0 * np.pi)
+    moments._partial_sum(K + 1)
+    assert calls == [moments._ASYMPTOTIC_M]
+
+
+def test_finite_k_moments_at_a_trillion_modes_take_no_time():
+    # the sum over 5e11 terms ran for minutes; the series takes microseconds
+    state = number_state(3)
+    moments_from_state(state, 10**12)
+    start = perf_counter()
+    for _ in range(100):
+        mom = moments_from_state(state, 10**12)
+    assert (perf_counter() - start) / 100 < 1e-3
+    assert mom.K == 10**12 and mom.provenance == "finite-K"
 
 
 def test_mode_count_validation():
