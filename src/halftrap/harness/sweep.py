@@ -127,9 +127,7 @@ def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> evolutio
     try:
         return evolution.exact_state(phi, ham, pulse)
     except evolution.SeriesLengthError as exc:
-        # T r <= T (spread of H_0) / 2 + |area| (largest row sum of |V|)
-        by_area = abs(pulse.area) * ham.radius.max() >= pulse.T * np.ptp(ham.h) / 2
-        raise ConfigError(_area_key(cfg) if by_area else "pulse.T", str(exc)) from None
+        raise ConfigError(_area_key(cfg) if exc.by_coupling else "pulse.T", str(exc)) from None
 
 
 def _build_state(cfg: ExperimentConfig) -> states.TrapState:

@@ -122,9 +122,12 @@ def _assemble(
 def _partial_sum(K: int) -> float:
     """s(K), the arcsin series' partial sum over m < floor(K/2), divided by 2 pi.
 
-    Up to `_ASYMPTOTIC_M` terms they are summed exactly rounded (fsum), in
-    O(K) time and bounded memory; past it s = 1/4 - tail / 2 pi, with the
-    tail from `_TAIL_SERIES`, in O(1).
+    Up to `_ASYMPTOTIC_M` terms the float terms are summed exactly rounded
+    (fsum), in O(K) time and bounded memory. The terms themselves carry the
+    rounding of the running product in `_arcsin_terms`, so s(K) is not
+    exactly rounded: it lies within 1.7 ulp of its exact value (1.53 ulp at
+    K = 4096, 1.23 at K = 2^17). Past `_ASYMPTOTIC_M` terms
+    s = 1/4 - tail / 2 pi, with the tail from `_TAIL_SERIES`, in O(1).
     """
     M = K // 2
     if M <= _ASYMPTOTIC_M:

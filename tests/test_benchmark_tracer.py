@@ -9,7 +9,8 @@ checks rows against `cfg.mu_tol` and `cfg.f_tol`; a schema change that drops
 either would break every benchmark run, and only a benchmark run would show it.
 The worker's row gate on the exact-sweep grids, exact against fock within
 `EXACT_VS_FOCK_TOL`, is run here too, so an exact-route regression fails
-here before a benchmark run reports it.
+here before a benchmark run reports it, and so is a count of the Chebyshev
+terms those grids take, which sets most of an exact point's cost.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from halftrap import evolution
 from halftrap.harness import sweep
 from halftrap.harness.config import ExperimentConfig, apply_overrides, parse_config_text
 from halftrap.orbitals import build_overlap_table
@@ -179,3 +181,27 @@ def test_exact_sweep_rows_pass_the_benchmark_row_gate(seed):
         for e, f in zip(exact, fock):
             assert e.error == f.error == ""
             assert abs(e.mu - f.mu) <= tol, (sw.K, sw.family.state, e.value)
+
+
+def test_exact_sweep_grids_keep_their_series_short(monkeypatch):
+    # the Chebyshev terms over the exact-sweep grids of seeds 1-3: 924 when the series was
+    # sized by the Gershgorin hull alone, 800 on its intersection with the one-body interval
+    wl = _load("workloads")
+    terms = []
+    real = evolution._bessel_series
+
+    def counted(z):
+        series = real(z)
+        terms.append(series.size)
+        return series
+
+    monkeypatch.setattr(evolution, "_bessel_series", counted)
+    rows = [
+        row
+        for seed in (1, 2, 3)
+        for sw in wl.sweeps("exact-sweep", seed)
+        for row in sweep.run_sweep(ExperimentConfig.from_entries(parse_config_text(sw.config_text())))
+    ]
+    assert len(rows) == len(terms) == 48
+    assert all(row.error == "" for row in rows)
+    assert sum(terms) <= 800

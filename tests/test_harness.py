@@ -568,6 +568,23 @@ def test_a_pulse_too_long_for_its_series_is_refused(entries, field, table6):
     assert err.value.fieldname == field
 
 
+def test_an_area_past_the_gershgorin_cap_runs_within_the_one_body_bound(table6):
+    # at T = 2 pi / Omega the + mode ends in its ground level, so a strong area still leaves a
+    # block; at area 5000 the Gershgorin hull alone puts T r past the cap (it was refused by
+    # `pulse.area`), and its intersection with the one-body interval does not
+    coherent = {"state": "coherent", "alpha_sq": "0.4", "n_cut": "4", "tail_tol": "1e-3"}
+    T = 2.0 * np.pi
+    entries = {**_ROUTE, "path": "exact", **coherent, "pulse.T": repr(T), "pulse.area": "5000"}
+    block = single_block(ExperimentConfig.from_entries(entries), table6)
+    assert 0.0 < block.p_succ <= 1.0 and np.isfinite(block.matrix).all()
+    # the sectors 0-4 the state occupies are the whole basis
+    ham = evolution.build_joint_hamiltonian(table6, fock.FockBasis(6, 4), evolution.ProbeParams(levels=4))
+    g0 = 5000.0 / T
+    gershgorin = np.ptp(np.concatenate((ham.h - g0 * ham.radius, ham.h + g0 * ham.radius))) / 2.0
+    one_body = np.ptp(np.concatenate((ham.h - g0 * ham.bound, ham.h + g0 * ham.bound))) / 2.0
+    assert T * one_body <= evolution._MAX_TERMS < T * gershgorin
+
+
 @pytest.mark.parametrize("T", [1e-160, 1e-300])
 def test_a_vanishing_pulse_length_keeps_the_exact_block_finite(T, table6):
     # at a fixed area x = g0 N sqrt(M Omega / 4) / Omega passes 1e154, so x * x
