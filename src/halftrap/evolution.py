@@ -2,7 +2,9 @@
 
 Two routes to the final state: the first-order perturbative form (exact in
 the pulse area, valid for weak pulses) and full propagation of the pulse
-(used to measure how good first order actually is).
+(used to measure how good first order actually is). Both start from a trap
+state in the lowest orbital, sum_n c_n |n, 0, ..., 0>, and take its
+amplitudes c_n.
 
 Both are written in the probes' centre-of-mass and relative modes
 b_+- = (b_L +- b_R) / sqrt 2. The half-line overlaps obey
@@ -25,12 +27,12 @@ it needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, build_imbalance_operator
+from .fock import FockBasis, build_imbalance_operator, to_fock_vector
 from .measurement import ProbeParams, Pulse
 from .orbitals import OverlapTable
 
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 
-# an odd-parity trap part or a norm drift beyond this is refused by `exact_state`
+# a norm drift beyond this is refused by `exact_state`
 _NORM_TOL = 1e-9
 
 
@@ -87,18 +89,20 @@ class JointHamiltonian:
 
     `H0` is the diagonal of H_0 on the whole flattened (trap, n_+, n_-)
     space, the same as on (trap, n_L, n_R), since n_+ + n_- = n_L + n_R.
-    `D` is the trap-space imbalance Lambda_L - Lambda_R, and `number` and
-    `odd` hold each trap state's particle number and whether its parity is
-    odd. The rest is the trap and relative mode on their mirror-even half:
-    `even` holds the flat (trap, n_-) indices it keeps, in order, and the
-    sector of particle number N is the range `edges[N]:edges[N + 1]` of
-    them. `h` is H_0 there at n_+ = 0, `v` is D P_- / sqrt 2 in the frame
-    (real, with explicit zeros on its diagonal at the positions `diag` of
-    `v.data`, so that H_0 fits its pattern). Two bounds on v's spectrum are
-    held per row: `radius`, the row sums of |v| (Gershgorin's), and `bound`,
-    the one-body bound N sqrt(M Omega / 4) x_d of the row's sector N (see
-    `_one_body_scale`). Per kept row, `trap` is its trap state, `level0`
-    whether its relative level is 0 and `frame` the frame phase i^(n_-).
+    `D` is the trap-space imbalance Lambda_L - Lambda_R, and `number` holds
+    each trap state's particle number. The rest is the trap and relative
+    mode on their mirror-even half: `even` holds the flat (trap, n_-)
+    indices it keeps, in order, and the sector of particle number N is the
+    range `edges[N]:edges[N + 1]` of them. `h` is H_0 there at n_+ = 0, `v`
+    is D P_- / sqrt 2 in the frame (real, with explicit zeros on its
+    diagonal at the positions `diag` of `v.data`, so that H_0 fits its
+    pattern). Two bounds on v's spectrum are held per row: `radius`, the row
+    sums of |v| (Gershgorin's), and `bound`, the one-body bound
+    N sqrt(M Omega / 4) x_d of the row's sector N (see `_one_body_scale`).
+    `frame` holds each kept row's frame phase i^(n_-), and `origin[n]` the
+    row of |n, 0, ..., 0> at relative level 0, where a lowest-orbital state
+    starts. Nothing changes once built, so one Hamiltonian can serve any
+    number of propagations.
     """
 
     basis: FockBasis
@@ -106,7 +110,6 @@ class JointHamiltonian:
     H0: np.ndarray
     D: sp.csr_matrix
     number: np.ndarray
-    odd: np.ndarray
     even: np.ndarray
     edges: np.ndarray
     h: np.ndarray
@@ -114,17 +117,16 @@ class JointHamiltonian:
     diag: np.ndarray
     radius: np.ndarray
     bound: np.ndarray
-    trap: np.ndarray
-    level0: np.ndarray
     frame: np.ndarray
-    # the block of 2 X on the last propagated span, at most one (see `_chebyshev_propagate`)
-    _spare: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    origin: np.ndarray
 
-    def coupling_weight(self, phi: np.ndarray) -> float:
+    def coupling_weight(self, c: np.ndarray) -> float:
         """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites.
 
-        Lambda_L,R = (N +- D) / 2, so S = (|N phi|^2 + |D phi|^2) / 2.
+        phi = sum_n c_n |n, 0, ..., 0>, and Lambda_L,R = (N +- D) / 2, so
+        S = (|N phi|^2 + |D phi|^2) / 2.
         """
+        phi = to_fock_vector(c, self.basis)
         n_phi = self.number * phi
         d_phi = self.D @ phi
         return 0.5 * (float(np.vdot(n_phi, n_phi).real) + float(np.vdot(d_phi, d_phi).real))
@@ -246,21 +248,24 @@ def build_joint_hamiltonian(
     edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
     number = basis.states.sum(axis=1)
     bound = number[t] * _one_body_scale(probe)
-    return JointHamiltonian(
-        basis, probe, H0, D, number, parity == 1, even, edges, h, v, diag, radius, bound, t, m == 0, _I_POW[m % 4]
-    )
+    # |n, 0, ..., 0> is the last state of sector n and even, so its level 0 is its
+    # sector's last row but its (d + 1) // 2 kept levels
+    origin = edges[1:] - (d + 1) // 2
+    return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, _I_POW[m % 4], origin)
 
 
-def perturbative_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
+def perturbative_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
     """First-order joint state, unnormalized, in the (trap, n_+, n_-) layout of `exact_state`.
 
-    The zero-excitation branch is (1 - i T H_0)|phi>|00>. The + and -
-    single excitations carry area * sqrt(M Omega / 4) times N|phi> and
-    D|phi> = (Lambda_L - Lambda_R)|phi>, so the L and R branches carry
+    The trap starts in phi = sum_n c_n |n, 0, ..., 0>. The zero-excitation
+    branch is (1 - i T H_0)|phi>|00>. The + and - single excitations carry
+    area * sqrt(M Omega / 4) times N|phi> and D|phi> = (Lambda_L -
+    Lambda_R)|phi>, so the L and R branches carry
     area * sqrt(M Omega / 2) * Lambda|phi>. The free-evolution term lives
     entirely in the branch that post-selection discards.
     """
     probe = ham.probe
+    phi = to_fock_vector(c, ham.basis)
     joint = embed_product(phi, probe)
     # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
     h00 = ham.H0.reshape(joint.shape)[:, 0, 0]
@@ -324,10 +329,8 @@ def _chebyshev_propagate(
     imaginary for odd k, so the even and the odd terms are summed apart,
     each in place.
 
-    2 X has the pattern of v's block on the range, whose CSR arrays are
-    kept in `ham._spare` for the next call on the same range: consecutive
-    points of a sweep often propagate the same sectors. It is taken out
-    while in use, so two calls on one Hamiltonian never share it.
+    2 X has the pattern of v's block on the range, sliced from v on each
+    call into arrays of its own; `ham` is only read.
     """
     h = ham.h[span]
     g = abs(pulse.g0)
@@ -347,13 +350,9 @@ def _chebyshev_propagate(
         return phase * y
     parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
     # 2 X, with H's diagonal (h - c) folded into the explicit zeros of v's pattern
-    key = (span.start, span.stop)
-    X2 = ham._spare.pop(key, None)
-    if X2 is None:
-        X2 = _block(ham.v, span, span)
-    lo = ham.v.indptr[span.start]
-    X2.data = (2.0 * pulse.g0 / r) * ham.v.data[lo : ham.v.indptr[span.stop]]  # a new array, never v's
-    X2.data[ham.diag[span] - lo] = (2.0 / r) * (h - c)
+    X2 = _block(ham.v, span, span)
+    X2.data = (2.0 * pulse.g0 / r) * X2.data  # a new array, never v's
+    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / r) * (h - c)
 
     coef = 2.0 * _bessel_series(z)
     coef[0] /= 2.0
@@ -370,8 +369,6 @@ def _chebyshev_propagate(
             prev, cur = cur, nxt
             sums[k % 2] += np.multiply(coef[k], cur, out=term)
         out += unit * (sums[0] + 1j * sums[1])
-    ham._spare.clear()
-    ham._spare[key] = X2
     return phase * out
 
 
@@ -412,39 +409,32 @@ class FactoredState:
         return self.plus[:, :, None] * self.relative[:, None, :]
 
 
-def exact_state(phi: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredState:
-    """The joint state after the pulse, from the trap state `phi` with both probes in their ground state.
+def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredState:
+    """The joint state after the pulse, from sum_n c_n |n, 0, ..., 0> with both probes in their ground state.
 
     H_0 and V conserve the particle number N, and in each sector the + mode
     evolves apart from the rest, in closed form (`_centre_of_mass`, once per
     N and read per trap state through `ham.number`): that is the factor
-    `plus`. The trap and the relative mode evolve under h + g0 v on the
-    mirror-even half of the sectors from the lowest to the highest N that
-    `phi` occupies (one contiguous range of the graded basis), and the
-    others stay zero: that is the factor `relative`. A `phi` with an
-    odd-parity part beyond `_NORM_TOL` is refused, since that part is
-    mirror-odd. The square pulse makes the Hamiltonian constant, so
-    exp(-i T (h + g0 v)) is applied once, as a Chebyshev series in real
-    arithmetic, and the result's norm drift is checked against `_NORM_TOL`
-    and reported as a hard error when exceeded.
+    `plus`. Every |n, 0, ..., 0>|00> is mirror-even, so the trap and the
+    relative mode evolve under h + g0 v on the mirror-even half of the
+    sectors from the first to the last n with c_n nonzero (one contiguous
+    range of the graded basis), starting at the rows `ham.origin`, and the
+    others stay zero: that is the factor `relative`. A cutoff past the
+    basis' `n_max` is refused. The square pulse makes the Hamiltonian
+    constant, so exp(-i T (h + g0 v)) is applied once, as a Chebyshev
+    series in real arithmetic, and the result's norm drift is checked
+    against `_NORM_TOL` and reported as a hard error when exceeded.
     """
     basis, d = ham.basis, ham.probe.levels
-    if phi.shape != (basis.dimension,):
-        raise ValueError(
-            f"trap state shape {phi.shape} does not match the Hamiltonian's basis {(basis.dimension,)}"
-        )
-    odd = np.linalg.norm(phi[ham.odd])
-    if odd > _NORM_TOL:
-        raise ValueError(
-            f"trap state has an odd-parity part of norm {odd:.3e}; "
-            "exact_state propagates the mirror-even half only"
-        )
+    if len(c) - 1 > basis.n_max:
+        raise ValueError(f"state cutoff {len(c) - 1} exceeds basis capacity {basis.n_max}")
     relative = np.zeros(basis.dimension * d, dtype=np.complex128)
-    occupied = np.flatnonzero(phi)
+    occupied = np.flatnonzero(c)
     if occupied.size:
-        lo, hi = ham.number[occupied[[0, -1]]]
+        lo, hi = occupied[[0, -1]]
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
-        y = np.where(ham.level0[span], phi[ham.trap[span]], 0.0)
+        y = np.zeros(span.stop - span.start, dtype=np.complex128)
+        y[ham.origin[lo : hi + 1] - span.start] = c[lo : hi + 1]
         out = _chebyshev_propagate(ham, span, pulse, y)
         drift = abs(np.linalg.norm(out) - np.linalg.norm(y))
         if drift > _NORM_TOL:

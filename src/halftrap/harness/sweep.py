@@ -117,15 +117,15 @@ def resolve_pulse(cfg: ExperimentConfig, S: float):
     weight = area * area * cfg.probe_M * cfg.probe_Omega / 2.0 * S
     if not isfinite(weight):
         raise ConfigError(key, f"sets the pulse area {area:.3g}, whose first-order weight overflows")
-    return measurement.Pulse.square(T=cfg.pulse_T, g0=g0)
+    return measurement.Pulse(T=cfg.pulse_T, g0=g0)
 
 
-def _exact_final(cfg: ExperimentConfig, ham, phi: np.ndarray, pulse) -> evolution.FactoredState:
+def _exact_final(cfg: ExperimentConfig, ham, c: np.ndarray, pulse) -> evolution.FactoredState:
     """The joint state after the pulse; one too long for its series is refused by the key of its larger part."""
     from .. import evolution
 
     try:
-        return evolution.exact_state(phi, ham, pulse)
+        return evolution.exact_state(c, ham, pulse)
     except evolution.SeriesLengthError as exc:
         raise ConfigError(_area_key(cfg) if exc.by_coupling else "pulse.T", str(exc)) from None
 
@@ -225,12 +225,9 @@ def extract(
     if cfg.path != "moments" and state.n_cut > cfg.n_max:
         raise ConfigError("fock.n_max", f"is {cfg.n_max}, below the state's last level n = {state.n_cut}")
     if cfg.path == "exact":
-        from .. import fock
-
         ham = route.ham
-        phi = fock.to_fock_vector(state.vector, ham.basis)
-        pulse = resolve_pulse(cfg, ham.coupling_weight(phi))
-        final = _exact_final(cfg, ham, phi, pulse)
+        pulse = resolve_pulse(cfg, ham.coupling_weight(state.vector))
+        final = _exact_final(cfg, ham, state.vector, pulse)
         return None, measurement.postselect_factors(final.plus, final.relative, state.norm_sq())
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.basis, route.imbalance)
@@ -377,7 +374,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     built as an exact route, so `exact.dim_cap` refuses it before enumerating,
     and its pulse comes from `resolve_pulse` at T0.
     """
-    from .. import evolution, fock
+    from .. import evolution
 
     T0 = 0.02
     small = replace(
@@ -386,15 +383,14 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     )
     ham = _Route(small, None).ham
     state = states.number_state(2)
-    phi = fock.to_fock_vector(state.vector, ham.basis)
-    g0 = resolve_pulse(small, ham.coupling_weight(phi)).g0
+    g0 = resolve_pulse(small, ham.coupling_weight(state.vector)).g0
     lengths = (T0, T0 / 2, T0 / 4)
     residuals = []
     leak_fracs = []
     for T in lengths:
-        pulse = measurement.Pulse.square(T=T, g0=g0)
-        final = _exact_final(small, ham, phi, pulse).joint()
-        diff = final - evolution.perturbative_state(phi, ham, pulse)
+        pulse = measurement.Pulse(T=T, g0=g0)
+        final = _exact_final(small, ham, state.vector, pulse).joint()
+        diff = final - evolution.perturbative_state(state.vector, ham, pulse)
         residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
         block = measurement.postselect(final, state.norm_sq())
         leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)

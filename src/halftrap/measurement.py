@@ -1,8 +1,9 @@
 """Probe and pulse parameters, projective post-selection and sampled outcomes.
 
-`ProbeParams` and `Pulse` are plain records: the moment route reads them
-here for the success probability, and the exact route for the Hamiltonian
-and the propagation.
+`ProbeParams` and `Pulse` are records that refuse an out-of-range value
+when built, naming its field: the moment route reads them here for the
+success probability, and the exact route for the Hamiltonian and the
+propagation.
 
 Post-selection keeps everything orthogonal to both probes in their ground
 state, traces out the trap, and compresses to the single-excitation block
@@ -60,18 +61,21 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Square coupling pulse g(t) = g0 on [0, T]; first-order physics sees only the area."""
+    """Square coupling pulse g(t) = g0 on [0, T]; first-order physics sees only the area.
+
+    T must be positive and finite and g0 finite; both are stored as floats.
+    """
 
     T: float
-    g0: float = 0.0
+    g0: float
 
-    @classmethod
-    def square(cls, T: float, g0: float) -> "Pulse":
-        if not (T > 0 and isfinite(T)):
-            raise ValueError(f"pulse duration T must be positive and finite, got {T}")
-        if not isfinite(g0):
-            raise ValueError(f"pulse amplitude g0 must be finite, got {g0}")
-        return cls(T=float(T), g0=float(g0))
+    def __post_init__(self) -> None:
+        if not (self.T > 0 and isfinite(self.T)):
+            raise ValueError(f"pulse duration T must be positive and finite, got {self.T}")
+        if not isfinite(self.g0):
+            raise ValueError(f"pulse amplitude g0 must be finite, got {self.g0}")
+        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "g0", float(self.g0))
 
     @property
     def area(self) -> float:

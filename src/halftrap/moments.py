@@ -54,9 +54,6 @@ __all__ = [
     "analytic_limit_moments",
 ]
 
-# series terms per block: memory stays bounded at any K
-_BLOCK = 1 << 16
-
 # past this many terms M = floor(K/2), s(K) comes from the asymptotic series of the tail
 _ASYMPTOTIC_M = 1 << 16
 # the tail sum_{m >= M} C(2m, m) / (4^m (2m + 1)) times sqrt(pi M), in powers of 1/M: the
@@ -92,16 +89,12 @@ class ProbeBlockMoments:
         return self.mLL + self.mRR
 
 
-def _arcsin_terms(M: int):
-    """C(2m, m) / (4^m (2m + 1)) for m < M, block by block."""
-    central = 1.0  # C(2m, m) / 4^m at the first m of the block
-    for lo in range(0, M, _BLOCK):
-        m = np.arange(lo, min(lo + _BLOCK, M), dtype=float)
-        # C(2m+2, m+1) / 4^(m+1) = C(2m, m) / 4^m * (2m+1) / (2m+2); the
-        # running product carries over to the next block in its last entry
-        run = np.cumprod(np.concatenate(([central], (2.0 * m + 1.0) / (2.0 * m + 2.0))))
-        central = run[-1]
-        yield from (run[:-1] / (2.0 * m + 1.0)).tolist()
+def _arcsin_terms(M: int) -> list[float]:
+    """C(2m, m) / (4^m (2m + 1)) for m < M, M at most `_ASYMPTOTIC_M`."""
+    m = np.arange(M, dtype=float)
+    # C(2m+2, m+1) / 4^(m+1) = C(2m, m) / 4^m * (2m+1) / (2m+2), from C(0, 0) / 4^0 = 1
+    run = np.cumprod(np.concatenate(([1.0], (2.0 * m + 1.0) / (2.0 * m + 2.0))))
+    return (run[:-1] / (2.0 * m + 1.0)).tolist()
 
 
 def _assemble(

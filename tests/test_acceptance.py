@@ -104,7 +104,7 @@ def test_deterministic_outputs(accept_cfg, tmp_path, cli_env):
     # and seeded sampling reproduces exactly inside one process
     block = block_from_moments(
         analytic_limit_moments(coherent_state(alpha_sq=2.0)),
-        pulse=Pulse.square(T=1.0, g0=0.05),
+        pulse=Pulse(T=1.0, g0=0.05),
         probe=ProbeParams(),
     )
     counts = [sample_outcomes(block, shots=5000, seed=accept_cfg.seed) for _ in range(2)]

@@ -42,10 +42,9 @@ def small():
 def test_block_from_joint_matches_block_from_moments(small):
     table, basis, probe, ham = small
     state = number_state(2)
-    phi = to_fock_vector(state.vector, basis)
-    pulse = Pulse.square(T=0.1, g0=0.3)
-    joint = perturbative_state(phi, ham, pulse)
-    joint[:, 0, 0] = phi
+    pulse = Pulse(T=0.1, g0=0.3)
+    joint = perturbative_state(state.vector, ham, pulse)
+    joint[:, 0, 0] = to_fock_vector(state.vector, basis)
     from_joint = postselect(joint, _norm_sq(joint))
     mom = moments_from_fock(state, basis, build_imbalance_operator(table, basis))
     from_mom = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
@@ -58,28 +57,26 @@ def test_free_evolution_leaves_block_unchanged(small):
     # the free term only rotates the discarded ground branch; the selected
     # block is unaffected while the success probability shifts slightly
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).vector, basis)
-    pulse = Pulse.square(T=0.05, g0=0.3)
-    first = perturbative_state(phi, ham, pulse)
+    c = number_state(2).vector
+    pulse = Pulse(T=0.05, g0=0.3)
+    first = perturbative_state(c, ham, pulse)
     with_h0 = postselect(first, _norm_sq(first))
-    joint = perturbative_state(phi, ham, pulse)
-    joint[:, 0, 0] = phi
+    joint = perturbative_state(c, ham, pulse)
+    joint[:, 0, 0] = to_fock_vector(c, basis)
     without = postselect(joint, _norm_sq(joint))
     assert np.allclose(with_h0.matrix, without.matrix, atol=1e-12)
 
 
 def test_postselect_needs_trap_probe_probe_axes(small):
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).vector, basis)
-    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    joint = perturbative_state(number_state(2).vector, ham, Pulse(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="not \\(trap, probe, probe\\)"):
         postselect(joint.reshape(-1), _norm_sq(joint))
 
 
 def test_vacuum_cannot_be_selected(small):
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(0).vector, basis)
-    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    joint = perturbative_state(number_state(0).vector, ham, Pulse(T=0.1, g0=0.3))
     with pytest.raises(NoExtractionError):
         postselect(joint, _norm_sq(joint))
     with pytest.raises(NoExtractionError):
@@ -90,8 +87,7 @@ def test_vacuum_cannot_be_selected(small):
 def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_sq):
     # a NaN passes `norm_sq <= 0.0` and would give a NaN p_succ, which ProbeBlock accepts
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).vector, basis)
-    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    joint = perturbative_state(number_state(2).vector, ham, Pulse(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="norm_sq must be finite and positive"):
         postselect(joint, norm_sq)
 
@@ -99,8 +95,7 @@ def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_s
 def test_levels_the_array_leaves_out_count_as_selected_leakage(small):
     # the caller's norm_sq holds weight the array lacks: selected, outside the block
     table, basis, probe, ham = small
-    phi = to_fock_vector(number_state(2).vector, basis)
-    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.3))
+    joint = perturbative_state(number_state(2).vector, ham, Pulse(T=0.1, g0=0.3))
     whole = postselect(joint, _norm_sq(joint))
     missing = postselect(joint, _norm_sq(joint) + 0.25)
     assert np.array_equal(missing.matrix, whole.matrix)
@@ -119,8 +114,7 @@ def test_single_particle_block_is_maximally_mixed():
 def test_block_is_unit_trace_density(small):
     table, basis, probe, ham = small
     state = superposition_state(np.array([0.0, 0.6, 0.0, 0.8]))
-    phi = to_fock_vector(state.vector, basis)
-    joint = perturbative_state(phi, ham, Pulse.square(T=0.1, g0=0.5))
+    joint = perturbative_state(state.vector, ham, Pulse(T=0.1, g0=0.5))
     block = postselect(joint, _norm_sq(joint))
     assert np.trace(block.matrix).real == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(block.matrix)
@@ -130,7 +124,7 @@ def test_block_is_unit_trace_density(small):
 
 def test_success_probability_formula():
     mom = analytic_limit_moments(number_state(2))
-    pulse = Pulse.square(T=0.1, g0=0.2)
+    pulse = Pulse(T=0.1, g0=0.2)
     probe = ProbeParams()
     block = block_from_moments(mom, pulse, probe, state_norm_sq=1.0)
     scale = pulse.area**2 * probe.M * probe.Omega / 2.0
@@ -149,8 +143,8 @@ def test_success_probability_nan_without_pulse():
     [
         (lambda bad: ProbeParams(M=bad), "mass M"),
         (lambda bad: ProbeParams(Omega=bad), "frequency Omega"),
-        (lambda bad: Pulse.square(T=bad, g0=1.0), "duration T"),
-        (lambda bad: Pulse.square(T=1.0, g0=bad), "amplitude g0"),
+        (lambda bad: Pulse(T=bad, g0=1.0), "duration T"),
+        (lambda bad: Pulse(T=1.0, g0=bad), "amplitude g0"),
     ],
     ids=["M", "Omega", "T", "g0"],
 )
@@ -159,6 +153,27 @@ def test_non_finite_probe_and_pulse_values_are_refused(build, field, bad):
     # before, Omega = inf or g0 = nan reached block_from_moments and gave p_succ = nan
     with pytest.raises(ValueError, match=f"{field} must be"):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"T": 0.0, "g0": 1.0}, "duration T"),
+        ({"T": -0.5, "g0": 1.0}, "duration T"),
+        ({"T": math.nan, "g0": 1.0}, "duration T"),
+        ({"T": math.inf, "g0": 1.0}, "duration T"),
+        ({"T": 1.0, "g0": math.inf}, "amplitude g0"),
+        ({"T": 1.0, "g0": math.nan}, "amplitude g0"),
+    ],
+)
+def test_pulse_constructor_refuses_each_bad_value_by_its_field(kwargs, field):
+    # the constructor itself checks both values; Pulse(T=0.0, g0=1.0) used to build without error
+    with pytest.raises(ValueError, match=f"pulse {field} must be"):
+        Pulse(**kwargs)
+    with pytest.raises(TypeError, match="g0"):  # no default amplitude
+        Pulse(T=1.0)
+    pulse = Pulse(T=2, g0=-3)
+    assert (type(pulse.T), type(pulse.g0), pulse.area) == (float, float, -6.0)
 
 
 def test_block_validation_rejects_bad_matrices():

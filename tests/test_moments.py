@@ -95,14 +95,6 @@ def test_cross_sum_matches_high_precision_series(K):
     assert rel <= 1e-13
 
 
-def test_block_size_leaves_the_sums_unchanged(monkeypatch):
-    # the running product carries over from block to block, so how the
-    # series is cut into blocks changes no digit
-    whole = moments_from_state(number_state(1), 4096)
-    monkeypatch.setattr(moments, "_BLOCK", 7)
-    assert moments_from_state(number_state(1), 4096) == whole
-
-
 def _mp_tail(M):
     """sum_{m >= M} C(2m, m) / (4^m (2m + 1)) = t_M 3F2(1, M + 1/2, M + 1/2; M + 1, M + 3/2; 1), in mpmath."""
     M = mpmath.mpf(M)
