@@ -192,8 +192,9 @@ def build_joint_hamiltonian(
     |phi>|00> with phi in the lowest orbital. H_0 and V conserve N, so each
     sector is a diagonal block of `v`.
 
-    Nothing here depends on the trap state or the pulse: `run_sweep` builds
-    it once per sweep, and `exact_state` propagates each point with it.
+    Nothing here depends on the trap state or the pulse: the sweep harness
+    keeps it for later sweeps with the same table, `n_max` and probe, and
+    `exact_state` propagates each point with it.
     """
     d = probe.levels
     D = build_imbalance_operator(table, basis)

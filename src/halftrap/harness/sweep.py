@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from math import comb, inf, isfinite, isnan, nan, sqrt
@@ -51,6 +52,10 @@ LOCALITY_LADDER = (8, 16, 32, 64)
 
 # nonzeros of a Lambda operator, which bound D's, per unit of `exact.dim_cap` (1.28e6 at the default)
 _LAMBDA_NNZ_PER_CAP = 64
+
+# the Fock operators of the last `_BUILDS_KEPT` routes, by what their build reads, oldest first
+_BUILDS_KEPT = 2
+_BUILDS: OrderedDict[tuple, tuple] = OrderedDict()
 
 # two-sided 95 percent Student-t quantile at the scaling fit's 3 degrees of freedom
 _T_975_DOF3 = 3.1824463052837078
@@ -146,10 +151,12 @@ def _closed_form_for(cfg: ExperimentConfig) -> float | None:
 class _Route:
     """The overlap table and the Fock operators a route reads, each built on first use.
 
-    None of them depends on a swept parameter, so a sweep builds each once.
-    Only the fock and exact routes read them, and both check the basis size
-    before they build the table. The Fock layer, and with it scipy, is
-    imported on first use, so the moment route never loads it.
+    None of them depends on a swept parameter, so `_BUILDS` keeps the Fock
+    operators of the last `_BUILDS_KEPT` routes, keyed on what a build reads,
+    for later sweeps and points to reuse. Only the fock and exact routes read
+    them, and both check the basis size before any lookup or build. The Fock
+    layer, and with it scipy, is imported on first use, so the moment route
+    never loads it.
     """
 
     def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None) -> None:
@@ -163,9 +170,8 @@ class _Route:
     def table(self) -> OverlapTable:
         return build_overlap_table(self.cfg.K)
 
-    @cached_property
-    def basis(self) -> fock.FockBasis:
-        """The route's occupation basis, refused over `exact.dim_cap` before enumerating.
+    def _check_size(self) -> None:
+        """Refuse a basis over `exact.dim_cap` before anything is looked up or built.
 
         The cap bounds the dimension and, `_LAMBDA_NNZ_PER_CAP` times over, Lambda's
         nonzeros: the diagonal, and per state one particle down, the pairs k + l odd (D's).
@@ -184,25 +190,55 @@ class _Route:
             raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {size} = {sizes} = {dim}")
         if nnz > _LAMBDA_NNZ_PER_CAP * cfg.exact_dim_cap:
             raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {nnz} nonzeros of Lambda / {_LAMBDA_NNZ_PER_CAP}")
-        from .. import fock
-
-        return fock.FockBasis(cfg.K, cfg.n_max)
 
     @cached_property
+    def _built(self) -> tuple[fock.FockBasis, sp.csr_matrix, evolution.JointHamiltonian | None]:
+        """The basis, D = Lambda_L - Lambda_R and, on the exact route, the Hamiltonian.
+
+        A kept build with this route's key, the table's contents, `fock.n_max`
+        and the exact route's probe, is reused; otherwise they are built from
+        this route's table, the exact route taking basis and D from the
+        Hamiltonian it builds, and kept. A build that raises is not kept.
+        """
+        self._check_size()
+        cfg, table = self.cfg, self.table
+        probe = None
+        if cfg.path == "exact":
+            probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+        key = (table.K, table.value.tobytes(), table.slope.tobytes(), cfg.n_max, probe)
+        built = _BUILDS.get(key)
+        if built is not None:
+            _BUILDS.move_to_end(key)
+            return built
+        from .. import fock
+
+        basis = fock.FockBasis(cfg.K, cfg.n_max)
+        if probe is None:
+            built = basis, fock.build_imbalance_operator(table, basis), None
+        else:
+            from .. import evolution
+
+            ham = evolution.build_joint_hamiltonian(table, basis, probe)
+            built = basis, ham.D, ham
+        _BUILDS[key] = built
+        if len(_BUILDS) > _BUILDS_KEPT:
+            _BUILDS.popitem(last=False)
+        return built
+
+    @property
+    def basis(self) -> fock.FockBasis:
+        """The route's occupation basis, refused over `exact.dim_cap` before enumerating."""
+        return self._built[0]
+
+    @property
     def imbalance(self) -> sp.csr_matrix:
         """D = Lambda_L - Lambda_R on `basis`, the one Fock operator the fock route reads."""
-        from .. import fock
+        return self._built[1]
 
-        return fock.build_imbalance_operator(self.table, self.basis)
-
-    @cached_property
+    @property
     def ham(self) -> evolution.JointHamiltonian:
-        from .. import evolution
-
-        cfg = self.cfg
-        basis = self.basis
-        probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
-        return evolution.build_joint_hamiltonian(self.table, basis, probe)
+        """The joint Hamiltonian of an exact route."""
+        return self._built[2]
 
 
 def extract(
@@ -217,9 +253,9 @@ def extract(
     vector sum_n sqrt(p_n) |n>, which gives the block of any state with
     those populations, pure or mixed, since H conserves N and every
     quantity post-selection forms is a sum within one sector. `route`
-    carries the table and Fock operators, built on first use, so a sweep
-    that passes one route to every point builds them once; a state past
-    `fock.n_max` is refused before either route builds anything.
+    carries the table and Fock operators, built on first use or reused from
+    an earlier route with equal inputs; a state past `fock.n_max` is refused
+    before either route builds anything.
     """
     probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     if cfg.path != "moments" and state.n_cut > cfg.n_max:
@@ -296,10 +332,11 @@ def evaluate_point(
 def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[PointResult]:
     """Evaluate the configured grid; results come back in grid order.
 
-    The overlap table and the Fock operators are built once, at the first
-    point that reads them, so a point costs its state vector and the
-    propagation of the particle-number sectors it occupies; a build that
-    fails fails again at each point, so every row carries its own error.
+    The overlap table and the Fock operators are built at the first point
+    that reads them, unless a recent sweep with equal inputs left them (see
+    `_Route`), so a point costs its state vector and the propagation of the
+    particle-number sectors it occupies; a build that fails fails again at
+    each point, so every row carries its own error.
     """
     if cfg.sweep_param is None:
         raise ConfigError("sweep.param", "no sweep parameter configured")

@@ -1,4 +1,4 @@
-"""Shared fixtures: session-scoped overlap tables, built once per run."""
+"""Shared fixtures: session-scoped overlap tables, built once per run, and an empty build store per test."""
 
 from __future__ import annotations
 
@@ -7,10 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from halftrap.harness import sweep
 from halftrap.harness.config import ExperimentConfig
 from halftrap.orbitals import build_overlap_table
 
 pytest_plugins = ["pytester"]
+
+
+@pytest.fixture(autouse=True)
+def _empty_build_store():
+    # each test starts cold, so a count of operator builds sees its own builds only
+    sweep._BUILDS.clear()
 
 
 @pytest.fixture(scope="session")

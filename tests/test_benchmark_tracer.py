@@ -130,6 +130,7 @@ def test_tracer_sees_both_routes_and_leaves_output_alone(tracing):
         ),
     ]
     plain = [_csv(cfg, table) for cfg, table in runs]
+    sweep._BUILDS.clear()  # the plain pass's builds would serve the traced pass unseen
     tracer = tracing.Tracer()
     tracer.install()
     try:

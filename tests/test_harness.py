@@ -25,6 +25,8 @@ from halftrap.harness.config import (
     parse_config_text,
 )
 from halftrap.harness.sweep import (
+    _BUILDS,
+    _BUILDS_KEPT,
     _T_975_DOF3,
     evaluate_point,
     perturbation_evidence,
@@ -604,16 +606,138 @@ def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
     assert "Traceback" not in proc.stderr
 
 
+def _count_builds(monkeypatch) -> dict:
+    """Log each basis enumeration, D build and Hamiltonian build, by its first argument."""
+    bases = []
+    post_init = fock.FockBasis.__post_init__
+
+    def counting(basis):
+        bases.append(basis.K)
+        post_init(basis)
+
+    monkeypatch.setattr(fock.FockBasis, "__post_init__", counting)
+    return {
+        "basis": bases,
+        "D": _count_calls(monkeypatch, fock, "build_imbalance_operator"),
+        "ham": _count_calls(monkeypatch, evolution, "build_joint_hamiltonian"),
+    }
+
+
+def _sweep_csv(cfg: ExperimentConfig, table=None) -> str:
+    buf = io.StringIO()
+    write_sweep_csv(run_sweep(cfg, table), buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
 def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
     # both routes build the imbalance D = Lambda_L - Lambda_R once, the exact route inside
     # its Hamiltonian; the fock route reads Lambda_{L,R} as (N +- D) / 2
-    imbalance_calls = _count_calls(monkeypatch, fock, "build_imbalance_operator")
-    ham_calls = _count_calls(monkeypatch, evolution, "build_joint_hamiltonian")
-    rows = run_sweep(_route_cfg(path), table6)
-    assert [row.error for row in rows] == [""] * 4
-    assert imbalance_calls == [table6]
-    assert len(ham_calls) == hamiltonians
+    builds = _count_builds(monkeypatch)
+    cfg = _route_cfg(path)
+    cold = _sweep_csv(cfg, table6)
+    assert cold.count(",\n") == 4  # every row's error column is empty
+    assert builds["basis"] == [6]
+    assert builds["D"] == [table6]
+    assert len(builds["ham"]) == hamiltonians
+    # equal K, n_max and probe: later sweeps and single points reuse the build, a
+    # table built afresh from K has the same contents, and warm rows keep their bytes
+    assert _sweep_csv(cfg, table6) == _sweep_csv(cfg) == cold
+    assert evaluate_point(replace(cfg, number_n=2), table6).error == ""
+    assert single_block(replace(cfg, number_n=3)).p_succ > 0
+    assert builds["basis"] == [6]
+    assert builds["D"] == [table6]
+    assert len(builds["ham"]) == hamiltonians
+
+
+def test_probe_levels_rebuild_the_exact_route_only(table6, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    for levels in ("4", "3"):
+        assert _sweep_csv(_route_cfg("fock", **{"probe.levels": levels}), table6).count(",\n") == 4
+    assert builds["basis"] == [6]
+    for levels in ("4", "3"):
+        assert _sweep_csv(_route_cfg("exact", **{"probe.levels": levels}), table6).count(",\n") == 4
+    assert len(builds["ham"]) == 2 and builds["basis"] == [6, 6, 6]
+    assert [ham.probe.levels for _, _, ham in _BUILDS.values()] == [4, 3]
+
+
+def test_a_table_with_other_contents_rebuilds(table6, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    cfg = _route_cfg("exact")
+    cold = _sweep_csv(cfg, table6)
+    altered = orbitals.OverlapTable(K=6, value=table6.value * (1 + 2.0**-52), slope=table6.slope)
+    moved = _sweep_csv(cfg, altered)
+    assert builds["D"] == [table6, altered]
+    assert len(builds["ham"]) == 2
+    assert moved != cold
+    assert _sweep_csv(cfg, table6) == cold  # both builds are kept
+    assert len(builds["ham"]) == 2
+
+
+def test_a_build_that_raises_is_not_kept(table6, monkeypatch):
+    original = fock.build_imbalance_operator
+    calls = []
+
+    def failing(table, basis):
+        calls.append(table)
+        if len(calls) <= 8:
+            raise MemoryError("no room for D")
+        return original(table, basis)
+
+    monkeypatch.setattr(fock, "build_imbalance_operator", failing)
+    cfg = _route_cfg("fock")
+    for sweep_no in (1, 2):
+        rows = run_sweep(cfg, table6)
+        # every row of every sweep tries the build again and carries its error
+        assert [row.error for row in rows] == ["MemoryError: no room for D"] * 4
+        assert len(calls) == 4 * sweep_no
+        assert len(_BUILDS) == 0
+    assert [row.error for row in run_sweep(cfg, table6)] == [""] * 4
+    assert len(calls) == 9
+    assert len(_BUILDS) == 1
+
+
+def test_the_store_keeps_the_last_two_builds(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    routes = [
+        _route_cfg("exact", **{"table.K": "4"}),
+        _route_cfg("exact", **{"table.K": "5"}),
+        _route_cfg("fock", **{"table.K": "5"}),
+        _route_cfg("exact", **{"table.K": "6"}),
+        _route_cfg("exact", **{"table.K": "6", "fock.n_max": "5"}),
+    ]
+    for cfg in routes:
+        assert [row.error for row in run_sweep(cfg)] == [""] * 4
+        assert len(_BUILDS) <= _BUILDS_KEPT == 2
+    assert builds["basis"] == [4, 5, 5, 6, 6]
+    # the last two are kept and the oldest of them is refreshed by its use ...
+    for cfg in (routes[3], routes[4], routes[3]):
+        run_sweep(cfg)
+    assert builds["basis"] == [4, 5, 5, 6, 6]
+    # ... so a new key evicts the other, and an evicted key builds again
+    run_sweep(routes[0])
+    run_sweep(routes[3])
+    assert builds["basis"] == [4, 5, 5, 6, 6, 4]
+    run_sweep(routes[4])
+    assert builds["basis"] == [4, 5, 5, 6, 6, 4, 6]
+
+
+@pytest.mark.parametrize("path", ["exact", "fock"])
+def test_the_size_cap_is_checked_before_a_kept_build_is_reused(path, table6, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    tables = _count_calls(monkeypatch, orbitals, "build_overlap_table")
+    assert [row.error for row in run_sweep(_route_cfg(path))] == [""] * 4
+    assert builds["basis"] == [6] and len(tables) == 1
+    # the same key over a lower cap: refused, by every row, with the build kept
+    cap = "100"
+    for table in (None, table6):
+        rows = run_sweep(_route_cfg(path, **{"exact.dim_cap": cap}), table)
+        assert all(row.error.startswith("ConfigError: config field 'exact.dim_cap'") for row in rows)
+    with pytest.raises(ConfigError) as err:
+        single_block(_route_cfg(path, **{"exact.dim_cap": cap}))
+    assert err.value.fieldname == "exact.dim_cap"
+    assert builds["basis"] == [6] and len(tables) == 1
+    assert len(_BUILDS) == 1
 
 
 @pytest.mark.parametrize(
