@@ -13,16 +13,15 @@ and the coupling Lambda_L P_L + Lambda_R P_R is
 (N P_+ + D P_-) / sqrt 2 with D = Lambda_L - Lambda_R: the Hamiltonian
 reads N and D only, and no Lambda is built. A joint state is a complex
 array of shape (trap Fock basis, n_+ levels, n_- levels); the L and R
-single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2. The exact state
-is returned as its two factors per trap state, the + mode's and the
-relative mode's amplitudes (`FactoredState`), whose product is that array.
+single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2.
 
 N is conserved, so in each particle-number sector the + mode is a driven
 oscillator, solved in closed form. Only the trap and the relative mode are
 propagated: on their mirror-even half, an index mask, in the frame
 |n_-> -> i^(n_-) |n_-> where their Hamiltonian is real, as one Chebyshev
 series whose terms are real sparse products; numpy and scipy.sparse are all
-it needs.
+it needs. The exact state keeps what post-selection reads, and forms the
+array only on demand (`FactoredState`).
 """
 
 from __future__ import annotations
@@ -99,10 +98,10 @@ class JointHamiltonian:
     pattern). Two bounds on v's spectrum are held per row: `radius`, the row
     sums of |v| (Gershgorin's), and `bound`, the one-body bound
     N sqrt(M Omega / 4) x_d of the row's sector N (see `_one_body_scale`).
-    `frame` holds each kept row's frame phase i^(n_-), and `origin[n]` the
-    row of |n, 0, ..., 0> at relative level 0, where a lowest-orbital state
-    starts. Nothing changes once built, so one Hamiltonian can serve any
-    number of propagations.
+    `cell` holds each kept row's N d + n_-; `origin[n]` is the row of
+    |n, 0, ..., 0> at level 0, where a lowest-orbital state starts, and
+    `column[n]` its ||D |n, 0, ..., 0>||^2.
+    Nothing changes once built: one Hamiltonian serves any number of propagations.
     """
 
     basis: FockBasis
@@ -117,19 +116,20 @@ class JointHamiltonian:
     diag: np.ndarray
     radius: np.ndarray
     bound: np.ndarray
-    frame: np.ndarray
+    cell: np.ndarray
     origin: np.ndarray
+    column: np.ndarray
 
     def coupling_weight(self, c: np.ndarray) -> float:
         """S = |Lambda_L phi|^2 + |Lambda_R phi|^2, the weight a pulse excites.
 
-        phi = sum_n c_n |n, 0, ..., 0>, and Lambda_L,R = (N +- D) / 2, so
-        S = (|N phi|^2 + |D phi|^2) / 2.
+        phi = sum_n c_n |n, 0, ..., 0>, and Lambda_L,R = (N +- D) / 2, so, as N
+        and D keep each sector, S = sum_n |c_n|^2 (n^2 + `column[n]`) / 2.
         """
-        phi = to_fock_vector(c, self.basis)
-        n_phi = self.number * phi
-        d_phi = self.D @ phi
-        return 0.5 * (float(np.vdot(n_phi, n_phi).real) + float(np.vdot(d_phi, d_phi).real))
+        if len(c) - 1 > self.basis.n_max:
+            raise ValueError(f"state cutoff {len(c) - 1} exceeds basis capacity {self.basis.n_max}")
+        n = np.arange(len(c))
+        return 0.5 * float(np.dot((c * np.conj(c)).real, n * n + self.column[n]))
 
 
 def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
@@ -252,7 +252,8 @@ def build_joint_hamiltonian(
     # |n, 0, ..., 0> is the last state of sector n and even, so its level 0 is its
     # sector's last row but its (d + 1) // 2 kept levels
     origin = edges[1:] - (d + 1) // 2
-    return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, _I_POW[m % 4], origin)
+    column = np.bincount(rows_of_D, D.data**2, basis.dimension)[t[origin]]  # D is symmetric: row weights
+    return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, number[t] * d + m, origin, column)
 
 
 def perturbative_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
@@ -324,7 +325,9 @@ def _chebyshev_propagate(
     one Chebyshev series,
     exp(-i T H) = exp(-i T c) (J_0(T r) + 2 sum_k (-i)^k J_k(T r) T_k(X))
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), of more than T r
-    terms. X is real, so the real and the imaginary part of y each run the
+    terms. Both are formed for T H, from T h and |area| `reach`, so pulses of
+    one area too short for T h to register run one series, bit for bit.
+    X is real, so the real and the imaginary part of y each run the
     recurrence T_(k+1) = 2 X T_k - T_(k-1) in real arithmetic; a part that is
     zero is left out. The coefficients (-i)^k are real for even k and
     imaginary for odd k, so the even and the odd terms are summed apart,
@@ -334,26 +337,25 @@ def _chebyshev_propagate(
     call into arrays of its own; `ham` is only read.
     """
     h = ham.h[span]
-    g = abs(pulse.g0)
+    th, g = pulse.T * h, abs(pulse.area)
     bottom, top = -np.inf, np.inf
     for reach in (ham.radius[span], ham.bound[span]):
-        bottom, top = max(bottom, float((h - g * reach).min())), min(top, float((h + g * reach).max()))
-    c, r = (top + bottom) / 2.0, (top - bottom) / 2.0
-    z = pulse.T * r
+        bottom, top = max(bottom, float((th - g * reach).min())), min(top, float((th + g * reach).max()))
+    c, z = (top + bottom) / 2.0, (top - bottom) / 2.0  # T c and T r
     if not z <= _MAX_TERMS:
-        free = pulse.T * float(np.ptp(h)) / 2.0  # the part of T r that H_0 sets alone
+        free = float(np.ptp(th)) / 2.0  # the part of T r that H_0 sets alone
         raise SeriesLengthError(
             f"the pulse's Chebyshev series needs more than T r = {z:.3g} terms, past the cap of {_MAX_TERMS}",
             by_coupling=z - free >= free,
         )
-    phase = np.exp(-1j * pulse.T * c)
-    if r == 0.0:
+    phase = np.exp(-1j * c)
+    if z == 0.0:
         return phase * y
     parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
-    # 2 X, with H's diagonal (h - c) folded into the explicit zeros of v's pattern
+    # 2 X, with H's diagonal (h - c) / r folded into the explicit zeros of v's pattern
     X2 = _block(ham.v, span, span)
-    X2.data = (2.0 * pulse.g0 / r) * X2.data  # a new array, never v's
-    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / r) * (h - c)
+    X2.data = (2.0 * pulse.area / z) * X2.data  # a new array, never v's
+    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / z) * (th - c)
 
     coef = 2.0 * _bessel_series(z)
     coef[0] /= 2.0
@@ -373,6 +375,12 @@ def _chebyshev_propagate(
     return phase * out
 
 
+def _displacement(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
+    """c_N / Omega and beta_N of `_centre_of_mass`, one per particle number in `N`."""
+    x = pulse.g0 * N * np.sqrt(probe.M * probe.Omega / 4.0) / probe.Omega
+    return x, 1j * x * np.expm1(-1j * probe.Omega * pulse.T)
+
+
 def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarray:
     """<n_+| e^(i theta_N) |beta_N> on the probe levels, one row per particle number in `N`.
 
@@ -384,8 +392,7 @@ def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarr
     2766 (1963)); its zero point is left to the relative mode's h.
     """
     W, T = probe.Omega, pulse.T
-    x = pulse.g0 * N * np.sqrt(probe.M * W / 4.0) / W
-    beta = 1j * x * np.expm1(-1j * W * T)
+    x, beta = _displacement(N, probe, pulse)
     # x reaches 1e154 at a tiny T of fixed area, where x * x overflows while Omega T - sin Omega T is 0
     theta = x * (x * (W * T - np.sin(W * T)))
     # <n|beta> = e^(-|beta|^2 / 2) beta^n / sqrt(n!), by the ratio beta / sqrt(n) from level to level
@@ -396,52 +403,59 @@ def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarr
 
 @dataclass(frozen=True)
 class FactoredState:
-    """A joint state as the product of a + mode and a relative mode factor per trap state.
+    """A joint state: per sector N, the + mode's e^(i theta_N) |beta_N> times the trap and relative mode.
 
-    `plus` and `relative` are (trap, levels) arrays, and the state is
-    joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-].
+    `rows` are the latter on the range `span` of `ham`'s mirror-even basis,
+    in its frame, the other rows zero. Post-selection reads `weights[N, n_-]`,
+    their weight in sector N at relative level n_-, and `beta_sq[N]` = |beta_N|^2.
     """
 
-    plus: np.ndarray
-    relative: np.ndarray
+    ham: JointHamiltonian
+    pulse: Pulse
+    span: slice
+    rows: np.ndarray
+    weights: np.ndarray
+    beta_sq: np.ndarray
 
     def joint(self) -> np.ndarray:
-        """The (trap, n_+, n_-) array of the state."""
-        return self.plus[:, :, None] * self.relative[:, None, :]
+        """The (trap, n_+, n_-) array of the state, joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-]."""
+        ham, d = self.ham, self.ham.probe.levels
+        relative = np.zeros(ham.basis.dimension * d, dtype=np.complex128)
+        kept = ham.even[self.span]
+        relative[kept] = self.rows * _I_POW[kept % d % 4]  # back from the frame
+        plus = _centre_of_mass(np.arange(ham.basis.n_max + 1), ham.probe, self.pulse)[ham.number]
+        return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
 
 
 def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredState:
     """The joint state after the pulse, from sum_n c_n |n, 0, ..., 0> with both probes in their ground state.
 
     H_0 and V conserve the particle number N, and in each sector the + mode
-    evolves apart from the rest, in closed form (`_centre_of_mass`, once per
-    N and read per trap state through `ham.number`): that is the factor
-    `plus`. Every |n, 0, ..., 0>|00> is mirror-even, so the trap and the
-    relative mode evolve under h + g0 v on the mirror-even half of the
-    sectors from the first to the last n with c_n nonzero (one contiguous
-    range of the graded basis), starting at the rows `ham.origin`, and the
-    others stay zero: that is the factor `relative`. A cutoff past the
-    basis' `n_max` is refused. The square pulse makes the Hamiltonian
-    constant, so exp(-i T (h + g0 v)) is applied once, as a Chebyshev
-    series in real arithmetic, and the result's norm drift is checked
-    against `_NORM_TOL` and reported as a hard error when exceeded.
+    evolves apart from the rest, in closed form (`_centre_of_mass`). Every
+    |n, 0, ..., 0>|00> is mirror-even, so the trap and the relative mode
+    evolve under h + g0 v on the mirror-even half of the sectors from the
+    first to the last n with c_n nonzero (one contiguous range of the graded
+    basis), starting at the rows `ham.origin`, and the others stay zero. A
+    cutoff past the basis' `n_max` is refused. The square pulse makes the
+    Hamiltonian constant, so exp(-i T (h + g0 v)) is applied once, as a
+    Chebyshev series in real arithmetic. One bincount over `ham.cell` sums
+    the result's weight per sector and relative level; the norm drift of
+    those sums past `_NORM_TOL` is a hard error.
     """
     basis, d = ham.basis, ham.probe.levels
     if len(c) - 1 > basis.n_max:
         raise ValueError(f"state cutoff {len(c) - 1} exceeds basis capacity {basis.n_max}")
-    relative = np.zeros(basis.dimension * d, dtype=np.complex128)
+    span, rows = slice(0, 0), np.zeros(0, dtype=np.complex128)
     occupied = np.flatnonzero(c)
     if occupied.size:
         lo, hi = occupied[[0, -1]]
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
         y = np.zeros(span.stop - span.start, dtype=np.complex128)
         y[ham.origin[lo : hi + 1] - span.start] = c[lo : hi + 1]
-        out = _chebyshev_propagate(ham, span, pulse, y)
-        drift = abs(np.linalg.norm(out) - np.linalg.norm(y))
-        if drift > _NORM_TOL:
-            raise IntegratorDriftError(
-                f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}"
-            )
-        relative[ham.even[span]] = out * ham.frame[span]  # back from the frame
-    plus = _centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
-    return FactoredState(plus, relative.reshape(-1, d))
+        rows = _chebyshev_propagate(ham, span, pulse, y)
+    weights = np.bincount(ham.cell[span], (rows * rows.conj()).real, (basis.n_max + 1) * d)
+    drift = abs(np.sqrt(weights.sum()) - np.linalg.norm(c))
+    if drift > _NORM_TOL:
+        raise IntegratorDriftError(f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}")
+    beta = _displacement(np.arange(basis.n_max + 1), ham.probe, pulse)[1]
+    return FactoredState(ham, pulse, span, rows, weights.reshape(-1, d), (beta * beta.conj()).real)

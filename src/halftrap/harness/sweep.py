@@ -264,7 +264,7 @@ def extract(
         ham = route.ham
         pulse = resolve_pulse(cfg, ham.coupling_weight(state.vector))
         final = _exact_final(cfg, ham, state.vector, pulse)
-        return None, measurement.postselect_factors(final.plus, final.relative, state.norm_sq())
+        return None, measurement.postselect_sectors(final.weights, final.beta_sq, state.norm_sq())
     if cfg.path == "fock":
         mom = moments.moments_from_fock(state, route.basis, route.imbalance)
     elif cfg.extrapolate:

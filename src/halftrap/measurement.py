@@ -10,19 +10,17 @@ state, traces out the trap, and compresses to the single-excitation block
 {|1>_L|0>_R, |0>_L|1>_R}, which it forms from the probes' centre-of-mass and
 relative levels that the exact route works in. Population outside that block
 (possible on the exact path) is folded into the success probability but
-excluded from the block matrix and reported separately as leakage; the
-caller passes the state's squared norm, so population in levels the array
-leaves out counts there too. `postselect` reads a (trap, n_+, n_-) array;
-`postselect_factors` reads the exact route's state as its two factors per
-trap state and forms only the three level pairs that post-selection reads.
-Both go through one core.
+excluded from the block matrix and reported separately as leakage.
+`postselect` reads a (trap, n_+, n_-) array; `postselect_sectors` reads the
+exact route's state as its weight per particle-number sector and relative
+level next to each sector's coherent + mode.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import hypot, inf, isfinite, sqrt
+from math import exp, expm1, factorial, hypot, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -34,12 +32,15 @@ __all__ = [
     "ProbeBlock",
     "NoExtractionError",
     "postselect",
-    "postselect_factors",
+    "postselect_sectors",
     "block_from_moments",
     "sample_outcomes",
 ]
 
 _P_SUCC_FLOOR = 1e-300
+
+# 1 / k! for k = 19 down to 2: e^x - 1 - x = x^2 sum_k x^(k - 2) / k! to a relative 2 / 20! at 0 <= x <= 1
+_SERIES = [1.0 / factorial(k) for k in range(19, 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -126,54 +127,57 @@ def postselect(joint: np.ndarray, norm_sq: float) -> ProbeBlock:
     """
     if joint.ndim != 3:
         raise ValueError(f"joint state shape {joint.shape} is not (trap, probe, probe)")
-    return _select(joint[:, 0, 0], joint[:, 1, 0], joint[:, 0, 1], norm_sq)
-
-
-def postselect_factors(plus: np.ndarray, relative: np.ndarray, norm_sq: float) -> ProbeBlock:
-    """`postselect` of the joint state joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-].
-
-    Both factors are (trap, levels) arrays over the trap basis; only the
-    three level pairs post-selection reads are formed. The block, p_succ and
-    leakage are those `postselect` gives for the product array: the |00>
-    amplitudes are read through a strided view here as there, so their
-    squared norm is summed in the same order.
-    """
-    if plus.ndim != 2 or plus.shape != relative.shape:
-        raise ValueError(f"factor shapes {plus.shape} and {relative.shape} are not one (trap, probe)")
-    low = plus[:, :2] * relative[:, :1]  # n_- = 0: the |00> and |10> amplitudes
-    return _select(low[:, 0], low[:, 1], plus[:, 0] * relative[:, 1], norm_sq)
-
-
-def _select(ground: np.ndarray, plus: np.ndarray, minus: np.ndarray, norm_sq: float) -> ProbeBlock:
-    """The block from the |00>, |10> and |01> amplitudes in (n_+, n_-), one per trap state."""
-    if not 0.0 < norm_sq < inf:
-        raise ValueError(f"norm_sq must be finite and positive, got {norm_sq!r}")
-    branch_10 = (plus + minus) / sqrt(2.0)
-    branch_01 = (plus - minus) / sqrt(2.0)
+    branch_10 = (joint[:, 1, 0] + joint[:, 0, 1]) / sqrt(2.0)
+    branch_01 = (joint[:, 1, 0] - joint[:, 0, 1]) / sqrt(2.0)
     w10 = float(np.vdot(branch_10, branch_10).real)
     w01 = float(np.vdot(branch_01, branch_01).real)
     # partial trace over the trap: rho_ab = sum_t psi_{t,a} conj(psi_{t,b})
     coh = complex(np.vdot(branch_01, branch_10))
-    w00 = float(np.vdot(ground, ground).real)
-    selected = norm_sq - w00
-    leakage = max(selected - w10 - w01, 0.0)
+    selected = norm_sq - float(np.vdot(joint[:, 0, 0], joint[:, 0, 0]).real)
+    return _block(w10, w01, coh, selected, max(selected - w10 - w01, 0.0), norm_sq)
+
+
+def postselect_sectors(weights: np.ndarray, beta_sq: np.ndarray, norm_sq: float) -> ProbeBlock:
+    """`postselect` of a state whose + mode is the coherent state |beta_N> in each sector N.
+
+    `weights[N, m]` is the weight of sector N at relative level m, and
+    x = `beta_sq[N]` = |beta_N|^2: the + mode holds |0> with weight e^(-x)
+    and |1> with x e^(-x). Level 0 lies on parity-even trap states and level
+    1 on parity-odd ones, so |10> and |01> in (n_+, n_-) never share one: the
+    L and R weights are (A + B) / 2 and their coherence (A - B) / 2, with
+    A = sum_N x e^(-x) weights[N, 0] and B = sum_N e^(-x) weights[N, 1].
+    p_succ and leakage, over every + level, are sums of positive terms.
+    """
+    a = b = selected = leakage = 0.0
+    for x, (s0, s1, *higher) in zip(beta_sq.tolist(), weights.tolist()):
+        ground, above = exp(-x), -expm1(-x)
+        if x <= 1.0:  # 1 - e^(-x) (1 + x) from its series, where the difference would cancel
+            series = 0.0
+            for term in _SERIES:
+                series = series * x + term
+            beyond = ground * x * x * series
+        else:
+            beyond = above - x * ground
+        rest = sum(higher)
+        a += x * ground * s0
+        b += ground * s1
+        selected += rest + s1 + above * s0
+        leakage += rest + above * s1 + beyond * s0
+    return _block((a + b) / 2.0, (a + b) / 2.0, (a - b) / 2.0, selected, leakage, norm_sq)
+
+
+def _block(w10: float, w01: float, coh: complex, selected: float, leakage: float, norm_sq: float) -> ProbeBlock:
+    """The block from the L and R weights and their coherence, and the weights selected and leaked."""
+    if not 0.0 < norm_sq < inf:
+        raise ValueError(f"norm_sq must be finite and positive, got {norm_sq!r}")
     p_succ = selected / norm_sq
     if p_succ <= _P_SUCC_FLOOR:
         raise NoExtractionError("no extraction event possible: p_succ below floor")
-    block_weight = w10 + w01
-    if block_weight <= 0.0:
+    if w10 + w01 <= 0.0:
         raise NoExtractionError("single-excitation block is empty")
     # rho_ab = sum_trap psi_a psi_b^*; row order (10, 01)
-    rho = (
-        np.array(
-            [[w10, coh], [np.conj(coh), w01]],
-            dtype=np.complex128,
-        )
-        / block_weight
-    )
-    return ProbeBlock(
-        matrix=rho, p_succ=p_succ, leakage=leakage / norm_sq, source="from_joint_state"
-    )
+    rho = np.array([[w10, coh], [np.conj(coh), w01]], dtype=np.complex128) / (w10 + w01)
+    return ProbeBlock(matrix=rho, p_succ=p_succ, leakage=leakage / norm_sq, source="from_joint_state")
 
 
 def block_from_moments(

@@ -10,7 +10,9 @@ either would break every benchmark run, and only a benchmark run would show it.
 The worker's row gate on the exact-sweep grids, exact against fock within
 `EXACT_VS_FOCK_TOL`, is run here too, so an exact-route regression fails
 here before a benchmark run reports it, and so is a count of the Chebyshev
-terms those grids take, which sets most of an exact point's cost.
+terms those grids take, which sets most of an exact point's cost. On the
+same grids, one ulp of the pulse amplitude may move an exact row's p_succ
+and leakage by a few eps only.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import ast
 import importlib.util
 import io
 import sys
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from halftrap import evolution
@@ -182,6 +186,21 @@ def test_exact_sweep_rows_pass_the_benchmark_row_gate(seed):
         for e, f in zip(exact, fock):
             assert e.error == f.error == ""
             assert abs(e.mu - f.mu) <= tol, (sw.K, sw.family.state, e.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_ulp_of_amplitude_target_moves_exact_p_succ_and_leakage_a_few_eps(seed):
+    # at every exact-sweep grid point: at most 3.2 eps (p_succ) and 5.1 eps (leakage) relative
+    # over seeds 1-2, where the differences norm_sq - w00 - ... moved them by 104 and 3616 eps
+    wl = _load("workloads")
+    eps = np.finfo(float).eps
+    for sw in wl.sweeps("exact-sweep", seed):
+        cfg = ExperimentConfig.from_entries(parse_config_text(sw.config_text()))
+        moved = replace(cfg, amplitude_target=float(np.nextafter(cfg.amplitude_target, np.inf)))
+        for a, b in zip(sweep.run_sweep(cfg), sweep.run_sweep(moved)):
+            assert a.error == b.error == ""
+            assert abs(b.p_succ - a.p_succ) <= 4 * eps * a.p_succ, (sw.K, sw.family.state, a.value)
+            assert abs(b.leakage - a.leakage) <= 6 * eps * a.leakage, (sw.K, sw.family.state, a.value)
 
 
 def test_exact_sweep_grids_keep_their_series_short(monkeypatch):

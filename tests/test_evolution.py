@@ -32,7 +32,7 @@ from halftrap.evolution import (
 from halftrap.entanglement import block_negativity
 from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.harness.accept import _oracle_states as _accept_oracle_states
-from halftrap.measurement import NoExtractionError, postselect, postselect_factors
+from halftrap.measurement import NoExtractionError, postselect, postselect_sectors
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
@@ -41,6 +41,7 @@ from halftrap.states import (
     number_state,
     superposition_state,
 )
+from exact_oracle import joint_array_route, relative_initial, sector_level_weights, selected_and_leaked
 from lambda_oracle import lambda_pair
 
 
@@ -183,13 +184,6 @@ def test_left_right_swap_mirrors_the_block(setup4):
     assert wa10 == pytest.approx(wb01, rel=1e-12)
 
 
-def _relative_initial(phi, ham, span):
-    """phi on the relative mode's ground level, as a vector over the range `span` of its even half."""
-    rows = ham.even[span]
-    d = ham.probe.levels
-    return np.where(rows % d == 0, phi[rows // d], 0.0)
-
-
 def _relative_operator(ham, span, pulse):
     return (sp.diags(ham.h[span]) + pulse.g0 * ham.v[span, span]).tocsc()
 
@@ -200,7 +194,7 @@ def test_sampled_pulse_agrees_with_square(setup4):
     phi = to_fock_vector(number_state(1).vector, basis)
     pulse = Pulse(T=0.05, g0=1.0)
     span = slice(int(ham.edges[1]), int(ham.edges[2]))
-    y = _relative_initial(phi, ham, span)
+    y = relative_initial(phi, ham, span)
     a = evolution._chebyshev_propagate(ham, span, pulse, y)
     H = _relative_operator(ham, span, pulse)
     sol = solve_ivp(
@@ -425,9 +419,9 @@ def test_basis_constants_are_the_per_state_values():
     probe = ProbeParams(levels=4)
     ham = build_joint_hamiltonian(build_overlap_table(8), basis, probe)
     assert np.array_equal(ham.number, basis.states.sum(axis=1))
-    # the frame phase i^(n_-) of each kept row
-    _, m = np.divmod(ham.even, probe.levels)
-    assert np.array_equal(ham.frame, [1j**k for k in m])
+    # the sector and relative level of each kept row
+    t, m = np.divmod(ham.even, probe.levels)
+    assert np.array_equal(ham.cell, basis.states[t].sum(axis=1) * probe.levels + m)
     # the centre-of-mass mode per sector, indexed by N, has the bits of its per-state form
     for pulse in (Pulse(T=0.05, g0=2.0), Pulse(T=7.0, g0=1.5)):
         per_state = evolution._centre_of_mass(basis.states.sum(axis=1), probe, pulse)
@@ -460,12 +454,16 @@ def test_cutoff_past_n_max_is_refused(setup4):
     exact_state(np.array([0.6, 0.8] + [0.0] * (basis.n_max - 1)), ham, pulse)
     with pytest.raises(ValueError, match=f"state cutoff {basis.n_max + 1} exceeds basis capacity {basis.n_max}"):
         exact_state(np.array([0.6, 0.8] + [0.0] * basis.n_max), ham, pulse)
+    # the pulse weight refuses it alike
+    with pytest.raises(ValueError, match=f"state cutoff {basis.n_max + 1} exceeds basis capacity {basis.n_max}"):
+        ham.coupling_weight(np.array([0.6, 0.8] + [0.0] * basis.n_max))
 
 
 def test_empty_state_propagates_to_zeros(setup4):
     _, basis, probe, ham = setup4
     out = exact_state(np.zeros(basis.n_max + 1), ham, Pulse(T=0.05, g0=1.0))
-    assert out.plus.shape == out.relative.shape == (basis.dimension, probe.levels)
+    assert out.weights.shape == (basis.n_max + 1, probe.levels)
+    assert not out.weights.any()
     joint = out.joint()
     assert joint.shape == (basis.dimension, probe.levels, probe.levels)
     assert not joint.any()
@@ -502,7 +500,7 @@ def test_relative_mode_series_matches_expm_multiply_on_random_inputs(data):
     # the range of sectors `exact_state` propagates for this phi
     lo, hi = basis.states[np.flatnonzero(phi)[[0, -1]]].sum(axis=1)
     span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
-    y = _relative_initial(phi, ham, span)
+    y = relative_initial(phi, ham, span)
     got = evolution._chebyshev_propagate(ham, span, pulse, y)
     expect = _stepped_expm((-1j * pulse.T) * _relative_operator(ham, span, pulse), y, 8.0)
     assert np.abs(got - expect).max() <= 1e-14
@@ -532,7 +530,7 @@ def test_a_mixture_evolves_as_its_square_root_vector(data):
     mixture = TrapState("thermal", populations=p)
     norm_sq = mixture.norm_sq()
     final = exact_state(mixture.vector, ham, pulse)
-    block = postselect_factors(final.plus, final.relative, norm_sq)
+    block = postselect_sectors(final.weights, final.beta_sq, norm_sq)
     w00, w10, w01, coh = sum(
         pn * _weights(exact_state(np.eye(1, n + 1, n)[0], ham, pulse).joint())
         for n, pn in enumerate(p)
@@ -550,7 +548,7 @@ def test_a_phase_on_one_sector_leaves_the_exact_block_alone(setup4):
     _, basis, _, ham = setup4
     pulse = Pulse(T=0.3, g0=0.8)
     finals = (exact_state(np.array(c), ham, pulse) for c in ([0.6, 0.0, 0.8], [0.6, 0.0, 0.8j]))
-    plain, phased = (postselect_factors(f.plus, f.relative, 1.0) for f in finals)
+    plain, phased = (postselect_sectors(f.weights, f.beta_sq, 1.0) for f in finals)
     assert np.abs(phased.matrix - plain.matrix).max() <= 1e-15
     assert abs(phased.p_succ - plain.p_succ) <= 1e-15
     assert abs(phased.leakage - plain.leakage) <= 1e-15
@@ -642,22 +640,22 @@ def _reference_propagate(ham, span, pulse, y, reaches):
     """Oracle: the Chebyshev propagator on the intersection of the intervals h -+ |g0| reach[span].
 
     With `reaches = (ham.radius,)` it is the former propagator, sized by the
-    Gershgorin hull alone. It builds its block afresh on every call and sums
-    each term through a new array. Returns the state and the series' length.
+    Gershgorin hull alone. It forms the intervals of T H, from T h and
+    |area| reach, builds its block afresh on every call and sums each term
+    through a new array. Returns the state and the series' length.
     """
-    h = ham.h[span]
-    g = abs(pulse.g0)
-    bottom = max(float((h - g * reach[span]).min()) for reach in reaches)
-    top = min(float((h + g * reach[span]).max()) for reach in reaches)
-    c, r = (top + bottom) / 2.0, (top - bottom) / 2.0
-    phase = np.exp(-1j * pulse.T * c)
-    if r == 0.0:
+    th, g = pulse.T * ham.h[span], abs(pulse.area)
+    bottom = max(float((th - g * reach[span]).min()) for reach in reaches)
+    top = min(float((th + g * reach[span]).max()) for reach in reaches)
+    c, z = (top + bottom) / 2.0, (top - bottom) / 2.0
+    phase = np.exp(-1j * c)
+    if z == 0.0:
         return phase * y, 0
     parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
     X2 = evolution._block(ham.v, span, span)
-    X2.data = (2.0 * pulse.g0 / r) * X2.data
-    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / r) * (h - c)
-    coef = 2.0 * _numpy_bessel_series(pulse.T * r)
+    X2.data = (2.0 * pulse.area / z) * X2.data
+    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / z) * (th - c)
+    coef = 2.0 * _numpy_bessel_series(z)
     coef[0] /= 2.0
     coef *= np.resize([1.0, -1.0, -1.0, 1.0], coef.size)
     out = np.zeros(y.shape, dtype=np.complex128)
@@ -723,28 +721,9 @@ def test_one_body_interval_matches_the_gershgorin_propagator():
         assert terms <= before
         fewer += terms < before
         gap = max(gap, float(np.abs(got - expect).max()))
-    # 94 of these 160 cases take fewer terms; the worst gap of the 160 is 2.2e-15
+    # 94 of these 160 cases take fewer terms; the worst gap of the 160 is 1.5e-15
     assert fewer > 0
     assert gap <= 4e-15
-
-
-def _joint_array_route(phi, ham, pulse):
-    """Oracle: the former `exact_state`, which formed the (trap, n_+, n_-) array on the whole basis.
-
-    It re-derives the per-row maps from `ham.even` and reads the + mode for
-    every particle number, per trap state.
-    """
-    basis, d = ham.basis, ham.probe.levels
-    relative = np.zeros(basis.dimension * d, dtype=np.complex128)
-    occupied = np.flatnonzero(phi)
-    if occupied.size:
-        lo, hi = ham.number[occupied[[0, -1]]]
-        span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
-        rows = ham.even[span]
-        out = evolution._chebyshev_propagate(ham, span, pulse, _relative_initial(phi, ham, span))
-        relative[rows] = out * np.array([1.0, 1.0j, -1.0, -1.0j])[rows % d % 4]
-    plus = evolution._centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
-    return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
 
 
 def _factored_cases():
@@ -767,32 +746,89 @@ _FACTORED_SETUPS = [
 ]
 
 
+# worst cases over these setups: cell weights 2.0 eps of the total, the block and mu 1.7e-16,
+# p_succ 2.6 eps and leakage 4.3 eps relative (`postselect` on the array: 2.3e-13 and 9.7e-11)
+_WEIGHT_TOL = 4 * np.finfo(float).eps
+_BLOCK_TOL = 4e-16
+_SUMS_RTOL = 8 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("K, n_max, levels, pulse", _FACTORED_SETUPS)
 def test_factored_block_matches_the_joint_array_route(K, n_max, levels, pulse):
-    # the factors form the former joint array bit for bit, signed zeros included, and
-    # post-selecting them gives the block, mu, p_succ and leakage of `postselect` on that
-    # array exactly. Both read the |00> amplitudes through a strided view: summed as a
-    # contiguous vector instead, p_succ and leakage moved by up to 4.2 eps here, the
-    # cancellation in norm_sq - w00; summed over the propagated sectors' trap states
-    # alone, mu moved by up to 3 ulp (K = 6, 3 levels, mu 0.07)
+    # `joint()` forms the former joint array bit for bit, signed zeros included. Post-selected
+    # from the sector-by-level weights, the block matches `postselect` on that array, and
+    # p_succ and leakage match the positive-term oracle, each within the measured worst case
     ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
     compared = 0
     for coeffs in _factored_cases():
         if len(coeffs) - 1 > n_max:
             continue
         phi = to_fock_vector(coeffs, ham.basis)
-        final, expect = exact_state(coeffs, ham, pulse), _joint_array_route(phi, ham, pulse)
+        final = exact_state(coeffs, ham, pulse)
+        plus, relative = joint_array_route(phi, ham, pulse)
+        expect = plus[:, :, None] * relative[:, None, :]
         assert final.joint().tobytes() == expect.tobytes()
+        cells = sector_level_weights(relative, ham)
+        assert np.abs(final.weights - cells).max() <= _WEIGHT_TOL * cells.sum()
         norm_sq = float(np.vdot(coeffs, coeffs).real)
         try:
             ref = postselect(expect, norm_sq)
         except NoExtractionError:  # the vacuum: nothing to select on either route
             with pytest.raises(NoExtractionError):
-                postselect_factors(final.plus, final.relative, norm_sq)
+                postselect_sectors(final.weights, final.beta_sq, norm_sq)
             continue
-        got = postselect_factors(final.plus, final.relative, norm_sq)
-        assert got.matrix.tobytes() == ref.matrix.tobytes()
-        assert (got.p_succ, got.leakage) == (ref.p_succ, ref.leakage)
-        assert block_negativity(got) == block_negativity(ref)
+        got = postselect_sectors(final.weights, final.beta_sq, norm_sq)
+        assert np.abs(got.matrix - ref.matrix).max() <= _BLOCK_TOL
+        assert abs(block_negativity(got) - block_negativity(ref)) <= _BLOCK_TOL
+        selected, leaked = selected_and_leaked(plus, relative, ham, pulse)
+        assert abs(got.p_succ - selected / norm_sq) <= _SUMS_RTOL * got.p_succ
+        assert abs(got.leakage - leaked / norm_sq) <= _SUMS_RTOL * got.leakage
         compared += 1
     assert compared >= 4
+
+
+@pytest.mark.parametrize("K, n_max, levels, pulse", _FACTORED_SETUPS)
+def test_an_ulp_of_amplitude_moves_p_succ_and_leakage_a_few_eps(K, n_max, levels, pulse):
+    # both are sums of positive terms, so moving g0 by one ulp moves them by their own
+    # sensitivity plus round-off: at most 5.8 eps (p_succ) and 9.1 eps (leakage) relative
+    # over these cases, where the differences norm_sq - w00 - ... moved them by up to 1253 eps
+    ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
+    moved = Pulse(T=pulse.T, g0=float(np.nextafter(pulse.g0, np.inf)))
+    eps = np.finfo(float).eps
+    for coeffs in _factored_cases():
+        if len(coeffs) - 1 > n_max or not coeffs[1:].any():
+            continue
+        norm_sq = float(np.vdot(coeffs, coeffs).real)
+        a, b = (
+            postselect_sectors(f.weights, f.beta_sq, norm_sq)
+            for f in (exact_state(coeffs, ham, p) for p in (pulse, moved))
+        )
+        assert abs(b.p_succ - a.p_succ) <= 7 * eps * a.p_succ
+        assert abs(b.leakage - a.leakage) <= 11 * eps * a.leakage
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_column_weights_are_the_lowest_orbital_states_imbalance_weights(K):
+    # ||D |n, 0, ..., 0>||^2 from the vector over the basis: 117 of the 120 cases agree bit
+    # for bit, and 3 differ by one ulp, the order of the sums of squares
+    table = build_overlap_table(K)
+    for n_max in range(5):
+        ham = build_joint_hamiltonian(table, FockBasis(K, n_max), ProbeParams(levels=2))
+        assert ham.column.shape == (n_max + 1,)
+        for n in range(n_max + 1):
+            d_phi = ham.D @ to_fock_vector(np.eye(1, n + 1, n)[0], ham.basis)
+            expect = float(np.vdot(d_phi, d_phi).real)
+            assert abs(ham.column[n] - expect) <= np.spacing(expect)
+
+
+def test_pulses_of_one_area_too_short_for_h0_propagate_alike(setup4):
+    # the series is sized and scaled from T h and the area, so once T h stops registering
+    # against the coupling, every pulse of one area leaves the same weights, bit for bit.
+    # Sized from T and g0 apart, 5 of these 16 pulse lengths moved the block
+    _, basis, _, ham = setup4
+    c = superposition_state(np.array([0.6, 0.0, 0.8])).vector
+    pulses = [Pulse(T=10.0**-k, g0=0.3 / 10.0**-k) for k in range(150, 301, 10)]
+    assert all(p.area == pulses[0].area for p in pulses)
+    finals = [exact_state(c, ham, p) for p in pulses]
+    for f in finals[1:]:
+        assert f.weights.tobytes() == finals[0].weights.tobytes()

@@ -32,6 +32,12 @@ def test_the_root_resolves_names_and_submodules_on_access():
     assert not hasattr(halftrap, "no_such_name")
 
 
+def test_the_root_exports_the_sector_post_selection_and_not_the_factor_one():
+    # the exact route post-selects from its sector-by-level weights; the per-trap factors are gone
+    assert halftrap.postselect_sectors is importlib.import_module("halftrap.measurement").postselect_sectors
+    assert "postselect_factors" not in halftrap.__all__ and not hasattr(halftrap, "postselect_factors")
+
+
 def test_the_root_lists_the_names_of_its_numpy_only_layers():
     layers = ["orbitals", "states", "moments", "measurement", "entanglement"]
     names = [n for m in layers for n in importlib.import_module(f"halftrap.{m}").__all__]

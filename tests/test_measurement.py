@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from halftrap.measurement import (
     ProbeBlock,
     block_from_moments,
     postselect,
+    postselect_sectors,
     sample_outcomes,
 )
 from halftrap.moments import analytic_limit_moments, moments_from_fock
@@ -90,6 +92,33 @@ def test_postselect_refuses_a_norm_that_is_not_finite_and_positive(small, norm_s
     joint = perturbative_state(number_state(2).vector, ham, Pulse(T=0.1, g0=0.3))
     with pytest.raises(ValueError, match="norm_sq must be finite and positive"):
         postselect(joint, norm_sq)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 1.0000000000000002, 1.5, 30.0])
+def test_sector_post_selection_sums_positive_terms_to_a_few_eps(x):
+    # one sector at three relative levels against mpmath: p_succ is s1 + s2 + (1 - e^-x) s0 and
+    # leakage s2 + (1 - e^-x) s1 + (1 - e^-x (1 + x)) s0, which cancel in floats at small x
+    s0, s1, s2 = 0.7, 0.2, 1e-3
+    got = postselect_sectors(np.array([[s0, s1, s2]]), np.array([x]), 1.25)
+    mp = mpmath.mp
+    with mp.workprec(200):
+        X = mp.mpf(x)
+        a, b = X * mp.exp(-X) * s0, mp.exp(-X) * s1
+        selected = s1 + s2 + -mp.expm1(-X) * s0
+        leaked = s2 + -mp.expm1(-X) * s1 + (1 - mp.exp(-X) * (1 + X)) * s0
+        expect = [selected / mp.mpf(1.25), leaked / mp.mpf(1.25), (a - b) / (2 * (a + b))]
+    eps = np.finfo(float).eps
+    for value, ref in zip([got.p_succ, got.leakage, got.matrix[0, 1].real], expect):
+        assert abs(value - float(ref)) <= 4 * eps * abs(float(ref))
+    assert got.matrix[0, 0] == got.matrix[1, 1] and got.matrix[0, 1].imag == 0.0
+
+
+def test_sector_post_selection_refuses_what_postselect_refuses():
+    with pytest.raises(NoExtractionError):  # the vacuum: nothing outside |00>
+        postselect_sectors(np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
+    for norm_sq in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="norm_sq must be finite and positive"):
+            postselect_sectors(np.array([[0.9, 0.1]]), np.array([0.01]), norm_sq)
 
 
 def test_levels_the_array_leaves_out_count_as_selected_leakage(small):
