@@ -158,7 +158,7 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     column_worst = 0.0
     for K, t_lr in zip(LOCALITY_LADDER, series):
         t, modes = build_overlap_table(K), np.arange(K)
-        column = fsum((t.entries("L", modes, 0) * t.entries("R", modes, 0)).tolist())
+        column = fsum(memoryview(t.entries("L", modes, 0) * t.entries("R", modes, 0)))
         column_worst = max(column_worst, abs(t_lr - column))
     decreasing = all(hi > lo for hi, lo in zip(series, series[1:]))
     ok = worst < cfg.oracle_tol and column_worst < cfg.oracle_tol and decreasing

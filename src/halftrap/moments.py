@@ -89,12 +89,12 @@ class ProbeBlockMoments:
         return self.mLL + self.mRR
 
 
-def _arcsin_terms(M: int) -> list[float]:
+def _arcsin_terms(M: int) -> np.ndarray:
     """C(2m, m) / (4^m (2m + 1)) for m < M, M at most `_ASYMPTOTIC_M`."""
     m = np.arange(M, dtype=float)
     # C(2m+2, m+1) / 4^(m+1) = C(2m, m) / 4^m * (2m+1) / (2m+2), from C(0, 0) / 4^0 = 1
     run = np.cumprod(np.concatenate(([1.0], (2.0 * m + 1.0) / (2.0 * m + 2.0))))
-    return (run[:-1] / (2.0 * m + 1.0)).tolist()
+    return run[:-1] / (2.0 * m + 1.0)
 
 
 def _assemble(
@@ -124,7 +124,7 @@ def _partial_sum(K: int) -> float:
     """
     M = K // 2
     if M <= _ASYMPTOTIC_M:
-        return fsum(_arcsin_terms(M)) / (2.0 * pi)
+        return fsum(memoryview(_arcsin_terms(M))) / (2.0 * pi)
     series = 0.0
     for c in reversed(_TAIL_SERIES):
         series = series / M + c

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import ceil, fsum, hypot, inf, log, sqrt
 from typing import NamedTuple
 
@@ -75,6 +76,9 @@ class TrapState:
     entries at or above 2^-120 of p's peak, from that peak outward, plus the
     rest as one `np.sum` term. A row whose rest is not negligible against its
     total (n p_n when p peaks at n = 0) is one `math.fsum` of all its entries.
+    Each `fsum` reads its terms from the row's array buffer through a
+    `memoryview`, peak outward, with no per-row list; a support that is the
+    whole row needs no mask copies either.
     `tail_mass` is the mass the cutoff discarded.
     """
 
@@ -93,8 +97,9 @@ class TrapState:
             raise ValueError("populations must be finite, non-negative and not empty")
         n = np.arange(len(p))
         keep = p >= 2.0**-120 * top
-        k = p[keep].argmax()  # p's peak, counted within its support
-        sums = tuple(_outward_fsum(x, keep, k) for x in (p, n * p, n * (n - 1) * p))
+        split = None if np.count_nonzero(keep) == len(p) else (keep, ~keep)
+        k = (p if split is None else p[keep]).argmax()  # p's peak, counted within its support
+        sums = tuple(_outward_fsum(x, split, k) for x in (p, n * p, n * (n - 1) * p))
         object.__setattr__(self, "_sums", sums)
 
     @property
@@ -130,12 +135,16 @@ class TrapState:
         return (PureComponent(np.sqrt(self.populations)),)
 
 
-def _outward_fsum(x: np.ndarray, keep: np.ndarray, k: int) -> float:
-    """One row's sum, as the `TrapState` docstring sets out; `k` places the peak in `x[keep]`."""
-    head = x[keep].tolist()
-    rest = x[~keep].sum() if len(head) < len(x) else 0.0
-    total = fsum([*head[k:], *head[:k][::-1], rest])
-    return total if rest <= 2.0**-60 * total else fsum(x[x > 0].tolist())
+def _outward_fsum(x: np.ndarray, split: tuple | None, k: int) -> float:
+    """One row's sum, as the `TrapState` docstring sets out, read from the row's buffer.
+
+    `split` is the support's mask and its complement, or None when the support
+    is the whole row; `k` places the peak in the support.
+    """
+    head, rest = (x, 0.0) if split is None else (x[split[0]], x[split[1]].sum())
+    v = memoryview(head)
+    total = fsum(chain(v[k:], v[:k][::-1], (rest,)))
+    return total if rest <= 2.0**-60 * total else fsum(memoryview(x[x > 0]))
 
 
 def _poisson_weights(mean: float, n_cut: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -587,14 +587,17 @@ def test_an_area_past_the_gershgorin_cap_runs_within_the_one_body_bound(table6):
     assert T * one_body <= evolution._MAX_TERMS < T * gershgorin
 
 
-@pytest.mark.parametrize("T", [1e-160, 1e-300])
+@pytest.mark.parametrize("T", [2.0**-530, 2.0**-1000], ids=["2**-530", "2**-1000"])
 def test_a_vanishing_pulse_length_keeps_the_exact_block_finite(T, table6):
-    # at a fixed area x = g0 N sqrt(M Omega / 4) / Omega passes 1e154, so x * x
-    # overflows while Omega T - sin Omega T is 0; the phase must not become inf * 0
+    # at a fixed area x = g0 N sqrt(M Omega / 4) / Omega passes 1e154 (about 3.0e158
+    # and 9.1e299 at N = 2 here), so x * x overflows while Omega T - sin Omega T is 0;
+    # the phase must not become inf * 0. Powers of two make g0 = area / T,
+    # area = g0 * T and x * T exact, so the blocks agree bit for bit by construction
     entries = {**_ROUTE, "path": "exact", "number_n": "2"}
-    at = {t: single_block(ExperimentConfig.from_entries({**entries, "pulse.T": str(t)}), table6) for t in (1e-150, T)}
-    assert np.array_equal(at[T].matrix, at[1e-150].matrix)
-    assert at[T].p_succ == at[1e-150].p_succ and at[T].leakage == at[1e-150].leakage
+    ref = 2.0**-500
+    at = {t: single_block(ExperimentConfig.from_entries({**entries, "pulse.T": repr(t)}), table6) for t in (ref, T)}
+    assert np.array_equal(at[T].matrix, at[ref].matrix)
+    assert at[T].p_succ == at[ref].p_succ and at[T].leakage == at[ref].leakage
 
 
 def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):

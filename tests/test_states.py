@@ -363,6 +363,30 @@ def test_support_sums_are_within_an_ulp_of_a_50_digit_sum(state):
             assert abs(mpmath.mpf(value) - exact) <= math.ulp(value), (value, exact)
 
 
+def _every_other(row: np.ndarray) -> np.ndarray:
+    """`row` as every other entry of an array twice its length: a strided view."""
+    wide = np.full(2 * len(row), np.nan)
+    wide[::2] = row
+    return wide[::2]
+
+
+@pytest.mark.parametrize("view", [lambda row: row[::-1], _every_other], ids=["reversed", "strided"])
+@pytest.mark.parametrize(
+    "row",
+    [coherent_state(alpha_sq=500.0).populations, thermal_state(40.0).populations],
+    ids=["coherent-500", "thermal-40"],
+)
+def test_non_contiguous_populations_sum_as_their_contiguous_copy(row, view):
+    # the coherent row's support leaves out its far left flank, the thermal row's is
+    # the whole row, so both branches read a non-contiguous buffer
+    state = TrapState("thermal", view(row))
+    assert not state.populations.flags.c_contiguous
+    copy = TrapState("thermal", np.ascontiguousarray(state.populations))
+    got = (state.norm_sq(), *state.factorial_moments())
+    assert got == (copy.norm_sq(), *copy.factorial_moments())
+    assert got == full_fsums(copy)
+
+
 def test_entries_below_the_support_still_break_a_tie():
     # 1 + 2^-53 is a tie that rounds to even, 1.0; the 2^-200 entry lies far
     # below the support and must still tip it up to 1 + 2^-52
