@@ -1,32 +1,32 @@
 """Joint trap + two-probe states after the coupling pulse.
 
-Two routes to the final state: the first-order perturbative form (exact in
-the pulse area, valid for weak pulses) and full propagation of the pulse
-(used to measure how good first order actually is). Both start from a trap
-state in the lowest orbital, sum_n c_n |n, 0, ..., 0>, and take its
-amplitudes c_n.
+The trap starts in the lowest orbital, sum_n c_n |n, 0, ..., 0>, with both
+probes in their ground state, and the pulse is propagated in full
+(`exact_state`); `first_order_residual` measures how far that state lies from
+the first-order perturbative one (exact in the pulse area, valid for weak
+pulses).
 
 Both are written in the probes' centre-of-mass and relative modes
 b_+- = (b_L +- b_R) / sqrt 2. The half-line overlaps obey
 lambda^L + lambda^R = 1, so Lambda_L + Lambda_R = N, the particle number,
 and the coupling Lambda_L P_L + Lambda_R P_R is
 (N P_+ + D P_-) / sqrt 2 with D = Lambda_L - Lambda_R: the Hamiltonian
-reads N and D only, and no Lambda is built. A joint state is a complex
-array of shape (trap Fock basis, n_+ levels, n_- levels); the L and R
-single excitations are ([:, 1, 0] +- [:, 0, 1]) / sqrt 2.
+reads N and D only, and no Lambda is built. The L and R single excitations
+are (|n_+ = 1, n_- = 0> +- |0, 1>) / sqrt 2.
 
 N is conserved, so in each particle-number sector the + mode is a driven
 oscillator, solved in closed form. Only the trap and the relative mode are
 propagated: on their mirror-even half, an index mask, in the frame
 |n_-> -> i^(n_-) |n_-> where their Hamiltonian is real, as one Chebyshev
 series whose terms are real sparse products; numpy and scipy.sparse are all
-it needs. The exact state keeps what post-selection reads, and forms the
-array only on demand (`FactoredState`).
+it needs. The exact state is held as these two factors (`FactoredState`),
+and nothing here forms the (trap, n_+, n_-) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,10 +41,9 @@ __all__ = [
     "IntegratorDriftError",
     "SeriesLengthError",
     "probe_lowering",
-    "embed_product",
     "build_joint_hamiltonian",
-    "perturbative_state",
     "exact_state",
+    "first_order_residual",
 ]
 
 
@@ -74,25 +73,20 @@ def probe_lowering(levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, levels)), 1)
 
 
-def embed_product(phi: np.ndarray, probe: ProbeParams) -> np.ndarray:
-    """|phi> with both probes in their ground state, as a (trap, probe, probe) array."""
-    d = probe.levels
-    joint = np.zeros((len(phi), d, d), dtype=np.complex128)
-    joint[:, 0, 0] = phi
-    return joint
-
-
 @dataclass(frozen=True)
 class JointHamiltonian:
     """H_0 and the coupling V = Lambda_L P_L + Lambda_R P_R of the pulse.
 
     `H0` is the diagonal of H_0 on the whole flattened (trap, n_+, n_-)
-    space, the same as on (trap, n_L, n_R), since n_+ + n_- = n_L + n_R.
-    `D` is the trap-space imbalance Lambda_L - Lambda_R, and `number` holds
-    each trap state's particle number. The rest is the trap and relative
-    mode on their mirror-even half: `even` holds the flat (trap, n_-)
-    indices it keeps, in order, and the sector of particle number N is the
-    range `edges[N]:edges[N + 1]` of them. `h` is H_0 there at n_+ = 0, `v`
+    space, the same as on (trap, n_L, n_R), since n_+ + n_- = n_L + n_R. No
+    route reads it: it is kept only for the benchmark tracer
+    (`benchmarks/tracer.py`), which reports its size, until the benchmark
+    change of ROADMAP item 1 drops it. `D` is the trap-space imbalance
+    Lambda_L - Lambda_R, and `number` holds each trap state's particle
+    number. The rest is the trap and relative mode on their mirror-even
+    half: `even` holds the flat (trap, n_-) indices it keeps, in order, and
+    the sector of particle number N is the range `edges[N]:edges[N + 1]` of
+    them. `h` is H_0 there at n_+ = 0, `v`
     is D P_- / sqrt 2 in the frame (real, with explicit zeros on its
     diagonal at the positions `diag` of `v.data`, so that H_0 fits its
     pattern). Two bounds on v's spectrum are held per row: `radius`, the row
@@ -140,9 +134,6 @@ def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
         shape=(rows.stop - rows.start, cols.stop - cols.start),
     )
 
-
-# i^k for k mod 4, exactly
-_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 # the one-body bound is raised by this relative margin, for the rounding of x_d and of
 # the table: ||d|| - 1 measured at most 4.4e-15 for K up to 5000
@@ -254,28 +245,6 @@ def build_joint_hamiltonian(
     origin = edges[1:] - (d + 1) // 2
     column = np.bincount(rows_of_D, D.data**2, basis.dimension)[t[origin]]  # D is symmetric: row weights
     return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, number[t] * d + m, origin, column)
-
-
-def perturbative_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> np.ndarray:
-    """First-order joint state, unnormalized, in the (trap, n_+, n_-) layout of `exact_state`.
-
-    The trap starts in phi = sum_n c_n |n, 0, ..., 0>. The zero-excitation
-    branch is (1 - i T H_0)|phi>|00>. The + and - single excitations carry
-    area * sqrt(M Omega / 4) times N|phi> and D|phi> = (Lambda_L -
-    Lambda_R)|phi>, so the L and R branches carry
-    area * sqrt(M Omega / 2) * Lambda|phi>. The free-evolution term lives
-    entirely in the branch that post-selection discards.
-    """
-    probe = ham.probe
-    phi = to_fock_vector(c, ham.basis)
-    joint = embed_product(phi, probe)
-    # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
-    h00 = ham.H0.reshape(joint.shape)[:, 0, 0]
-    joint[:, 0, 0] -= 1j * pulse.T * h00 * phi
-    amp = pulse.area * np.sqrt(probe.M * probe.Omega / 4.0)
-    joint[:, 1, 0] = amp * ham.number * phi
-    joint[:, 0, 1] = amp * (ham.D @ phi)
-    return joint
 
 
 # the Chebyshev series of a pulse drops a tail of at most this weight
@@ -417,15 +386,6 @@ class FactoredState:
     weights: np.ndarray
     beta_sq: np.ndarray
 
-    def joint(self) -> np.ndarray:
-        """The (trap, n_+, n_-) array of the state, joint[t, n_+, n_-] = plus[t, n_+] * relative[t, n_-]."""
-        ham, d = self.ham, self.ham.probe.levels
-        relative = np.zeros(ham.basis.dimension * d, dtype=np.complex128)
-        kept = ham.even[self.span]
-        relative[kept] = self.rows * _I_POW[kept % d % 4]  # back from the frame
-        plus = _centre_of_mass(np.arange(ham.basis.n_max + 1), ham.probe, self.pulse)[ham.number]
-        return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
-
 
 def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredState:
     """The joint state after the pulse, from sum_n c_n |n, 0, ..., 0> with both probes in their ground state.
@@ -459,3 +419,29 @@ def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredS
         raise IntegratorDriftError(f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}")
     beta = _displacement(np.arange(basis.n_max + 1), ham.probe, pulse)[1]
     return FactoredState(ham, pulse, span, rows, weights.reshape(-1, d), (beta * beta.conj()).real)
+
+
+def first_order_residual(c: np.ndarray, final: FactoredState) -> float:
+    """||final - the first-order state||, on the rows `final` propagated, in their frame.
+
+    The first-order state of phi = sum_n c_n |n, 0, ..., 0> is
+    (1 - i T H_0)|phi>|00> plus the + and - single excitations, which carry
+    a N|phi> and a D|phi>, a = area sqrt(M Omega / 4): the L and R branches
+    carry area sqrt(M Omega / 2) Lambda|phi>. On the mirror-even rows of
+    `final.span` that is (1 - i T h) y at n_+ = 0, y being phi at relative
+    level 0, and a N y at n_+ = 1; the level-1 rows at n_+ = 0 carry
+    -i a D phi, the frame's i^(-1) taken in. D phi is formed from `ham.D`,
+    never from `v`, so the check does not read the operator propagated. Both
+    states are zero off these rows. The squared residual is summed over the
+    d + levels of `_centre_of_mass` as positive terms, by one exact `fsum`.
+    """
+    ham, pulse, d = final.ham, final.pulse, final.ham.probe.levels
+    t, m = np.divmod(ham.even[final.span], d)
+    phi = to_fock_vector(c, ham.basis)
+    a = pulse.area * np.sqrt(ham.probe.M * ham.probe.Omega / 4.0)
+    y = np.where(m == 0, phi[t], 0.0)
+    diff = _centre_of_mass(ham.number[t], ham.probe, pulse) * final.rows[:, None]
+    d_phi = np.where(m == 1, (ham.D @ phi)[t], 0.0)
+    diff[:, 0] -= (1.0 - 1j * pulse.T * ham.h[final.span]) * y - 1j * a * d_phi
+    diff[:, 1] -= a * ham.number[t] * y
+    return sqrt(fsum((diff * diff.conj()).real.ravel().tolist()))

@@ -409,7 +409,8 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     the excited-branch weight at T0; the ladder then halves T at fixed
     coupling, so the first-order residual shrinks as T^2. The instance is
     built as an exact route, so `exact.dim_cap` refuses it before enumerating,
-    and its pulse comes from `resolve_pulse` at T0.
+    and its pulse comes from `resolve_pulse` at T0. Each residual and
+    leakage fraction reads the factored state that `extract` post-selects.
     """
     from .. import evolution
 
@@ -426,11 +427,10 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     leak_fracs = []
     for T in lengths:
         pulse = measurement.Pulse(T=T, g0=g0)
-        final = _exact_final(small, ham, state.vector, pulse).joint()
-        diff = final - evolution.perturbative_state(state.vector, ham, pulse)
-        residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
-        block = measurement.postselect(final, state.norm_sq())
-        leak_fracs.append(block.leakage / block.p_succ if block.p_succ > 0 else 0.0)
+        final = _exact_final(small, ham, state.vector, pulse)
+        residuals.append(evolution.first_order_residual(state.vector, final))
+        block = measurement.postselect_sectors(final.weights, final.beta_sq, state.norm_sq())
+        leak_fracs.append(block.leakage / block.p_succ)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     return {"T": lengths, "residuals": residuals, "ratios": ratios, "leak_fracs": leak_fracs}
 

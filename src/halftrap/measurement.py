@@ -11,16 +11,16 @@ state, traces out the trap, and compresses to the single-excitation block
 relative levels that the exact route works in. Population outside that block
 (possible on the exact path) is folded into the success probability but
 excluded from the block matrix and reported separately as leakage.
-`postselect` reads a (trap, n_+, n_-) array; `postselect_sectors` reads the
-exact route's state as its weight per particle-number sector and relative
-level next to each sector's coherent + mode.
+`postselect_sectors` reads the exact route's state as its weight per
+particle-number sector and relative level next to each sector's coherent
++ mode; `block_from_moments` reads the moment and Fock routes' moments.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import exp, expm1, factorial, hypot, inf, isfinite, sqrt
+from math import exp, expm1, factorial, hypot, inf, isfinite
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Pulse",
     "ProbeBlock",
     "NoExtractionError",
-    "postselect",
     "postselect_sectors",
     "block_from_moments",
     "sample_outcomes",
@@ -117,28 +116,8 @@ class ProbeBlock:
             raise ValueError(f"post-selected block not PSD: min eig {low:.3e}")
 
 
-def postselect(joint: np.ndarray, norm_sq: float) -> ProbeBlock:
-    """Project (trap, n_+, n_-) amplitudes off |00>, trace the trap, keep {10, 01}.
-
-    The L and R single excitations are (|10> +- |01>) / sqrt 2 in the probes'
-    centre-of-mass and relative levels. `norm_sq` is the squared norm of the
-    whole state, which the caller knows: levels the array leaves out count
-    as selected and, outside the block, as leakage.
-    """
-    if joint.ndim != 3:
-        raise ValueError(f"joint state shape {joint.shape} is not (trap, probe, probe)")
-    branch_10 = (joint[:, 1, 0] + joint[:, 0, 1]) / sqrt(2.0)
-    branch_01 = (joint[:, 1, 0] - joint[:, 0, 1]) / sqrt(2.0)
-    w10 = float(np.vdot(branch_10, branch_10).real)
-    w01 = float(np.vdot(branch_01, branch_01).real)
-    # partial trace over the trap: rho_ab = sum_t psi_{t,a} conj(psi_{t,b})
-    coh = complex(np.vdot(branch_01, branch_10))
-    selected = norm_sq - float(np.vdot(joint[:, 0, 0], joint[:, 0, 0]).real)
-    return _block(w10, w01, coh, selected, max(selected - w10 - w01, 0.0), norm_sq)
-
-
 def postselect_sectors(weights: np.ndarray, beta_sq: np.ndarray, norm_sq: float) -> ProbeBlock:
-    """`postselect` of a state whose + mode is the coherent state |beta_N> in each sector N.
+    """The block of a state whose + mode is the coherent state |beta_N> in each sector N.
 
     `weights[N, m]` is the weight of sector N at relative level m, and
     x = `beta_sq[N]` = |beta_N|^2: the + mode holds |0> with weight e^(-x)

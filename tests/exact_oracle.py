@@ -5,7 +5,10 @@ state occupies and hands post-selection their weight per sector and relative
 level (`measurement.postselect_sectors`). The tests form the state here the
 former way instead, as its + mode and relative-mode factors over the whole
 trap basis, whose product is the (trap, n_+, n_-) array, and sum the weights
-post-selection reports from that array.
+post-selection reports from that array. The array forms that `src/` kept
+until the exact route read its factors alone live here too: `joint`,
+`embed_product`, `perturbative_state` (the first-order state as an array,
+read from `H0`) and `postselect` on an array.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ import math
 import numpy as np
 from scipy.special import gammainc
 
-from halftrap import evolution
+from halftrap import evolution, measurement
+from halftrap.fock import to_fock_vector
+
+# i^k for k mod 4, exactly
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def relative_initial(phi, ham, span):
@@ -40,7 +47,7 @@ def joint_array_route(phi, ham, pulse):
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
         rows = ham.even[span]
         out = evolution._chebyshev_propagate(ham, span, pulse, relative_initial(phi, ham, span))
-        relative[rows] = out * np.array([1.0, 1.0j, -1.0, -1.0j])[rows % d % 4]
+        relative[rows] = out * _I_POW[rows % d % 4]
     plus = evolution._centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
     return plus, relative.reshape(-1, d)
 
@@ -78,3 +85,62 @@ def sector_level_weights(relative, ham):
     return np.array(
         [[math.fsum(w[ham.number == n, m]) for m in range(w.shape[1])] for n in range(ham.basis.n_max + 1)]
     )
+
+
+def joint(final):
+    """The (trap, n_+, n_-) array of an `exact_state` result: plus[t, n_+] * relative[t, n_-]."""
+    ham, d = final.ham, final.ham.probe.levels
+    relative = np.zeros(ham.basis.dimension * d, dtype=np.complex128)
+    kept = ham.even[final.span]
+    relative[kept] = final.rows * _I_POW[kept % d % 4]  # back from the frame
+    plus = evolution._centre_of_mass(np.arange(ham.basis.n_max + 1), ham.probe, final.pulse)[ham.number]
+    return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
+
+
+def embed_product(phi, probe):
+    """|phi> with both probes in their ground state, as a (trap, probe, probe) array."""
+    d = probe.levels
+    out = np.zeros((len(phi), d, d), dtype=np.complex128)
+    out[:, 0, 0] = phi
+    return out
+
+
+def perturbative_state(c, ham, pulse):
+    """First-order joint state, unnormalized, as a (trap, n_+, n_-) array.
+
+    The zero-excitation branch is (1 - i T H_0)|phi>|00>, its H_0 read from
+    `ham.H0`; the + and - single excitations carry
+    area sqrt(M Omega / 4) times N|phi> and D|phi>.
+    """
+    probe = ham.probe
+    phi = to_fock_vector(c, ham.basis)
+    out = embed_product(phi, probe)
+    # H_0 is diagonal; its |n>|00> entries are the trap energy plus both zero points
+    h00 = ham.H0.reshape(out.shape)[:, 0, 0]
+    out[:, 0, 0] -= 1j * pulse.T * h00 * phi
+    amp = pulse.area * np.sqrt(probe.M * probe.Omega / 4.0)
+    out[:, 1, 0] = amp * ham.number * phi
+    out[:, 0, 1] = amp * (ham.D @ phi)
+    return out
+
+
+def array_residual(c, final):
+    """||joint(final) - perturbative_state||, summed over the whole (trap, n_+, n_-) array."""
+    diff = joint(final) - perturbative_state(c, final.ham, final.pulse)
+    return float(np.sqrt(np.vdot(diff, diff).real))
+
+
+def postselect(array, norm_sq):
+    """The block of a (trap, n_+, n_-) array: off |00>, the trap traced out, {|10>, |01>} kept.
+
+    The L and R single excitations are (|10> +- |01>) / sqrt 2 in (n_+, n_-).
+    `norm_sq` is the squared norm of the whole state: levels the array leaves
+    out count as selected and, outside the block, as leakage.
+    """
+    branch_10 = (array[:, 1, 0] + array[:, 0, 1]) / math.sqrt(2.0)
+    branch_01 = (array[:, 1, 0] - array[:, 0, 1]) / math.sqrt(2.0)
+    w10 = float(np.vdot(branch_10, branch_10).real)
+    w01 = float(np.vdot(branch_01, branch_01).real)
+    coh = complex(np.vdot(branch_01, branch_10))
+    selected = norm_sq - float(np.vdot(array[:, 0, 0], array[:, 0, 0]).real)
+    return measurement._block(w10, w01, coh, selected, max(selected - w10 - w01, 0.0), norm_sq)

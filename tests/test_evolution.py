@@ -24,15 +24,14 @@ from halftrap.evolution import (
     ProbeParams,
     Pulse,
     build_joint_hamiltonian,
-    embed_product,
     exact_state,
-    perturbative_state,
+    first_order_residual,
     probe_lowering,
 )
 from halftrap.entanglement import block_negativity
 from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.harness.accept import _oracle_states as _accept_oracle_states
-from halftrap.measurement import NoExtractionError, postselect, postselect_sectors
+from halftrap.measurement import NoExtractionError, postselect_sectors
 from halftrap.moments import moments_from_fock
 from halftrap.orbitals import OverlapTable, build_overlap_table
 from halftrap.states import (
@@ -41,7 +40,17 @@ from halftrap.states import (
     number_state,
     superposition_state,
 )
-from exact_oracle import joint_array_route, relative_initial, sector_level_weights, selected_and_leaked
+from exact_oracle import (
+    array_residual,
+    embed_product,
+    joint,
+    joint_array_route,
+    perturbative_state,
+    postselect,
+    relative_initial,
+    sector_level_weights,
+    selected_and_leaked,
+)
 from lambda_oracle import lambda_pair
 
 
@@ -130,7 +139,7 @@ def test_zero_coupling_is_free_evolution(setup4):
     table, basis, probe, ham = setup4
     c = superposition_state(np.array([0.6, 0.0, 0.8])).vector
     initial = embed_product(to_fock_vector(c, basis), probe)
-    final = exact_state(c, ham, Pulse(T=0.3, g0=0.0)).joint()
+    final = joint(exact_state(c, ham, Pulse(T=0.3, g0=0.0)))
     # phases only: every amplitude keeps its magnitude, branches stay empty
     assert np.allclose(
         np.abs(final[:, 0, 0]), np.abs(initial[:, 0, 0]), atol=1e-12
@@ -142,7 +151,7 @@ def test_zero_coupling_is_free_evolution(setup4):
 def test_exact_evolution_is_unitary(setup4):
     table, basis, probe, ham = setup4
     T, g0 = 0.2, 0.8
-    final = exact_state(number_state(2).vector, ham, Pulse(T=T, g0=g0)).joint()
+    final = joint(exact_state(number_state(2).vector, ham, Pulse(T=T, g0=g0)))
     # the array holds the + mode's first levels only: of the Poisson weights of
     # |beta|^2 = (2 c / Omega)^2 sin^2(Omega T / 2), c = g0 N sqrt(M Omega / 4), the first four
     beta_sq = (2.0 * g0 * 2 * 0.5 * np.sin(T / 2.0)) ** 2
@@ -154,15 +163,33 @@ def test_exact_evolution_is_unitary(setup4):
 def test_first_order_residual_scales_quadratically(setup4):
     table, basis, probe, ham = setup4
     c = number_state(2).vector
-    residuals = []
-    for T in (0.02, 0.01, 0.005):
-        pulse = Pulse(T=T, g0=2.0)
-        final = exact_state(c, ham, pulse).joint()
-        model = perturbative_state(c, ham, pulse)
-        diff = final.reshape(-1) - model.reshape(-1)
-        residuals.append(float(np.sqrt(np.vdot(diff, diff).real)))
+    residuals = [first_order_residual(c, exact_state(c, ham, Pulse(T=T, g0=2.0))) for T in (0.02, 0.01, 0.005)]
     for i in range(2):
         assert 3.0 <= residuals[i] / residuals[i + 1] <= 5.0
+
+
+_RESIDUAL_STATES = {
+    "number": number_state(2).vector,
+    "coherent": coherent_state(alpha_sq=0.4, n_cut=4, tail_tol=1e-3).vector,
+    "superposition": np.array([0.0, 0.5, 0.5j, 0.0, np.sqrt(0.5)]),
+}
+# the longest is far from first order: a residual of up to 0.92
+_RESIDUAL_PULSES = (Pulse(T=0.02, g0=2.0), Pulse(T=0.05, g0=0.8), Pulse(T=0.3, g0=1.5))
+
+
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_first_order_residual_matches_the_array_residual(K):
+    # on the propagated rows, with D phi from `ham.D`, against the whole joint array minus the
+    # oracle's first-order array, read from H0: the worst of these 81 cases is 2.1 eps relative
+    table = build_overlap_table(K)
+    eps = np.finfo(float).eps
+    for levels in (3, 4, 5):
+        ham = build_joint_hamiltonian(table, FockBasis(K, 4), ProbeParams(levels=levels))
+        for c in _RESIDUAL_STATES.values():
+            for pulse in _RESIDUAL_PULSES:
+                final = exact_state(c, ham, pulse)
+                expect = array_residual(c, final)
+                assert abs(first_order_residual(c, final) - expect) <= 4 * eps * expect, (levels, pulse)
 
 
 def test_left_right_swap_mirrors_the_block(setup4):
@@ -177,8 +204,8 @@ def test_left_right_swap_mirrors_the_block(setup4):
     c = number_state(2).vector
     pulse = Pulse(T=0.02, g0=1.0)
     ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
-    _, a10, _ = _branches(exact_state(c, ham, pulse).joint())
-    _, _, b01 = _branches(exact_state(c, ham_swapped, pulse).joint())
+    _, a10, _ = _branches(joint(exact_state(c, ham, pulse)))
+    _, _, b01 = _branches(joint(exact_state(c, ham_swapped, pulse)))
     wa10 = float(np.vdot(a10, a10).real)
     wb01 = float(np.vdot(b01, b01).real)
     assert wa10 == pytest.approx(wb01, rel=1e-12)
@@ -266,7 +293,7 @@ def test_sector_propagation_matches_full_space(state, full_space_10):
         c, expected = cases[state]
         phi = to_fock_vector(c, ham.basis)
         for pulse, expect in zip(_ORACLE_PULSES, expected):
-            got = exact_state(c, ham, pulse).joint()
+            got = joint(exact_state(c, ham, pulse))
             expect = expect.reshape(got.shape)
             for a, b in zip(_branches(got), (expect[:, 0, 0], expect[:, 1, 0], expect[:, 0, 1])):
                 assert np.abs(a - b).max() <= 1e-14, (K, pulse)
@@ -464,9 +491,9 @@ def test_empty_state_propagates_to_zeros(setup4):
     out = exact_state(np.zeros(basis.n_max + 1), ham, Pulse(T=0.05, g0=1.0))
     assert out.weights.shape == (basis.n_max + 1, probe.levels)
     assert not out.weights.any()
-    joint = out.joint()
-    assert joint.shape == (basis.dimension, probe.levels, probe.levels)
-    assert not joint.any()
+    array = joint(out)
+    assert array.shape == (basis.dimension, probe.levels, probe.levels)
+    assert not array.any()
 
 
 def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
@@ -532,7 +559,7 @@ def test_a_mixture_evolves_as_its_square_root_vector(data):
     final = exact_state(mixture.vector, ham, pulse)
     block = postselect_sectors(final.weights, final.beta_sq, norm_sq)
     w00, w10, w01, coh = sum(
-        pn * _weights(exact_state(np.eye(1, n + 1, n)[0], ham, pulse).joint())
+        pn * _weights(joint(exact_state(np.eye(1, n + 1, n)[0], ham, pulse)))
         for n, pn in enumerate(p)
     )
     rho = np.array([[w10, coh], [np.conj(coh), w01]]) / (w10 + w01).real
@@ -599,7 +626,7 @@ def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
     _, basis, probe, ham = setup4
     flat = dataclasses.replace(ham, h=np.full_like(ham.h, 2.5))
     c = np.array([0.6, 0.0, 0.8j])
-    got = exact_state(c, flat, Pulse(T=0.7, g0=0.0)).joint()
+    got = joint(exact_state(c, flat, Pulse(T=0.7, g0=0.0)))
     assert np.abs(got - np.exp(-1.75j) * embed_product(to_fock_vector(c, basis), probe)).max() <= 1e-15
 
 
@@ -755,9 +782,10 @@ _SUMS_RTOL = 8 * np.finfo(float).eps
 
 @pytest.mark.parametrize("K, n_max, levels, pulse", _FACTORED_SETUPS)
 def test_factored_block_matches_the_joint_array_route(K, n_max, levels, pulse):
-    # `joint()` forms the former joint array bit for bit, signed zeros included. Post-selected
-    # from the sector-by-level weights, the block matches `postselect` on that array, and
-    # p_succ and leakage match the positive-term oracle, each within the measured worst case
+    # the oracle's `joint` forms the former joint array bit for bit, signed zeros included.
+    # Post-selected from the sector-by-level weights, the block matches `postselect` on that
+    # array, and p_succ and leakage match the positive-term oracle, each within the measured
+    # worst case
     ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
     compared = 0
     for coeffs in _factored_cases():
@@ -767,7 +795,7 @@ def test_factored_block_matches_the_joint_array_route(K, n_max, levels, pulse):
         final = exact_state(coeffs, ham, pulse)
         plus, relative = joint_array_route(phi, ham, pulse)
         expect = plus[:, :, None] * relative[:, None, :]
-        assert final.joint().tobytes() == expect.tobytes()
+        assert joint(final).tobytes() == expect.tobytes()
         cells = sector_level_weights(relative, ham)
         assert np.abs(final.weights - cells).max() <= _WEIGHT_TOL * cells.sum()
         norm_sq = float(np.vdot(coeffs, coeffs).real)

@@ -33,9 +33,15 @@ def test_the_root_resolves_names_and_submodules_on_access():
 
 
 def test_the_root_exports_the_sector_post_selection_and_not_the_factor_one():
-    # the exact route post-selects from its sector-by-level weights; the per-trap factors are gone
+    # the exact route post-selects from its sector-by-level weights; the per-trap factors are gone,
+    # and the joint-array forms live in the tests' oracle
     assert halftrap.postselect_sectors is importlib.import_module("halftrap.measurement").postselect_sectors
-    assert "postselect_factors" not in halftrap.__all__ and not hasattr(halftrap, "postselect_factors")
+    for layer in ("measurement", "evolution"):
+        module = importlib.import_module(f"halftrap.{layer}")
+        for name in ("postselect_factors", "postselect", "embed_product", "perturbative_state"):
+            assert name not in halftrap.__all__ and not hasattr(halftrap, name)
+            assert name not in module.__all__ and not hasattr(module, name)
+    assert not hasattr(importlib.import_module("halftrap.evolution").FactoredState, "joint")
 
 
 def test_the_root_lists_the_names_of_its_numpy_only_layers():

@@ -32,12 +32,14 @@ from halftrap.harness.sweep import (
     perturbation_evidence,
     resolve_pulse,
     run_sweep,
+    run_validation,
     single_block,
     write_plot_data,
     write_sweep_csv,
 )
 from halftrap.moments import moments_from_state
 from halftrap.states import number_state
+from exact_oracle import array_residual, joint_array_route, selected_and_leaked
 from lambda_oracle import build_lambda_operator
 
 
@@ -500,6 +502,42 @@ def test_perturbation_target_builds_one_imbalance_operator(accept_cfg, monkeypat
     ok, detail = TARGETS["perturbation"](accept_cfg)
     assert ok, detail
     assert len(imbalance) == 1
+
+
+def test_perturbation_evidence_matches_the_array_oracles(accept_cfg, monkeypatch):
+    # at the defaults, each residual against the whole-array one of the oracle's first-order state
+    # (0.72 eps relative at worst), and each leakage fraction against the positive-term oracle's
+    # leaked / selected (0.73 eps; the former array form was off by up to 1.6e-10)
+    seen = []
+    residual = evolution.first_order_residual
+
+    def spy(c, final):
+        seen.append((c, final))
+        return residual(c, final)
+
+    monkeypatch.setattr(evolution, "first_order_residual", spy)
+    ev = perturbation_evidence(accept_cfg)
+    assert len(seen) == len(ev["T"]) == 3
+    eps = np.finfo(float).eps
+    for (c, final), got, frac in zip(seen, ev["residuals"], ev["leak_fracs"]):
+        expect = array_residual(c, final)
+        assert abs(got - expect) <= 4 * eps * expect
+        plus, relative = joint_array_route(fock.to_fock_vector(c, final.ham.basis), final.ham, final.pulse)
+        selected, leaked = selected_and_leaked(plus, relative, final.ham, final.pulse)
+        assert abs(frac - leaked / selected) <= 4 * eps * frac
+
+
+def test_validate_prints_the_perturbative_rows_unchanged(accept_cfg):
+    # the rows and the ratio line as the report printed them when the residual was summed over
+    # the whole joint array and the leakage post-selected from it
+    lines = run_validation(accept_cfg).splitlines()
+    start = lines.index("      T      residual      leakage_frac")
+    assert lines[start + 1 : start + 5] == [
+        "     0.02     0.0108601     0.0053709",
+        "     0.01    0.00271945    0.00134509",
+        "    0.005   0.000680138   0.000336419",
+        "  halving ratios 3.994, 3.998 (second-order residual doubles them toward 4)",
+    ]
 
 
 _ROUTE = {

