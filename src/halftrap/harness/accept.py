@@ -50,7 +50,7 @@ def _moment_route(cfg: ExperimentConfig) -> _Route:
 def _pipeline_mu(cfg: ExperimentConfig, state) -> float:
     """State -> infinite-K limit moments -> post-selected block -> partial transpose."""
     route = _moment_route(cfg)
-    _, block = extract(route.cfg, state, route)
+    _, block = extract(route.cfg, state, route, route.cfg.alpha_sq)
     return entanglement.negativity(entanglement.probe_block_density(block))
 
 
@@ -291,7 +291,7 @@ def check_determinism(cfg: ExperimentConfig) -> tuple[bool, str]:
         payloads.append(buf.getvalue())
     csv_ok = payloads[0] == payloads[1]
     route = _moment_route(cfg)
-    _, block = extract(route.cfg, states.coherent_state(alpha_sq=2.0), route)
+    _, block = extract(route.cfg, states.coherent_state(alpha_sq=2.0), route, 2.0)
     draws = [measurement.sample_outcomes(block, 10_000, cfg.seed) for _ in range(2)]
     sample_ok = draws[0] == draws[1]
     ok = csv_ok and sample_ok

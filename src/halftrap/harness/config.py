@@ -7,7 +7,7 @@ Grammar (one entry per line):
     section.key = value        # e.g. pulse.area, probe.Omega
 
 Values are plain scalars, comma-separated lists, or bare words; no quoting.
-CLI `--set key=value` pairs override file entries; a key no field declares is refused.
+CLI `--set key=value` pairs override file entries; a key `_FIELDS` does not list is refused.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _key(key: str, default, parse, low=None, high=None, positive: bool = False):
     `low` and `high` are inclusive bounds; `positive` demands a value above zero.
     A list default becomes a per-instance factory.
     """
-    meta = {"key": key, "parse": parse, "low": low, "high": high, "positive": positive}
+    meta = {"key": key, "rule": (parse, low, high, positive)}
     if isinstance(default, list):
         return field(default_factory=list, metadata=meta)
     return field(default=default, metadata=meta)
@@ -191,12 +191,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_entries(cls, entries: dict[str, str]) -> "ExperimentConfig":
-        """Parse each entry by its field, refusing undeclared keys; absent keys keep defaults."""
-        declared = {f.metadata["key"]: f for f in fields(cls)}
+        """Parse each entry by its field's row of `_FIELDS`, refusing undeclared keys; absent keys keep defaults."""
         values = {}
         for key, text in entries.items():
-            if key in declared:
-                values[declared[key].name] = declared[key].metadata["parse"](key, text)
+            if key in _FIELDS:
+                values[_FIELDS[key][0]] = _FIELDS[key][1](key, text)
             # `workers` is no key, but benchmarks/workloads.py still writes `workers = 1`
             # into every sweep config; the benchmark change that drops it drops this too
             elif key != "workers":
@@ -207,10 +206,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check each field's declared bound in field order, then the cross-field rules."""
-        for f in fields(self):
-            key, low, high = (f.metadata[k] for k in ("key", "low", "high"))
-            value = getattr(self, f.name)
-            if f.metadata["positive"] and not value > 0:
+        for key, (name, _, low, high, positive) in _FIELDS.items():
+            value = getattr(self, name)
+            if positive and not value > 0:
                 raise ConfigError(key, f"must be positive, got {value}")
             if low is not None and value is not None and value < low:
                 raise ConfigError(key, f"must be >= {low}, got {value}")
@@ -226,3 +224,6 @@ class ExperimentConfig:
         if self.state == "superposition" and not self.coeffs:
             raise ConfigError("coeffs", "superposition state needs a coefficient list")
 
+
+# key -> (field name, parser, low, high, positive) in field order, read once from the declarations
+_FIELDS = {f.metadata["key"]: (f.name, *f.metadata["rule"]) for f in fields(ExperimentConfig)}

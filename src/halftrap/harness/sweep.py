@@ -88,13 +88,13 @@ def _area_key(cfg: ExperimentConfig) -> str:
     return "pulse.area" if cfg.pulse_area is not None else presets.get(cfg.pulse_preset, "pulse.area")
 
 
-def resolve_pulse(cfg: ExperimentConfig, S: float):
+def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float):
     """Pulse area from the configured preset (or the explicit override).
 
-    The inverse-quartic preset reads `alpha_sq`, so it needs a state family
-    that reads it too. An area whose first-order weight area^2 (M Omega / 2) S
-    is not finite, or that divides by an alpha_sq^2 that underflows to zero,
-    is refused, naming the key that set it.
+    The inverse-quartic preset reads `alpha_sq`, a sweep point's own, so it
+    needs a state family that reads it too. An area whose first-order weight
+    area^2 (M Omega / 2) S is not finite, or that divides by an alpha_sq^2
+    that underflows to zero, is refused, naming the key that set it.
     """
     key = _area_key(cfg)
     if cfg.pulse_area is not None:
@@ -107,12 +107,12 @@ def resolve_pulse(cfg: ExperimentConfig, S: float):
             )
         area = cfg.amplitude_target / sqrt(scale)
     elif cfg.pulse_preset == "inverse-quartic":
-        if _STATE_PARAM[cfg.state] != "alpha_sq" or cfg.alpha_sq <= 0.0:
+        if _STATE_PARAM[cfg.state] != "alpha_sq" or alpha_sq <= 0.0:
             raise ConfigError(
                 "pulse.preset",
                 "inverse-quartic scaling needs a coherent-family state with alpha_sq > 0",
             )
-        square = cfg.alpha_sq**2
+        square = alpha_sq**2
         area = cfg.g_ref / square if square else inf  # an underflow, refused as an overflow below
     else:
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
@@ -135,34 +135,34 @@ def _exact_final(cfg: ExperimentConfig, ham, c: np.ndarray, pulse) -> evolution.
         raise ConfigError(_area_key(cfg) if exc.by_coupling else "pulse.T", str(exc)) from None
 
 
-def _build_state(cfg: ExperimentConfig) -> states.TrapState:
-    value = getattr(cfg, _STATE_PARAM[cfg.state])
+def _build_state(cfg: ExperimentConfig, value) -> states.TrapState:
     return states.make_state(cfg.state, value, n_cut=cfg.n_cut, tail_tol=cfg.tail_tol)
 
 
-def _closed_form_for(cfg: ExperimentConfig) -> float | None:
+def _closed_form_for(cfg: ExperimentConfig, value) -> float | None:
     if cfg.state in ("coherent", "phase_averaged"):
-        return entanglement.negativity_closed_form("coherent", cfg.alpha_sq)
+        return entanglement.negativity_closed_form("coherent", value)
     if cfg.state == "number":
-        return entanglement.negativity_closed_form("number", float(cfg.number_n))
+        return entanglement.negativity_closed_form("number", float(value))
     return None
 
 
 class _Route:
-    """The overlap table and the Fock operators a route reads, each built on first use.
+    """A route's probe, formed at construction, and its overlap table and Fock operators, built on first use.
 
-    None of them depends on a swept parameter, so `_BUILDS` keeps the Fock
-    operators of the last `_BUILDS_KEPT` routes, keyed on what a build reads,
-    for later sweeps and points to reuse. Only the fock and exact routes read
-    them, and both check the basis size before any lookup or build. The Fock
-    layer, and with it scipy, is imported on first use, so the moment route
-    never loads it.
+    None of them depends on a swept parameter, so a sweep forms each once,
+    and `_BUILDS` keeps the Fock operators of the last `_BUILDS_KEPT` routes,
+    keyed on what a build reads, for later sweeps and points to reuse. Only
+    the fock and exact routes read them, and both check the basis size
+    before any lookup or build. The Fock layer, and with it scipy, is
+    imported on first use, so the moment route never loads it.
     """
 
     def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None) -> None:
         if table is not None and table.K != cfg.K:
             raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
         self.cfg = cfg
+        self.probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
         if table is not None:
             self.table = table  # an instance attribute shadows the cached property
 
@@ -202,9 +202,7 @@ class _Route:
         """
         self._check_size()
         cfg, table = self.cfg, self.table
-        probe = None
-        if cfg.path == "exact":
-            probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
+        probe = self.probe if cfg.path == "exact" else None
         key = (table.K, table.value.tobytes(), table.slope.tobytes(), cfg.n_max, probe)
         built = _BUILDS.get(key)
         if built is not None:
@@ -242,7 +240,7 @@ class _Route:
 
 
 def extract(
-    cfg: ExperimentConfig, state: states.TrapState, route: _Route
+    cfg: ExperimentConfig, state: states.TrapState, route: _Route, alpha_sq: float
 ) -> tuple[moments.ProbeBlockMoments | None, measurement.ProbeBlock]:
     """The point pipeline: block moments by route, pulse, post-selected block.
 
@@ -253,16 +251,15 @@ def extract(
     vector sum_n sqrt(p_n) |n>, which gives the block of any state with
     those populations, pure or mixed, since H conserves N and every
     quantity post-selection forms is a sum within one sector. `route`
-    carries the table and Fock operators, built on first use or reused from
-    an earlier route with equal inputs; a state past `fock.n_max` is refused
-    before either route builds anything.
+    carries the probe, the table and the Fock operators (see `_Route`); a
+    state past `fock.n_max` is refused before either route builds anything.
+    Only the inverse-quartic preset reads `alpha_sq`, the point's value.
     """
-    probe = measurement.ProbeParams(cfg.probe_M, cfg.probe_Omega, cfg.probe_levels)
     if cfg.path != "moments" and state.n_cut > cfg.n_max:
         raise ConfigError("fock.n_max", f"is {cfg.n_max}, below the state's last level n = {state.n_cut}")
     if cfg.path == "exact":
         ham = route.ham
-        pulse = resolve_pulse(cfg, ham.coupling_weight(state.vector))
+        pulse = resolve_pulse(cfg, ham.coupling_weight(state.vector), alpha_sq)
         final = _exact_final(cfg, ham, state.vector, pulse)
         return None, measurement.postselect_sectors(final.weights, final.beta_sq, state.norm_sq())
     if cfg.path == "fock":
@@ -271,15 +268,15 @@ def extract(
         mom = moments.analytic_limit_moments(state)
     else:
         mom = moments.moments_from_state(state, cfg.K)
-    pulse = resolve_pulse(cfg, mom.S)
-    return mom, measurement.block_from_moments(mom, pulse, probe, state.norm_sq())
+    pulse = resolve_pulse(cfg, mom.S, alpha_sq)
+    return mom, measurement.block_from_moments(mom, pulse, route.probe, state.norm_sq())
 
 
 def single_block(
     cfg: ExperimentConfig, table: OverlapTable | None = None
 ) -> measurement.ProbeBlock:
     """Post-selected block for the configured state, via the configured path."""
-    return extract(cfg, _build_state(cfg), _Route(cfg, table))[1]
+    return extract(cfg, _build_state(cfg, getattr(cfg, _STATE_PARAM[cfg.state])), _Route(cfg, table), cfg.alpha_sq)[1]
 
 
 def evaluate_point(
@@ -288,23 +285,30 @@ def evaluate_point(
     value: float | None = None,
     route: _Route | None = None,
 ) -> PointResult:
-    """Evaluate one configured state; never raises, errors land in `.error`."""
+    """Evaluate the state at `value` of `sweep.param`, else at its own; never raises, errors land in `.error`.
+
+    The config is not copied: the value goes to the state, the inverse-quartic
+    area and the closed form, the only readers of a swept parameter.
+    """
     param = cfg.sweep_param or "none"
     out = PointResult(param=param, value=nan if value is None else float(value))
     started = time.perf_counter()
     try:
-        if value is not None:
-            if param == "number_n":
-                if value != int(value):
-                    raise ConfigError("sweep.values", f"particle number {value} not an integer")
-                if value > states._N_CUT_CEILING:
-                    raise ConfigError("sweep.values", f"particle number {value} must be <= {states._N_CUT_CEILING}")
-                cfg = replace(cfg, number_n=int(value))
-            else:
-                cfg = replace(cfg, **{param: float(value)})
+        if value is None:
+            value = getattr(cfg, _STATE_PARAM[cfg.state])
+        elif cfg.sweep_param is None:
+            raise ConfigError("sweep.param", "no sweep parameter configured")
+        elif param == "number_n":
+            if value != int(value):
+                raise ConfigError("sweep.values", f"particle number {value} not an integer")
+            if value > states._N_CUT_CEILING:
+                raise ConfigError("sweep.values", f"particle number {value} must be <= {states._N_CUT_CEILING}")
+            value = int(value)
+        else:
+            value = float(value)
 
-        state = _build_state(cfg)
-        mom, block = extract(cfg, state, route or _Route(cfg, table))
+        state = _build_state(cfg, value)
+        mom, block = extract(cfg, state, route or _Route(cfg, table), value)
         if mom is None:
             out.provenance = block.source
         else:
@@ -317,7 +321,7 @@ def evaluate_point(
         out.mu = entanglement.block_negativity(block)
         out.p_succ = block.p_succ
         out.leakage = block.leakage
-        out.mu_closed_form = _closed_form_for(cfg)
+        out.mu_closed_form = _closed_form_for(cfg, value)
         if cfg.state == "coherent":
             if cfg.path != "moments":  # fock and exact rows: finite-K closed form
                 mom = moments.moments_from_state(state, cfg.K)
@@ -421,7 +425,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
     )
     ham = _Route(small, None).ham
     state = states.number_state(2)
-    g0 = resolve_pulse(small, ham.coupling_weight(state.vector)).g0
+    g0 = resolve_pulse(small, ham.coupling_weight(state.vector), small.alpha_sq).g0
     lengths = (T0, T0 / 2, T0 / 4)
     residuals = []
     leak_fracs = []
@@ -463,19 +467,14 @@ def _perturbative_section(cfg: ExperimentConfig, lines: list[str]) -> None:
 def _scaling_section(cfg: ExperimentConfig, lines: list[str]) -> None:
     """Success probability vs mean particle number under inverse-quartic areas."""
     grid = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
+    scan = replace(
+        cfg, state="coherent", path="moments", extrapolate=True, pulse_preset="inverse-quartic", pulse_area=None
+    )
+    route = _Route(scan, None)
     probs = []
     for a in grid:
-        scan = replace(
-            cfg,
-            state="coherent",
-            alpha_sq=float(a),
-            path="moments",
-            extrapolate=True,
-            pulse_preset="inverse-quartic",
-            pulse_area=None,
-        )
         state = states.coherent_state(alpha_sq=float(a), tail_tol=cfg.tail_tol)
-        probs.append(extract(scan, state, _Route(scan, None))[1].p_succ)
+        probs.append(extract(scan, state, route, float(a))[1].p_succ)
     slope, half = _fit_loglog(grid, np.array(probs))
     lines.append("success probability under inverse-quartic pulse areas")
     lines.append("  alpha_sq    p_succ")

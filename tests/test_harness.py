@@ -19,6 +19,7 @@ from halftrap.entanglement import negativity_closed_form
 from halftrap.harness import cli
 from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
+    _FIELDS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -28,6 +29,7 @@ from halftrap.harness.sweep import (
     _BUILDS,
     _BUILDS_KEPT,
     _T_975_DOF3,
+    PointResult,
     evaluate_point,
     perturbation_evidence,
     resolve_pulse,
@@ -37,6 +39,7 @@ from halftrap.harness.sweep import (
     write_plot_data,
     write_sweep_csv,
 )
+from halftrap.measurement import ProbeParams
 from halftrap.moments import moments_from_state
 from halftrap.states import number_state
 from exact_oracle import array_residual, joint_array_route, selected_and_leaked
@@ -178,6 +181,12 @@ _NON_DEFAULT = {
 def test_schema_defaults_and_keys():
     assert ExperimentConfig.from_entries({}) == ExperimentConfig()
     assert [f.metadata["key"] for f in fields(ExperimentConfig)] == list(_NON_DEFAULT)
+
+
+def test_the_parser_table_lists_every_declared_key_once():
+    # parsing and validating read one table formed from the declarations, so a new field needs no second list
+    declared = [(f.metadata["key"], f.name) for f in fields(ExperimentConfig)]
+    assert [(key, row[0]) for key, row in _FIELDS.items()] == declared
 
 
 @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.metadata["key"])
@@ -569,9 +578,9 @@ def test_a_pulse_whose_first_order_weight_overflows_is_refused(entries, field):
     # area^2 (M Omega / 2) S passes the largest float, 1.8e308, for each of these
     cfg = ExperimentConfig.from_entries(entries)
     with pytest.raises(ConfigError) as err:
-        resolve_pulse(cfg, 4.0)
+        resolve_pulse(cfg, 4.0, cfg.alpha_sq)
     assert err.value.fieldname == field
-    assert resolve_pulse(replace(cfg, pulse_area=1e153), 4.0).area == 1e153
+    assert resolve_pulse(replace(cfg, pulse_area=1e153), 4.0, cfg.alpha_sq).area == 1e153
     sweep = {"sweep.param": "alpha_sq", "sweep.values": entries.get("alpha_sq", "1, 2")}
     rows = run_sweep(ExperimentConfig.from_entries({**entries, **sweep}))
     assert all(row.error.startswith(f"ConfigError: config field {field!r}") for row in rows)
@@ -840,6 +849,98 @@ def test_sweep_rows_match_points_evaluated_alone(table6):
         shared = run_sweep(cfg, table6)
         alone = [evaluate_point(cfg, table6, v) for v in cfg.sweep_values]
         assert shared == alone
+
+
+_SMALL_FOCK = {"table.K": "4", "fock.n_max": "3"}
+_WEAK = {"n_cut": "3", "tail_tol": "0.5"}
+_INVERSE_QUARTIC = {"state": "coherent", "pulse.preset": "inverse-quartic", "sweep.param": "alpha_sq"}
+# number_n values the sweep refuses before evaluating, with the refusal each row carries
+_REFUSED = {
+    2.5: "ConfigError: config field 'sweep.values': particle number 2.5 not an integer",
+    100001.0: "ConfigError: config field 'sweep.values': particle number 100001.0 must be <= 100000",
+}
+_POINT_SWEEPS = {
+    "moments-inverse-quartic": {**_INVERSE_QUARTIC, "sweep.values": "0.5, 3, 7.5, 40"},
+    "moments-finite-K": {"state": "coherent", "table.K": "16", "moments.extrapolate": "false",
+                         "sweep.param": "alpha_sq", "sweep.values": "0.5, 3"},
+    "moments-number": {"state": "number", "sweep.param": "number_n", "sweep.values": "1, 2.5, 100001, -1, 7"},
+    "moments-thermal": {"state": "thermal", "sweep.param": "nbar", "sweep.values": "0.5, 4"},
+    "moments-phase-averaged": {**_INVERSE_QUARTIC, "state": "phase_averaged", "sweep.values": "0.5, 6"},
+    "fock-inverse-quartic": {**_SMALL_FOCK, **_WEAK, **_INVERSE_QUARTIC, "path": "fock", "sweep.values": "0.5, 1, 3"},
+    "fock-number": {**_SMALL_FOCK, "path": "fock", "state": "number", "sweep.param": "number_n",
+                    "sweep.values": "1, 2.5, 100001, -1, 3"},
+    "exact-inverse-quartic": {**_SMALL_FOCK, **_WEAK, **_INVERSE_QUARTIC, "path": "exact", "pulse.T": "0.05",
+                              "sweep.values": "0.5, 1, 3"},
+    "exact-number": {**_SMALL_FOCK, "path": "exact", "pulse.T": "0.05", "state": "number",
+                     "sweep.param": "number_n", "sweep.values": "3, 2.5, 100001, -1, 1"},
+}
+
+
+def _replaced_point(cfg: ExperimentConfig, value: float):
+    """The row of `value` by copying the config to hold it, then evaluating that copy as a single point."""
+    param = cfg.sweep_param
+    if param == "number_n" and value in _REFUSED:
+        return PointResult(param=param, value=value, error=_REFUSED[value])
+    row = evaluate_point(replace(cfg, **{param: int(value) if param == "number_n" else value}), None)
+    row.value = value
+    return row
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("entries", _POINT_SWEEPS.values(), ids=list(_POINT_SWEEPS))
+def test_every_reader_gets_the_points_value(entries):
+    # the state, the inverse-quartic area and the closed form each read the swept
+    # value, never the config's own (alpha_sq 2, number_n 2, nbar 1)
+    cfg = ExperimentConfig.from_entries(entries)
+    rows = run_sweep(cfg)
+    assert _csv(rows) == _csv([_replaced_point(cfg, v) for v in cfg.sweep_values])
+    assert sum(not row.error for row in rows) >= 2
+
+
+def test_a_value_given_without_a_sweep_parameter_is_refused():
+    row = evaluate_point(ExperimentConfig(), None, 3.0)
+    assert row.error == "ConfigError: config field 'sweep.param': no sweep parameter configured"
+    assert (row.param, row.value) == ("none", 3.0)
+    assert _csv([row]) == _csv([PointResult(param="none", value=3.0, error=row.error)])
+
+
+@pytest.mark.parametrize(
+    "entries, points",
+    [
+        ({"state": "coherent", "sweep.param": "alpha_sq"}, 64),
+        ({**_SMALL_FOCK, "path": "exact", "pulse.T": "0.05", "state": "number", "sweep.param": "number_n"}, 8),
+    ],
+    ids=["moments", "exact"],
+)
+def test_a_sweep_copies_no_config_and_forms_one_probe(entries, points, monkeypatch):
+    # a point passes its value on, so what a sweep constructs does not grow with its points
+    values = [repr(1.0 + i % 3) for i in range(points)]
+    sweeps = [ExperimentConfig.from_entries({**entries, "sweep.values": ", ".join(values[:n])}) for n in (1, points)]
+    made = []
+
+    def logged(cls):
+        init = cls.__init__
+
+        def logging(self, *args, **kwargs):
+            made.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return logging
+
+    for cls in (ExperimentConfig, ProbeParams):
+        monkeypatch.setattr(cls, "__init__", logged(cls))
+    counts = []
+    for cfg in sweeps:
+        made.clear()
+        rows = run_sweep(cfg)
+        assert [row.error for row in rows] == [""] * len(cfg.sweep_values)
+        counts.append(sorted(made))
+    assert counts == [["ProbeParams"]] * 2
 
 
 def test_exact_sweep_rows_report_their_own_errors(table6, monkeypatch):

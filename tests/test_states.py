@@ -4,7 +4,6 @@ import importlib.util
 import math
 import sys
 import warnings
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -282,7 +281,7 @@ def _benchmark_grid_states() -> list:
                 cfg = ExperimentConfig.from_entries(parse_config_text(sweep.config_text()))
                 for v in cfg.sweep_values:
                     value = int(v) if cfg.sweep_param == "number_n" else v
-                    out.append(_build_state(replace(cfg, **{cfg.sweep_param: value})))
+                    out.append(_build_state(cfg, value))
     return out
 
 
