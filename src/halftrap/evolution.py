@@ -181,7 +181,9 @@ def build_joint_hamiltonian(
     and negates b_-, so Pi = (-1)^(trap parity + n_-): its even half keeps
     the relative levels of the trap state's parity, and it holds every state
     |phi>|00> with phi in the lowest orbital. H_0 and V conserve N, so each
-    sector is a diagonal block of `v`.
+    sector is a diagonal block of `v`, the Kronecker product D x P_- / sqrt 2
+    kept on the mirror-even rows and columns (D flips the trap parity and P_-
+    the level's, so a kept row loses no entry).
 
     Nothing here depends on the trap state or the pulse: the sweep harness
     keeps it for later sweeps with the same table, `n_max` and probe, and
@@ -202,40 +204,13 @@ def build_joint_hamiltonian(
     h = ((h_trap[:, None] + h_probe[0]) + h_probe).ravel()[even]
     t, m = np.divmod(even, d)
 
-    # v's row (t, m) is D's row t times P_- / sqrt 2 = sqrt(M Omega / 4) (b + b^T) in the
-    # frame: per entry D[t, t'], in D's column order, the levels m - 1 and m + 1 that exist.
-    # D flips the trap parity and P_- the level's, so both are kept levels of t', its
-    # ((m -+ 1) // 2)-th; the row's diagonal slot comes after the entries left of column t
+    # the identity gives each row of v one explicit diagonal slot, zeroed here, where each pulse writes H_0
     low = probe_lowering(d)
     quad = np.sqrt(probe.M * probe.Omega / 4.0) * (low + low.T)
-    kept = (d + 1 - parity) // 2
-    first = np.cumsum(kept) - kept  # position of each trap state's lowest kept level
-    per_t = np.diff(D.indptr)
-    rows_of_D = np.repeat(np.arange(basis.dimension), per_t)
-    left = np.bincount(rows_of_D[D.indices < rows_of_D], minlength=basis.dimension)[t]
-    below, above = m > 0, m < d - 1
-    width = below + above.astype(np.int64)
-    per_row = per_t[t]
-    indptr = np.concatenate(([0], np.cumsum(per_row * width + 1)))
-    diag = indptr[:-1] + left * width
-    data = np.zeros(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[diag] = np.arange(n)
-
-    def each(a):  # a per-row value at each of the row's D entries
-        return np.repeat(a, per_row)
-
-    # the j-th entry of D's row t is D.data[ent], and its first slot in v is `slot`
-    j = np.arange(per_row.sum()) - each(np.cumsum(per_row) - per_row)
-    ent = each(D.indptr[t]) + j
-    slot = each(indptr[:-1]) + j * each(width) + (j >= each(left))
-    col = first[D.indices[ent].astype(np.intp)]
-    # a level past either end is not kept; `% d` only keeps its index in range
-    for has, step, at in ((below, -1, slot), (above, 1, slot + each(below))):
-        sel = each(has)
-        indices[at[sel]] = (col + each((m + step) // 2))[sel]
-        data[at[sel]] = (D.data[ent] * each(quad[m, (m + step) % d]))[sel]
-    v = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    v = sp.kron(D, sp.csr_matrix(quad), format="csr")[even][:, even] + sp.identity(n)
+    v.sort_indices()
+    diag = np.flatnonzero(v.indices == np.repeat(np.arange(n), np.diff(v.indptr)))
+    v.data[diag] = 0.0
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
     edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
     number = basis.states.sum(axis=1)
@@ -243,7 +218,7 @@ def build_joint_hamiltonian(
     # |n, 0, ..., 0> is the last state of sector n and even, so its level 0 is its
     # sector's last row but its (d + 1) // 2 kept levels
     origin = edges[1:] - (d + 1) // 2
-    column = np.bincount(rows_of_D, D.data**2, basis.dimension)[t[origin]]  # D is symmetric: row weights
+    column = (D.multiply(D) @ np.ones(basis.dimension))[t[origin]]  # D is symmetric: row weights
     return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, number[t] * d + m, origin, column)
 
 

@@ -84,7 +84,8 @@ def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_ma
     lambda^L_kl - lambda^R_kl = -2 lambda^R_kl bit for bit. Every entry is
     the coefficient times <m + e_k| a_k^dag a_l |m + e_l> =
     sqrt((m_k + 1) (m_l + 1)) for a state m one particle down, and no two
-    pairs reach the same entry.
+    pairs reach the same entry, so scipy's COO -> CSR conversion sorts the
+    entries and sums none.
     """
     if table.K != basis.K:
         raise ValueError(
@@ -98,14 +99,7 @@ def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_ma
     modes = np.arange(basis.K if len(up) else 0)  # no pairs without a particle to move
     k, l = np.nonzero(modes[:, None] % 2 != modes % 2)
     vals = (-2.0 * table.entries("R", k, l)) * np.sqrt(raised[:, l] * raised[:, k])
-    rows, cols = up[:, k].ravel(), up[:, l].ravel()
-    # CSR by one sort of the entries on (row, column), with scipy's index dtype
-    n = basis.dimension
-    order = np.argsort(rows * n + cols)
-    index = np.int32 if max(n, rows.size) < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((vals.ravel()[order], cols[order].astype(index), indptr), shape=(n, n))
+    return sp.coo_matrix((vals.ravel(), (up[:, k].ravel(), up[:, l].ravel())), shape=(basis.dimension,) * 2).tocsr()
 
 
 def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:

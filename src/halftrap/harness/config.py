@@ -42,6 +42,14 @@ class ConfigError(ValueError):
         super().__init__(f"config field {fieldname!r}: {message}")
 
 
+def _check_sweep_param(state: str, param: str | None) -> None:
+    """Refuse a sweep parameter that the state family never reads."""
+    reads = _STATE_PARAM[state]
+    if param not in (None, reads):
+        hint = f"sweep {reads!r} instead" if reads in _SWEEP_PARAMS else "it has no sweep parameter"
+        raise ConfigError("sweep.param", f"state {state!r} never reads {param!r}; {hint}")
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse the flat grammar into a string-to-string mapping."""
     out: dict[str, str] = {}
@@ -216,11 +224,7 @@ class ExperimentConfig:
                 raise ConfigError(key, f"must be <= {high}, got {value}")
         if self.sweep_param is not None and not self.sweep_values:
             raise ConfigError("sweep.values", "sweep requested but value list is empty")
-        reads = _STATE_PARAM[self.state]
-        if self.sweep_param not in (None, reads):
-            hint = f"sweep {reads!r} instead" if reads in _SWEEP_PARAMS else "it has no sweep parameter"
-            message = f"state {self.state!r} never reads {self.sweep_param!r}; {hint}"
-            raise ConfigError("sweep.param", message)
+        _check_sweep_param(self.state, self.sweep_param)
         if self.state == "superposition" and not self.coeffs:
             raise ConfigError("coeffs", "superposition state needs a coefficient list")
 

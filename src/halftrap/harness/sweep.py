@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import entanglement, measurement, moments, states
 from ..orbitals import OverlapTable, build_overlap_table
-from .config import _STATE_PARAM, ConfigError, ExperimentConfig
+from .config import _STATE_PARAM, ConfigError, ExperimentConfig, _check_sweep_param
 
 if TYPE_CHECKING:  # the fock and exact routes import them where they first run
     import scipy.sparse as sp
@@ -288,12 +288,14 @@ def evaluate_point(
     """Evaluate the state at `value` of `sweep.param`, else at its own; never raises, errors land in `.error`.
 
     The config is not copied: the value goes to the state, the inverse-quartic
-    area and the closed form, the only readers of a swept parameter.
+    area and the closed form, the only readers of a swept parameter. A
+    `sweep.param` the state never reads is refused as `validate` refuses it.
     """
     param = cfg.sweep_param or "none"
     out = PointResult(param=param, value=nan if value is None else float(value))
     started = time.perf_counter()
     try:
+        _check_sweep_param(cfg.state, cfg.sweep_param)
         if value is None:
             value = getattr(cfg, _STATE_PARAM[cfg.state])
         elif cfg.sweep_param is None:

@@ -374,6 +374,8 @@ def _reference_build(table, basis, probe):
     It builds Lambda_L and Lambda_R, subtracts them, forms every product of
     an entry of the difference with one of P_- / sqrt 2 in COO form, keeps
     the rows of the mirror-even half and lets `tocsr` sort the entries.
+    `column` sums the squared entries of the difference by row (`bincount`)
+    at each |n, 0, ..., 0>, the last state of sector n.
     """
     d = probe.levels
     lamL, lamR = lambda_pair(table, basis)
@@ -406,7 +408,11 @@ def _reference_build(table, basis, probe):
     diag = np.flatnonzero(v.indices == row_of)
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
     edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
-    return {"H0": H0.diagonal(), "even": even, "edges": edges, "h": h, "v": v, "diag": diag, "radius": radius}
+    lowest = [math.comb(n + basis.K, basis.K) - 1 for n in range(basis.n_max + 1)]
+    column = np.bincount(lam.row, lam.data**2, basis.dimension)[lowest]
+    return {
+        "H0": H0.diagonal(), "even": even, "edges": edges, "h": h, "v": v, "diag": diag, "radius": radius, "column": column
+    }
 
 
 @pytest.mark.parametrize("K", range(1, 9))
@@ -415,14 +421,14 @@ def test_joint_hamiltonian_matches_the_two_lambda_build_bit_for_bit(K):
     table = build_overlap_table(K)
     for n_max in range(5):
         basis = FockBasis(K, n_max)
-        for levels in range(2, 6):
+        for levels in (*range(2, 6), 10):
             probe = ProbeParams(M=0.7, Omega=1.3, levels=levels)
             ham = build_joint_hamiltonian(table, basis, probe)
             ref = _reference_build(table, basis, probe)
             for attr in ("data", "indices", "indptr"):
                 got, expect = getattr(ham.v, attr), getattr(ref["v"], attr)
                 assert got.dtype == expect.dtype and np.array_equal(got, expect), (n_max, levels, attr)
-            for name in ("H0", "even", "edges", "h", "diag", "radius"):
+            for name in ("H0", "even", "edges", "h", "diag", "radius", "column"):
                 assert np.array_equal(getattr(ham, name), ref[name]), (n_max, levels, name)
 
 

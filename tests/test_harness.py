@@ -279,6 +279,11 @@ def test_a_sweep_walks_only_the_parameter_its_state_reads(state, param):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_entries(entries)
         assert err.value.fieldname == "sweep.param"
+        # a config built by hand skips `validate`; each of its points is refused with the
+        # same message, never evaluated at the state's own field under the wrong label
+        cfg = ExperimentConfig(state=state, coeffs=[1], sweep_param=param, sweep_values=[1.0, 3.0, 9.0])
+        rows = [evaluate_point(cfg, None), evaluate_point(cfg, None, 5.0), *run_sweep(cfg)]
+        assert [row.error for row in rows] == [f"ConfigError: {err.value}"] * 5
 
 
 def test_fit_quantile_is_the_student_t_quantile():
@@ -1273,6 +1278,22 @@ def test_cli_lambda_streams_its_table_in_bounded_memory(tmp_path, cli_env):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "3f2d2b74d2c9a479e90b8ca168c8deda8b12cdc999a03f9d9212994dd2cc46b1"
     assert peak <= _peak_rss_kb(["sample", "--shots", "100"], cli_env) + 4 * 1024
+
+
+def test_cli_exact_sample_at_the_caps_edge_stays_in_bounded_memory(cli_env):
+    # K = 1599 at n_max 1 is the largest exact build the default cap admits: Lambda holds
+    # 1,279,999 nonzeros, and 1,281,600 at K = 1600 pass the cap's 1,280,000. The sample's
+    # peak measured 270.7 MB, 234.9 MB over a moment-route sample's 35.8 MB; the bound,
+    # 240 MB over it, is 10 % over the 251 MB measured when v was laid out by hand
+    edge = ["path=exact", "fock.n_max=1", "probe.levels=3", "state=number", "number_n=1", "pulse.T=0.05"]
+    args = ["sample", "--shots", "100"]
+    for item in edge:
+        args += ["--set", item]
+    peak = _peak_rss_kb([*args, "--set", "table.K=1599"], cli_env)
+    assert peak <= _peak_rss_kb(["sample", "--shots", "100"], cli_env) + 240 * 1024
+    proc = _cli([*args, "--set", "table.K=1600"], cli_env)
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == "error: config field 'exact.dim_cap': is 20000, below the 1281600 nonzeros of Lambda / 64"
 
 
 def test_cli_lambda_writes_table(tmp_path, cli_env):
