@@ -31,9 +31,8 @@ from math import fsum, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, build_imbalance_operator, to_fock_vector
+from .fock import FockBasis, to_fock_vector
 from .measurement import ProbeParams, Pulse
-from .orbitals import OverlapTable
 
 __all__ = [
     "JointHamiltonian",
@@ -82,11 +81,11 @@ class JointHamiltonian:
     route reads it: it is kept only for the benchmark tracer
     (`benchmarks/tracer.py`), which reports its size, until the benchmark
     change of ROADMAP item 1 drops it. `D` is the trap-space imbalance
-    Lambda_L - Lambda_R, and `number` holds each trap state's particle
-    number. The rest is the trap and relative mode on their mirror-even
-    half: `even` holds the flat (trap, n_-) indices it keeps, in order, and
-    the sector of particle number N is the range `edges[N]:edges[N + 1]` of
-    them. `h` is H_0 there at n_+ = 0, `v`
+    Lambda_L - Lambda_R it was built from; each trap state's particle number
+    is `basis.number`. The rest is the trap and relative mode on their
+    mirror-even half: `even` holds the flat (trap, n_-) indices it keeps, in
+    order, and the sector of particle number N is the range
+    `edges[N]:edges[N + 1]` of them. `h` is H_0 there at n_+ = 0, `v`
     is D P_- / sqrt 2 in the frame (real, with explicit zeros on its
     diagonal at the positions `diag` of `v.data`, so that H_0 fits its
     pattern). Two bounds on v's spectrum are held per row: `radius`, the row
@@ -102,7 +101,6 @@ class JointHamiltonian:
     probe: ProbeParams
     H0: np.ndarray
     D: sp.csr_matrix
-    number: np.ndarray
     even: np.ndarray
     edges: np.ndarray
     h: np.ndarray
@@ -168,19 +166,17 @@ def _one_body_scale(probe: ProbeParams) -> float:
     return float(np.sqrt(probe.M * probe.Omega / 4.0) * x) * (1.0 + _BOUND_MARGIN)
 
 
-def build_joint_hamiltonian(
-    table: OverlapTable,
-    basis: FockBasis,
-    probe: ProbeParams,
-) -> JointHamiltonian:
+def build_joint_hamiltonian(basis: FockBasis, D: sp.csr_matrix, probe: ProbeParams) -> JointHamiltonian:
     """Assemble H_0 on the flattened (trap, n_+, n_-) space and the relative mode's mirror-even half.
 
-    The mirror Pi = (trap parity (-1)^(sum_k k n_k)) x (swap of the two
-    probes) commutes with H_0 and V, because the table obeys lambdaL =
-    P lambdaR P with P = diag((-1)^k) by construction. The swap keeps b_+
-    and negates b_-, so Pi = (-1)^(trap parity + n_-): its even half keeps
-    the relative levels of the trap state's parity, and it holds every state
-    |phi>|00> with phi in the lowest orbital. H_0 and V conserve N, so each
+    `D` is Lambda_L - Lambda_R on `basis` (`fock.build_imbalance_operator`),
+    whose layout (`edges`, `number`, `lowest`) gives the sectors. The mirror
+    Pi = (trap parity (-1)^(sum_k k n_k)) x (swap of the two probes)
+    commutes with H_0 and V, because every table obeys lambdaL = P lambdaR P
+    with P = diag((-1)^k) by construction. The swap keeps b_+ and negates
+    b_-, so Pi = (-1)^(trap parity + n_-): its even half keeps the relative
+    levels of the trap state's parity, and it holds every state |phi>|00>
+    with phi in the lowest orbital. H_0 and V conserve N, so each
     sector is a diagonal block of `v`, the Kronecker product D x P_- / sqrt 2
     kept on the mirror-even rows and columns (D flips the trap parity and P_-
     the level's, so a kept row loses no entry).
@@ -189,8 +185,9 @@ def build_joint_hamiltonian(
     keeps it for later sweeps with the same table, `n_max` and probe, and
     `exact_state` propagates each point with it.
     """
+    if D.shape != (basis.dimension,) * 2:
+        raise ValueError(f"D has shape {D.shape}, but the basis has dimension {basis.dimension}")
     d = probe.levels
-    D = build_imbalance_operator(table, basis)
     parity = basis.states @ np.arange(basis.K) % 2  # (sum_k k n_k) mod 2 of each trap state
 
     # H_0 is diagonal: trap energy plus the two probe levels, (t, n_+, n_-) order;
@@ -212,14 +209,13 @@ def build_joint_hamiltonian(
     diag = np.flatnonzero(v.indices == np.repeat(np.arange(n), np.diff(v.indptr)))
     v.data[diag] = 0.0
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
-    edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
-    number = basis.states.sum(axis=1)
-    bound = number[t] * _one_body_scale(probe)
-    # |n, 0, ..., 0> is the last state of sector n and even, so its level 0 is its
-    # sector's last row but its (d + 1) // 2 kept levels
-    origin = edges[1:] - (d + 1) // 2
-    column = (D.multiply(D) @ np.ones(basis.dimension))[t[origin]]  # D is symmetric: row weights
-    return JointHamiltonian(basis, probe, H0, D, number, even, edges, h, v, diag, radius, bound, number[t] * d + m, origin, column)
+    edges = np.searchsorted(even, basis.edges * d)
+    number = basis.number[t]
+    # |n, 0, ..., 0> is parity-even, so its level 0 is kept
+    origin = np.searchsorted(even, basis.lowest * d)
+    column = (D.multiply(D) @ np.ones(basis.dimension))[basis.lowest]  # D is symmetric: row weights
+    bound = number * _one_body_scale(probe)
+    return JointHamiltonian(basis, probe, H0, D, even, edges, h, v, diag, radius, bound, number * d + m, origin, column)
 
 
 # the Chebyshev series of a pulse drops a tail of at most this weight
@@ -415,8 +411,9 @@ def first_order_residual(c: np.ndarray, final: FactoredState) -> float:
     phi = to_fock_vector(c, ham.basis)
     a = pulse.area * np.sqrt(ham.probe.M * ham.probe.Omega / 4.0)
     y = np.where(m == 0, phi[t], 0.0)
-    diff = _centre_of_mass(ham.number[t], ham.probe, pulse) * final.rows[:, None]
+    number = ham.basis.number[t]
+    diff = _centre_of_mass(number, ham.probe, pulse) * final.rows[:, None]
     d_phi = np.where(m == 1, (ham.D @ phi)[t], 0.0)
     diff[:, 0] -= (1.0 - 1j * pulse.T * ham.h[final.span]) * y - 1j * a * d_phi
-    diff[:, 1] -= a * ham.number[t] * y
+    diff[:, 1] -= a * number * y
     return sqrt(fsum((diff * diff.conj()).real.ravel().tolist()))

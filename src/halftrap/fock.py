@@ -43,11 +43,17 @@ class FockBasis:
     blocks contiguous. Sector n is enumerated as the multisets of n modes
     (`itertools.combinations_with_replacement`), whose lex order is the
     reverse of their occupations', and counted into rows by one bincount.
+    Its readers take the layout from it, as read-only int64 arrays: sector n
+    is the rows `edges[n]:edges[n + 1]`, `number` holds each state's
+    particle number, and `lowest[n]` is the row of |n, 0, ..., 0>.
     """
 
     K: int
     n_max: int
     states: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    number: np.ndarray = field(init=False, repr=False, compare=False)
+    lowest: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -63,18 +69,17 @@ class FockBasis:
             cells = np.fromiter(flat, np.int64, count=rows * n)
             cells += np.arange((rows - 1) * K, -1, -K).repeat(n)
             sectors.append(np.bincount(cells, minlength=rows * K).reshape(rows, K))
-        states = np.concatenate(sectors)
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
+        sizes = [len(sector) for sector in sectors]
+        edges = np.cumsum([0, *sizes])
+        # (n, 0, ..., 0) is the reverse of the first multiset, so the last state of sector n
+        layout = np.concatenate(sectors), edges, np.repeat(np.arange(self.n_max + 1), sizes), edges[1:] - 1
+        for name, array in zip(("states", "edges", "number", "lowest"), layout):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dimension(self) -> int:
         return len(self.states)
-
-    def sectors(self) -> list[slice]:
-        """Index range of each particle-number sector N = 0..n_max."""
-        edges = [comb(n + self.K - 1, self.K) for n in range(self.n_max + 2)]
-        return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def build_imbalance_operator(table: OverlapTable, basis: FockBasis) -> sp.csr_matrix:
@@ -109,8 +114,7 @@ def to_fock_vector(coeffs: np.ndarray, basis: FockBasis) -> np.ndarray:
             f"state cutoff {len(coeffs) - 1} exceeds basis capacity {basis.n_max}"
         )
     v = np.zeros(basis.dimension, dtype=np.complex128)
-    # (n, 0, ..., 0) is the last state of sector n
-    v[[comb(n + basis.K, basis.K) - 1 for n in range(len(coeffs))]] = coeffs
+    v[basis.lowest[: len(coeffs)]] = coeffs
     return v
 
 

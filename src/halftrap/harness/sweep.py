@@ -196,9 +196,9 @@ class _Route:
         """The basis, D = Lambda_L - Lambda_R and, on the exact route, the Hamiltonian.
 
         A kept build with this route's key, the table's contents, `fock.n_max`
-        and the exact route's probe, is reused; otherwise they are built from
-        this route's table, the exact route taking basis and D from the
-        Hamiltonian it builds, and kept. A build that raises is not kept.
+        and the exact route's probe, is reused; otherwise the basis and D are
+        built from this route's table, the exact route's Hamiltonian from
+        them, and all three kept. A build that raises is not kept.
         """
         self._check_size()
         cfg, table = self.cfg, self.table
@@ -208,16 +208,11 @@ class _Route:
         if built is not None:
             _BUILDS.move_to_end(key)
             return built
-        from .. import fock
+        from .. import evolution, fock
 
         basis = fock.FockBasis(cfg.K, cfg.n_max)
-        if probe is None:
-            built = basis, fock.build_imbalance_operator(table, basis), None
-        else:
-            from .. import evolution
-
-            ham = evolution.build_joint_hamiltonian(table, basis, probe)
-            built = basis, ham.D, ham
+        D = fock.build_imbalance_operator(table, basis)
+        built = basis, D, None if probe is None else evolution.build_joint_hamiltonian(basis, D, probe)
         _BUILDS[key] = built
         if len(_BUILDS) > _BUILDS_KEPT:
             _BUILDS.popitem(last=False)
@@ -240,7 +235,7 @@ class _Route:
 
 
 def extract(
-    cfg: ExperimentConfig, state: states.TrapState, route: _Route, alpha_sq: float
+    route: _Route, state: states.TrapState, alpha_sq: float
 ) -> tuple[moments.ProbeBlockMoments | None, measurement.ProbeBlock]:
     """The point pipeline: block moments by route, pulse, post-selected block.
 
@@ -251,10 +246,11 @@ def extract(
     vector sum_n sqrt(p_n) |n>, which gives the block of any state with
     those populations, pure or mixed, since H conserves N and every
     quantity post-selection forms is a sum within one sector. `route`
-    carries the probe, the table and the Fock operators (see `_Route`); a
+    carries the config, probe, table and Fock operators (see `_Route`); a
     state past `fock.n_max` is refused before either route builds anything.
     Only the inverse-quartic preset reads `alpha_sq`, the point's value.
     """
+    cfg = route.cfg
     if cfg.path != "moments" and state.n_cut > cfg.n_max:
         raise ConfigError("fock.n_max", f"is {cfg.n_max}, below the state's last level n = {state.n_cut}")
     if cfg.path == "exact":
@@ -276,7 +272,7 @@ def single_block(
     cfg: ExperimentConfig, table: OverlapTable | None = None
 ) -> measurement.ProbeBlock:
     """Post-selected block for the configured state, via the configured path."""
-    return extract(cfg, _build_state(cfg, getattr(cfg, _STATE_PARAM[cfg.state])), _Route(cfg, table), cfg.alpha_sq)[1]
+    return extract(_Route(cfg, table), _build_state(cfg, getattr(cfg, _STATE_PARAM[cfg.state])), cfg.alpha_sq)[1]
 
 
 def evaluate_point(
@@ -290,6 +286,7 @@ def evaluate_point(
     The config is not copied: the value goes to the state, the inverse-quartic
     area and the closed form, the only readers of a swept parameter. A
     `sweep.param` the state never reads is refused as `validate` refuses it.
+    A `route` passed in must be one formed from `cfg`, as `run_sweep` forms.
     """
     param = cfg.sweep_param or "none"
     out = PointResult(param=param, value=nan if value is None else float(value))
@@ -310,7 +307,7 @@ def evaluate_point(
             value = float(value)
 
         state = _build_state(cfg, value)
-        mom, block = extract(cfg, state, route or _Route(cfg, table), value)
+        mom, block = extract(route or _Route(cfg, table), state, value)
         if mom is None:
             out.provenance = block.source
         else:
@@ -476,7 +473,7 @@ def _scaling_section(cfg: ExperimentConfig, lines: list[str]) -> None:
     probs = []
     for a in grid:
         state = states.coherent_state(alpha_sq=float(a), tail_tol=cfg.tail_tol)
-        probs.append(extract(scan, state, route, float(a))[1].p_succ)
+        probs.append(extract(route, state, float(a))[1].p_succ)
     slope, half = _fit_loglog(grid, np.array(probs))
     lines.append("success probability under inverse-quartic pulse areas")
     lines.append("  alpha_sq    p_succ")

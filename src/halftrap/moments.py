@@ -144,7 +144,7 @@ def moments_from_fock(state: TrapState, basis: FockBasis, D: sp.csr_matrix) -> P
     Independent of the factorial-moment route: the state is embedded in the
     occupation basis `basis` as one vector, `TrapState.vector` =
     sum_n sqrt(p_n) |n>, and Lambda_{L,R} phi = (N phi +- D phi) / 2 are
-    formed from the particle number N and the caller's D = Lambda_L - Lambda_R
+    formed from the basis' particle numbers N and the caller's D = Lambda_L - Lambda_R
     (`fock.build_imbalance_operator`), so the vanishing of the cross terms
     between different n is checked rather than assumed, for every family.
     Cost grows combinatorially with (K, n_max), so this is a cross-check for
@@ -153,7 +153,7 @@ def moments_from_fock(state: TrapState, basis: FockBasis, D: sp.csr_matrix) -> P
     from .fock import to_fock_vector
 
     v = to_fock_vector(state.vector, basis)
-    nv, dv = basis.states.sum(axis=1) * v, D @ v
+    nv, dv = basis.number * v, D @ v
     vL = (nv + dv) / 2
     vR = (nv - dv) / 2
     return ProbeBlockMoments(

@@ -43,12 +43,12 @@ def joint_array_route(phi, ham, pulse):
     relative = np.zeros(basis.dimension * d, dtype=np.complex128)
     occupied = np.flatnonzero(phi)
     if occupied.size:
-        lo, hi = ham.number[occupied[[0, -1]]]
+        lo, hi = ham.basis.number[occupied[[0, -1]]]
         span = slice(int(ham.edges[lo]), int(ham.edges[hi + 1]))
         rows = ham.even[span]
         out = evolution._chebyshev_propagate(ham, span, pulse, relative_initial(phi, ham, span))
         relative[rows] = out * _I_POW[rows % d % 4]
-    plus = evolution._centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.number]
+    plus = evolution._centre_of_mass(np.arange(basis.n_max + 1), ham.probe, pulse)[ham.basis.number]
     return plus, relative.reshape(-1, d)
 
 
@@ -68,7 +68,7 @@ def selected_and_leaked(plus, relative, ham, pulse):
     """
     d = plus.shape[1]
     w = np.abs(plus[:, :, None] * relative[:, None, :]) ** 2
-    past = gammainc(d, displacement_sq(ham.number, ham.probe, pulse)) * (np.abs(relative) ** 2).sum(axis=1)
+    past = gammainc(d, displacement_sq(ham.basis.number, ham.probe, pulse)) * (np.abs(relative) ** 2).sum(axis=1)
     outside_00 = np.ones((d, d), dtype=bool)
     outside_00[0, 0] = False
     outside_block = outside_00.copy()
@@ -83,7 +83,7 @@ def sector_level_weights(relative, ham):
     """The weight of each (sector N, relative level n_-) cell of the relative factor, one `math.fsum` each."""
     w = np.abs(relative) ** 2
     return np.array(
-        [[math.fsum(w[ham.number == n, m]) for m in range(w.shape[1])] for n in range(ham.basis.n_max + 1)]
+        [[math.fsum(w[ham.basis.number == n, m]) for m in range(w.shape[1])] for n in range(ham.basis.n_max + 1)]
     )
 
 
@@ -93,7 +93,7 @@ def joint(final):
     relative = np.zeros(ham.basis.dimension * d, dtype=np.complex128)
     kept = ham.even[final.span]
     relative[kept] = final.rows * _I_POW[kept % d % 4]  # back from the frame
-    plus = evolution._centre_of_mass(np.arange(ham.basis.n_max + 1), ham.probe, final.pulse)[ham.number]
+    plus = evolution._centre_of_mass(np.arange(ham.basis.n_max + 1), ham.probe, final.pulse)[ham.basis.number]
     return plus[:, :, None] * relative.reshape(-1, d)[:, None, :]
 
 
@@ -119,7 +119,7 @@ def perturbative_state(c, ham, pulse):
     h00 = ham.H0.reshape(out.shape)[:, 0, 0]
     out[:, 0, 0] -= 1j * pulse.T * h00 * phi
     amp = pulse.area * np.sqrt(probe.M * probe.Omega / 4.0)
-    out[:, 1, 0] = amp * ham.number * phi
+    out[:, 1, 0] = amp * ham.basis.number * phi
     out[:, 0, 1] = amp * (ham.D @ phi)
     return out
 

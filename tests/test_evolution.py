@@ -83,7 +83,7 @@ def _branches(joint):
 def setup4(table4):
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    ham = build_joint_hamiltonian(table4, basis, probe)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(table4, basis), probe)
     return table4, basis, probe, ham
 
 
@@ -184,7 +184,8 @@ def test_first_order_residual_matches_the_array_residual(K):
     table = build_overlap_table(K)
     eps = np.finfo(float).eps
     for levels in (3, 4, 5):
-        ham = build_joint_hamiltonian(table, FockBasis(K, 4), ProbeParams(levels=levels))
+        basis = FockBasis(K, 4)
+        ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(levels=levels))
         for c in _RESIDUAL_STATES.values():
             for pulse in _RESIDUAL_PULSES:
                 final = exact_state(c, ham, pulse)
@@ -203,7 +204,7 @@ def test_left_right_swap_mirrors_the_block(setup4):
         )
     c = number_state(2).vector
     pulse = Pulse(T=0.02, g0=1.0)
-    ham_swapped = build_joint_hamiltonian(swapped, basis, probe)
+    ham_swapped = build_joint_hamiltonian(basis, build_imbalance_operator(swapped, basis), probe)
     _, a10, _ = _branches(joint(exact_state(c, ham, pulse)))
     _, _, b01 = _branches(joint(exact_state(c, ham_swapped, pulse)))
     wa10 = float(np.vdot(a10, a10).real)
@@ -276,7 +277,7 @@ def full_space_10():
     out = {}
     for K in range(1, 7):
         basis, table = FockBasis(K, 4), build_overlap_table(K)
-        ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=10))
+        ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(levels=10))
         phis = [to_fock_vector(c, basis) for c in _ORACLE_STATES.values()]
         initial = np.stack([embed_product(phi, ham.probe).reshape(-1) for phi in phis], axis=1)
         expected = [_full_space_states(initial, ham, table, pulse) for pulse in _ORACLE_PULSES]
@@ -298,7 +299,7 @@ def test_sector_propagation_matches_full_space(state, full_space_10):
             for a, b in zip(_branches(got), (expect[:, 0, 0], expect[:, 1, 0], expect[:, 0, 1])):
                 assert np.abs(a - b).max() <= 1e-14, (K, pulse)
             # sectors the state does not occupy stay exactly zero
-            for sector in ham.basis.sectors():
+            for sector in map(slice, ham.basis.edges, ham.basis.edges[1:]):
                 if not phi[sector].any():
                     assert not got[sector].any()
 
@@ -326,7 +327,7 @@ def test_centre_of_mass_mode_is_the_driven_oscillator(N, g0, T, M, Omega):
 def test_mirror_sectors_reduce_the_full_operators(K, levels):
     basis, table = FockBasis(K, 4), build_overlap_table(K)
     probe = ProbeParams(levels=levels)
-    ham = build_joint_hamiltonian(table, basis, probe)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), probe)
     # H_0 against its loop over the occupation tuples: half-integer sums, so equal exactly
     h0 = [
         sum((k + 0.5) * n for k, n in enumerate(occ)) + (a + 0.5) + (b + 0.5)
@@ -352,7 +353,7 @@ def test_mirror_sectors_reduce_the_full_operators(K, levels):
     assert abs(full[ham.even][:, ham.even] - ham.v).max() <= 1e-15
     # the even half is closed under v: none of its rows reaches an odd state
     assert full[ham.even].nnz == full[ham.even][:, ham.even].nnz
-    for N, span in enumerate(basis.sectors()):
+    for N, span in enumerate(map(slice, basis.edges, basis.edges[1:])):
         e = slice(ham.edges[N], ham.edges[N + 1])
         assert np.array_equal(ham.even[e] // d, np.repeat(np.arange(span.start, span.stop), np.bincount(t)[span]))
         assert ham.v[e].nnz == ham.v[e, e].nnz
@@ -407,7 +408,7 @@ def _reference_build(table, basis, probe):
     row_of = np.repeat(at, np.diff(v.indptr))
     diag = np.flatnonzero(v.indices == row_of)
     radius = np.add.reduceat(np.abs(v.data), v.indptr[:-1])
-    edges = np.searchsorted(even, [span.start * d for span in basis.sectors()] + [basis.dimension * d])
+    edges = np.searchsorted(even, [math.comb(n + basis.K - 1, basis.K) * d for n in range(basis.n_max + 2)])
     lowest = [math.comb(n + basis.K, basis.K) - 1 for n in range(basis.n_max + 1)]
     column = np.bincount(lam.row, lam.data**2, basis.dimension)[lowest]
     return {
@@ -423,7 +424,7 @@ def test_joint_hamiltonian_matches_the_two_lambda_build_bit_for_bit(K):
         basis = FockBasis(K, n_max)
         for levels in (*range(2, 6), 10):
             probe = ProbeParams(M=0.7, Omega=1.3, levels=levels)
-            ham = build_joint_hamiltonian(table, basis, probe)
+            ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), probe)
             ref = _reference_build(table, basis, probe)
             for attr in ("data", "indices", "indptr"):
                 got, expect = getattr(ham.v, attr), getattr(ref["v"], attr)
@@ -438,7 +439,7 @@ def test_coupling_weight_is_the_lambda_pair_weight_on_random_states(K, n_max, se
     # (|N phi|^2 + |D phi|^2) / 2 against |Lambda_L phi|^2 + |Lambda_R phi|^2, for random
     # complex amplitudes c_n of phi = sum_n c_n |n, 0, ..., 0> up to a random cutoff
     table, basis = build_overlap_table(K), FockBasis(K, n_max)
-    ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=2))
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(levels=2))
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, n_max + 2))
     c = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -450,20 +451,27 @@ def test_coupling_weight_is_the_lambda_pair_weight_on_random_states(K, n_max, se
 def test_basis_constants_are_the_per_state_values():
     basis = FockBasis(8, 4)
     probe = ProbeParams(levels=4)
-    ham = build_joint_hamiltonian(build_overlap_table(8), basis, probe)
-    assert np.array_equal(ham.number, basis.states.sum(axis=1))
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(8), basis), probe)
+    assert np.array_equal(ham.basis.number, basis.states.sum(axis=1))
     # the sector and relative level of each kept row
     t, m = np.divmod(ham.even, probe.levels)
     assert np.array_equal(ham.cell, basis.states[t].sum(axis=1) * probe.levels + m)
     # the centre-of-mass mode per sector, indexed by N, has the bits of its per-state form
     for pulse in (Pulse(T=0.05, g0=2.0), Pulse(T=7.0, g0=1.5)):
         per_state = evolution._centre_of_mass(basis.states.sum(axis=1), probe, pulse)
-        per_sector = evolution._centre_of_mass(np.arange(basis.n_max + 1), probe, pulse)[ham.number]
+        per_sector = evolution._centre_of_mass(np.arange(basis.n_max + 1), probe, pulse)[ham.basis.number]
         assert np.array_equal(per_sector, per_state)
 
 
+def test_an_imbalance_of_another_basis_is_refused(table4):
+    D = build_imbalance_operator(table4, FockBasis(4, 2))
+    with pytest.raises(ValueError, match="dimension 35"):
+        build_joint_hamiltonian(FockBasis(4, 3), D, ProbeParams(levels=2))
+
+
 def test_mirror_halves_the_exact_sweep_sectors():
-    ham = build_joint_hamiltonian(build_overlap_table(8), FockBasis(8, 4), ProbeParams(levels=4))
+    basis = FockBasis(8, 4)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(8), basis), ProbeParams(levels=4))
     assert np.diff(ham.edges).tolist() == [2, 16, 72, 240, 660]
     assert ham.H0.shape[0] == 7920
 
@@ -474,7 +482,7 @@ def test_origin_is_the_level_0_row_of_each_lowest_orbital_state(K):
     basis = FockBasis(K, 4)
     table = build_overlap_table(K)
     for levels in range(2, 7):
-        ham = build_joint_hamiltonian(table, basis, ProbeParams(levels=levels))
+        ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(levels=levels))
         lowest = [np.flatnonzero((basis.states == [n] + [0] * (K - 1)).all(axis=1))[0] for n in range(5)]
         assert ham.origin.tolist() == [int(np.flatnonzero(ham.even == t * levels)[0]) for t in lowest]
         assert ham.origin.dtype.kind == "i"
@@ -528,7 +536,7 @@ def test_relative_mode_series_matches_expm_multiply_on_random_inputs(data):
     basis = FockBasis(K, data.draw(st.integers(len(raw) - 1, 4)))
     probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
     pulse = Pulse(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.0, 10.0)))
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(K), basis), probe)
     phi = to_fock_vector(np.array(raw) / np.linalg.norm(raw), basis)
     # the range of sectors `exact_state` propagates for this phi
     lo, hi = basis.states[np.flatnonzero(phi)[[0, -1]]].sum(axis=1)
@@ -559,7 +567,7 @@ def test_a_mixture_evolves_as_its_square_root_vector(data):
     basis = FockBasis(K, data.draw(st.integers(len(p) - 1, 4)))
     probe = ProbeParams(levels=data.draw(st.integers(2, 4)))
     pulse = Pulse(T=data.draw(st.floats(0.01, 2.0)), g0=data.draw(st.floats(0.1, 10.0)))
-    ham = build_joint_hamiltonian(build_overlap_table(K), basis, probe)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(K), basis), probe)
     mixture = TrapState("thermal", populations=p)
     norm_sq = mixture.norm_sq()
     final = exact_state(mixture.vector, ham, pulse)
@@ -659,7 +667,7 @@ def test_one_body_bound_holds_on_every_sector(K, M, Omega):
     table, basis = build_overlap_table(K), FockBasis(K, 3)
     for levels in range(2, 7):
         probe = ProbeParams(M=M, Omega=Omega, levels=levels)
-        ham = build_joint_hamiltonian(table, basis, probe)
+        ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), probe)
         scale = np.sqrt(M * Omega / 4.0) * _hermite_top_zero(levels)
         for N in range(basis.n_max + 1):
             e = slice(ham.edges[N], ham.edges[N + 1])
@@ -710,7 +718,8 @@ def _propagation_cases():
     for K in (1, 2, 4, 6, 8):
         table = build_overlap_table(K)
         for levels in range(2, 6):
-            ham = build_joint_hamiltonian(table, FockBasis(K, 3), ProbeParams(M=0.7, Omega=1.3, levels=levels))
+            basis = FockBasis(K, 3)
+            ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(M=0.7, Omega=1.3, levels=levels))
             for _ in range(8):
                 lo = int(rng.integers(0, 4))
                 hi = int(rng.integers(lo, 4))
@@ -792,7 +801,8 @@ def test_factored_block_matches_the_joint_array_route(K, n_max, levels, pulse):
     # Post-selected from the sector-by-level weights, the block matches `postselect` on that
     # array, and p_succ and leakage match the positive-term oracle, each within the measured
     # worst case
-    ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
+    basis = FockBasis(K, n_max)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(K), basis), ProbeParams(levels=levels))
     compared = 0
     for coeffs in _factored_cases():
         if len(coeffs) - 1 > n_max:
@@ -826,7 +836,8 @@ def test_an_ulp_of_amplitude_moves_p_succ_and_leakage_a_few_eps(K, n_max, levels
     # both are sums of positive terms, so moving g0 by one ulp moves them by their own
     # sensitivity plus round-off: at most 5.8 eps (p_succ) and 9.1 eps (leakage) relative
     # over these cases, where the differences norm_sq - w00 - ... moved them by up to 1253 eps
-    ham = build_joint_hamiltonian(build_overlap_table(K), FockBasis(K, n_max), ProbeParams(levels=levels))
+    basis = FockBasis(K, n_max)
+    ham = build_joint_hamiltonian(basis, build_imbalance_operator(build_overlap_table(K), basis), ProbeParams(levels=levels))
     moved = Pulse(T=pulse.T, g0=float(np.nextafter(pulse.g0, np.inf)))
     eps = np.finfo(float).eps
     for coeffs in _factored_cases():
@@ -847,7 +858,8 @@ def test_column_weights_are_the_lowest_orbital_states_imbalance_weights(K):
     # for bit, and 3 differ by one ulp, the order of the sums of squares
     table = build_overlap_table(K)
     for n_max in range(5):
-        ham = build_joint_hamiltonian(table, FockBasis(K, n_max), ProbeParams(levels=2))
+        basis = FockBasis(K, n_max)
+        ham = build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), ProbeParams(levels=2))
         assert ham.column.shape == (n_max + 1,)
         for n in range(n_max + 1):
             d_phi = ham.D @ to_fock_vector(np.eye(1, n + 1, n)[0], ham.basis)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from halftrap.evolution import ProbeParams, build_joint_hamiltonian
 from halftrap.fock import (
     FockBasis,
     build_imbalance_operator,
@@ -255,15 +256,30 @@ def test_imbalance_operator_is_the_lambda_difference_bit_for_bit(K):
         assert not (D.indices == np.repeat(np.arange(basis.dimension), np.diff(D.indptr))).any()
 
 
-def test_sectors_are_the_particle_number_blocks():
-    for K, n_max in ((1, 0), (1, 3), (3, 2), (6, 4)):
+def test_layout_is_read_from_the_states():
+    # edges, number and lowest against the occupations; the joint Hamiltonian's sector
+    # offsets and origins against them, at odd and even level counts
+    for K, n_max in itertools.product(range(1, 9), range(6)):
+        table = build_overlap_table(K)
         basis = FockBasis(K, n_max)
-        sectors = basis.sectors()
-        assert len(sectors) == n_max + 1
-        assert sectors[0].start == 0 and sectors[-1].stop == basis.dimension
-        assert all(a.stop == b.start for a, b in zip(sectors, sectors[1:]))
-        for n, sector in enumerate(sectors):
-            assert {sum(occ) for occ in basis.states[sector]} == {n}
+        sums = basis.states.sum(axis=1)
+        assert np.array_equal(basis.number, sums)
+        assert basis.edges.tolist() == [math.comb(n + K - 1, K) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            assert (sums[basis.edges[n] : basis.edges[n + 1]] == n).all()
+        ground = np.zeros((n_max + 1, K), dtype=np.int64)
+        ground[:, 0] = np.arange(n_max + 1)
+        assert np.array_equal(basis.states[basis.lowest], ground)
+        assert basis.lowest.tolist() == np.flatnonzero((basis.states[:, 1:] == 0).all(axis=1)).tolist()
+        for name in ("edges", "number", "lowest"):
+            array = getattr(basis, name)
+            assert array.dtype == np.int64 and not array.flags.writeable
+        D = build_imbalance_operator(table, basis)
+        for levels in range(2, 6):
+            ham = build_joint_hamiltonian(basis, D, ProbeParams(levels=levels))
+            trap = ham.even // levels
+            assert ham.edges.tolist() == [int(np.count_nonzero(trap < e)) for e in basis.edges]
+            assert ham.origin.tolist() == [int(np.flatnonzero(ham.even == t * levels)[0]) for t in basis.lowest]
 
 
 def test_lambda_operators_sum_to_number(table8):

@@ -632,7 +632,8 @@ def test_an_area_past_the_gershgorin_cap_runs_within_the_one_body_bound(table6):
     block = single_block(ExperimentConfig.from_entries(entries), table6)
     assert 0.0 < block.p_succ <= 1.0 and np.isfinite(block.matrix).all()
     # the sectors 0-4 the state occupies are the whole basis
-    ham = evolution.build_joint_hamiltonian(table6, fock.FockBasis(6, 4), evolution.ProbeParams(levels=4))
+    basis = fock.FockBasis(6, 4)
+    ham = evolution.build_joint_hamiltonian(basis, fock.build_imbalance_operator(table6, basis), evolution.ProbeParams(levels=4))
     g0 = 5000.0 / T
     gershgorin = np.ptp(np.concatenate((ham.h - g0 * ham.radius, ham.h + g0 * ham.radius))) / 2.0
     one_body = np.ptp(np.concatenate((ham.h - g0 * ham.bound, ham.h + g0 * ham.bound))) / 2.0
@@ -686,8 +687,8 @@ def _sweep_csv(cfg: ExperimentConfig, table=None) -> str:
 
 @pytest.mark.parametrize("path, hamiltonians", [("fock", 0), ("exact", 1)])
 def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkeypatch):
-    # both routes build the imbalance D = Lambda_L - Lambda_R once, the exact route inside
-    # its Hamiltonian; the fock route reads Lambda_{L,R} as (N +- D) / 2
+    # both routes build the imbalance D = Lambda_L - Lambda_R once, and the exact route its
+    # Hamiltonian from it; the fock route reads Lambda_{L,R} as (N +- D) / 2
     builds = _count_builds(monkeypatch)
     cfg = _route_cfg(path)
     cold = _sweep_csv(cfg, table6)

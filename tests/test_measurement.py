@@ -32,7 +32,7 @@ def small():
     table = build_overlap_table(4)
     basis = FockBasis(4, 3)
     probe = ProbeParams(levels=4)
-    return table, basis, probe, build_joint_hamiltonian(table, basis, probe)
+    return table, basis, probe, build_joint_hamiltonian(basis, build_imbalance_operator(table, basis), probe)
 
 
 def test_block_from_joint_matches_block_from_moments(small):
