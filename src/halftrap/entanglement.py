@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class BipartiteDensity:
     """Density matrix on a d_A x d_B product space, flattened row-major."""
 

@@ -72,7 +72,7 @@ def probe_lowering(levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, levels)), 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class JointHamiltonian:
     """H_0 and the coupling V = Lambda_L P_L + Lambda_R P_R of the pulse.
 
@@ -341,7 +341,7 @@ def _centre_of_mass(N: np.ndarray, probe: ProbeParams, pulse: Pulse) -> np.ndarr
     return np.cumprod(np.hstack((ground[:, None], steps)), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class FactoredState:
     """A joint state: per sector N, the + mode's e^(i theta_N) |beta_N> times the trap and relative mode.
 

@@ -44,7 +44,7 @@ def _moment_route(cfg: ExperimentConfig) -> _Route:
     pinned = replace(
         cfg, path="moments", extrapolate=True, pulse_preset="amplitude10", pulse_area=None
     )
-    return _Route(pinned, None)
+    return _Route(pinned)
 
 
 def _pipeline_mu(cfg: ExperimentConfig, state) -> float:
@@ -138,12 +138,12 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     lambda^L_k0 lambda^R_k0 and decrease strictly toward its limit 0. The
     basis is a fock route's, so `exact.dim_cap` refuses it before enumerating.
     """
-    route = _Route(replace(cfg, path="fock", K=6, n_max=4), None)
+    basis, D, _ = _Route(replace(cfg, path="fock", K=6, n_max=4)).fock
     batch = _oracle_states(cfg.seed)
     worst = 0.0
     for state in batch:
-        closed = moments.moments_from_state(state, route.cfg.K)
-        explicit = moments.moments_from_fock(state, route.basis, route.imbalance)
+        closed = moments.moments_from_state(state, basis.K)
+        explicit = moments.moments_from_fock(state, basis, D)
         worst = max(
             worst,
             abs(closed.mLL - explicit.mLL),

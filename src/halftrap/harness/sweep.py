@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, inf, isfinite, isnan, nan, sqrt
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -53,9 +52,8 @@ LOCALITY_LADDER = (8, 16, 32, 64)
 # nonzeros of a Lambda operator, which bound D's, per unit of `exact.dim_cap` (1.28e6 at the default)
 _LAMBDA_NNZ_PER_CAP = 64
 
-# the Fock operators of the last `_BUILDS_KEPT` routes, by what their build reads, oldest first
+# how many routes' Fock operators `_fock_build` keeps, each bounded by `exact.dim_cap`
 _BUILDS_KEPT = 2
-_BUILDS: OrderedDict[tuple, tuple] = OrderedDict()
 
 # two-sided 95 percent Student-t quantile at the scaling fit's 3 degrees of freedom
 _T_975_DOF3 = 3.1824463052837078
@@ -92,9 +90,10 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float):
     """Pulse area from the configured preset (or the explicit override).
 
     The inverse-quartic preset reads `alpha_sq`, a sweep point's own, so it
-    needs a state family that reads it too. An area whose first-order weight
-    area^2 (M Omega / 2) S is not finite, or that divides by an alpha_sq^2
-    that underflows to zero, is refused, naming the key that set it.
+    needs a state family that reads it too. An area of 0, which excites no
+    probe, or one whose first-order weight area^2 (M Omega / 2) S is not
+    finite, or that divides by an alpha_sq^2 that underflows to zero, is
+    refused, naming the key that set it.
     """
     key = _area_key(cfg)
     if cfg.pulse_area is not None:
@@ -118,6 +117,8 @@ def resolve_pulse(cfg: ExperimentConfig, S: float, alpha_sq: float):
         raise ConfigError("pulse.area", "preset 'none' requires an explicit pulse.area")
     g0 = area / cfg.pulse_T
     area = g0 * cfg.pulse_T  # `Pulse.area`, which an amplitude that overflows makes infinite
+    if area == 0.0:
+        raise ConfigError(key, "sets the pulse area 0, which extracts nothing")
     # the weight as `block_from_moments` forms it, with a product in place of its `** 2`
     weight = area * area * cfg.probe_M * cfg.probe_Omega / 2.0 * S
     if not isfinite(weight):
@@ -147,18 +148,39 @@ def _closed_form_for(cfg: ExperimentConfig, value) -> float | None:
     return None
 
 
-class _Route:
-    """A route's probe, formed at construction, and its overlap table and Fock operators, built on first use.
+class _FockBuild(NamedTuple):
+    """A route's Fock operators: the basis, D = Lambda_L - Lambda_R and, on the exact route, the Hamiltonian."""
 
-    None of them depends on a swept parameter, so a sweep forms each once,
-    and `_BUILDS` keeps the Fock operators of the last `_BUILDS_KEPT` routes,
-    keyed on what a build reads, for later sweeps and points to reuse. Only
-    the fock and exact routes read them, and both check the basis size
-    before any lookup or build. The Fock layer, and with it scipy, is
-    imported on first use, so the moment route never loads it.
+    basis: fock.FockBasis
+    D: sp.csr_matrix
+    ham: evolution.JointHamiltonian | None
+
+
+@lru_cache(maxsize=_BUILDS_KEPT)
+def _fock_build(table: OverlapTable, n_max: int, probe: measurement.ProbeParams | None) -> _FockBuild:
+    """The basis and D from `table`, and the Hamiltonian when a probe is given.
+
+    Kept by what it reads: the table's contents, `n_max` and the probe. A build that raises is not kept.
+    """
+    from .. import evolution, fock
+
+    basis = fock.FockBasis(table.K, n_max)
+    D = fock.build_imbalance_operator(table, basis)
+    return _FockBuild(basis, D, None if probe is None else evolution.build_joint_hamiltonian(basis, D, probe))
+
+
+class _Route:
+    """A config's probe, formed at construction, and its overlap table and Fock operators, built on first use.
+
+    None of them depends on a swept parameter, so a sweep forms one route
+    for all its points, and `_fock_build` keeps the Fock operators of the
+    last `_BUILDS_KEPT` routes for later sweeps and points. Only the fock
+    and exact routes read them, and both check the basis size before any
+    lookup or build. The Fock layer, and with it scipy, is imported on
+    first use, so the moment route never loads it.
     """
 
-    def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None) -> None:
+    def __init__(self, cfg: ExperimentConfig, table: OverlapTable | None = None) -> None:
         if table is not None and table.K != cfg.K:
             raise ConfigError("table.K", f"is {cfg.K}, but the table passed in has K = {table.K}")
         self.cfg = cfg
@@ -192,46 +214,10 @@ class _Route:
             raise ConfigError("exact.dim_cap", f"is {cfg.exact_dim_cap}, below the {nnz} nonzeros of Lambda / {_LAMBDA_NNZ_PER_CAP}")
 
     @cached_property
-    def _built(self) -> tuple[fock.FockBasis, sp.csr_matrix, evolution.JointHamiltonian | None]:
-        """The basis, D = Lambda_L - Lambda_R and, on the exact route, the Hamiltonian.
-
-        A kept build with this route's key, the table's contents, `fock.n_max`
-        and the exact route's probe, is reused; otherwise the basis and D are
-        built from this route's table, the exact route's Hamiltonian from
-        them, and all three kept. A build that raises is not kept.
-        """
+    def fock(self) -> _FockBuild:
+        """The route's Fock operators, refused over `exact.dim_cap` before any lookup or build."""
         self._check_size()
-        cfg, table = self.cfg, self.table
-        probe = self.probe if cfg.path == "exact" else None
-        key = (table.K, table.value.tobytes(), table.slope.tobytes(), cfg.n_max, probe)
-        built = _BUILDS.get(key)
-        if built is not None:
-            _BUILDS.move_to_end(key)
-            return built
-        from .. import evolution, fock
-
-        basis = fock.FockBasis(cfg.K, cfg.n_max)
-        D = fock.build_imbalance_operator(table, basis)
-        built = basis, D, None if probe is None else evolution.build_joint_hamiltonian(basis, D, probe)
-        _BUILDS[key] = built
-        if len(_BUILDS) > _BUILDS_KEPT:
-            _BUILDS.popitem(last=False)
-        return built
-
-    @property
-    def basis(self) -> fock.FockBasis:
-        """The route's occupation basis, refused over `exact.dim_cap` before enumerating."""
-        return self._built[0]
-
-    @property
-    def imbalance(self) -> sp.csr_matrix:
-        """D = Lambda_L - Lambda_R on `basis`, the one Fock operator the fock route reads."""
-        return self._built[1]
-
-    @property
-    def ham(self) -> evolution.JointHamiltonian:
-        """The joint Hamiltonian of an exact route."""
-        return self._built[2]
+        return _fock_build(self.table, self.cfg.n_max, self.probe if self.cfg.path == "exact" else None)
 
 
 def extract(
@@ -254,12 +240,12 @@ def extract(
     if cfg.path != "moments" and state.n_cut > cfg.n_max:
         raise ConfigError("fock.n_max", f"is {cfg.n_max}, below the state's last level n = {state.n_cut}")
     if cfg.path == "exact":
-        ham = route.ham
+        ham = route.fock.ham
         pulse = resolve_pulse(cfg, ham.coupling_weight(state.vector), alpha_sq)
         final = _exact_final(cfg, ham, state.vector, pulse)
         return None, measurement.postselect_sectors(final.weights, final.beta_sq, state.norm_sq())
     if cfg.path == "fock":
-        mom = moments.moments_from_fock(state, route.basis, route.imbalance)
+        mom = moments.moments_from_fock(state, route.fock.basis, route.fock.D)
     elif cfg.extrapolate:
         mom = moments.analytic_limit_moments(state)
     else:
@@ -275,19 +261,15 @@ def single_block(
     return extract(_Route(cfg, table), _build_state(cfg, getattr(cfg, _STATE_PARAM[cfg.state])), cfg.alpha_sq)[1]
 
 
-def evaluate_point(
-    cfg: ExperimentConfig,
-    table: OverlapTable | None,
-    value: float | None = None,
-    route: _Route | None = None,
-) -> PointResult:
-    """Evaluate the state at `value` of `sweep.param`, else at its own; never raises, errors land in `.error`.
+def evaluate_point(route: _Route, value: float | None = None) -> PointResult:
+    """Evaluate the route's state at `value` of `sweep.param`, else at its own; never raises, errors land in `.error`.
 
-    The config is not copied: the value goes to the state, the inverse-quartic
-    area and the closed form, the only readers of a swept parameter. A
-    `sweep.param` the state never reads is refused as `validate` refuses it.
-    A `route` passed in must be one formed from `cfg`, as `run_sweep` forms.
+    The route's config is not copied: the value goes to the state, the
+    inverse-quartic area and the closed form, the only readers of a swept
+    parameter. A `sweep.param` the state never reads is refused as
+    `validate` refuses it.
     """
+    cfg = route.cfg
     param = cfg.sweep_param or "none"
     out = PointResult(param=param, value=nan if value is None else float(value))
     started = time.perf_counter()
@@ -307,7 +289,7 @@ def evaluate_point(
             value = float(value)
 
         state = _build_state(cfg, value)
-        mom, block = extract(route or _Route(cfg, table), state, value)
+        mom, block = extract(route, state, value)
         if mom is None:
             out.provenance = block.source
         else:
@@ -335,8 +317,9 @@ def evaluate_point(
 def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[PointResult]:
     """Evaluate the configured grid; results come back in grid order.
 
-    The overlap table and the Fock operators are built at the first point
-    that reads them, unless a recent sweep with equal inputs left them (see
+    Every point reads one route, formed from `cfg` and `table`: the overlap
+    table and the Fock operators are built at the first point that reads
+    them, unless a recent sweep or point with equal inputs left them (see
     `_Route`), so a point costs its state vector and the propagation of the
     particle-number sectors it occupies; a build that fails fails again at
     each point, so every row carries its own error.
@@ -346,7 +329,7 @@ def run_sweep(cfg: ExperimentConfig, table: OverlapTable | None = None) -> list[
     if not cfg.sweep_values:
         raise ConfigError("sweep.values", "sweep requested but value list is empty")
     route = _Route(cfg, table)
-    return [evaluate_point(cfg, table, v, route) for v in cfg.sweep_values]
+    return [evaluate_point(route, v) for v in cfg.sweep_values]
 
 
 def _blank(value) -> str:
@@ -422,7 +405,7 @@ def perturbation_evidence(cfg: ExperimentConfig) -> dict:
         cfg, path="exact", K=4, n_max=3, probe_levels=4, probe_M=1.0, probe_Omega=1.0,
         pulse_T=T0, pulse_area=None, pulse_preset="amplitude10",
     )
-    ham = _Route(small, None).ham
+    ham = _Route(small).fock.ham
     state = states.number_state(2)
     g0 = resolve_pulse(small, ham.coupling_weight(state.vector), small.alpha_sq).g0
     lengths = (T0, T0 / 2, T0 / 4)
@@ -469,7 +452,7 @@ def _scaling_section(cfg: ExperimentConfig, lines: list[str]) -> None:
     scan = replace(
         cfg, state="coherent", path="moments", extrapolate=True, pulse_preset="inverse-quartic", pulse_area=None
     )
-    route = _Route(scan, None)
+    route = _Route(scan)
     probs = []
     for a in grid:
         state = states.coherent_state(alpha_sq=float(a), tail_tol=cfg.tail_tol)

@@ -86,7 +86,7 @@ class NoExtractionError(RuntimeError):
     """No extraction event possible: the post-selected weight is zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class ProbeBlock:
     """Post-selected two-probe state on the ordered basis {|10>, |01>}."""
 

@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapTable:
     """Half-line overlap matrices for the lowest K orbitals, as their boundary data.
 
@@ -33,6 +33,8 @@ class OverlapTable:
       - lambdaL = delta - lambdaR, which is the (-inf, 0] integral: phi_k phi_l
         has parity (-1)^(k+l), so lambdaL = P lambdaR P with P = diag((-1)^k)
         holds by construction.
+
+    Two tables are equal, and hash alike, when K and both arrays match byte for byte.
     """
 
     K: int
@@ -45,6 +47,15 @@ class OverlapTable:
             if arr.shape != (size,):
                 raise ValueError(f"{name} must hold {size} entries, got shape {arr.shape}")
             arr.setflags(write=False)
+
+    def _contents(self) -> tuple[int, bytes, bytes]:
+        return self.K, self.value.tobytes(), self.slope.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OverlapTable) and self._contents() == other._contents()
+
+    def __hash__(self) -> int:
+        return hash(self._contents())
 
     def entries(self, side: str, k, l) -> np.ndarray:
         """lambda^side_kl for mode indices k and l, broadcast against each other."""

@@ -65,7 +65,7 @@ class PureComponent(NamedTuple):
     coeffs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class TrapState:
     """Canonical form: the populations p_n, n = 0..n_cut, of a `kind` state.
 

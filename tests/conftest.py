@@ -17,7 +17,7 @@ pytest_plugins = ["pytester"]
 @pytest.fixture(autouse=True)
 def _empty_build_store():
     # each test starts cold, so a count of operator builds sees its own builds only
-    sweep._BUILDS.clear()
+    sweep._fock_build.cache_clear()
 
 
 @pytest.fixture(scope="session")

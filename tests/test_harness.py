@@ -1,5 +1,6 @@
 """Config grammar, sweep driver, CSV stability, and the command-line surface."""
 
+import copy
 import hashlib
 import io
 import re
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halftrap import evolution, fock, orbitals
-from halftrap.entanglement import negativity_closed_form
+from halftrap import evolution, fock, moments, orbitals
+from halftrap.entanglement import BipartiteDensity, negativity_closed_form
 from halftrap.harness import cli
 from halftrap.harness.accept import TARGETS
 from halftrap.harness.config import (
@@ -26,10 +27,11 @@ from halftrap.harness.config import (
     parse_config_text,
 )
 from halftrap.harness.sweep import (
-    _BUILDS,
     _BUILDS_KEPT,
     _T_975_DOF3,
     PointResult,
+    _fock_build,
+    _Route,
     evaluate_point,
     perturbation_evidence,
     resolve_pulse,
@@ -39,7 +41,7 @@ from halftrap.harness.sweep import (
     write_plot_data,
     write_sweep_csv,
 )
-from halftrap.measurement import ProbeParams
+from halftrap.measurement import ProbeParams, Pulse
 from halftrap.moments import moments_from_state
 from halftrap.states import number_state
 from exact_oracle import array_residual, joint_array_route, selected_and_leaked
@@ -282,7 +284,7 @@ def test_a_sweep_walks_only_the_parameter_its_state_reads(state, param):
         # a config built by hand skips `validate`; each of its points is refused with the
         # same message, never evaluated at the state's own field under the wrong label
         cfg = ExperimentConfig(state=state, coeffs=[1], sweep_param=param, sweep_values=[1.0, 3.0, 9.0])
-        rows = [evaluate_point(cfg, None), evaluate_point(cfg, None, 5.0), *run_sweep(cfg)]
+        rows = [evaluate_point(_Route(cfg)), evaluate_point(_Route(cfg), 5.0), *run_sweep(cfg)]
         assert [row.error for row in rows] == [f"ConfigError: {err.value}"] * 5
 
 
@@ -425,7 +427,7 @@ def test_fock_path_agrees_with_series_route(table6):
             "fock.n_max": "4",
         }
     )
-    row = evaluate_point(cfg, table6)
+    row = evaluate_point(_Route(cfg, table6))
     assert row.error == ""
     assert row.provenance == "fock-K"
     reference = moments_from_state(number_state(2), table6.K)
@@ -505,7 +507,7 @@ def test_exact_point_builds_one_imbalance_operator(table6, monkeypatch):
             "pulse.T": "0.05",
         }
     )
-    row = evaluate_point(cfg, table6)
+    row = evaluate_point(_Route(cfg, table6))
     assert row.error == ""
     assert imbalance == [table6]
 
@@ -699,7 +701,7 @@ def test_sweep_builds_its_fock_operators_once(path, hamiltonians, table6, monkey
     # equal K, n_max and probe: later sweeps and single points reuse the build, a
     # table built afresh from K has the same contents, and warm rows keep their bytes
     assert _sweep_csv(cfg, table6) == _sweep_csv(cfg) == cold
-    assert evaluate_point(replace(cfg, number_n=2), table6).error == ""
+    assert evaluate_point(_Route(replace(cfg, number_n=2), table6)).error == ""
     assert single_block(replace(cfg, number_n=3)).p_succ > 0
     assert builds["basis"] == [6]
     assert builds["D"] == [table6]
@@ -714,7 +716,10 @@ def test_probe_levels_rebuild_the_exact_route_only(table6, monkeypatch):
     for levels in ("4", "3"):
         assert _sweep_csv(_route_cfg("exact", **{"probe.levels": levels}), table6).count(",\n") == 4
     assert len(builds["ham"]) == 2 and builds["basis"] == [6, 6, 6]
-    assert [ham.probe.levels for _, _, ham in _BUILDS.values()] == [4, 3]
+    # both Hamiltonians are kept: rerunning either exact sweep builds nothing
+    for levels in ("3", "4"):
+        assert _sweep_csv(_route_cfg("exact", **{"probe.levels": levels}), table6).count(",\n") == 4
+    assert len(builds["ham"]) == 2 and builds["basis"] == [6, 6, 6]
 
 
 def test_a_table_with_other_contents_rebuilds(table6, monkeypatch):
@@ -722,6 +727,7 @@ def test_a_table_with_other_contents_rebuilds(table6, monkeypatch):
     cfg = _route_cfg("exact")
     cold = _sweep_csv(cfg, table6)
     altered = orbitals.OverlapTable(K=6, value=table6.value * (1 + 2.0**-52), slope=table6.slope)
+    assert altered != table6
     moved = _sweep_csv(cfg, altered)
     assert builds["D"] == [table6, altered]
     assert len(builds["ham"]) == 2
@@ -747,10 +753,10 @@ def test_a_build_that_raises_is_not_kept(table6, monkeypatch):
         # every row of every sweep tries the build again and carries its error
         assert [row.error for row in rows] == ["MemoryError: no room for D"] * 4
         assert len(calls) == 4 * sweep_no
-        assert len(_BUILDS) == 0
+        assert _fock_build.cache_info().currsize == 0
     assert [row.error for row in run_sweep(cfg, table6)] == [""] * 4
     assert len(calls) == 9
-    assert len(_BUILDS) == 1
+    assert _fock_build.cache_info().currsize == 1
 
 
 def test_the_store_keeps_the_last_two_builds(monkeypatch):
@@ -764,7 +770,7 @@ def test_the_store_keeps_the_last_two_builds(monkeypatch):
     ]
     for cfg in routes:
         assert [row.error for row in run_sweep(cfg)] == [""] * 4
-        assert len(_BUILDS) <= _BUILDS_KEPT == 2
+        assert _fock_build.cache_info().currsize <= _BUILDS_KEPT == 2
     assert builds["basis"] == [4, 5, 5, 6, 6]
     # the last two are kept and the oldest of them is refreshed by its use ...
     for cfg in (routes[3], routes[4], routes[3]):
@@ -793,7 +799,29 @@ def test_the_size_cap_is_checked_before_a_kept_build_is_reused(path, table6, mon
         single_block(_route_cfg(path, **{"exact.dim_cap": cap}))
     assert err.value.fieldname == "exact.dim_cap"
     assert builds["basis"] == [6] and len(tables) == 1
-    assert len(_BUILDS) == 1
+    assert _fock_build.cache_info().currsize == 1
+
+
+def _exact_ham() -> evolution.JointHamiltonian:
+    return _Route(_route_cfg("exact")).fock.ham
+
+
+# one of each frozen record that holds arrays, built when its test runs
+_ARRAY_RECORDS = {
+    "TrapState": lambda: number_state(2),
+    "ProbeBlock": lambda: single_block(ExperimentConfig()),
+    "BipartiteDensity": lambda: BipartiteDensity(2, 2, np.eye(4) / 4),
+    "JointHamiltonian": _exact_ham,
+    "FactoredState": lambda: evolution.exact_state(number_state(2).vector, _exact_ham(), Pulse(T=0.05, g0=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_RECORDS))
+def test_a_record_that_holds_arrays_compares_and_hashes_by_identity(name):
+    record = _ARRAY_RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == record and {record: name}[record] == name
+    assert copy.copy(record) != record
 
 
 @pytest.mark.parametrize(
@@ -853,7 +881,7 @@ def test_sweep_rows_match_points_evaluated_alone(table6):
     for path in ("fock", "exact"):
         cfg = _route_cfg(path)
         shared = run_sweep(cfg, table6)
-        alone = [evaluate_point(cfg, table6, v) for v in cfg.sweep_values]
+        alone = [evaluate_point(_Route(cfg, table6), v) for v in cfg.sweep_values]
         assert shared == alone
 
 
@@ -887,7 +915,7 @@ def _replaced_point(cfg: ExperimentConfig, value: float):
     param = cfg.sweep_param
     if param == "number_n" and value in _REFUSED:
         return PointResult(param=param, value=value, error=_REFUSED[value])
-    row = evaluate_point(replace(cfg, **{param: int(value) if param == "number_n" else value}), None)
+    row = evaluate_point(_Route(replace(cfg, **{param: int(value) if param == "number_n" else value})))
     row.value = value
     return row
 
@@ -908,8 +936,57 @@ def test_every_reader_gets_the_points_value(entries):
     assert sum(not row.error for row in rows) >= 2
 
 
+# each key that can set the pulse area, at 0
+_ZERO_AREAS = {
+    "pulse.area": {"pulse.area": "0"},
+    "pulse.amplitude_target": {"pulse.amplitude_target": "0"},
+    "pulse.g_ref": {"pulse.preset": "inverse-quartic", "pulse.g_ref": "0"},
+}
+
+
+@pytest.mark.parametrize("key", list(_ZERO_AREAS))
+@pytest.mark.parametrize("path", ["moments", "fock", "exact"])
+def test_a_zero_pulse_area_is_refused_naming_its_key(path, key, capsys):
+    # an area of 0 excites no probe: every route refuses it, never a row of p_succ 0
+    entries = {"state": "coherent", **_WEAK, **_ZERO_AREAS[key], "path": path}
+    if path != "moments":
+        entries.update(_SMALL_FOCK, **{"pulse.T": "0.05"})
+    message = f"config field {key!r}: sets the pulse area 0, which extracts nothing"
+    code = cli.main(["sample", "--shots", "10", *(a for k, v in entries.items() for a in ("--set", f"{k}={v}"))])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+    rows = run_sweep(ExperimentConfig.from_entries({**entries, "sweep.param": "alpha_sq", "sweep.values": "0.5, 2"}))
+    assert [row.error for row in rows] == [f"ConfigError: {message}"] * 2
+
+
+# per family: the swept parameter, its grid, m = E[n(n-1)] / E[n] at a value, and a bound
+# twice the largest gap measured over the grid at every K below (the states' `tail_tol` cut)
+_FINITE_K_LAW = {
+    "coherent": ("alpha_sq", np.geomspace(0.1, 700, 15).tolist(), lambda a: a, 1.1e-10),
+    "number": ("number_n", range(1, 51), lambda n: n - 1, 4e-16),
+    "thermal": ("nbar", np.geomspace(0.1, 20, 12).tolist(), lambda nbar: 2 * nbar, 2.4e-10),
+    "phase_averaged": ("alpha_sq", np.geomspace(0.5, 8, 8).tolist(), lambda a: a, 3e-11),
+}
+
+
+@pytest.mark.parametrize("K", [6, 64, 512, 2**20, None], ids=["6", "64", "512", "2^20", "limit"])
+@pytest.mark.parametrize("state", list(_FINITE_K_LAW))
+def test_moment_rows_follow_the_finite_K_law(state, K):
+    # mu_K = (m + 1 - 4 s) / (2 (m + 1 + 4 s)) with s = s(K), 1/4 in the limit
+    param, grid, m_of, bound = _FINITE_K_LAW[state]
+    cfg = ExperimentConfig.from_entries({
+        "state": state, "table.K": str(K or 512), "moments.extrapolate": str(K is None).lower(),
+        "sweep.param": param, "sweep.values": ", ".join(map(repr, grid)),
+    })
+    s = 0.25 if K is None else moments._partial_sum(K)
+    rows = run_sweep(cfg)
+    assert [row.error for row in rows] == [""] * len(rows)
+    for row in rows:
+        m = m_of(row.value)
+        assert abs(row.mu - (m + 1 - 4 * s) / (2 * (m + 1 + 4 * s))) <= bound, row.value
+
+
 def test_a_value_given_without_a_sweep_parameter_is_refused():
-    row = evaluate_point(ExperimentConfig(), None, 3.0)
+    row = evaluate_point(_Route(ExperimentConfig()), 3.0)
     assert row.error == "ConfigError: config field 'sweep.param': no sweep parameter configured"
     assert (row.param, row.value) == ("none", 3.0)
     assert _csv([row]) == _csv([PointResult(param="none", value=3.0, error=row.error)])

@@ -297,6 +297,15 @@ def test_tables_are_read_only(table8):
             arr[0] = 1.0
 
 
+def test_tables_compare_and_hash_by_contents(table6):
+    # two builds from one K are equal and hash alike; a one-ulp change in a value is another table
+    again = build_overlap_table(6)
+    assert again is not table6 and again == table6 and hash(again) == hash(table6)
+    altered = OverlapTable(K=6, value=table6.value * (1 + 2.0**-52), slope=table6.slope)
+    assert altered != table6
+    assert table6 != build_overlap_table(7) and table6 != (6, table6.value, table6.slope)
+
+
 def test_invalid_arguments_rejected(table8):
     with pytest.raises(ValueError):
         build_overlap_table(0)
