@@ -18,18 +18,19 @@ N is conserved, so in each particle-number sector the + mode is a driven
 oscillator, solved in closed form. Only the trap and the relative mode are
 propagated: on their mirror-even half, an index mask, in the frame
 |n_-> -> i^(n_-) |n_-> where their Hamiltonian is real, as one Chebyshev
-series whose terms are real sparse products; numpy and scipy.sparse are all
-it needs. The exact state is held as these two factors (`FactoredState`),
-and nothing here forms the (trap, n_+, n_-) array.
+series whose terms are real sparse products; numpy and scipy.sparse's CSR
+kernel are all it needs. The exact state is held as these two factors
+(`FactoredState`), and nothing here forms the (trap, n_+, n_-) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, sqrt
+from math import fsum, isfinite, sqrt
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # the kernel of scipy's CSR matrix-vector product
 
 from .fock import FockBasis, to_fock_vector
 from .measurement import ProbeParams, Pulse
@@ -122,15 +123,6 @@ class JointHamiltonian:
             raise ValueError(f"state cutoff {len(c) - 1} exceeds basis capacity {self.basis.n_max}")
         n = np.arange(len(c))
         return 0.5 * float(np.dot((c * np.conj(c)).real, n * n + self.column[n]))
-
-
-def _block(m: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
-    """The block of `m` on `rows` x `cols`, for a `m` with no entries beside it in those rows."""
-    lo, hi = m.indptr[rows.start], m.indptr[rows.stop]
-    return sp.csr_matrix(
-        (m.data[lo:hi], m.indices[lo:hi] - cols.start, m.indptr[rows.start : rows.stop + 1] - lo),
-        shape=(rows.stop - rows.start, cols.stop - cols.start),
-    )
 
 
 # the one-body bound is raised by this relative margin, for the rounding of x_d and of
@@ -236,6 +228,10 @@ def _bessel_series(z: float) -> np.ndarray:
     2 (|J_m| + |J_(m+1)| + ...), which bounds the error of the series for any
     x in [-1, 1], is below _SERIES_TOL. The recurrence runs on Python floats,
     which round as numpy's float64 does but index far faster.
+
+    Each term is held below 1e250, so a step overflows only where 2k / z passes
+    1.8e58, at a z below 4.5e-57 (k <= 40); there J_0 = 1 and J_1 = z / 2 to
+    the last bit, and J_2 is cut, so an overflowed recurrence gives way to them.
     """
     if z == 0.0:
         return np.array([1.0, 0.0])
@@ -246,6 +242,8 @@ def _bessel_series(z: float) -> np.ndarray:
         j[k - 1] = (2.0 * k / z) * j[k] - j[k + 1]
         if abs(j[k - 1]) > 1e250:  # the recurrence grows fastest where J_k is smallest
             j[k - 1 :] = [x * 1e-250 for x in j[k - 1 :]]
+    if not isfinite(j[0]):
+        return np.array([1.0, 0.5 * z])
     j = np.array(j)
     j /= j[0] + 2.0 * j[2::2].sum()
     k = np.arange(top + 2)
@@ -273,8 +271,9 @@ def _chebyshev_propagate(
     imaginary for odd k, so the even and the odd terms are summed apart,
     each in place.
 
-    2 X has the pattern of v's block on the range, sliced from v on each
-    call into arrays of its own; `ham` is only read.
+    2 X has the pattern of v's block on the range: three arrays sliced from v
+    on each call, whose products run on scipy's CSR kernel `csr_matvec` as in
+    scipy's own product, but with no sparse matrix formed; `ham` is only read.
     """
     h = ham.h[span]
     th, g = pulse.T * h, abs(pulse.area)
@@ -292,10 +291,17 @@ def _chebyshev_propagate(
     if z == 0.0:
         return phase * y
     parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
-    # 2 X, with H's diagonal (h - c) / r folded into the explicit zeros of v's pattern
-    X2 = _block(ham.v, span, span)
-    X2.data = (2.0 * pulse.area / z) * X2.data  # a new array, never v's
-    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / z) * (th - c)
+    # 2 X on v's pattern, H's diagonal (h - c) / r folded into its explicit zeros
+    v, n = ham.v, span.stop - span.start
+    lo, hi = v.indptr[span.start], v.indptr[span.stop]
+    ptr, cols = v.indptr[span.start : span.stop + 1] - lo, v.indices[lo:hi] - span.start
+    data = (2.0 * pulse.area / z) * v.data[lo:hi]  # a new array, never v's
+    data[ham.diag[span] - lo] = (2.0 / z) * (th - c)
+
+    def times_2x(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(n)  # the kernel adds into it
+        csr_matvec(n, n, ptr, cols, data, x, out)
+        return out
 
     coef = 2.0 * _bessel_series(z)
     coef[0] /= 2.0
@@ -304,10 +310,10 @@ def _chebyshev_propagate(
     out = np.zeros(y.shape, dtype=np.complex128)
     term = np.empty(y.shape)
     for unit, part in parts:
-        prev, cur = part, 0.5 * (X2 @ part)
+        prev, cur = part, 0.5 * times_2x(part)
         sums = [coef[0] * prev, coef[1] * cur]
         for k in range(2, len(coef)):
-            nxt = X2 @ cur
+            nxt = times_2x(cur)
             nxt -= prev
             prev, cur = cur, nxt
             sums[k % 2] += np.multiply(coef[k], cur, out=term)

@@ -634,6 +634,20 @@ def test_bessel_series_matches_scipy(z):
     assert tail < evolution._SERIES_TOL
 
 
+@pytest.mark.parametrize("z", [1e-300, 1e-150, 1e-70, 1e-5])
+def test_bessel_series_is_finite_at_tiny_arguments(z):
+    # below z = 4.5e-57 a step of 2k / z overflowed the recurrence, and the series turned
+    # to NaN or raised; there J_0 = 1 and J_1 = z / 2 to the last bit
+    J = evolution._bessel_series(z)
+    with mpmath.workdps(40):
+        exact = [float(mpmath.besselj(i, z)) for i in range(J.size + 1)]
+    assert np.all(np.isfinite(J))
+    assert all(abs(J[i] - exact[i]) <= math.ulp(exact[i]) for i in range(J.size))
+    assert J.size == 1 + max(
+        i for i in range(J.size + 1) if i <= 1 or 2 * abs(exact[i]) >= evolution._SERIES_TOL / 4
+    )
+
+
 def test_flat_spectrum_propagates_as_a_pure_phase(setup4):
     # all of h at one energy and no coupling: the spectral interval has r = 0,
     # and the propagator is the phase exp(-i T c) with no series
@@ -693,9 +707,11 @@ def _reference_propagate(ham, span, pulse, y, reaches):
     if z == 0.0:
         return phase * y, 0
     parts = [(u, part) for u, part in ((1.0, y.real), (1.0j, y.imag)) if part.any()]
-    X2 = evolution._block(ham.v, span, span)
+    v, n = ham.v, span.stop - span.start
+    lo, hi = v.indptr[span.start], v.indptr[span.stop]  # a sector range holds no entry beside its block
+    X2 = sp.csr_matrix((v.data[lo:hi], v.indices[lo:hi] - span.start, v.indptr[span.start : span.stop + 1] - lo), shape=(n, n))
     X2.data = (2.0 * pulse.area / z) * X2.data
-    X2.data[ham.diag[span] - ham.v.indptr[span.start]] = (2.0 / z) * (th - c)
+    X2.data[ham.diag[span] - lo] = (2.0 / z) * (th - c)
     coef = 2.0 * _numpy_bessel_series(z)
     coef[0] /= 2.0
     coef *= np.resize([1.0, -1.0, -1.0, 1.0], coef.size)
@@ -751,6 +767,50 @@ def test_propagator_steps_move_no_bit_and_keep_one_block():
             assert got.tobytes() == expect.tobytes()
         assert _array_bytes(ham) == before
         assert vars(ham).keys() == attrs.keys() and all(vars(ham)[k] is v for k, v in attrs.items())
+
+
+def test_the_propagator_forms_no_sparse_matrix_and_calls_no_matmul(monkeypatch):
+    # every product of the recurrence is one call of scipy's CSR kernel on sliced arrays:
+    # no scipy.sparse constructor runs and no `@` is dispatched
+    ham, span, pulse, y = next(case for case in _propagation_cases() if case[0].basis.K == 8 and case[3].imag.any())
+    expect = evolution._chebyshev_propagate(ham, span, pulse, y)
+    calls = {"__init__": 0, "__matmul__": 0}
+
+    def counted(name, original):
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return counting
+
+    for cls in sp.csr_matrix.__mro__:  # every scipy.sparse constructor ends in these
+        for name in ("__init__", "__matmul__"):
+            if cls.__module__.startswith("scipy.sparse") and name in vars(cls):
+                monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+    sp.csr_matrix(ham.v) @ np.ones(ham.v.shape[0])
+    assert calls["__init__"] >= 1 and calls["__matmul__"] == 1  # the patch counts
+    calls.update(__init__=0, __matmul__=0)
+    got = evolution._chebyshev_propagate(ham, span, pulse, y)
+    assert calls == {"__init__": 0, "__matmul__": 0}
+    assert got.tobytes() == expect.tobytes()
+
+    # the real and the imaginary part each take one kernel call per term past the first
+    monkeypatch.setattr(evolution, "csr_matvec", counted("csr_matvec", evolution.csr_matvec))
+    bessel, sizes = evolution._bessel_series, []
+    monkeypatch.setattr(evolution, "_bessel_series", lambda z: sizes.append(bessel(z).size) or bessel(z))
+    evolution._chebyshev_propagate(ham, span, pulse, y)
+    assert sizes[0] > 2 and calls["csr_matvec"] == 2 * (sizes[0] - 1)
+
+
+def test_an_int64_pattern_propagates_as_the_int32_one():
+    # scipy picks v's index type; the kernel reads either, and no bit moves
+    for ham, span, pulse, y in _propagation_cases():
+        v = ham.v.copy()
+        v.indptr, v.indices = v.indptr.astype(np.int64), v.indices.astype(np.int64)
+        wide = dataclasses.replace(ham, v=v)
+        assert ham.v.indices.dtype == np.int32 and wide.v.indices.dtype == np.int64
+        got = evolution._chebyshev_propagate(wide, span, pulse, y)
+        assert got.tobytes() == evolution._chebyshev_propagate(ham, span, pulse, y).tobytes()
 
 
 def test_one_body_interval_matches_the_gershgorin_propagator():

@@ -655,6 +655,18 @@ def test_a_vanishing_pulse_length_keeps_the_exact_block_finite(T, table6):
     assert at[T].p_succ == at[ref].p_succ and at[T].leakage == at[ref].leakage
 
 
+def test_cli_samples_an_exact_pulse_whose_series_argument_is_tiny(capsys):
+    # T r near 1e-100 once overflowed the Bessel recurrence: a traceback and exit 1 from the
+    # CLI, and an IndexError row from a sweep, where the moment and fock routes run
+    sets = ["table.K=4", "path=exact", "fock.n_max=3", "probe.levels=3", "pulse.T=1e-100", "pulse.area=1e-100"]
+    sets += ["state=number", "number_n=2"]
+    assert cli.main(["sample", "--shots", "10", *(a for s in sets for a in ("--set", s))]) == 0
+    assert capsys.readouterr().err == ""
+    entries = dict(s.split("=") for s in sets)
+    rows = run_sweep(ExperimentConfig.from_entries({**entries, "sweep.param": "number_n", "sweep.values": "1, 2, 3"}))
+    assert [row.error for row in rows] == [""] * 3
+
+
 def test_cli_refuses_a_pulse_too_long_for_its_series(cli_env):
     args = ["sample", "--shots", "10", "--set", "path=exact", "--set", "table.K=4"]
     args += ["--set", "fock.n_max=3", "--set", "state=number", "--set", "pulse.area=1e100"]
