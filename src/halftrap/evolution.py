@@ -376,8 +376,8 @@ def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredS
     cutoff past the basis' `n_max` is refused. The square pulse makes the
     Hamiltonian constant, so exp(-i T (h + g0 v)) is applied once, as a
     Chebyshev series in real arithmetic. One bincount over `ham.cell` sums
-    the result's weight per sector and relative level; the norm drift of
-    those sums past `_NORM_TOL` is a hard error.
+    the result's weight per sector and relative level; a norm drift of
+    those sums past `_NORM_TOL`, or a NaN one, is a hard error.
     """
     basis, d = ham.basis, ham.probe.levels
     if len(c) - 1 > basis.n_max:
@@ -392,7 +392,7 @@ def exact_state(c: np.ndarray, ham: JointHamiltonian, pulse: Pulse) -> FactoredS
         rows = _chebyshev_propagate(ham, span, pulse, y)
     weights = np.bincount(ham.cell[span], (rows * rows.conj()).real, (basis.n_max + 1) * d)
     drift = abs(np.sqrt(weights.sum()) - np.linalg.norm(c))
-    if drift > _NORM_TOL:
+    if not drift <= _NORM_TOL:
         raise IntegratorDriftError(f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}")
     beta = _displacement(np.arange(basis.n_max + 1), ham.probe, pulse)[1]
     return FactoredState(ham, pulse, span, rows, weights.reshape(-1, d), (beta * beta.conj()).real)

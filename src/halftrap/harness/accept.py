@@ -47,23 +47,40 @@ def _moment_route(cfg: ExperimentConfig) -> _Route:
     return _Route(pinned)
 
 
-def _pipeline_mu(cfg: ExperimentConfig, state) -> float:
-    """State -> infinite-K limit moments -> post-selected block -> partial transpose."""
-    route = _moment_route(cfg)
-    _, block = extract(route, state, route.cfg.alpha_sq)
+def _negativity(block) -> float:
+    """The partial-transpose negativity of a post-selected block."""
     return entanglement.negativity(entanglement.probe_block_density(block))
+
+
+def _pipeline_mu(cfg: ExperimentConfig, batch) -> list[float]:
+    """Per state, on one pinned route: limit moments -> post-selected block -> partial transpose."""
+    route = _moment_route(cfg)
+    return [_negativity(extract(route, state, route.cfg.alpha_sq)[1]) for state in batch]
+
+
+def _limit_mu(state) -> float:
+    """|mLR| / S of the state's infinite-mode limit moments, read without a block."""
+    mom = moments.analytic_limit_moments(state)
+    return abs(mom.mLR) / (mom.mLL + mom.mRR)
+
+
+def _deviation(got, want) -> float:
+    """The largest |got - want| over paired values, 0 for none; a NaN on either side gives NaN."""
+    return float(np.max(np.abs(np.subtract(got, want)), initial=0.0))
+
+
+def _strictly_monotone(values, rising: bool = True) -> bool:
+    """Whether each value lies strictly above (or below) the one before; a NaN breaks it."""
+    return all(lo < hi if rising else lo > hi for lo, hi in zip(values, values[1:]))
 
 
 def check_coherent_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Coherent-state negativity against its closed form over a mean-number grid."""
-    worst = 0.0
-    values = []
-    for a in _ALPHA_GRID:
-        state = states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol)
-        mu = _pipeline_mu(cfg, state)
-        values.append(mu)
-        worst = max(worst, abs(mu - entanglement.negativity_closed_form("coherent", a)))
-    rising = all(lo < hi for lo, hi in zip(values, values[1:]))
+    batch = [states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol) for a in _ALPHA_GRID]
+    mus = _pipeline_mu(cfg, batch)
+    closed = [entanglement.negativity_closed_form("coherent", a) for a in _ALPHA_GRID]
+    worst = _deviation(mus, closed)
+    rising = _strictly_monotone(mus)
     ok = worst < cfg.mu_tol and rising
     return ok, (
         f"max |mu - closed form| = {worst:.3e} over alpha_sq in {_ALPHA_GRID} "
@@ -75,16 +92,9 @@ def check_coherent_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def check_number_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Number-state negativity; the single-particle value must be compatible with zero."""
-    worst = 0.0
-    mu_one = None
-    for N in _NUMBER_GRID:
-        mu = _pipeline_mu(cfg, states.number_state(N))
-        if N == 1:
-            mu_one = mu
-        else:
-            worst = max(
-                worst, abs(mu - entanglement.negativity_closed_form("number", float(N)))
-            )
+    mu_one, *mus = _pipeline_mu(cfg, [states.number_state(N) for N in _NUMBER_GRID])
+    closed = [entanglement.negativity_closed_form("number", float(N)) for N in _NUMBER_GRID[1:]]
+    worst = _deviation(mus, closed)
     ok = worst < cfg.mu_tol and mu_one < cfg.single_particle_mu_bound
     return ok, (
         f"max |mu - closed form| = {worst:.3e} for N in {_NUMBER_GRID[1:]} "
@@ -95,14 +105,12 @@ def check_number_negativity(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def check_fidelity(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Remnant-overlap fidelity against 1/sqrt(1 + 2/<n>), rising with <n>."""
-    worst = 0.0
-    values = []
-    for a in _FIDELITY_GRID:
-        state = states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol)
-        f = entanglement.disturbance_fidelity(state)
-        values.append(f)
-        worst = max(worst, abs(f - 1.0 / sqrt(1.0 + 2.0 / a)))
-    rising = all(lo < hi for lo, hi in zip(values, values[1:]))
+    fids = [
+        entanglement.disturbance_fidelity(states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol))
+        for a in _FIDELITY_GRID
+    ]
+    worst = _deviation(fids, [1.0 / sqrt(1.0 + 2.0 / a) for a in _FIDELITY_GRID])
+    rising = _strictly_monotone(fids)
     ok = worst < cfg.f_tol and rising
     return ok, (
         f"max |F - closed form| = {worst:.3e} over alpha_sq in {_FIDELITY_GRID} "
@@ -140,27 +148,22 @@ def check_oracle(cfg: ExperimentConfig) -> tuple[bool, str]:
     """
     basis, D, _ = _Route(replace(cfg, path="fock", K=6, n_max=4)).fock
     batch = _oracle_states(cfg.seed)
-    worst = 0.0
-    for state in batch:
-        closed = moments.moments_from_state(state, basis.K)
-        explicit = moments.moments_from_fock(state, basis, D)
-        worst = max(
-            worst,
-            abs(closed.mLL - explicit.mLL),
-            abs(closed.mRR - explicit.mRR),
-            abs(closed.mLR - explicit.mLR),
-        )
+    closed = [moments.moments_from_state(state, basis.K) for state in batch]
+    explicit = [moments.moments_from_fock(state, basis, D) for state in batch]
+    worst = _deviation(
+        [(m.mLL, m.mRR, m.mLR) for m in closed], [(m.mLL, m.mRR, m.mLR) for m in explicit]
+    )
     # one particle: E[n] = 1 and E[n(n-1)] = 0, so mLR is T_LR(K) itself
     series = [
         moments.moments_from_state(states.number_state(1), K).mLR.real
         for K in LOCALITY_LADDER
     ]
-    column_worst = 0.0
-    for K, t_lr in zip(LOCALITY_LADDER, series):
+    columns = []
+    for K in LOCALITY_LADDER:
         t, modes = build_overlap_table(K), np.arange(K)
-        column = fsum(memoryview(t.entries("L", modes, 0) * t.entries("R", modes, 0)))
-        column_worst = max(column_worst, abs(t_lr - column))
-    decreasing = all(hi > lo for hi, lo in zip(series, series[1:]))
+        columns.append(fsum(memoryview(t.entries("L", modes, 0) * t.entries("R", modes, 0))))
+    column_worst = _deviation(series, columns)
+    decreasing = _strictly_monotone(series, rising=False)
     ok = worst < cfg.oracle_tol and column_worst < cfg.oracle_tol and decreasing
     return ok, (
         f"{len(batch)} states, six modes, max entry deviation = {worst:.3e} "
@@ -175,13 +178,13 @@ def check_perturbation(cfg: ExperimentConfig) -> tuple[bool, str]:
     """First-order residual must shrink quadratically and leakage stay marginal."""
     ev = perturbation_evidence(cfg)
     ratios_ok = all(cfg.ratio_lo <= r <= cfg.ratio_hi for r in ev["ratios"])
-    leak_ok = all(f < cfg.leakage_fraction for f in ev["leak_fracs"])
-    return ratios_ok and leak_ok, (
+    leak = _deviation(ev["leak_fracs"], 0.0)  # the largest fraction; a NaN one is kept
+    return ratios_ok and leak < cfg.leakage_fraction, (
         "residual halving ratios "
         + ", ".join(f"{r:.3f}" for r in ev["ratios"])
         + f" (required within [{cfg.ratio_lo:g}, {cfg.ratio_hi:g}]); "
         + "max leakage fraction "
-        + f"{max(ev['leak_fracs']):.2e} (bound {cfg.leakage_fraction:g})"
+        + f"{leak:.2e} (bound {cfg.leakage_fraction:g})"
     )
 
 
@@ -199,7 +202,7 @@ def check_commutator(cfg: ExperimentConfig) -> tuple[bool, str]:
     ev = commutator_evidence()
     resid, prods = ev["residuals"], ev["products"]
     commute = all(r <= _ROUNDOFF for r in resid)
-    decays = all(hi > lo for hi, lo in zip(prods, prods[1:]))
+    decays = _strictly_monotone(prods, rising=False)
     return commute and decays, (
         f"max|[L,R]| at K={LOCALITY_LADDER}: "
         + ", ".join(f"{r:.3e}" for r in resid)
@@ -213,25 +216,24 @@ def check_commutator(cfg: ExperimentConfig) -> tuple[bool, str]:
 def check_structural(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Partial-transpose negativity equals the off-diagonal fraction |rho_01|."""
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
+    blocks, refs = [], []
     for _ in range(200):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = a @ a.conj().T
         rho = h / np.trace(h).real
-        block = measurement.ProbeBlock(
-            matrix=rho, p_succ=0.5, leakage=0.0, source="synthetic"
+        blocks.append(
+            measurement.ProbeBlock(matrix=rho, p_succ=0.5, leakage=0.0, source="synthetic")
         )
-        mu_pt = entanglement.negativity(entanglement.probe_block_density(block))
-        worst = max(worst, abs(mu_pt - abs(rho[0, 1])))
+        refs.append(abs(rho[0, 1]))
     for state in (
         states.coherent_state(alpha_sq=2.0),
         states.number_state(3),
         states.thermal_state(1.0),
     ):
         mom = moments.analytic_limit_moments(state)
-        block = measurement.block_from_moments(mom)
-        mu_pt = entanglement.negativity(entanglement.probe_block_density(block))
-        worst = max(worst, abs(mu_pt - abs(mom.mLR) / mom.S))
+        blocks.append(measurement.block_from_moments(mom))
+        refs.append(abs(mom.mLR) / mom.S)
+    worst = _deviation([_negativity(block) for block in blocks], refs)
     ok = worst < cfg.structural_tol
     return ok, (
         f"max |negativity - |rho_01|| = {worst:.3e} over 200 random and 3 "
@@ -241,27 +243,19 @@ def check_structural(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def check_mixtures(cfg: ExperimentConfig) -> tuple[bool, str]:
     """Dephased and thermal mixtures against oracles built from factorial moments."""
-    dephase_worst = 0.0
-    for a in (1.0, 2.0, 4.0):
-        # coherent and phase-averaged states share their Poisson populations, so
-        # this reads 0 by construction and catches any change that lets a phase
-        # reach the moments; the infinite-mode limit adds no truncation noise
-        mom_c = moments.analytic_limit_moments(
-            states.coherent_state(alpha_sq=a, tail_tol=cfg.tail_tol)
-        )
-        mom_p = moments.analytic_limit_moments(
-            states.phase_averaged_state(a, tail_tol=cfg.tail_tol)
-        )
-        mu_c = abs(mom_c.mLR) / (mom_c.mLL + mom_c.mRR)
-        mu_p = abs(mom_p.mLR) / (mom_p.mLL + mom_p.mRR)
-        dephase_worst = max(dephase_worst, abs(mu_c - mu_p))
-    thermal_worst = 0.0
-    for nbar in _THERMAL_GRID:
-        mu = _pipeline_mu(cfg, states.thermal_state(nbar, tail_tol=cfg.tail_tol))
-        # geometric weights give E[n] = nbar, E[n(n-1)] = 2 nbar^2,
-        # hence mu -> nbar / (2 (nbar + 1))
-        oracle = nbar / (2.0 * (nbar + 1.0))
-        thermal_worst = max(thermal_worst, abs(mu - oracle))
+    # coherent and phase-averaged states share their Poisson populations, so
+    # this reads 0 by construction and catches any change that lets a phase
+    # reach the moments; the infinite-mode limit adds no truncation noise
+    grid, tol = (1.0, 2.0, 4.0), cfg.tail_tol
+    dephase_worst = _deviation(
+        [_limit_mu(states.coherent_state(alpha_sq=a, tail_tol=tol)) for a in grid],
+        [_limit_mu(states.phase_averaged_state(a, tail_tol=tol)) for a in grid],
+    )
+    batch = [states.thermal_state(nbar, tail_tol=cfg.tail_tol) for nbar in _THERMAL_GRID]
+    thermal = _pipeline_mu(cfg, batch)
+    # geometric weights give E[n] = nbar, E[n(n-1)] = 2 nbar^2,
+    # hence mu -> nbar / (2 (nbar + 1))
+    thermal_worst = _deviation(thermal, [nbar / (2.0 * (nbar + 1.0)) for nbar in _THERMAL_GRID])
     ok = dephase_worst < cfg.mixture_exact_tol and thermal_worst < cfg.mu_tol
     return ok, (
         f"max |mu(dephased) - mu(coherent)| = {dephase_worst:.3e} in the "

@@ -34,6 +34,7 @@ from its asymptotic series instead, so any K costs the same.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import fsum, pi, sqrt
 from typing import TYPE_CHECKING
@@ -73,6 +74,9 @@ class ProbeBlockMoments:
     K: int | None = None
 
     def __post_init__(self) -> None:
+        for name, value in (("mLL", self.mLL), ("mRR", self.mRR), ("mLR", self.mLR)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"block moment {name} must be finite, got {value!r}")
         if self.mLL < 0 or self.mRR < 0:
             raise ValueError(
                 f"diagonal moments must be non-negative, got {self.mLL}, {self.mRR}"

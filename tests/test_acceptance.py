@@ -6,12 +6,19 @@ tolerance or skips a target: a criterion the implementation cannot meet
 fails in plain sight.
 """
 
+import itertools
 import subprocess
 import sys
 import time
+from math import nan
 
+import numpy as np
+import pytest
+
+from halftrap import entanglement, moments
 from halftrap.evolution import ProbeParams, Pulse
-from halftrap.harness.accept import TARGETS
+from halftrap.harness import accept
+from halftrap.harness.accept import TARGETS, _deviation, _strictly_monotone
 from halftrap.measurement import block_from_moments, sample_outcomes
 from halftrap.moments import analytic_limit_moments
 from halftrap.states import coherent_state
@@ -109,3 +116,69 @@ def test_deterministic_outputs(accept_cfg, tmp_path, cli_env):
     )
     counts = [sample_outcomes(block, shots=5000, seed=accept_cfg.seed) for _ in range(2)]
     assert counts[0] == counts[1]
+
+
+def test_the_shared_checks_let_no_nan_through():
+    # max(0.0, nan) is 0.0, so a running max drops a NaN; these two must not
+    assert _deviation([1.0, 2.0], [1.0, 2.5]) == 0.5
+    assert _deviation([], []) == 0.0
+    assert str(_deviation([1.0, nan], [1.0, 2.0])) == "nan"
+    assert str(_deviation([1.0, 2.0], [nan, 2.0])) == "nan"
+    assert _deviation([1.0 + 1.0j], [1.0 - 1.0j]) == 2.0
+    # on finite values it is the running maximum the targets kept before, bit for bit
+    rng = np.random.default_rng(5)
+    got, want = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+    for pair in ((got.real, want.real), (got, want), (got.tolist(), want.tolist())):
+        worst = 0.0
+        for a, b in zip(*pair):
+            worst = max(worst, abs(a - b))
+        assert _deviation(*pair) == worst
+    assert _strictly_monotone([1.0, 2.0, 3.0]) and _strictly_monotone([3.0, 2.0], rising=False)
+    assert not _strictly_monotone([1.0, 1.0]) and not _strictly_monotone([1.0, 1.0], rising=False)
+    assert not _strictly_monotone([1.0, nan, 3.0])
+    assert not _strictly_monotone([3.0, nan, 1.0], rising=False)
+
+
+def _nan_mLR(mom):
+    object.__setattr__(mom, "mLR", complex(nan))  # set past the record's own finiteness check
+    return mom
+
+
+def _nan_middle_leak(evidence):
+    evidence["leak_fracs"][1] = nan
+    return evidence
+
+
+def _spoil(monkeypatch, owner, name, spoil, calls):
+    """Pass every result of `owner.name` (or those of the 0-based `calls`) through `spoil`."""
+    real, count = getattr(owner, name), itertools.count()
+
+    def fault(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return spoil(value) if calls is None or next(count) in calls else value
+
+    monkeypatch.setattr(owner, name, fault)
+
+
+def _to_nan(value):
+    return nan
+
+
+# per target: the call whose results are spoiled, how, and on which calls (None: all)
+_NAN_FAULTS = {
+    "oracle": (moments, "moments_from_fock", _nan_mLR, None),
+    "structural": (entanglement, "negativity", _to_nan, None),
+    "mixtures": (entanglement, "negativity", _to_nan, None),
+    "number-negativity": (entanglement, "negativity", _to_nan, {2}),  # N = 3 alone
+    "coherent-negativity": (entanglement, "negativity", _to_nan, None),
+    "fidelity": (entanglement, "disturbance_fidelity", _to_nan, None),
+    "perturbation": (accept, "perturbation_evidence", _nan_middle_leak, None),
+}
+
+
+@pytest.mark.parametrize("target", list(_NAN_FAULTS))
+def test_a_nan_deviation_fails_its_target(target, accept_cfg, monkeypatch):
+    _spoil(monkeypatch, *_NAN_FAULTS[target])
+    ok, detail = _run(target, accept_cfg)
+    assert not ok
+    assert " nan " in detail

@@ -123,6 +123,11 @@ def test_fidelity_requires_coherent_input():
         disturbance_fidelity(number_state(2))
 
 
+def test_fidelity_of_the_vacuum_is_refused():
+    with pytest.raises(ValueError, match="fidelity undefined for vacuum input"):
+        disturbance_fidelity(coherent_state(0.0))
+
+
 def test_extraction_and_disturbance_grow_together():
     # duality: a stronger gas yields more negativity and a less disturbed trap
     mus, fids = [], []

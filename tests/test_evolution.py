@@ -521,6 +521,15 @@ def test_tiny_norm_tolerance_raises_drift_error(setup4, monkeypatch):
         exact_state(c, ham, pulse)
 
 
+def test_nan_rows_are_refused_as_drift(setup4, monkeypatch):
+    # a NaN drift fails `drift > tol` as well as `drift <= tol`; only the second refuses it
+    table, basis, probe, ham = setup4
+    c = superposition_state(np.array([0.6, 0.0, 0.8])).vector
+    monkeypatch.setattr(evolution, "_chebyshev_propagate", lambda ham, span, pulse, y: np.full_like(y, np.nan))
+    with pytest.raises(IntegratorDriftError, match="norm drift nan exceeds"):
+        exact_state(c, ham, Pulse(T=0.05, g0=1.0))
+
+
 _coefficients = st.lists(
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
     min_size=1,

@@ -338,6 +338,14 @@ def test_dense_commutator_equals_the_fock_built_one(K):
     assert single_particle_commutator_residual(table) == fock_built == 0.0
 
 
+@pytest.mark.parametrize(
+    "K, n_max, message", [(0, 1, "mode count must be >= 1, got 0"), (2, -1, "n_max must be >= 0, got -1")]
+)
+def test_a_basis_without_modes_or_with_a_negative_n_max_is_refused(K, n_max, message):
+    with pytest.raises(ValueError, match=message):
+        FockBasis(K, n_max)
+
+
 def test_basis_table_mode_mismatch_rejected(table8):
     with pytest.raises(ValueError, match="K=8 but basis has K=2"):
         build_imbalance_operator(table8, FockBasis(2, 1))

@@ -41,7 +41,7 @@ from halftrap.harness.sweep import (
     write_plot_data,
     write_sweep_csv,
 )
-from halftrap.measurement import ProbeParams, Pulse
+from halftrap.measurement import NoExtractionError, ProbeParams, Pulse
 from halftrap.moments import moments_from_state
 from halftrap.states import number_state
 from exact_oracle import array_residual, joint_array_route, selected_and_leaked
@@ -92,6 +92,21 @@ def test_parse_config_missing_equals_names_line():
     with pytest.raises(ConfigError) as err:
         parse_config_text("state = coherent\nnonsense\n")
     assert err.value.fieldname == "line 2"
+
+
+@pytest.mark.parametrize(
+    "text, field, message",
+    [
+        (" = 1", "line 1", "empty key"),
+        ("alpha_sq = abc", "alpha_sq", "not a number: 'abc'"),
+        ("sweep.values = ,", "sweep.values", "list must be non-empty"),
+        ("sweep.values = 1, x", "sweep.values", "not a comma-separated number list: '1, x'"),
+    ],
+)
+def test_a_malformed_config_line_is_refused_naming_its_field(text, field, message):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_entries(parse_config_text(text))
+    assert (err.value.fieldname, str(err.value)) == (field, f"config field {field!r}: {message}")
 
 
 def test_apply_overrides():
@@ -968,6 +983,26 @@ def test_a_zero_pulse_area_is_refused_naming_its_key(path, key, capsys):
     assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
     rows = run_sweep(ExperimentConfig.from_entries({**entries, "sweep.param": "alpha_sq", "sweep.values": "0.5, 2"}))
     assert [row.error for row in rows] == [f"ConfigError: {message}"] * 2
+
+
+@pytest.mark.parametrize(
+    "entries", [{"alpha_sq": "0"}, {"state": "number", "number_n": "0"}], ids=["coherent", "number"]
+)
+@pytest.mark.parametrize("path", ["moments", "fock", "exact"])
+def test_a_state_with_no_excited_weight_is_refused_on_every_route(path, entries):
+    # the vacuum gives the amplitude preset no weight to scale its area by
+    entries = {**entries, "path": path, **(_SMALL_FOCK if path != "moments" else {})}
+    message = "^amplitude preset undefined: no weight outside the ground level$"
+    with pytest.raises(NoExtractionError, match=message):
+        single_block(ExperimentConfig.from_entries(entries))
+
+
+def test_preset_none_without_an_area_is_refused_naming_the_area():
+    cfg = ExperimentConfig.from_entries({"pulse.preset": "none"})
+    with pytest.raises(ConfigError) as err:
+        single_block(cfg)
+    assert err.value.fieldname == "pulse.area"
+    assert str(err.value) == "config field 'pulse.area': preset 'none' requires an explicit pulse.area"
 
 
 # per family: the swept parameter, its grid, m = E[n(n-1)] / E[n] at a value, and a bound

@@ -209,6 +209,13 @@ def _block(matrix) -> ProbeBlock:
     return ProbeBlock(matrix=matrix, p_succ=0.5, leakage=0.0, source="synthetic")
 
 
+def test_a_probe_of_one_level_and_a_block_not_2x2_are_refused():
+    with pytest.raises(ValueError, match="probe needs at least 2 levels, got 1"):
+        ProbeParams(levels=1)
+    with pytest.raises(ValueError, match=r"block must be 2x2, got \(3, 3\)"):
+        _block(np.eye(3) / 3.0)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [

@@ -348,3 +348,15 @@ def test_moment_container_rejects_inconsistent_values():
         ProbeBlockMoments(mLL=-1.0, mRR=1.0, mLR=0.0, provenance="test", K=None)
     with pytest.raises(ValueError):
         ProbeBlockMoments(mLL=0.1, mRR=0.1, mLR=1.0, provenance="test", K=None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["mLL", "mRR", "mLR"])
+def test_non_finite_block_moments_are_refused_naming_the_field(field, bad):
+    # each check after this one is a comparison, which a NaN passes
+    entries = {"mLL": 0.5, "mRR": 0.5, "mLR": 0.25 + 0.0j, field: bad}
+    with pytest.raises(ValueError, match=f"block moment {field} must be finite"):
+        ProbeBlockMoments(**entries, provenance="test", K=None)
+    if field == "mLR":
+        with pytest.raises(ValueError, match="block moment mLR must be finite"):
+            ProbeBlockMoments(mLL=0.5, mRR=0.5, mLR=complex(0.25, bad), provenance="test")

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -444,6 +445,25 @@ def test_superposition_refuses_non_finite_coefficients(coeffs):
         superposition_state(coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [[], [[1.0]]], ids=["empty", "2-d"])
+def test_superposition_refuses_a_list_that_is_not_one_flat_sequence(coeffs):
+    with pytest.raises(ValueError, match="coefficient list must be a non-empty 1-d sequence"):
+        superposition_state(coeffs)
+
+
+def test_a_mean_past_every_allowed_cutoff_is_refused_without_building_its_pmf():
+    # the Poisson mass lies past n = 100000, the largest cutoff allowed: the pmf out to
+    # its edge would be about 1.01e7 entries (81 MB per array), and none is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(TailToleranceError, match=r"requires n_cut >= 100001"):
+            coherent_state(1e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_superposition_moments_by_direct_sum():
     c = np.array([0.5, 0.5j, 0.0, -np.sqrt(0.5)])
     state = superposition_state(c)
@@ -530,6 +550,11 @@ def test_negative_inputs_rejected():
         (lambda: phase_averaged_state(np.inf), "alpha_sq"),
         (lambda: coherent_state(alpha_sq=2.0, n_cut=-1), "n_cut"),
         (lambda: thermal_state(1.0, n_cut=-1), "n_cut"),
+        *(
+            (partial(build, 1.0, tail_tol=tol), "tail_tol must be positive")
+            for build in (coherent_state, thermal_state)
+            for tol in (0.0, -1.0, math.nan)
+        ),
     ]:
         with pytest.raises(ValueError, match=name):
             build()
